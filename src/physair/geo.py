@@ -128,10 +128,6 @@ class Graph:
         """Per-edge inverse distance, the feature weighting the adjacency."""
         return 1.0 / self.edge_dist()
 
-    def local_edge_features(self) -> np.ndarray:
-        """Edge feature feeding the local normalization; reuses 1/dist."""
-        return self.diffusion_edge_features()
-
     def adjacency(self) -> np.ndarray:
         """Weighted adjacency A[i, j] = 1/dist(i, j), zero diagonal."""
         n = self.n_nodes
@@ -203,18 +199,14 @@ def convection_edge_features(graph: Graph, wind: WindRecord) -> np.ndarray:
     return out
 
 
-def scaled_laplacian(a: np.ndarray, tol: float = 1e-6, max_iter: int = 1000):
+def scaled_laplacian(a: np.ndarray):
     """Normalized Laplacian of a weighted adjacency, rescaled to [-1, 1].
 
     Returns (L, lambda_max, L_D) with L = I - D^(-1/2) A D^(-1/2) and
-    L_D = 2 L / lambda_max - I. lambda_max comes from block power
-    iteration (a 4-column subspace with Rayleigh-Ritz extraction; a single
-    vector can stall for hundreds of iterations when the two largest
-    eigenvalues sit close together). The iteration stops once the top Ritz
-    pair's residual ||L y - lambda y|| drops to tol, which leaves an error
-    of order tol^2 in lambda and keeps the spectrum of L_D inside [-1, 1]
-    to far better than 1e-8. If it has not settled after max_iter steps
-    the conventional upper bound 2.0 is used instead.
+    L_D = 2 L / lambda_max - I. lambda_max is the largest eigenvalue of
+    the symmetric L from a dense eigensolve; the graphs here have at most
+    a few dozen nodes, so that costs well under a millisecond and is exact
+    to rounding, which keeps the spectrum of L_D inside [-1, 1].
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
@@ -229,21 +221,7 @@ def scaled_laplacian(a: np.ndarray, tol: float = 1e-6, max_iter: int = 1000):
 
     d_half = 1.0 / np.sqrt(deg)
     lap = np.eye(n) - d_half[:, None] * a * d_half[None, :]
-
-    block = min(4, n)
-    v = np.random.default_rng(0).standard_normal((n, block))
-    v, _ = np.linalg.qr(v)
-    lam_max = 2.0
-    for _ in range(max_iter):
-        v, _ = np.linalg.qr(lap @ v)
-        small = v.T @ (lap @ v)
-        theta, s = np.linalg.eigh((small + small.T) / 2.0)
-        y = v @ s[:, -1]
-        lam = float(theta[-1])
-        if np.linalg.norm(lap @ y - lam * y) <= tol:
-            lam_max = lam
-            break
-
+    lam_max = float(np.linalg.eigvalsh(lap)[-1])
     scaled = (2.0 / lam_max) * lap - np.eye(n)
     return lap, lam_max, scaled
 
@@ -251,11 +229,11 @@ def scaled_laplacian(a: np.ndarray, tol: float = 1e-6, max_iter: int = 1000):
 def local_norm_matrix(graph: Graph, edge_features: np.ndarray | None = None) -> np.ndarray:
     """Diagonal matrix M with M[i, i] = 1 + sum of features on edges into i.
 
-    Defaults to the local (inverse-distance) edge features. Entries are
+    Defaults to the inverse-distance edge features. Entries are
     always >= 1, so M scales features up; its inverse is what actually
     shrinks them (see the model module for which one is applied).
     """
-    feats = graph.local_edge_features() if edge_features is None else np.asarray(edge_features, dtype=float)
+    feats = graph.diffusion_edge_features() if edge_features is None else np.asarray(edge_features, dtype=float)
     if feats.shape != (graph.n_edges,):
         raise ValidationError(f"expected {graph.n_edges} edge features, got shape {feats.shape}")
     if np.any(feats <= 0):
@@ -270,20 +248,15 @@ class GraphMatrices:
     """Everything the model's linear algebra needs, derived once per graph."""
 
     a: np.ndarray
-    d: np.ndarray
     lap: np.ndarray
     lap_scaled: np.ndarray
     lambda_max: float
     m: np.ndarray
-    m_inv: np.ndarray
 
 
 def build_matrices(graph: Graph) -> GraphMatrices:
-    """Adjacency, degree, Laplacians, and local normalization for one graph."""
+    """Adjacency, Laplacians, and local normalization for one graph."""
     a = graph.adjacency()
-    d = np.diag(a.sum(axis=1))
     lap, lam_max, lap_scaled = scaled_laplacian(a)
     m = local_norm_matrix(graph)
-    m_inv = np.diag(1.0 / np.diag(m))
-    return GraphMatrices(a=a, d=d, lap=lap, lap_scaled=lap_scaled,
-                         lambda_max=lam_max, m=m, m_inv=m_inv)
+    return GraphMatrices(a=a, lap=lap, lap_scaled=lap_scaled, lambda_max=lam_max, m=m)

@@ -98,8 +98,8 @@ class GraphWiring:
 
     Holds the scaled Laplacian and self-loop adjacency as constant tensors,
     the diagonal of the local normalization (both orientations), and the
-    index plans that gather node features onto edges and sum edge messages
-    back onto nodes. Everything here is read-only once built.
+    edge order, which sum_incoming uses to add edge messages back onto
+    nodes. Everything here is read-only once built.
     """
 
     def __init__(self, graph: Graph, matrices: GraphMatrices | None = None):
@@ -116,19 +116,6 @@ class GraphWiring:
         m_diag = np.diag(matrices.m)
         self.norm_direct = Tensor(m_diag[:, None])
         self.norm_inverse = Tensor((1.0 / m_diag)[:, None])
-        # positions of each node's edge slots, used by the gather vjps;
-        # edges are grouped by destination, so each node appears n-1 times
-        # on either end
-        self.src_positions = np.argsort(graph.src, kind="stable").reshape(n, n - 1)
-        self.dst_positions = np.arange(graph.n_edges).reshape(n, n - 1)
-
-    def gather_src(self, x: Tensor) -> Tensor:
-        """(B, N, d) -> (B, E, d): feature of each edge's source node."""
-        return _gather(x, self.src, self.src_positions)
-
-    def gather_dst(self, x: Tensor) -> Tensor:
-        """(B, N, d) -> (B, E, d): feature of each edge's destination node."""
-        return _gather(x, self.dst, self.dst_positions)
 
     def sum_incoming(self, messages: Tensor) -> Tensor:
         """(B, E, d) -> (B, N, d): sum of messages grouped by destination."""
@@ -145,27 +132,23 @@ class GraphWiring:
         return make_op(data, (messages,), vjp)
 
 
-def _gather(x: Tensor, index: np.ndarray, positions: np.ndarray) -> Tensor:
-    """Select node rows onto edges; positions maps each node to its edge slots."""
-    if x.ndim != 3:
-        raise ShapeError(f"gather expects (batch, nodes, features), got {x.shape}")
-
-    def vjp(g):
-        return (g[:, positions, :].sum(axis=2),)
-
-    return make_op(x.data[:, index, :], (x,), vjp)
-
-
 def _convection_messages(h: Tensor, e: Tensor, w: Tensor, b: Tensor,
                          wiring: "GraphWiring", activation: str) -> Tensor:
     """act((h[dst] + e) @ w_r + (h[src] + e) @ w_s + b), reassociated.
 
     w is the stacked message weight [w_r; w_s]. Multiplying h by each half
-    before gathering turns the two edge-sized GEMMs into node-sized ones,
-    and e only meets the summed weight once. Same math as running the
-    stacked weight over concat(h[dst] + e, h[src] + e), reassociated, so
-    values agree to rounding and the gradient is checked against the
+    on the nodes turns the two edge-sized GEMMs into node-sized ones, and e
+    only meets the summed weight once. Same math as running the stacked
+    weight over concat(h[dst] + e, h[src] + e), reassociated, so values
+    agree to rounding and the gradient is checked against the
     finite-difference oracle like every other fused op.
+
+    Node rows reach the edges through views of the edge axis, never through
+    an edge-sized gather; both rest on the destination-grouped edge order.
+    As (N, N-1), row i holds the N-1 edges into node i. As (N-1, N), row r
+    holds the edges from sources r+1, ..., N-1, 0, ..., r, so every row
+    meets every source once and rows run in ascending edge order. The
+    backward sums each source's cotangents row by row in that order.
     """
     bsz, n, dim = h.shape
     n_edges = wiring.n_edges
@@ -182,10 +165,14 @@ def _convection_messages(h: Tensor, e: Tensor, w: Tensor, b: Tensor,
     hr = (h2 @ w_recv).reshape(bsz, n, dim)
     hs = (h2 @ w_send).reshape(bsz, n, dim)
     out = (e.data.reshape(-1, dim) @ w_sum).reshape(bsz, n_edges, dim)
-    buf = np.take(hr, wiring.dst, axis=1)
-    np.add(out, buf, out=out)
-    np.take(hs, wiring.src, axis=1, out=buf)
-    np.add(out, buf, out=out)
+    by_dst = out.reshape(bsz, n, n - 1, dim)
+    np.add(by_dst, hr[:, :, None, :], out=by_dst)
+    # row r of the (N-1, N) view reads sources r+1, r+2, ... of the node
+    # axis laid out twice, i.e. window r+1 of length N over [hs; hs]
+    twice = np.concatenate([hs, hs], axis=1)
+    by_row = out.reshape(bsz, n - 1, n, dim)
+    src_rows = np.lib.stride_tricks.sliding_window_view(twice[:, 1:-1], n, axis=1)
+    np.add(by_row, src_rows.transpose(0, 1, 3, 2), out=by_row)
     np.add(out, b.data, out=out)
     if activation == "relu":
         np.maximum(out, 0.0, out=out)
@@ -193,10 +180,13 @@ def _convection_messages(h: Tensor, e: Tensor, w: Tensor, b: Tensor,
     def vjp(g):
         g_pre = g * (out > 0) if activation == "relu" else g
         g2 = g_pre.reshape(-1, dim)
-        # edges arrive grouped by destination, so the dst-gather adjoint is
-        # a plain reshape-sum; the src side needs the position table
         g_recv = g_pre.reshape(bsz, n, n - 1, dim).sum(axis=2)
-        g_send = g_pre[:, wiring.src_positions, :].sum(axis=2)
+        # row 0 holds every source's first edge; later rows add in order
+        g_rows = g_pre.reshape(bsz, n - 1, n, dim)
+        g_send = np.concatenate([g_rows[:, 0, -1:], g_rows[:, 0, :-1]], axis=1)
+        for r in range(1, n - 1):
+            g_send[:, r + 1:] += g_rows[:, r, :n - 1 - r]
+            g_send[:, :r + 1] += g_rows[:, r, n - 1 - r:]
         gh = ge = gw = gb = None
         if h.requires_grad:
             gh = (g_recv.reshape(-1, dim) @ w_recv.T

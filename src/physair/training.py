@@ -563,14 +563,6 @@ def load_trained(checkpoint_path):
     return model, normalizer, split, extra
 
 
-def ensemble_predictions(per_model: np.ndarray) -> np.ndarray:
-    """Mean across the model axis (models, samples) -> (samples,)."""
-    per_model = np.asarray(per_model, dtype=float)
-    if per_model.ndim != 2:
-        raise ValidationError(f"expected (models, samples), got {per_model.shape}")
-    return per_model.mean(axis=0)
-
-
 def _train_job(args):
     # module-level so ProcessPoolExecutor can pickle it
     dataset, split, model_config, train_config, out_dir, resume = args

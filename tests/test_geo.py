@@ -198,8 +198,8 @@ def test_two_node_laplacian_hand_values():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     lap, lam, lap_scaled = scaled_laplacian(a)
     assert np.allclose(lap, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-15)
-    assert abs(lam - 2.0) < 1e-6
-    assert np.allclose(lap_scaled, [[0.0, -1.0], [-1.0, 0.0]], atol=1e-6)
+    assert lam == 2.0
+    assert np.allclose(lap_scaled, [[0.0, -1.0], [-1.0, 0.0]], atol=1e-15)
 
 
 def test_laplacian_null_vector():
@@ -210,15 +210,15 @@ def test_laplacian_null_vector():
     assert np.max(np.abs(lap @ null)) < 1e-10
 
 
-def test_power_iteration_matches_dense_eigensolver():
+def test_lambda_max_is_largest_laplacian_eigenvalue():
     rng = np.random.default_rng(8)
-    for n in (3, 5, 8, 10):
+    for n in (3, 5, 8, 10, 28):
         w = rng.uniform(0.1, 2.0, size=(n, n))
         a = np.triu(w, 1)
         a = a + a.T
         _, lam, _ = scaled_laplacian(a)
         dense = np.linalg.eigvalsh(np.eye(n) - _norm_adj(a)).max()
-        assert abs(lam - dense) < 1e-5
+        assert abs(lam - dense) < 1e-12
 
 
 def _norm_adj(a):
@@ -290,8 +290,6 @@ def test_build_matrices_consistent():
     g = build_graph(random_sensors(6, seed=14))
     mats = build_matrices(g)
     assert np.array_equal(mats.a, mats.a.T)
-    assert np.allclose(np.diag(mats.d), mats.a.sum(axis=1))
-    assert np.allclose(mats.m @ mats.m_inv, np.eye(6))
     eigs = np.linalg.eigvalsh(mats.lap_scaled)
     assert eigs.max() <= 1.0 + 1e-8 and eigs.min() >= -1.0 - 1e-8
 
@@ -300,6 +298,6 @@ def test_build_matrices_deterministic():
     sensors = random_sensors(7, seed=15)
     m1 = build_matrices(build_graph(sensors))
     m2 = build_matrices(build_graph(sensors))
-    for name in ("a", "d", "lap", "lap_scaled", "m", "m_inv"):
+    for name in ("a", "lap", "lap_scaled", "m"):
         assert getattr(m1, name).tobytes() == getattr(m2, name).tobytes()
     assert m1.lambda_max == m2.lambda_max

@@ -17,7 +17,6 @@ from physair.training import (
     TrainConfig,
     TrainingDiverged,
     build_node_inputs,
-    ensemble_predictions,
     epoch_sample_plan,
     evaluate_target_sensor,
     iter_masked_samples,
@@ -278,26 +277,6 @@ def test_validation_mse_finite_and_reproducible(tmp_path):
     a = validation_mse([model], normalizer, ds, split)
     b = validation_mse([model], normalizer, ds, split)
     assert np.isfinite(a) and a == b
-
-
-# ---------------------------------------------------------------------------
-# Ensembling.
-# ---------------------------------------------------------------------------
-
-def test_ensemble_mean_of_five():
-    per_model = np.array([[1.0], [2.0], [3.0], [4.0], [5.0]])
-    assert ensemble_predictions(per_model)[0] == 3.0
-
-
-def test_ensemble_of_identical_models_is_identity():
-    row = np.array([7.0, 8.0, 9.0])
-    per_model = np.tile(row, (5, 1))
-    np.testing.assert_array_equal(ensemble_predictions(per_model), row)
-
-
-def test_ensemble_rejects_wrong_shape():
-    with pytest.raises(ValidationError):
-        ensemble_predictions(np.zeros(5))
 
 
 def test_train_ensemble_per_seed_dirs_and_parallel_equivalence(tmp_path):
