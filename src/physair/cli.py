@@ -24,6 +24,7 @@ data, 1 an internal failure worth a bug report.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -66,7 +67,6 @@ from .simulate import default_synth_spec, make_synthetic_dataset
 from .training import (
     TrainConfig,
     TrainingDiverged,
-    evaluate_target_sensor,
     load_trained,
     make_split,
     train_ensemble,
@@ -397,31 +397,22 @@ def _load_ensemble(models_arg):
     return paths, models, normalizer, split
 
 
-def _gnn_eval_job(job):
-    paths, dataset, context_ids, target, hours, batch_size, window = job
-    models = []
-    normalizer = None
-    for path in paths:
-        model, norm, _, _ = load_trained(path)
-        models.append(model)
-        if normalizer is None:
-            normalizer = norm
-    preds, _ = evaluate_target_sensor(models, normalizer, dataset,
-                                      context_ids, target, hours,
-                                      batch_size=batch_size, window=window)
-    return preds
+_worker_gnn = None  # the serial GNN runner, sent once to each worker process
 
 
-def _parallel_gnn_runner(ckpt_paths, pool, batch_size: int, window: int):
-    """Per-target process parallelism; columns match the serial runner."""
+def _install_gnn(serial):
+    global _worker_gnn
+    _worker_gnn = serial
 
-    def run(dataset, context_ids, target_ids, hours):
-        hours = np.asarray(hours, dtype=int)
-        jobs = [(ckpt_paths, dataset, tuple(context_ids), target, hours,
-                 batch_size, window) for target in target_ids]
-        return np.column_stack(list(pool.map(_gnn_eval_job, jobs)))
 
-    return run
+def _gnn_column(dataset, context_ids, hours, target):
+    return _worker_gnn(dataset, context_ids, (target,), hours)
+
+
+def _pooled_gnn_run(pool, dataset, context_ids, target_ids, hours):
+    """The GNN runner over worker processes, one target per job."""
+    column = functools.partial(_gnn_column, dataset, tuple(context_ids), hours)
+    return np.hstack(list(pool.map(column, target_ids)))
 
 
 def cmd_evaluate(args) -> int:
@@ -440,9 +431,10 @@ def cmd_evaluate(args) -> int:
     pool = None
     try:
         if options["workers"] > 1:
-            pool = ProcessPoolExecutor(max_workers=options["workers"])
-            runners["gnn"] = _parallel_gnn_runner(
-                paths, pool, options["eval_batch"], window)
+            pool = ProcessPoolExecutor(max_workers=options["workers"],
+                                       initializer=_install_gnn,
+                                       initargs=(runners["gnn"],))
+            runners["gnn"] = functools.partial(_pooled_gnn_run, pool)
         run = evaluate_models(dataset, split.train, split.test, runners,
                               label="test")
         high = high_sh_hours(run.sh)
@@ -560,29 +552,23 @@ def cmd_interpolate(args) -> int:
     if point_mode:
         if options["lat"] is None or options["lon"] is None:
             raise ValidationError("point mode needs both --lat and --lon")
-        preds = infer_at_location(models, normalizer, dataset, context,
-                                  options["lat"], options["lon"], hours,
-                                  batch_size=options["eval_batch"],
-                                  window=window)
+        points = [(options["lat"], options["lon"])]
         lines.append("hour,timestamp,pm25")
-        for hour, value in zip(hours, preds):
-            lines.append(
-                f"{hour},{format_timestamp(timestamps[hour])},{float(value)!r}")
     else:
         if options["grid_lat"] is None or options["grid_lon"] is None:
             raise ValidationError("grid mode needs both --grid-lat and --grid-lon")
         lats = _parse_axis(options["grid_lat"], "latitude")
         lons = _parse_axis(options["grid_lon"], "longitude")
+        points = [(float(lat), float(lon)) for lat in lats for lon in lons]
         lines.append("latitude,longitude,hour,pm25")
-        for lat in lats:
-            for lon in lons:
-                preds = infer_at_location(models, normalizer, dataset, context,
-                                          float(lat), float(lon), hours,
-                                          batch_size=options["eval_batch"],
-                                          window=window)
-                for hour, value in zip(hours, preds):
-                    lines.append(f"{float(lat)!r},{float(lon)!r},{hour},"
-                                 f"{float(value)!r}")
+    for lat, lon in points:
+        preds = infer_at_location(models, normalizer, dataset, context, lat, lon,
+                                  hours, batch_size=options["eval_batch"],
+                                  window=window)
+        for hour, value in zip(hours, preds):
+            lead = (f"{hour},{format_timestamp(timestamps[hour])}" if point_mode
+                    else f"{lat!r},{lon!r},{hour}")
+            lines.append(f"{lead},{float(value)!r}")
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if options["out"]:

@@ -14,6 +14,7 @@ table to the last bit, which the test suite relies on.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -29,8 +30,9 @@ from .errors import ValidationError
 from .estimators import BaseEstimator, check_coords, check_values
 from .geo import SensorMeta, WindRecord, build_graph, convection_edge_features
 from .model import GraphWiring
-from .training import Normalizer, build_node_inputs, evaluate_target_sensor, \
-    hourly_conv_features, masked_batch_predictions, subset_dataset_values
+from .training import Normalizer, build_node_inputs, check_hours, \
+    evaluate_target_sensor, masked_batch_predictions, predict_masked_node, \
+    sensor_metas, subset_dataset_values
 
 logger = logging.getLogger(__name__)
 
@@ -250,11 +252,7 @@ Runner = Callable[[Dataset, Sequence[str], Sequence[str], np.ndarray], np.ndarra
 
 
 def _coords_for(dataset: Dataset, ids) -> np.ndarray:
-    by_id = {s.sensor_id: s for s in dataset.sensors}
-    missing = [i for i in ids if i not in by_id]
-    if missing:
-        raise ValidationError(f"unknown sensor ids: {missing}")
-    return np.array([[by_id[i].latitude, by_id[i].longitude] for i in ids])
+    return np.array([[s.latitude, s.longitude] for s in sensor_metas(dataset, ids)])
 
 
 def estimator_runner(factory: Callable[[], BaseEstimator]) -> Runner:
@@ -291,19 +289,21 @@ def gnn_runner(models, normalizer: Normalizer, batch_size: int = 64,
 
     One target sensor at a time is appended to the context graph as a
     masked node and predicted over all requested hours in batches; the
-    returned value is the ensemble-mean prediction in raw units.
+    returned value is the ensemble-mean prediction in raw units. The
+    runner pickles, so worker processes can run it one target each.
     """
+    return functools.partial(_gnn_run, models, normalizer, batch_size, window)
 
-    def run(dataset, context_ids, target_ids, hours):
-        out = np.empty((len(hours), len(target_ids)))
-        for col, target in enumerate(target_ids):
-            preds, _ = evaluate_target_sensor(
-                models, normalizer, dataset, context_ids, target, hours,
-                batch_size=batch_size, window=window)
-            out[:, col] = preds
-        return out
 
-    return run
+def _gnn_run(models, normalizer, batch_size, window,
+             dataset, context_ids, target_ids, hours):
+    out = np.empty((len(hours), len(target_ids)))
+    for col, target in enumerate(target_ids):
+        preds, _ = evaluate_target_sensor(
+            models, normalizer, dataset, context_ids, target, hours,
+            batch_size=batch_size, window=window)
+        out[:, col] = preds
+    return out
 
 
 def benchmark_runners(dataset: Dataset, context_ids, models=None,
@@ -401,9 +401,7 @@ def evaluate_models(dataset: Dataset, context_ids, target_ids,
     overlap = sorted(set(context_ids) & set(target_ids))
     if overlap:
         raise ValidationError(f"targets appear in the context set: {overlap}")
-    if hours is None:
-        hours = np.arange(dataset.hours)
-    hours = np.asarray(hours, dtype=int)
+    hours = check_hours(hours, dataset.hours)
     truths = subset_dataset_values(dataset, target_ids)[hours]
     sh = sh_series(dataset.pm25)[hours]
     predictions = {}
@@ -533,7 +531,8 @@ def density_experiment(dataset: Dataset, context_ids, target_ids,
 
 
 # ---------------------------------------------------------------------------
-# Inference at arbitrary coordinates.
+# Inference at arbitrary coordinates: a query is a virtual masked node,
+# predicted by training.predict_masked_node as a held-out sensor is.
 # ---------------------------------------------------------------------------
 
 def wind_at(dataset: Dataset, hour: int) -> WindRecord:
@@ -553,37 +552,16 @@ def infer_at_location(models, normalizer: Normalizer, dataset: Dataset,
 
     A virtual node at (latitude, longitude) joins the context graph and
     is predicted through the same masked-node path used for held-out
-    sensors. Context sensors must report every requested hour.
+    sensors. Context sensors must report every hour; ``hours`` defaults
+    to all of them.
     """
     ids = tuple(context_ids)
     if _QUERY_ID in ids:
         raise ValidationError(f"{_QUERY_ID} is reserved for the query node")
-    by_id = {s.sensor_id: s for s in dataset.sensors}
-    metas = tuple(by_id[i] for i in ids if i in by_id)
-    if len(metas) != len(ids):
-        raise ValidationError(
-            f"unknown sensor ids: {[i for i in ids if i not in by_id]}")
-    graph = build_graph(metas + (SensorMeta(_QUERY_ID, latitude, longitude),))
-    wiring = GraphWiring(graph)
-    values = subset_dataset_values(dataset, ids)
-    if np.isnan(values).any():
-        raise ValidationError("context sensors have missing hours")
-    values_norm = np.concatenate(
-        [normalizer.normalize(values), np.zeros((dataset.hours, 1))], axis=1)
-    masked_pos = len(ids)
-    if hours is None:
-        hours = np.arange(dataset.hours)
-    hours = np.asarray(hours, dtype=int)
-    preds = np.empty(len(hours))
-    for lo in range(0, len(hours), batch_size):
-        chunk = hours[lo:lo + batch_size]
-        x = np.stack([build_node_inputs(values_norm, int(h), masked_pos, window)
-                      for h in chunk])
-        conv = hourly_conv_features(graph, dataset, chunk)
-        preds[lo:lo + len(chunk)] = masked_batch_predictions(
-            models, wiring, x, conv, np.full(len(chunk), masked_pos),
-            normalizer)
-    return preds
+    graph = build_graph(sensor_metas(dataset, ids)
+                        + (SensorMeta(_QUERY_ID, latitude, longitude),))
+    return predict_masked_node(models, normalizer, graph, dataset, hours,
+                               batch_size=batch_size, window=window)
 
 
 class GnnInterpolator(BaseEstimator):
@@ -591,7 +569,8 @@ class GnnInterpolator(BaseEstimator):
 
     fit() takes the context sensors' coordinates and readings for one
     hour; predict() interpolates at query coordinates by running the
-    masked-node protocol once per query point. Only window-1 models
+    masked-node protocol once per query point. It holds readings, not a
+    dataset, so it runs masked_batch_predictions, the predictor's unit. Only window-1 models
     qualify: a single-hour snapshot has no history to fill a longer
     input window with.
     """
@@ -624,16 +603,14 @@ class GnnInterpolator(BaseEstimator):
         n = self.coords_.shape[0]
         metas = tuple(SensorMeta(f"c{i:03d}", lat, lon)
                       for i, (lat, lon) in enumerate(self.coords_))
-        base = np.zeros((1, n + 1, 2))
-        base[0, :n, 0] = self.normalizer.normalize(self.values_)
-        base[0, :n, 1] = 1.0
+        values_norm = np.append(self.normalizer.normalize(self.values_), 0.0)
+        x = build_node_inputs(values_norm[None], 0, n, 1)[None]
         out = np.empty(query.shape[0])
         for row, (lat, lon) in enumerate(query):
             graph = build_graph(metas + (SensorMeta(_QUERY_ID, lat, lon),))
             conv = convection_edge_features(graph, self.wind)[None]
             out[row] = masked_batch_predictions(
-                self.models, GraphWiring(graph), base, conv,
-                np.array([n]), self.normalizer)[0]
+                self.models, GraphWiring(graph), x, conv, n, self.normalizer)[0]
         return out
 
 

@@ -8,6 +8,11 @@ is scored on recovering that sensor's true value. Validation and test
 sensors never appear in any training input; they are attached to the
 train graph one at a time, masked, only when being evaluated.
 
+One path per half of the protocol: ``train_model`` batches the
+``iter_masked_samples`` stream that ``leakage_scan`` checks, and every
+prediction at a masked node, a held-out sensor or an arbitrary
+coordinate, goes through ``predict_masked_node``.
+
 Inputs are standardized by the train-set mean/std. The flag channel is
 left raw, and predictions are mapped back to concentration units before
 the MSE loss, so reported losses are in (ug/m3)^2.
@@ -185,14 +190,9 @@ def build_node_inputs(values_norm: np.ndarray, hour: int, masked_pos: int,
 def iter_masked_samples(dataset: Dataset, split: SensorSplit, epoch: int,
                         seed: int, window: int = 1):
     """Yield the epoch's training samples as inspectable records."""
-    idx = {s: i for i, s in enumerate(dataset.sensor_ids())}
-    cols = [idx[s] for s in split.train]
-    values = dataset.pm25[:, cols]
-    if np.isnan(values).any():
-        raise ValidationError("train sensors have missing hours; gap-filter first")
-    norm = Normalizer.from_values(values)
-    values_norm = norm.normalize(values)
-    hours, masked = epoch_sample_plan(dataset.hours, len(cols), seed, epoch)
+    values = complete_readings(dataset, split.train, "train")
+    values_norm = Normalizer.from_values(values).normalize(values)
+    hours, masked = epoch_sample_plan(dataset.hours, len(split.train), seed, epoch)
     for hour, pos in zip(hours, masked):
         yield MaskedSample(
             hour=int(hour),
@@ -266,9 +266,42 @@ def subset_dataset_values(dataset: Dataset, ids) -> np.ndarray:
     return dataset.pm25[:, [idx[s] for s in ids]]
 
 
-def graph_for_ids(dataset: Dataset, ids) -> Graph:
+def complete_readings(dataset: Dataset, ids, group: str) -> np.ndarray:
+    """The readings of sensors that must report every hour, (hours, len(ids))."""
+    values = subset_dataset_values(dataset, ids)
+    if np.isnan(values).any():
+        raise ValidationError(f"{group} sensors have missing hours; gap-filter first")
+    return values
+
+
+def sensor_metas(dataset: Dataset, ids) -> tuple:
     by_id = {s.sensor_id: s for s in dataset.sensors}
-    return build_graph(tuple(by_id[i] for i in ids))
+    missing = [i for i in ids if i not in by_id]
+    if missing:
+        raise ValidationError(f"unknown sensor ids: {missing}")
+    return tuple(by_id[i] for i in ids)
+
+
+def graph_for_ids(dataset: Dataset, ids) -> Graph:
+    return build_graph(sensor_metas(dataset, ids))
+
+
+def check_hours(hours, n_hours: int) -> np.ndarray:
+    """Hour indices as an int array, each whole and in [0, n_hours).
+
+    None means every hour. Anything else fails rather than wrapping to
+    the series end (negative) or truncating (fractional).
+    """
+    if hours is None:
+        return np.arange(n_hours)
+    raw = np.asarray(hours)
+    if raw.ndim != 1 or raw.dtype.kind not in "iuf":
+        raise ValidationError(f"hours must be a 1-d sequence of integers: {hours!r}")
+    bad = raw[(raw != np.round(raw)) | (raw < 0) | (raw >= n_hours)]
+    if bad.size:
+        raise ValidationError(
+            f"hours {bad.tolist()} are not whole hour indices in [0, {n_hours})")
+    return raw.astype(int)
 
 
 def hourly_conv_features(graph: Graph, dataset: Dataset,
@@ -282,19 +315,52 @@ def hourly_conv_features(graph: Graph, dataset: Dataset,
     return out
 
 
-def masked_batch_predictions(models, wiring: GraphWiring, x: np.ndarray,
-                             conv: np.ndarray, masked_pos: np.ndarray,
-                             normalizer: Normalizer) -> np.ndarray:
-    """Ensemble-mean predictions at the masked node, in raw units."""
-    b, n = x.shape[0], x.shape[1]
+def pick_masked(out: Tensor, masked_pos) -> Tensor:
+    """Each sample's (B, N, 1) output at its masked node (int or (B,)).
+
+    A one-hot product rather than an index: a non-finite output at any
+    node of a sample reaches its pick, in training and inference alike.
+    """
+    b, n = out.shape[0], out.shape[1]
     onehot = np.zeros((b, n))
     onehot[np.arange(b), masked_pos] = 1.0
-    preds = np.zeros(b)
+    return tsum(mul(reshape(out, (b, n)), Tensor(onehot)), axis=1)
+
+
+def masked_batch_predictions(models, wiring: GraphWiring, x: np.ndarray,
+                             conv: np.ndarray, masked_pos,
+                             normalizer: Normalizer) -> np.ndarray:
+    """Ensemble-mean predictions at the masked node(s), in raw units."""
+    preds = np.zeros(x.shape[0])
     for model in models:
-        out = model.forward(x, wiring, conv)
-        picked = tsum(mul(reshape(out, (b, n)), Tensor(onehot)), axis=1)
-        preds += picked.data
+        preds += pick_masked(model.forward(x, wiring, conv), masked_pos).data
     return normalizer.denormalize(preds / len(models))
+
+
+def predict_masked_node(models, normalizer: Normalizer, graph: Graph,
+                        dataset: Dataset, hours, batch_size: int = 64,
+                        window: int = 1) -> np.ndarray:
+    """Ensemble-mean prediction at the graph's last node, in raw units.
+
+    The other nodes are context, read from the dataset by sensor id; they
+    must report every hour. The masked last node's inputs are zero.
+    """
+    hours = check_hours(hours, dataset.hours)
+    context = complete_readings(
+        dataset, [s.sensor_id for s in graph.sensors[:-1]], "context")
+    values_norm = np.concatenate(
+        [normalizer.normalize(context), np.zeros((dataset.hours, 1))], axis=1)
+    wiring = GraphWiring(graph)
+    masked_pos = graph.n_nodes - 1
+    preds = np.empty(len(hours))
+    for lo in range(0, len(hours), batch_size):
+        chunk = hours[lo:lo + batch_size]
+        x = np.stack([build_node_inputs(values_norm, int(h), masked_pos, window)
+                      for h in chunk])
+        conv = hourly_conv_features(graph, dataset, chunk)
+        preds[lo:lo + len(chunk)] = masked_batch_predictions(
+            models, wiring, x, conv, masked_pos, normalizer)
+    return preds
 
 
 def evaluate_target_sensor(models, normalizer, dataset: Dataset,
@@ -302,44 +368,25 @@ def evaluate_target_sensor(models, normalizer, dataset: Dataset,
                            batch_size: int = 64, window: int = 1):
     """Predict a held-out sensor from the context graph, hour by hour.
 
-    Builds the (context + target) graph once, masks the target node,
-    and batches the requested hours. Returns (predictions, truths).
+    The target joins the context graph as its masked last node. Returns
+    (predictions, truths); ``hours`` None means every hour.
     """
-    ids = tuple(context_ids) + (target_id,)
-    graph = graph_for_ids(dataset, ids)
-    wiring = GraphWiring(graph)
-    values = subset_dataset_values(dataset, ids)
-    if np.isnan(values[:, :-1]).any():
-        raise ValidationError("context sensors have missing hours")
-    values_norm = normalizer.normalize(np.nan_to_num(values, nan=0.0))
-    target_pos = len(ids) - 1
-    hours = np.asarray(hours, dtype=int)
-    preds = np.empty(len(hours))
-    for lo in range(0, len(hours), batch_size):
-        chunk = hours[lo:lo + batch_size]
-        x = np.stack([build_node_inputs(values_norm, int(h), target_pos, window)
-                      for h in chunk])
-        conv = hourly_conv_features(graph, dataset, chunk)
-        preds[lo:lo + len(chunk)] = masked_batch_predictions(
-            models, wiring, x, conv,
-            np.full(len(chunk), target_pos), normalizer)
-    truths = values[hours, target_pos]
-    return preds, truths
+    hours = check_hours(hours, dataset.hours)
+    graph = graph_for_ids(dataset, tuple(context_ids) + (target_id,))
+    preds = predict_masked_node(models, normalizer, graph, dataset, hours,
+                                batch_size=batch_size, window=window)
+    return preds, subset_dataset_values(dataset, (target_id,))[hours, 0]
 
 
 def validation_mse(models, normalizer, dataset, split, hours=None,
                    batch_size: int = 64, window: int = 1) -> float:
-    if hours is None:
-        hours = np.arange(dataset.hours)
     errors = []
     for sensor in split.val:
         preds, truths = evaluate_target_sensor(
             models, normalizer, dataset, split.train, sensor, hours,
             batch_size=batch_size, window=window)
-        if np.isnan(truths).any():
-            keep = np.isfinite(truths)
-            preds, truths = preds[keep], truths[keep]
-        errors.append((preds - truths) ** 2)
+        keep = np.isfinite(truths)
+        errors.append((preds[keep] - truths[keep]) ** 2)
     return float(np.concatenate(errors).mean())
 
 
@@ -443,16 +490,12 @@ def train_model(dataset: Dataset, split: SensorSplit,
     optim_path, state_path = out / "last.optim", out / "state.json"
 
     split.validate(dataset.sensor_ids())
-    train_cols = subset_dataset_values(dataset, split.train)
-    if np.isnan(train_cols).any():
-        raise ValidationError("train sensors have missing hours; gap-filter first")
-    normalizer = Normalizer.from_values(train_cols)
-    values_norm = normalizer.normalize(train_cols)
+    normalizer = Normalizer.from_values(
+        complete_readings(dataset, split.train, "train"))
 
     graph = graph_for_ids(dataset, split.train)
     wiring = GraphWiring(graph)
     window = model_config.window
-    n_train = len(split.train)
     val_hours = np.arange(0, dataset.hours, train_config.val_hour_stride)
 
     model = PhysicsGnn(model_config, seed=train_config.seed)
@@ -476,24 +519,19 @@ def train_model(dataset: Dataset, split: SensorSplit,
 
     while state.epoch < train_config.max_epochs:
         epoch = state.epoch + 1
-        hours, masked = epoch_sample_plan(dataset.hours, n_train,
-                                          train_config.seed, epoch)
+        samples = list(iter_masked_samples(dataset, split, epoch,
+                                           train_config.seed, window))
         epoch_sq_err = 0.0
-        for lo in range(0, len(hours), train_config.batch_size):
-            bh = hours[lo:lo + train_config.batch_size]
-            bm = masked[lo:lo + train_config.batch_size]
-            b = len(bh)
-            x = np.stack([build_node_inputs(values_norm, int(h), int(m), window)
-                          for h, m in zip(bh, bm)])
+        for lo in range(0, len(samples), train_config.batch_size):
+            batch = samples[lo:lo + train_config.batch_size]
+            bh = np.array([s.hour for s in batch])
+            bm = np.array([s.node_ids.index(s.masked_id) for s in batch])
+            x = np.stack([s.inputs for s in batch])
+            truth = np.array([s.truth for s in batch])
             conv = hourly_conv_features(graph, dataset, bh)
-            onehot = np.zeros((b, n_train))
-            onehot[np.arange(b), bm] = 1.0
-            truth = train_cols[bh, bm]
 
             out_t = model.forward(x, wiring, conv)
-            picked = tsum(mul(reshape(out_t, (b, n_train)), Tensor(onehot)),
-                          axis=1)
-            pred = add(mul(picked, std_t), mean_t)
+            pred = add(mul(pick_masked(out_t, bm), std_t), mean_t)
             loss = mse(pred, Tensor(truth))
             if not np.isfinite(loss.data):
                 norms = {p.name: float(np.abs(p.data).max()) for p in params[:6]}
@@ -506,9 +544,9 @@ def train_model(dataset: Dataset, split: SensorSplit,
                 p.zero_grad()
             loss.backward()
             opt.step()
-            epoch_sq_err += float(loss.data) * b
+            epoch_sq_err += float(loss.data) * len(batch)
 
-        train_loss = epoch_sq_err / len(hours)
+        train_loss = epoch_sq_err / len(samples)
         record = {"epoch": epoch, "train_mse": train_loss, "val_mse": None}
 
         if epoch % train_config.val_every == 0 or epoch == train_config.max_epochs:
@@ -563,13 +601,6 @@ def load_trained(checkpoint_path):
     return model, normalizer, split, extra
 
 
-def _train_job(args):
-    # module-level so ProcessPoolExecutor can pickle it
-    dataset, split, model_config, train_config, out_dir, resume = args
-    return train_model(dataset, split, model_config, train_config,
-                       out_dir, resume=resume)
-
-
 def train_ensemble(dataset: Dataset, split: SensorSplit,
                    model_config: ModelConfig, train_config: TrainConfig,
                    out_root, seeds=(0, 1, 2, 3, 4), workers: int = 1,
@@ -593,7 +624,7 @@ def train_ensemble(dataset: Dataset, split: SensorSplit,
         jobs.append((dataset, split, model_config, cfg,
                      out_root / f"seed{seed}", resume))
     if workers <= 1 or len(jobs) == 1:
-        return [_train_job(job) for job in jobs]
+        return [train_model(*job) for job in jobs]
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-        return list(pool.map(_train_job, jobs))
+        return list(pool.map(train_model, *zip(*jobs)))

@@ -304,6 +304,13 @@ def test_evaluate_models_rejects_context_target_overlap():
                         {"mean_fill": estimator_runner(MeanFill)})
 
 
+def test_evaluate_models_rejects_bad_hours():
+    ds = toy_dataset(hours=8)
+    with pytest.raises(ValidationError, match=r"\[-1\]"):
+        evaluate_models(ds, ("s0", "s1"), ("s2",),
+                        {"mean_fill": estimator_runner(MeanFill)}, hours=[-1, 5])
+
+
 def test_evaluate_models_packages_predictions_and_sh():
     ds = toy_dataset(hours=12, n=6)
     run = evaluate_models(ds, ("s0", "s1", "s2", "s3"), ("s4", "s5"),
@@ -451,6 +458,18 @@ def test_infer_at_location_matches_held_out_evaluation():
     virtual = infer_at_location(models, norm, ds, context,
                                 target.latitude, target.longitude, hours)
     assert np.array_equal(virtual, direct)
+
+
+@pytest.mark.parametrize("hour", [-1, 1.7, 64])
+def test_infer_at_location_rejects_bad_hours(hour):
+    # read as given, a negative hour would take its wind from the series
+    # end, a fractional one would truncate, and one past the end would
+    # index out of range
+    ds = toy_dataset(hours=64, n=4)
+    models, norm = tiny_models(ds)
+    with pytest.raises(ValidationError, match="whole hour indices"):
+        infer_at_location(models, norm, ds, ("s0", "s1", "s2"), 32.71, -117.11,
+                          hours=[hour])
 
 
 def test_infer_at_location_requires_complete_context():

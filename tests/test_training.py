@@ -216,6 +216,23 @@ def test_saved_best_is_minimum_of_recorded_vals(tmp_path):
     assert result.state.best_val_mse == min(vals)
 
 
+def test_training_loop_never_reads_held_out_sensors(tmp_path):
+    # leakage_scan checks the sample stream; this checks the loop that
+    # consumes it, through the checkpoints it writes
+    ds = toy_dataset(hours=24)
+    split = make_split(ds.sensor_ids(), seed=0)
+    poisoned = ds.pm25.copy()
+    poisoned[:, [ds.sensor_ids().index(s) for s in split.test]] = 1e9
+    decoy = Dataset(sensors=ds.sensors, start=ds.start, pm25=poisoned,
+                    wind=ds.wind).validate()
+    config = run_config(max_epochs=2)
+    train_model(ds, split, tiny_model_config(), config, tmp_path / "clean")
+    train_model(decoy, split, tiny_model_config(), config, tmp_path / "decoy")
+    for name in ("best.ckpt", "last.ckpt"):
+        assert (tmp_path / "clean" / name).read_bytes() == \
+            (tmp_path / "decoy" / name).read_bytes()
+
+
 def test_resume_matches_uninterrupted_run(tmp_path):
     ds = toy_dataset(hours=24)
     split = make_split(ds.sensor_ids(), seed=0)
