@@ -411,6 +411,25 @@ def narrow(x: Tensor, start: int, stop: int, axis: int = -1) -> Tensor:
     return _make(x.data[index].copy(), (x,), vjp)
 
 
+def take(x: Tensor, index) -> Tensor:
+    """Per-sample row gather: (B, M, d) with an int (B, K) index -> (B, K, d).
+
+    Row k of sample b is x[b, index[b, k]]. An index may repeat; the
+    backward adds the cotangents of repeated rows.
+    """
+    index = np.asarray(index)
+    if x.ndim != 3 or index.ndim != 2 or index.shape[0] != x.shape[0]:
+        raise ShapeError(f"take: need (B, M, d) data and a (B, K) index, got {x.shape} and {index.shape}")
+    samples = np.arange(x.shape[0])[:, None]
+
+    def vjp(g):
+        full = np.zeros_like(x.data)
+        np.add.at(full, (samples, index), g)
+        return (full,)
+
+    return _make(x.data[samples, index], (x,), vjp)
+
+
 def reshape(x: Tensor, shape: tuple) -> Tensor:
     return _make(x.data.reshape(shape), (x,), lambda g: (g.reshape(x.shape),))
 

@@ -264,6 +264,7 @@ def estimator_runner(factory: Callable[[], BaseEstimator]) -> Runner:
     """
 
     def run(dataset, context_ids, target_ids, hours):
+        hours = check_hours(hours, dataset.hours)
         ctx_coords = _coords_for(dataset, context_ids)
         tgt_coords = _coords_for(dataset, target_ids)
         ctx_values = subset_dataset_values(dataset, context_ids)

@@ -37,11 +37,9 @@ from .autodiff import (
     load_params,
     mse,
     mul,
-    reshape,
     save_arrays,
     load_arrays,
     save_params,
-    tsum,
 )
 from .data import Dataset
 from .errors import ValidationError
@@ -315,25 +313,13 @@ def hourly_conv_features(graph: Graph, dataset: Dataset,
     return out
 
 
-def pick_masked(out: Tensor, masked_pos) -> Tensor:
-    """Each sample's (B, N, 1) output at its masked node (int or (B,)).
-
-    A one-hot product rather than an index: a non-finite output at any
-    node of a sample reaches its pick, in training and inference alike.
-    """
-    b, n = out.shape[0], out.shape[1]
-    onehot = np.zeros((b, n))
-    onehot[np.arange(b), masked_pos] = 1.0
-    return tsum(mul(reshape(out, (b, n)), Tensor(onehot)), axis=1)
-
-
 def masked_batch_predictions(models, wiring: GraphWiring, x: np.ndarray,
                              conv: np.ndarray, masked_pos,
                              normalizer: Normalizer) -> np.ndarray:
     """Ensemble-mean predictions at the masked node(s), in raw units."""
     preds = np.zeros(x.shape[0])
     for model in models:
-        preds += pick_masked(model.forward(x, wiring, conv), masked_pos).data
+        preds += model.forward(x, wiring, conv, masked_pos).data
     return normalizer.denormalize(preds / len(models))
 
 
@@ -530,8 +516,7 @@ def train_model(dataset: Dataset, split: SensorSplit,
             truth = np.array([s.truth for s in batch])
             conv = hourly_conv_features(graph, dataset, bh)
 
-            out_t = model.forward(x, wiring, conv)
-            pred = add(mul(pick_masked(out_t, bm), std_t), mean_t)
+            pred = add(mul(model.forward(x, wiring, conv, bm), std_t), mean_t)
             loss = mse(pred, Tensor(truth))
             if not np.isfinite(loss.data):
                 norms = {p.name: float(np.abs(p.data).max()) for p in params[:6]}
@@ -590,12 +575,20 @@ def train_model(dataset: Dataset, split: SensorSplit,
 
 
 def load_trained(checkpoint_path):
-    """Rebuild (model, normalizer, split, extra) from a checkpoint."""
+    """Rebuild (model, normalizer, split, extra) from a checkpoint.
+
+    The model is for inference: its params carry no gradient buffers
+    (backward allocates one on first use), so it holds and pickles only
+    its weights.
+    """
     manifest, _ = load_arrays(str(checkpoint_path))
     extra = manifest.get("extra", {})
     config = ModelConfig.from_dict(extra["model_config"])
     model = PhysicsGnn(config, seed=int(extra["train_config"]["seed"]))
-    load_params(str(checkpoint_path), model.params())
+    params = model.params()
+    load_params(str(checkpoint_path), params)
+    for p in params:
+        p.grad = None
     normalizer = Normalizer.from_dict(extra["normalizer"])
     split = SensorSplit.from_dict(extra["split"])
     return model, normalizer, split, extra

@@ -29,6 +29,7 @@ from physair.autodiff import (
     save_params,
     softmax,
     sub,
+    take,
     tmean,
     tsum,
 )
@@ -276,6 +277,27 @@ def test_grad_concat_and_narrow():
         return tsum(mul(left, left))
 
     check_grad(f, rng.normal(size=(4, 2)))
+
+
+def test_take_gathers_rows_per_sample():
+    x = Tensor(np.arange(2 * 3 * 2, dtype=float).reshape(2, 3, 2))
+    out = take(x, np.array([[2, 0], [1, 1]]))
+    assert np.array_equal(out.data, [[[4, 5], [0, 1]], [[8, 9], [8, 9]]])
+    with pytest.raises(ShapeError):
+        take(x, np.array([0, 1]))
+
+
+def test_grad_take_with_repeated_index():
+    rng = np.random.default_rng(12)
+    weights = Tensor(rng.normal(size=(2, 4, 3)))
+    # sample 0 reads row 1 three times, sample 1 never reads row 0
+    index = np.array([[1, 3, 1, 1], [2, 2, 3, 1]])
+
+    def f(t):
+        picked = take(t, index)
+        return tsum(mul(mul(picked, picked), weights))
+
+    check_grad(f, rng.normal(size=(2, 5, 3)))
 
 
 def test_grad_reshape_mean_axis_sum():

@@ -297,6 +297,15 @@ def test_estimator_runner_needs_two_reporting_sensors():
                                    np.arange(4))
 
 
+@pytest.mark.parametrize("hours", [[-1], [1.7], [8]])
+def test_estimator_runner_rejects_bad_hours(hours):
+    # called directly, not through evaluate_models: [-1] used to read
+    # hour 7 and [1.7] hour 1
+    ds = toy_dataset(hours=8)
+    with pytest.raises(ValidationError, match="whole hour indices"):
+        estimator_runner(MeanFill)(ds, ("s0", "s1", "s2", "s3"), ("s4",), hours)
+
+
 def test_evaluate_models_rejects_context_target_overlap():
     ds = toy_dataset()
     with pytest.raises(ValidationError, match="context"):

@@ -419,6 +419,11 @@ def test_model_rejects_mismatched_inputs():
         model.forward(x[:, :3, :], w, feats)
     with pytest.raises(ShapeError):
         model.forward(x, w, feats[:, :5, :])
+    with pytest.raises(ShapeError):
+        model.forward(x, w, feats, masked_pos=[0, 1, 2])
+    for bad in (4, -1, 1.0, [0, 4]):
+        with pytest.raises(ValidationError):
+            model.forward(x, w, feats, masked_pos=bad)
 
 
 def test_window_changes_only_the_embedding():
@@ -521,6 +526,107 @@ def test_full_model_gradients_match_finite_differences():
         fd = finite_diff_grad(f, Tensor(p.data)).data
         err = max_rel_err(p.grad, fd)
         assert err < 1e-4, f"{p.name}: rel err {err:.3e}"
+
+
+# ---------------------------------------------------------------------------
+# Readout: the last layer at the masked node only.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [2, 3, 7, 28])
+@pytest.mark.parametrize("aggregation", ["sum", "mean"])
+@pytest.mark.parametrize("activation", ["relu", "identity"])
+def test_readout_matches_full_forward_masked_rows(n, aggregation, activation):
+    cfg = tiny_config(aggregation=aggregation, activation=activation)
+    model = PhysicsGnn(cfg, seed=n)
+    w = wiring_for(n, seed=n)
+    x, feats = batch_for(w, 4, cfg, seed=n)
+    full = model.forward(x, w, feats).data[:, :, 0]
+    per_sample = np.random.default_rng(n).integers(0, n, size=4)
+    for masked_pos, expected in ((n - 1, full[:, n - 1]),
+                                 (per_sample, full[np.arange(4), per_sample])):
+        out = model.forward(x, w, feats, masked_pos).data
+        assert out.shape == (4,)
+        assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def tape_nodes(out):
+    nodes, stack, seen = [], [out], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def test_readout_leaves_no_edge_sized_tensor_in_the_last_layer():
+    cfg = tiny_config(n_layers=3)
+    model = PhysicsGnn(cfg, seed=2)
+    w = wiring_for(6, seed=2)
+    x, feats = batch_for(w, 2, cfg)
+
+    def edge_sized(out):
+        return sum(1 for t in tape_nodes(out) if t.ndim == 3 and t.shape[1] == w.n_edges)
+
+    # each layer's edge_mlp output and its messages, plus the wind input
+    assert edge_sized(model.forward(x, w, feats)) == 2 * 3 + 1
+    assert edge_sized(model.forward(x, w, feats, 0)) == 2 * 2 + 1
+
+
+def test_readout_gradients_match_finite_differences():
+    cfg = tiny_config()
+    model = PhysicsGnn(cfg, seed=6)
+    w = wiring_for(5, seed=60)
+    x, feats = batch_for(w, 3, cfg, seed=61)
+    masked = np.array([4, 1, 1])
+    target = np.random.default_rng(62).normal(size=3)
+
+    def loss_fn():
+        return mse(model.forward(x, w, feats, masked), Tensor(target))
+
+    loss_fn().backward()
+    picked = [p for p in model.params() if p.name in (
+        "layer1.convection.edge_mlp.w0",
+        "layer1.convection.message_mlp.w0",
+        "layer1.convection.update_mlp.w0",
+        "layer1.fusion.mlp.w0",
+        "layer0.convection.edge_mlp.w0",
+    )]
+    assert len(picked) == 5
+    for p in picked:
+        def f(t, p=p):
+            saved = p.data
+            p.data = t.data
+            try:
+                return loss_fn()
+            finally:
+                p.data = saved
+
+        fd = finite_diff_grad(f, Tensor(p.data)).data
+        err = max_rel_err(p.grad, fd)
+        assert err < 1e-4, f"{p.name}: rel err {err:.3e}"
+
+
+@pytest.mark.parametrize("activation", ["relu", "identity"])
+def test_nan_at_any_context_node_reaches_the_masked_prediction(activation):
+    # every layer before the last mixes all nodes (dense L_D and I + A,
+    # one message from every node), so one bad reading anywhere poisons
+    # the masked node's prediction instead of being silently dropped
+    cfg = tiny_config(activation=activation)
+    model = PhysicsGnn(cfg, seed=7)
+    n, masked = 6, 2
+    w = wiring_for(n, seed=70)
+    x, feats = batch_for(w, 2, cfg, seed=71)
+    for node in range(n):
+        if node == masked:
+            continue
+        bad = x.copy()
+        bad[0, node, 0] = np.nan
+        with np.errstate(invalid="ignore"):
+            out = model.forward(bad, w, feats, masked).data
+        assert np.isnan(out[0]), f"NaN at node {node} was lost"
+        assert np.isfinite(out[1])
 
 
 def test_gather_and_aggregate_gradients():

@@ -9,7 +9,8 @@ import pytest
 from physair.data import Dataset
 from physair.errors import ValidationError
 from physair.geo import SensorMeta
-from physair.model import ModelConfig
+from physair.autodiff import load_params
+from physair.model import ModelConfig, PhysicsGnn
 from physair.training import (
     MaskedSample,
     Normalizer,
@@ -278,11 +279,21 @@ def test_checkpoint_roundtrip_restores_predictions(tmp_path):
     model, normalizer, split_back, extra = load_trained(result.checkpoint_path)
     assert split_back == split
     assert extra["model_config"]["hidden_dim"] == 8
+    # an inference model carries no gradient buffers
+    assert all(p.grad is None for p in model.params())
     preds, truths = evaluate_target_sensor(
         [model], normalizer, ds, split.train, split.test[0],
         np.arange(ds.hours))
     assert preds.shape == truths.shape == (12,)
     assert np.isfinite(preds).all()
+    # same predictions as the trained model, whose params have gradients
+    trained = PhysicsGnn(tiny_model_config(), seed=run_config().seed)
+    load_params(str(result.checkpoint_path), trained.params())
+    assert all(p.grad is not None for p in trained.params())
+    same, _ = evaluate_target_sensor(
+        [trained], normalizer, ds, split.train, split.test[0],
+        np.arange(ds.hours))
+    assert np.array_equal(preds, same)
 
 
 def test_validation_mse_finite_and_reproducible(tmp_path):
