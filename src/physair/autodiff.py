@@ -7,15 +7,21 @@ the leaves that asked for them. Mlp and Adam live here too, along with the
 binary checkpoint format (see docs/checkpoint_format.md) and the
 finite-difference gradient oracle used throughout the test suite.
 
+Inside ``no_record()`` no op records its parents or its VJP, so an
+inference forward keeps no tape: every intermediate array is freed as
+soon as the next op has read it.
+
 Deliberate non-features: no views into shared storage, no in-place ops on
 tensors, no higher-order derivatives, no dtypes other than float64.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
+import threading
 
 import numpy as np
 
@@ -174,9 +180,36 @@ def _wrap(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+class _Recording(threading.local):
+    on = True  # each thread starts out recording
+
+
+_recording = _Recording()
+
+
+@contextlib.contextmanager
+def no_record():
+    """Run the body without recording: results carry no parents and no VJP.
+
+    The switch is per thread. The previous state comes back on exit, also
+    when the body raises, so the context nests.
+    """
+    saved = _recording.on
+    _recording.on = False
+    try:
+        yield
+    finally:
+        _recording.on = saved
+
+
+def is_recording() -> bool:
+    """False inside no_record()."""
+    return _recording.on
+
+
 def _make(data: np.ndarray, parents: tuple, vjp) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _recording.on and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._vjp = vjp
@@ -362,8 +395,9 @@ def linear_pair(a: Tensor, c: Tensor, wa: Tensor, wc: Tensor,
 
 
 def relu(x: Tensor) -> Tensor:
+    """max(x, 0), as in linear: NaN stays NaN."""
     mask = x.data > 0
-    return _make(np.where(mask, x.data, 0.0), (x,), lambda g: (g * mask,))
+    return _make(np.maximum(x.data, 0.0), (x,), lambda g: (g * mask,))
 
 
 def softmax(x: Tensor) -> Tensor:

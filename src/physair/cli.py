@@ -405,14 +405,18 @@ def _install_gnn(serial):
     _worker_gnn = serial
 
 
-def _gnn_column(dataset, context_ids, hours, target):
-    return _worker_gnn(dataset, context_ids, (target,), hours)
+def _gnn_columns(dataset, context_ids, hours, targets):
+    return _worker_gnn(dataset, context_ids, targets, hours)
 
 
-def _pooled_gnn_run(pool, dataset, context_ids, target_ids, hours):
-    """The GNN runner over worker processes, one target per job."""
-    column = functools.partial(_gnn_column, dataset, tuple(context_ids), hours)
-    return np.hstack(list(pool.map(column, target_ids)))
+def _pooled_gnn_run(pool, workers, dataset, context_ids, target_ids, hours):
+    """The GNN runner over worker processes: one contiguous group of
+    targets per worker, in target order, so each group shares its
+    context's edge path."""
+    groups = [tuple(g) for g in np.array_split(np.asarray(target_ids, dtype=object), workers)
+              if len(g)]
+    columns = functools.partial(_gnn_columns, dataset, tuple(context_ids), hours)
+    return np.hstack(list(pool.map(columns, groups)))
 
 
 def cmd_evaluate(args) -> int:
@@ -434,7 +438,7 @@ def cmd_evaluate(args) -> int:
             pool = ProcessPoolExecutor(max_workers=options["workers"],
                                        initializer=_install_gnn,
                                        initargs=(runners["gnn"],))
-            runners["gnn"] = functools.partial(_pooled_gnn_run, pool)
+            runners["gnn"] = functools.partial(_pooled_gnn_run, pool, options["workers"])
         run = evaluate_models(dataset, split.train, split.test, runners,
                               label="test")
         high = high_sh_hours(run.sh)

@@ -20,6 +20,7 @@ column header must name the unit and the loader converts to km/h.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import logging
 import os
@@ -123,6 +124,15 @@ class Dataset:
 
     def coords(self) -> np.ndarray:
         return np.array([[s.latitude, s.longitude] for s in self.sensors])
+
+    def fingerprint(self) -> str:
+        """sha256 hex digest of the sensor ids and coordinates plus the
+        pm25 and wind values, byte for byte."""
+        digest = hashlib.sha256(json.dumps(
+            [[s.sensor_id, s.latitude, s.longitude] for s in self.sensors]).encode("utf-8"))
+        for values in (self.pm25, self.wind):
+            digest.update(np.ascontiguousarray(values, dtype="<f8").tobytes())
+        return digest.hexdigest()
 
 
 @dataclass

@@ -288,23 +288,21 @@ def gnn_runner(models, normalizer: Normalizer, batch_size: int = 64,
                window: int = 1) -> Runner:
     """Run a trained model ensemble through the masked-node protocol.
 
-    One target sensor at a time is appended to the context graph as a
-    masked node and predicted over all requested hours in batches; the
-    returned value is the ensemble-mean prediction in raw units. The
-    runner pickles, so worker processes can run it one target each.
+    Each target sensor is appended to the context graph as a masked node
+    and predicted over all requested hours in batches; the targets of one
+    call share the context's edge path per hour chunk. The returned value
+    is the ensemble-mean prediction in raw units. The runner pickles, so
+    worker processes can run it on a group of targets each.
     """
     return functools.partial(_gnn_run, models, normalizer, batch_size, window)
 
 
 def _gnn_run(models, normalizer, batch_size, window,
              dataset, context_ids, target_ids, hours):
-    out = np.empty((len(hours), len(target_ids)))
-    for col, target in enumerate(target_ids):
-        preds, _ = evaluate_target_sensor(
-            models, normalizer, dataset, context_ids, target, hours,
-            batch_size=batch_size, window=window)
-        out[:, col] = preds
-    return out
+    preds, _ = evaluate_target_sensor(
+        models, normalizer, dataset, context_ids, tuple(target_ids), hours,
+        batch_size=batch_size, window=window)
+    return preds
 
 
 def benchmark_runners(dataset: Dataset, context_ids, models=None,
@@ -561,17 +559,18 @@ def infer_at_location(models, normalizer: Normalizer, dataset: Dataset,
         raise ValidationError(f"{_QUERY_ID} is reserved for the query node")
     graph = build_graph(sensor_metas(dataset, ids)
                         + (SensorMeta(_QUERY_ID, latitude, longitude),))
-    return predict_masked_node(models, normalizer, graph, dataset, hours,
-                               batch_size=batch_size, window=window)
+    return predict_masked_node(models, normalizer, [graph], dataset, hours,
+                               batch_size=batch_size, window=window)[:, 0]
 
 
 class GnnInterpolator(BaseEstimator):
     """Single-hour estimator facade over a trained model ensemble.
 
     fit() takes the context sensors' coordinates and readings for one
-    hour; predict() interpolates at query coordinates by running the
-    masked-node protocol once per query point. It holds readings, not a
-    dataset, so it runs masked_batch_predictions, the predictor's unit. Only window-1 models
+    hour; predict() interpolates at query coordinates, each a masked node
+    on the context graph, all of them in one pass over the context's
+    edges. It holds readings, not a dataset, so it runs
+    masked_batch_predictions, the predictor's unit. Only window-1 models
     qualify: a single-hour snapshot has no history to fill a longer
     input window with.
     """
@@ -606,13 +605,12 @@ class GnnInterpolator(BaseEstimator):
                       for i, (lat, lon) in enumerate(self.coords_))
         values_norm = np.append(self.normalizer.normalize(self.values_), 0.0)
         x = build_node_inputs(values_norm[None], 0, n, 1)[None]
-        out = np.empty(query.shape[0])
-        for row, (lat, lon) in enumerate(query):
-            graph = build_graph(metas + (SensorMeta(_QUERY_ID, lat, lon),))
-            conv = convection_edge_features(graph, self.wind)[None]
-            out[row] = masked_batch_predictions(
-                self.models, GraphWiring(graph), x, conv, n, self.normalizer)[0]
-        return out
+        graphs = [build_graph(metas + (SensorMeta(_QUERY_ID, lat, lon),))
+                  for lat, lon in query]
+        convs = [convection_edge_features(graph, self.wind)[None] for graph in graphs]
+        return masked_batch_predictions(
+            self.models, [GraphWiring(graph) for graph in graphs], x, convs,
+            self.normalizer)[0]
 
 
 # ---------------------------------------------------------------------------

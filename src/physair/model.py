@@ -25,6 +25,16 @@ its convection runs over that node's N-1 incoming edges rather than all
 N(N-1). At preset S that cuts the edge-sized d x d GEMMs from 5 to 3 per
 forward and from 10 to 6 per backward. Predictions equal the full
 forward's masked rows to rounding.
+
+The edge path and the node path split for inference. Edge features go
+through each layer's edge MLP and meet the summed message weight
+without ever reading a node state, so for layers 0..L-2 both are plain
+functions of the edge's wind triple: ``PhysicsGnn.edge_path`` runs them
+over any table of edge rows. Graphs that share a context share those
+rows, and the multi-target predictor in ``training`` computes them once
+for all of its targets. ``forward`` then takes the per-layer message
+pre-activations as an ``EdgePath`` instead of the wind triples; that
+form has no backward and is refused while autodiff records.
 """
 
 from __future__ import annotations
@@ -33,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Mlp, Param, Tensor, add, concat, linear_pair, make_op, matmul,
-                       mul, narrow, relu, reshape, softmax, take, tsum)
+from .autodiff import (Mlp, Param, Tensor, add, concat, is_recording, linear_pair, make_op,
+                       matmul, mul, narrow, relu, reshape, softmax, take, tsum)
 from .errors import ShapeError, ValidationError
 from .geo import Graph, GraphMatrices, build_matrices
 
@@ -139,8 +149,67 @@ class GraphWiring:
         return make_op(data, (messages,), vjp)
 
 
-def _convection_messages(h: Tensor, e: Tensor, w: Tensor, b: Tensor,
-                         wiring: "GraphWiring", activation: str) -> Tensor:
+def _incoming(rows: np.ndarray, n: int) -> np.ndarray:
+    """Edge positions of the N-1 edges into node rows[b], in edge order.
+
+    With destination-grouped edges, node i's incoming edges are rows
+    i(N-1), ..., (i+1)(N-1)-1.
+    """
+    return rows * (n - 1) + np.arange(n - 1)
+
+
+def split_edges(edge_rows: np.ndarray, n: int) -> tuple:
+    """(context, query) rows of a (B, E, f) edge array on an n-node graph
+    whose last node is the query, each flattened to 2d.
+
+    Seen as (B, N, N-1, f), edge (i, j) is the j-th edge into node i.
+    The context rows are the C(C-1) edges among the first C = N-1 nodes,
+    in edge order. The query rows are the 2C edges that touch the last
+    node: first the edge from it into each context node, then the C
+    edges into it, in edge order.
+    """
+    bsz, c, f = edge_rows.shape[0], n - 1, edge_rows.shape[2]
+    by_dst = edge_rows.reshape(bsz, n, c, f)
+    query = np.concatenate([by_dst[:, :c, c - 1], by_dst[:, c]], axis=1)
+    return by_dst[:, :c, :c - 1].reshape(-1, f), query.reshape(-1, f)
+
+
+@dataclass
+class EdgePath:
+    """The edge side of an inference forward whose masked node is the
+    last one, computed ahead of it by PhysicsGnn.edge_path.
+
+    context[k] and query[k], for each layer k < L-1, hold the message
+    pre-activations e_k @ (w_recv + w_send) on the context and the query
+    rows of split_edges; graphs that share a context share the first.
+    query_last holds the edge features that enter the last layer on the
+    query rows. forward assembles each layer's buffer only when that
+    layer runs.
+    """
+
+    context: list
+    query: list
+    query_last: np.ndarray
+
+    def pre(self, k: int, bsz: int, n: int) -> np.ndarray:
+        """Layer k's pre-activations on every edge, (B, E, d), in edge order."""
+        c = n - 1
+        d = self.query[k].shape[1]
+        query = self.query[k].reshape(bsz, 2 * c, d)
+        buf = np.empty((bsz, n, c, d))
+        buf[:, :c, :c - 1] = self.context[k].reshape(bsz, c, c - 1, d)
+        buf[:, :c, c - 1] = query[:, :c]
+        buf[:, c] = query[:, c:]
+        return buf.reshape(bsz, n * c, d)
+
+    def readout(self, bsz: int, n: int) -> np.ndarray:
+        """The last layer's input on the N-1 edges into the last node, (B, N-1, d_in)."""
+        return self.query_last.reshape(bsz, 2 * (n - 1), -1)[:, n - 1:]
+
+
+def _convection_messages(h: Tensor, e: Tensor | None, w: Tensor, b: Tensor,
+                         wiring: "GraphWiring", activation: str,
+                         pre: np.ndarray | None = None) -> Tensor:
     """act((h[dst] + e) @ w_r + (h[src] + e) @ w_s + b), reassociated.
 
     w is the stacked message weight [w_r; w_s]. Multiplying h by each half
@@ -156,14 +225,23 @@ def _convection_messages(h: Tensor, e: Tensor, w: Tensor, b: Tensor,
     holds the edges from sources r+1, ..., N-1, 0, ..., r, so every row
     meets every source once and rows run in ascending edge order. The
     backward sums each source's cotangents row by row in that order.
+
+    pre, if given, is e @ (w_recv + w_send) computed ahead (see
+    EdgePath) and e is unused. The buffer is finished in place, in the same float
+    order, and the result has no backward: its edge cotangent would be
+    wrong, so this form is refused while autodiff records.
     """
     bsz, n, dim = h.shape
     n_edges = wiring.n_edges
     if w.shape != (2 * dim, dim) or b.shape != (dim,):
         raise ShapeError(f"message weight must be ({2 * dim}, {dim}) with ({dim},) bias, "
                          f"got {w.shape} and {b.shape}")
-    if e.shape != (bsz, n_edges, dim):
-        raise ShapeError(f"edge features {e.shape}, expected ({bsz}, {n_edges}, {dim})")
+    edges = e if pre is None else pre
+    if edges.shape != (bsz, n_edges, dim):
+        raise ShapeError(f"edge rows {edges.shape}, expected ({bsz}, {n_edges}, {dim})")
+    if pre is not None and is_recording():
+        raise ValidationError("precomputed message pre-activations are inference-only; "
+                              "run the forward inside autodiff.no_record()")
 
     w_recv = w.data[:dim]
     w_send = w.data[dim:]
@@ -171,7 +249,7 @@ def _convection_messages(h: Tensor, e: Tensor, w: Tensor, b: Tensor,
     h2 = h.data.reshape(-1, dim)
     hr = (h2 @ w_recv).reshape(bsz, n, dim)
     hs = (h2 @ w_send).reshape(bsz, n, dim)
-    out = (e.data.reshape(-1, dim) @ w_sum).reshape(bsz, n_edges, dim)
+    out = (e.data.reshape(-1, dim) @ w_sum).reshape(bsz, n_edges, dim) if pre is None else pre
     by_dst = out.reshape(bsz, n, n - 1, dim)
     np.add(by_dst, hr[:, :, None, :], out=by_dst)
     # row r of the (N-1, N) view reads sources r+1, r+2, ... of the node
@@ -183,6 +261,8 @@ def _convection_messages(h: Tensor, e: Tensor, w: Tensor, b: Tensor,
     np.add(out, b.data, out=out)
     if activation == "relu":
         np.maximum(out, 0.0, out=out)
+    if pre is not None:
+        return Tensor(out)
 
     def vjp(g):
         g_pre = g * (out > 0) if activation == "relu" else g
@@ -274,24 +354,27 @@ class ConvectionModule:
         self.message_mlp = Mlp([2 * dim, dim], rng, name=f"{name}.message_mlp", output_activation=activation)
         self.update_mlp = Mlp([2 * dim, dim], rng, name=f"{name}.update_mlp", output_activation=activation)
 
-    def __call__(self, x: Tensor, edge_feats: Tensor, wiring: GraphWiring, rows=None):
+    def __call__(self, x: Tensor, edge_feats: Tensor | None, wiring: GraphWiring,
+                 rows=None, pre: np.ndarray | None = None):
         """(x_C, e') on every node, or with rows, an int (B, 1) array of node
-        positions, x_C (B, 1, d) at those nodes and e' on their N-1 edges."""
+        positions, x_C (B, 1, d) at those nodes and e' on their N-1 edges;
+        then edge_feats holds only those edges, (B, N-1, d_in) in edge order.
+        With pre, the message pre-activations of every edge (see EdgePath),
+        edge_feats is unused and e' is None."""
         h = self.node_mlp(x)
         w, b, act = self.message_mlp.layers[0]
-        if rows is None:
+        e = None
+        if rows is not None:
             e = self.edge_mlp(edge_feats)
+            src = wiring.src[_incoming(rows, wiring.n_nodes)]
+            m = tsum(_readout_messages(h, e, w, b, rows, src, act), axis=1, keepdims=True)
+            h = take(h, rows)
+        else:
+            if pre is None:
+                e = self.edge_mlp(edge_feats)
             # message_mlp(concat(h[dst] + e, h[src] + e)) without any edge-sized
             # temporaries or concatenation; see _convection_messages
-            m = wiring.sum_incoming(_convection_messages(h, e, w, b, wiring, act))
-        else:
-            # destination-grouped edge order: node i's incoming edges are
-            # rows i(N-1), ..., (i+1)(N-1)-1
-            incoming = rows * (wiring.n_nodes - 1) + np.arange(wiring.n_nodes - 1)
-            e = self.edge_mlp(take(edge_feats, incoming))
-            m = tsum(_readout_messages(h, e, w, b, rows, wiring.src[incoming], act),
-                     axis=1, keepdims=True)
-            h = take(h, rows)
+            m = wiring.sum_incoming(_convection_messages(h, e, w, b, wiring, act, pre))
         if self.aggregation == "mean":
             m = mul(m, Tensor(1.0 / (wiring.n_nodes - 1)))
         uw, ub, uact = self.update_mlp.layers[0]
@@ -364,10 +447,11 @@ class GnnLayer:
                                  activation=activation)
         self.fusion = FusionHead(dim, rng, f"{name}.fusion")
 
-    def __call__(self, x: Tensor, edge_feats: Tensor, wiring: GraphWiring, rows=None):
+    def __call__(self, x: Tensor, edge_feats: Tensor | None, wiring: GraphWiring,
+                 rows=None, pre=None):
         """Blend every node, or with rows (see ConvectionModule) only those."""
         x_d = self.diffusion(x, wiring)
-        x_c, next_edges = self.convection(x, edge_feats, wiring, rows)
+        x_c, next_edges = self.convection(x, edge_feats, wiring, rows, pre)
         x_l = self.local(x, wiring)
         if rows is not None:
             x_d, x_l = take(x_d, rows), take(x_l, rows)
@@ -399,7 +483,26 @@ class PhysicsGnn:
                                         config.aggregation, config.activation))
         self.output_head = Mlp([d, 1], rng, name="output_head")
 
-    def forward(self, x, wiring: GraphWiring, conv_feats, masked_pos=None) -> Tensor:
+    def edge_path(self, rows: np.ndarray) -> tuple:
+        """The edge side of layers 0..L-2 over a flat (R, 3) table of wind triples.
+
+        Returns (pre, e): pre[k], (R, d), is layer k's message pre-activation
+        e_k @ (w_recv + w_send), and e, (R, d_in), the edge features that
+        enter the last layer (the triples themselves when L = 1). Each
+        output row depends on its input row alone; the GEMMs behind it are
+        the ones forward runs, on fewer rows.
+        """
+        e = Tensor(rows)
+        pre = []
+        for layer in self.layers[:-1]:
+            conv = layer.convection
+            e = conv.edge_mlp(e)
+            w = conv.message_mlp.layers[0][0].data
+            pre.append(e.data @ (w[:conv.dim] + w[conv.dim:]))
+        return pre, e.data
+
+    def forward(self, x, wiring: GraphWiring, conv_feats, masked_pos=None,
+                edges: EdgePath | None = None) -> Tensor:
         """Predict one scalar per node, or only at each sample's masked node.
 
         x: (B, N, window+1) array or Tensor; conv_feats: (B, E, 3) wind
@@ -411,15 +514,25 @@ class PhysicsGnn:
         modules, node-sized, run on every node and keep the masked row.
         The layers before it run in full, since the masked node's
         prediction reads every node through them.
+
+        edges replaces conv_feats (pass None) with the edge side computed
+        ahead by edge_path. It needs masked_pos = N-1 and no_record().
         """
         x = x if isinstance(x, Tensor) else Tensor(x)
-        edge_feats = conv_feats if isinstance(conv_feats, Tensor) else Tensor(conv_feats)
         if x.ndim != 3 or x.shape[1] != wiring.n_nodes:
             raise ShapeError(f"inputs {x.shape} do not match graph with {wiring.n_nodes} nodes")
         if x.shape[2] != self.config.input_dim:
             raise ShapeError(f"inputs have {x.shape[2]} features, model expects {self.config.input_dim}")
-        if edge_feats.ndim != 3 or edge_feats.shape[1] != wiring.n_edges or edge_feats.shape[2] != 3:
-            raise ShapeError(f"conv features {edge_feats.shape} do not match {wiring.n_edges} edges")
+        if edges is None:
+            edge_feats = conv_feats if isinstance(conv_feats, Tensor) else Tensor(conv_feats)
+            if edge_feats.ndim != 3 or edge_feats.shape[1] != wiring.n_edges or edge_feats.shape[2] != 3:
+                raise ShapeError(f"conv features {edge_feats.shape} do not match {wiring.n_edges} edges")
+        elif conv_feats is not None or np.any(np.asarray(masked_pos) != wiring.n_nodes - 1):
+            raise ValidationError("a precomputed edge path replaces conv_feats and needs "
+                                  f"masked_pos = {wiring.n_nodes - 1}, the last node")
+        elif len(edges.context) != len(self.layers) - 1:
+            raise ShapeError(f"edge path has {len(edges.context)} layers, "
+                             f"expected {len(self.layers) - 1}")
 
         bsz, n = x.shape[0], wiring.n_nodes
         rows = None
@@ -432,8 +545,15 @@ class PhysicsGnn:
                 raise ValidationError(f"masked_pos must be node positions in [0, {n}), got {masked_pos!r}")
 
         h = self.input_embed(x)
-        for layer in self.layers[:-1]:
-            h, edge_feats, _ = layer(h, edge_feats, wiring)
+        if edges is None:
+            for layer in self.layers[:-1]:
+                h, edge_feats, _ = layer(h, edge_feats, wiring)
+            if rows is not None:
+                edge_feats = take(edge_feats, _incoming(rows, n))
+        else:
+            for k, layer in enumerate(self.layers[:-1]):
+                h, _, _ = layer(h, None, wiring, pre=edges.pre(k, bsz, n))
+            edge_feats = Tensor(edges.readout(bsz, n))
         h, _, _ = self.layers[-1](h, edge_feats, wiring, rows)
         out = self.output_head(h)
         return out if rows is None else reshape(out, (bsz,))

@@ -11,7 +11,10 @@ train graph one at a time, masked, only when being evaluated.
 One path per half of the protocol: ``train_model`` batches the
 ``iter_masked_samples`` stream that ``leakage_scan`` checks, and every
 prediction at a masked node, a held-out sensor or an arbitrary
-coordinate, goes through ``predict_masked_node``.
+coordinate, goes through ``predict_masked_node``. It predicts G targets
+that share one context at once: per hour chunk and member, the
+context's edge path runs once for all of them, and every forward runs
+inside ``autodiff.no_record()``, so inference keeps no tape.
 
 Inputs are standardized by the train-set mean/std. The flag channel is
 left raw, and predictions are mapped back to concentration units before
@@ -37,6 +40,7 @@ from .autodiff import (
     load_params,
     mse,
     mul,
+    no_record,
     save_arrays,
     load_arrays,
     save_params,
@@ -44,7 +48,7 @@ from .autodiff import (
 from .data import Dataset
 from .errors import ValidationError
 from .geo import Graph, WindRecord, build_graph, convection_edge_features
-from .model import GraphWiring, ModelConfig, PhysicsGnn
+from .model import EdgePath, GraphWiring, ModelConfig, PhysicsGnn, split_edges
 
 logger = logging.getLogger(__name__)
 
@@ -313,66 +317,117 @@ def hourly_conv_features(graph: Graph, dataset: Dataset,
     return out
 
 
-def masked_batch_predictions(models, wiring: GraphWiring, x: np.ndarray,
-                             conv: np.ndarray, masked_pos,
+def _shared_context(graphs) -> tuple:
+    """The context sensors every graph shares: all nodes but its last.
+
+    Raises unless each graph's first N-1 sensors are the same sensors, in
+    the same order, with the same ids and coordinates.
+    """
+    graphs = tuple(graphs)
+    if not graphs:
+        raise ValidationError("need at least one graph to predict")
+    context = graphs[0].sensors[:-1]
+    for graph in graphs[1:]:
+        if graph.sensors[:-1] != context:
+            raise ValidationError(
+                "graphs must share their context: the first N-1 sensors of every "
+                "graph must be the same ids at the same coordinates")
+    return context
+
+
+def _member_predictions(model, wirings, x: np.ndarray, convs) -> np.ndarray:
+    """One member's normalized predictions at each graph's last node, (B, G)."""
+    n = x.shape[1]
+    context, _ = split_edges(convs[0], n)
+    ctx_pre, _ = model.edge_path(context)
+    out = np.empty((x.shape[0], len(wirings)))
+    for g, (wiring, conv) in enumerate(zip(wirings, convs)):
+        _, query = split_edges(conv, n)
+        edges = EdgePath(ctx_pre, *model.edge_path(query))
+        out[:, g] = model.forward(x, wiring, None, n - 1, edges=edges).data
+    return out
+
+
+def masked_batch_predictions(models, wirings, x: np.ndarray, convs,
                              normalizer: Normalizer) -> np.ndarray:
-    """Ensemble-mean predictions at the masked node(s), in raw units."""
-    preds = np.zeros(x.shape[0])
-    for model in models:
-        preds += model.forward(x, wiring, conv, masked_pos).data
+    """Ensemble-mean predictions at the last node of each graph, (B, G), raw units.
+
+    wirings: G graphs sharing a context of C = N-1 nodes (see
+    _shared_context) whose last node is masked; x: their common (B, N, F)
+    node inputs; convs: one (B, E, 3) wind-triple array per graph. The
+    C(C-1) context edges carry the same triples in every graph, so each
+    member runs the edge path over them once and keeps only those rows
+    across targets; each target adds its 2C query edges. Every forward
+    runs without a tape.
+    """
+    _shared_context(w.graph for w in wirings)
+    preds = np.zeros((x.shape[0], len(wirings)))
+    with no_record():
+        for model in models:
+            preds += _member_predictions(model, wirings, x, convs)
     return normalizer.denormalize(preds / len(models))
 
 
-def predict_masked_node(models, normalizer: Normalizer, graph: Graph,
+def predict_masked_node(models, normalizer: Normalizer, graphs,
                         dataset: Dataset, hours, batch_size: int = 64,
                         window: int = 1) -> np.ndarray:
-    """Ensemble-mean prediction at the graph's last node, in raw units.
+    """Ensemble-mean prediction at the last node of each graph, (hours, G), raw units.
 
-    The other nodes are context, read from the dataset by sensor id; they
-    must report every hour. The masked last node's inputs are zero.
+    The graphs share their first N-1 nodes, the context (see
+    _shared_context). Those are read from the dataset by sensor id and must
+    report every hour; each masked last node's inputs are zero. Per hour
+    chunk the node inputs are built once and the context's edge path runs
+    once per member for all G targets (see masked_batch_predictions).
     """
     hours = check_hours(hours, dataset.hours)
+    graphs = tuple(graphs)
     context = complete_readings(
-        dataset, [s.sensor_id for s in graph.sensors[:-1]], "context")
+        dataset, [s.sensor_id for s in _shared_context(graphs)], "context")
     values_norm = np.concatenate(
         [normalizer.normalize(context), np.zeros((dataset.hours, 1))], axis=1)
-    wiring = GraphWiring(graph)
-    masked_pos = graph.n_nodes - 1
-    preds = np.empty(len(hours))
+    wirings = [GraphWiring(graph) for graph in graphs]
+    masked_pos = context.shape[1]
+    preds = np.empty((len(hours), len(graphs)))
     for lo in range(0, len(hours), batch_size):
         chunk = hours[lo:lo + batch_size]
         x = np.stack([build_node_inputs(values_norm, int(h), masked_pos, window)
                       for h in chunk])
-        conv = hourly_conv_features(graph, dataset, chunk)
+        convs = [hourly_conv_features(graph, dataset, chunk) for graph in graphs]
         preds[lo:lo + len(chunk)] = masked_batch_predictions(
-            models, wiring, x, conv, masked_pos, normalizer)
+            models, wirings, x, convs, normalizer)
     return preds
 
 
 def evaluate_target_sensor(models, normalizer, dataset: Dataset,
-                           context_ids, target_id: str, hours,
+                           context_ids, target_id, hours,
                            batch_size: int = 64, window: int = 1):
-    """Predict a held-out sensor from the context graph, hour by hour.
+    """Predict held-out sensors from the context graph, hour by hour.
 
-    The target joins the context graph as its masked last node. Returns
-    (predictions, truths); ``hours`` None means every hour.
+    Each target joins the context graph as its masked last node. With one
+    target id, returns (predictions, truths), each (hours,); with a
+    sequence of ids, each is (hours, G), and all targets share one
+    context pass per hour chunk. ``hours`` None means every hour.
     """
     hours = check_hours(hours, dataset.hours)
-    graph = graph_for_ids(dataset, tuple(context_ids) + (target_id,))
-    preds = predict_masked_node(models, normalizer, graph, dataset, hours,
+    targets = (target_id,) if isinstance(target_id, str) else tuple(target_id)
+    graphs = [graph_for_ids(dataset, tuple(context_ids) + (t,)) for t in targets]
+    preds = predict_masked_node(models, normalizer, graphs, dataset, hours,
                                 batch_size=batch_size, window=window)
-    return preds, subset_dataset_values(dataset, (target_id,))[hours, 0]
+    truths = subset_dataset_values(dataset, targets)[hours]
+    if isinstance(target_id, str):
+        return preds[:, 0], truths[:, 0]
+    return preds, truths
 
 
 def validation_mse(models, normalizer, dataset, split, hours=None,
                    batch_size: int = 64, window: int = 1) -> float:
+    preds, truths = evaluate_target_sensor(
+        models, normalizer, dataset, split.train, split.val, hours,
+        batch_size=batch_size, window=window)
     errors = []
-    for sensor in split.val:
-        preds, truths = evaluate_target_sensor(
-            models, normalizer, dataset, split.train, sensor, hours,
-            batch_size=batch_size, window=window)
-        keep = np.isfinite(truths)
-        errors.append((preds[keep] - truths[keep]) ** 2)
+    for col in range(len(split.val)):
+        keep = np.isfinite(truths[:, col])
+        errors.append((preds[keep, col] - truths[keep, col]) ** 2)
     return float(np.concatenate(errors).mean())
 
 
@@ -456,8 +511,33 @@ def _checkpoint_extra(model_config, train_config, split, normalizer,
         "normalizer": normalizer.to_dict(),
         "dataset": {"provenance": dataset.provenance, "seed": dataset.seed,
                     "hours": dataset.hours,
-                    "sensors": len(dataset.sensors)},
+                    "sensors": len(dataset.sensors),
+                    "fingerprint": dataset.fingerprint()},
     }
+
+
+def _check_resume(saved: dict, extra: dict, path) -> None:
+    """Refuse to resume from a checkpoint of other data or another config.
+
+    The dataset fingerprint, the model config, the split and every train
+    config field but max_epochs must match; raising max_epochs is how a
+    finished run is continued.
+    """
+    def comparable(d):
+        return json.loads(json.dumps(d))
+
+    differ = []
+    if saved.get("dataset", {}).get("fingerprint") != extra["dataset"]["fingerprint"]:
+        differ.append("dataset fingerprint")
+    differ += [key for key in ("model_config", "split")
+               if saved.get(key) != comparable(extra[key])]
+    old_train = saved.get("train_config", {})
+    new_train = comparable(extra["train_config"])
+    differ += [f"train_config.{key}" for key in sorted(set(old_train) | set(new_train))
+               if key != "max_epochs" and old_train.get(key) != new_train.get(key)]
+    if differ:
+        raise ValidationError(
+            f"cannot resume from {path}: {', '.join(differ)} differ from this run's")
 
 
 def train_model(dataset: Dataset, split: SensorSplit,
@@ -495,7 +575,7 @@ def train_model(dataset: Dataset, split: SensorSplit,
     if resume and state_path.exists():
         with open(state_path, encoding="utf-8") as fh:
             state = TrainState.from_dict(json.load(fh))
-        load_params(str(last_path), params)
+        _check_resume(load_params(str(last_path), params), extra, last_path)
         _, opt_arrays = load_arrays(str(optim_path))
         opt.load_state_arrays(opt_arrays)
         logger.info("resuming from epoch %d (best val %.4f at %d)",

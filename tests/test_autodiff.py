@@ -4,6 +4,8 @@ Every analytic gradient is compared against finite_diff_grad, which is
 itself pinned first on functions with hand-known derivatives.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from physair.autodiff import (
     add,
     concat,
     finite_diff_grad,
+    is_recording,
     linear,
     linear_pair,
     load_arrays,
@@ -23,6 +26,7 @@ from physair.autodiff import (
     mse,
     mul,
     narrow,
+    no_record,
     relu,
     reshape,
     save_arrays,
@@ -91,6 +95,35 @@ def test_matmul_identity():
 def test_relu_definition():
     out = relu(Tensor([-1.0, 0.0, 2.0]))
     assert np.array_equal(out.data, [0.0, 0.0, 2.0])
+
+
+def test_relu_keeps_nan_like_linear():
+    row = Tensor([[np.nan, 1.0]])
+    out = relu(row).data
+    assert np.isnan(out[0, 0]) and out[0, 1] == 1.0
+    # nan * 0 poisons the whole row of the fused form; both keep the NaN
+    assert np.isnan(linear(row, Tensor(np.eye(2)), activation="relu").data[0, 0])
+
+
+def test_no_record_builds_no_tape_and_restores_the_flag():
+    w = Param(np.ones((2, 2)), name="w")
+    x = Tensor(np.ones((3, 2)))
+    assert is_recording()
+    with no_record():
+        assert not is_recording()
+        out = relu(linear(x, w, activation="relu"))
+        with no_record():
+            pass
+        assert not is_recording()
+    assert is_recording()
+    assert not out.requires_grad and out._parents == () and out._vjp is None
+    recorded = linear(x, w)
+    assert recorded.requires_grad and recorded._vjp is not None
+
+    with pytest.raises(RuntimeError, match="body"):
+        with no_record():
+            raise RuntimeError("body failed")
+    assert is_recording()
 
 
 def test_softmax_symmetry():
@@ -532,7 +565,7 @@ def test_checkpoint_layout_is_as_documented(tmp_path):
     b = np.array([5.0])
     save_arrays(path, [("a", a), ("b", b)])
 
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     (hlen,) = struct.unpack("<Q", raw[:8])
     manifest = json.loads(raw[8:8 + hlen].decode("utf-8"))
     assert manifest["schema_version"] == 1
@@ -558,7 +591,7 @@ def test_checkpoint_rejects_missing_and_mismatched(tmp_path):
 def test_checkpoint_rejects_truncation(tmp_path):
     path = str(tmp_path / "model.ckpt")
     save_arrays(path, [("a", np.arange(16.0))])
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     clipped = str(tmp_path / "clipped.ckpt")
     with open(clipped, "wb") as fh:
         fh.write(raw[:-8])

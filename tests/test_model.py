@@ -8,18 +8,21 @@ gradients against the finite-difference oracle.
 import numpy as np
 import pytest
 
-from physair.autodiff import Mlp, Tensor, finite_diff_grad, mse, mul, tsum
+from physair.autodiff import Mlp, Tensor, finite_diff_grad, mse, mul, no_record, tsum
 from physair.errors import ShapeError, ValidationError
 from physair.geo import Graph, SensorMeta, WindRecord, build_graph, build_matrices, convection_edge_features
 from physair.model import (
     PRESETS,
     ConvectionModule,
     DiffusionModule,
+    EdgePath,
     FusionHead,
     GraphWiring,
     LocalModule,
     ModelConfig,
     PhysicsGnn,
+    _convection_messages,
+    split_edges,
 )
 
 
@@ -342,6 +345,19 @@ def test_local_inverse_halves_for_m_equals_two():
     assert np.allclose(mod(Tensor(x), w).data[0], f / 2.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("module", [DiffusionModule, LocalModule])
+def test_nan_pre_activation_passes_the_module_relu(module):
+    # the module's relu must keep NaN as linear's does, not map it to 0
+    w = wiring_for(4, seed=19)
+    mod = module(3, np.random.default_rng(20), "mod")
+    x = np.random.default_rng(21).normal(size=(2, 4, 3))
+    x[0, 1, 0] = np.nan
+    with np.errstate(invalid="ignore"):
+        out = mod(Tensor(x), w).data
+    assert np.isnan(out[0]).all()
+    assert np.isfinite(out[1]).all()
+
+
 # ---------------------------------------------------------------------------
 # Fusion.
 # ---------------------------------------------------------------------------
@@ -638,3 +654,59 @@ def test_gather_and_aggregate_gradients():
     tsum(mul(y, y)).backward()
     fd = finite_diff_grad(lambda t: tsum(mul(w.sum_incoming(t), w.sum_incoming(t))), Tensor(e0)).data
     assert max_rel_err(e.grad, fd) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# Inference without a tape, and the precomputed edge path.
+# ---------------------------------------------------------------------------
+
+def test_no_record_forward_leaves_no_tape():
+    cfg = tiny_config(n_layers=3)
+    model = PhysicsGnn(cfg, seed=9)
+    w = wiring_for(5, seed=90)
+    x, feats = batch_for(w, 2, cfg, seed=91)
+    with no_record():
+        outs = [model.forward(x, w, feats), model.forward(x, w, feats, 4)]
+    for out in outs:
+        assert tape_nodes(out) == [out]
+        assert out._vjp is None and not out.requires_grad
+    recorded = model.forward(x, w, feats, 4)
+    assert len(tape_nodes(recorded)) > 1
+
+
+def edge_path_for(model, w, feats):
+    """The EdgePath of a whole-graph edge table, split as the predictor splits it."""
+    context, query = split_edges(feats, w.n_nodes)
+    ctx_pre, _ = model.edge_path(context)
+    return EdgePath(ctx_pre, *model.edge_path(query))
+
+
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+def test_precomputed_edge_path_matches_the_forward(n_layers):
+    cfg = tiny_config(n_layers=n_layers)
+    model = PhysicsGnn(cfg, seed=10)
+    w = wiring_for(6, seed=100)
+    x, feats = batch_for(w, 3, cfg, seed=101)
+    want = model.forward(x, w, feats, 5).data
+    with no_record():
+        got = model.forward(x, w, None, 5, edges=edge_path_for(model, w, feats)).data
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_precomputed_pre_activations_refused_while_recording():
+    cfg = tiny_config(n_layers=2)
+    model = PhysicsGnn(cfg, seed=11)
+    w = wiring_for(5, seed=110)
+    x, feats = batch_for(w, 2, cfg, seed=111)
+    with pytest.raises(ValidationError, match="no_record"):
+        model.forward(x, w, None, 4, edges=edge_path_for(model, w, feats))
+    conv = model.layers[0].convection
+    weight, bias, act = conv.message_mlp.layers[0]
+    h = Tensor(np.ones((2, 5, cfg.hidden_dim)))
+    pre = np.zeros((2, w.n_edges, cfg.hidden_dim))
+    with pytest.raises(ValidationError, match="no_record"):
+        _convection_messages(h, None, weight, bias, w, act, pre)
+    with no_record():
+        for masked_pos in (None, 0):
+            with pytest.raises(ValidationError, match="masked_pos"):
+                model.forward(x, w, None, masked_pos, edges=edge_path_for(model, w, feats))

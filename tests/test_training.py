@@ -8,9 +8,11 @@ import pytest
 
 from physair.data import Dataset
 from physair.errors import ValidationError
-from physair.geo import SensorMeta
-from physair.autodiff import load_params
-from physair.model import ModelConfig, PhysicsGnn
+from dataclasses import replace
+
+from physair.geo import SensorMeta, WindRecord, build_graph, convection_edge_features
+from physair.autodiff import load_arrays, load_params
+from physair.model import GraphWiring, ModelConfig, PhysicsGnn
 from physair.training import (
     MaskedSample,
     Normalizer,
@@ -24,6 +26,8 @@ from physair.training import (
     leakage_scan,
     load_trained,
     make_split,
+    masked_batch_predictions,
+    predict_masked_node,
     train_model,
     validation_mse,
 )
@@ -230,8 +234,15 @@ def test_training_loop_never_reads_held_out_sensors(tmp_path):
     train_model(ds, split, tiny_model_config(), config, tmp_path / "clean")
     train_model(decoy, split, tiny_model_config(), config, tmp_path / "decoy")
     for name in ("best.ckpt", "last.ckpt"):
-        assert (tmp_path / "clean" / name).read_bytes() == \
-            (tmp_path / "decoy" / name).read_bytes()
+        # everything but the dataset fingerprint, which covers the poisoned
+        # readings on purpose, matches bit for bit
+        clean_manifest, clean = load_arrays(str(tmp_path / "clean" / name))
+        decoy_manifest, poisoned_run = load_arrays(str(tmp_path / "decoy" / name))
+        prints = [m["extra"]["dataset"].pop("fingerprint")
+                  for m in (clean_manifest, decoy_manifest)]
+        assert prints == [ds.fingerprint(), decoy.fingerprint()]
+        assert clean_manifest == decoy_manifest
+        assert all(clean[k].tobytes() == poisoned_run[k].tobytes() for k in clean)
 
 
 def test_resume_matches_uninterrupted_run(tmp_path):
@@ -247,6 +258,41 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     assert json.dumps(full.state.history) == json.dumps(resumed.state.history)
     assert (tmp_path / "full" / "last.ckpt").read_bytes() == \
         (tmp_path / "split" / "last.ckpt").read_bytes()
+
+
+def test_checkpoint_carries_a_dataset_fingerprint(tmp_path):
+    ds = toy_dataset(hours=8)
+    split = make_split(ds.sensor_ids(), seed=0)
+    result = train_model(ds, split, tiny_model_config(), run_config(max_epochs=1),
+                         tmp_path / "run")
+    _, _, _, extra = load_trained(result.checkpoint_path)
+    stored = extra["dataset"]["fingerprint"]
+    assert stored == ds.fingerprint() and len(stored) == 64
+    moved = replace(ds, sensors=(replace(ds.sensors[0], latitude=32.5),) + ds.sensors[1:])
+    for other in (replace(ds, pm25=ds.pm25 + 1.0), replace(ds, wind=ds.wind[::-1].copy()),
+                  moved):
+        assert other.fingerprint() != stored
+
+
+@pytest.mark.parametrize("change", ["readings", "lr", "split", "model"])
+def test_resume_refuses_other_data_or_config(tmp_path, change):
+    ds = toy_dataset(hours=12)
+    split = make_split(ds.sensor_ids(), seed=0)
+    model_config = tiny_model_config()
+    train_model(ds, split, model_config, run_config(max_epochs=1), tmp_path / "run")
+    config = run_config(max_epochs=2)
+    if change == "readings":
+        ds = replace(ds, pm25=ds.pm25 * 1.01)
+    elif change == "lr":
+        config = run_config(max_epochs=2, lr=5e-4)
+    elif change == "split":
+        split = make_split(ds.sensor_ids(), seed=1)
+    else:
+        model_config = ModelConfig(preset=None, n_layers=1, hidden_dim=8, aggregation="mean")
+    expected = {"readings": "dataset fingerprint", "lr": "train_config.lr",
+                "split": "split", "model": "model_config"}[change]
+    with pytest.raises(ValidationError, match=expected):
+        train_model(ds, split, model_config, config, tmp_path / "run", resume=True)
 
 
 def test_divergence_aborts_with_diagnostic(tmp_path):
@@ -327,3 +373,92 @@ def test_train_ensemble_per_seed_dirs_and_parallel_equivalence(tmp_path):
     assert (tmp_path / "par" / "seed0" / "best.ckpt").read_bytes() == a
     assert (tmp_path / "par" / "seed1" / "best.ckpt").read_bytes() == b
     assert [r.checkpoint_path.parent.name for r in par] == ["seed0", "seed1"]
+
+
+# ---------------------------------------------------------------------------
+# The multi-target predictor.
+# ---------------------------------------------------------------------------
+
+def shared_context_graphs(n, g, seed):
+    """g graphs of n nodes: the same n-1 context sensors plus one query each."""
+    rng = np.random.default_rng(seed)
+    points = 36.0 + 0.3 * rng.random((n - 1 + g, 2))
+    metas = [SensorMeta(f"s{i}", lat, lon - 156.0) for i, (lat, lon) in enumerate(points)]
+    return [build_graph(metas[:n - 1] + [metas[n - 1 + k]]) for k in range(g)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 28])
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+@pytest.mark.parametrize("bsz", [1, 4])
+@pytest.mark.parametrize("g", [1, 2, 9])
+def test_multi_target_predictor_matches_per_target_forward(n, n_layers, bsz, g):
+    config = ModelConfig(preset=None, n_layers=n_layers, hidden_dim=8)
+    models = [PhysicsGnn(config, seed=s) for s in (n, n + 1)]
+    graphs = shared_context_graphs(n, g, seed=n * 10 + g)
+    rng = np.random.default_rng(n_layers * 100 + bsz)
+    x = rng.normal(size=(bsz, n, config.input_dim))
+    x[:, -1] = 0.0
+    winds = [WindRecord("t", rng.uniform(0, 15), rng.uniform(0, 360)) for _ in range(bsz)]
+    convs = [np.stack([convection_edge_features(graph, w) for w in winds]) for graph in graphs]
+    wirings = [GraphWiring(graph) for graph in graphs]
+    got = masked_batch_predictions(models, wirings, x, convs, Normalizer(0.0, 1.0))
+    assert got.shape == (bsz, g)
+    for col, (wiring, conv) in enumerate(zip(wirings, convs)):
+        want = sum(m.forward(x, wiring, conv, n - 1).data for m in models) / len(models)
+        assert np.max(np.abs(got[:, col] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_predictor_records_no_tape(monkeypatch):
+    ds = toy_dataset(hours=6)
+    model = PhysicsGnn(tiny_model_config(), seed=0)
+    seen = []
+    forward = model.forward
+
+    def spy(*args, **kwargs):
+        out = forward(*args, **kwargs)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(model, "forward", spy)
+    preds, _ = evaluate_target_sensor([model], Normalizer(10.0, 2.0), ds,
+                                      ("s0", "s1", "s2"), ("s3", "s4"), None, batch_size=4)
+    assert preds.shape == (6, 2) and len(seen) == 4
+    assert all(out._vjp is None and out._parents == () for out in seen)
+
+
+def test_multi_target_evaluation_matches_one_target_at_a_time():
+    ds = toy_dataset(hours=9)
+    models = [PhysicsGnn(ModelConfig(preset=None, n_layers=2, hidden_dim=8), seed=s)
+              for s in (0, 1)]
+    norm = Normalizer(15.0, 3.0)
+    context, targets = ("s0", "s2", "s4"), ("s5", "s1", "s3")
+    preds, truths = evaluate_target_sensor(models, norm, ds, context, targets, None,
+                                           batch_size=4)
+    assert preds.shape == truths.shape == (9, 3)
+    for col, target in enumerate(targets):
+        one, truth = evaluate_target_sensor(models, norm, ds, context, target, None,
+                                            batch_size=4)
+        assert np.array_equal(preds[:, col], one)
+        assert np.array_equal(truths[:, col], truth)
+
+
+def test_predictor_refuses_graphs_without_a_shared_context():
+    ds = toy_dataset(hours=4)
+    model = PhysicsGnn(tiny_model_config(), seed=0)
+    metas = {s.sensor_id: s for s in ds.sensors}
+
+    def graph(*ids):
+        return build_graph([metas[i] for i in ids])
+
+    moved = replace(metas["s1"], latitude=metas["s1"].latitude + 0.01)
+    unshared = (
+        [graph("s0", "s1", "s4"), graph("s0", "s2", "s5")],
+        [graph("s0", "s1", "s4"), graph("s1", "s0", "s5")],
+        [graph("s0", "s1", "s4"), graph("s0", "s1", "s2", "s5")],
+        [graph("s0", "s1", "s4"), build_graph([metas["s0"], moved, metas["s5"]])],
+    )
+    for graphs in unshared:
+        with pytest.raises(ValidationError, match="share their context"):
+            predict_masked_node([model], Normalizer(0.0, 1.0), graphs, ds, None)
+    with pytest.raises(ValidationError, match="at least one graph"):
+        predict_masked_node([model], Normalizer(0.0, 1.0), [], ds, None)
