@@ -74,9 +74,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -132,41 +129,15 @@ class Tensor:
                 prev = cotan.get(key)
                 cotan[key] = pg if prev is None else prev + pg
 
-    # Arithmetic sugar. Plain numbers and arrays are wrapped as constants.
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __neg__(self):
-        return mul(self, Tensor(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 class Param(Tensor):
     """A named trainable leaf. grad is allocated up front and zeroed on demand."""
 
-    __slots__ = ("name", "trainable")
+    __slots__ = ("name",)
 
-    def __init__(self, values, name: str = "", trainable: bool = True):
+    def __init__(self, values, name: str = ""):
         super().__init__(values, requires_grad=True)
         self.name = name
-        self.trainable = bool(trainable)
         self.grad = np.zeros_like(self.data)
 
     def zero_grad(self) -> None:
@@ -174,10 +145,6 @@ class Param(Tensor):
 
     def __repr__(self):
         return f"Param({self.name!r}, shape={self.data.shape})"
-
-
-def _wrap(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
 
 
 class _Recording(threading.local):
@@ -564,7 +531,7 @@ class Adam:
 
     def __init__(self, params, lr: float = 1e-4, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
-        self.params = [p for p in params if p.trainable]
+        self.params = list(params)
         self.lr = float(lr)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
@@ -572,10 +539,6 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
 
     def step(self) -> None:
         self.t += 1

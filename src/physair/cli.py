@@ -13,6 +13,12 @@ Every knob can come from three places. Precedence, highest first:
 3. the built-in default (for ``dataset`` only, the PHYSAIR_DATA_DIR
    environment variable slots in between 2 and 3).
 
+One table per command declares each knob once: its config key, the
+coercer that parses and checks its value, its default and its help.
+The flag is the key with dashes for underscores (``--max-epochs``);
+a boolean also takes ``--no-<key>``, so a flag can undo a file's
+``resume = true``.
+
 Commands that produce an output directory write ``resolved.cfg`` into
 it with every knob expanded, so any run can be repeated with just
 ``--config <out>/resolved.cfg``.
@@ -123,9 +129,10 @@ def write_resolved_config(out_dir, options: dict) -> Path:
     return path
 
 
-# Coercers turn config-file strings into typed values. They double as
-# argparse ``type=`` callables; ValidationError subclasses ValueError,
-# so argparse turns a bad flag into its usual usage error (exit 2).
+# Coercers turn flag and config-file strings into typed values. They
+# are the argparse ``type=`` callables too, and they raise ValueError
+# (ValidationError is one), so argparse turns a bad flag into its usual
+# usage error (exit 2).
 
 def parse_seeds(raw) -> tuple:
     try:
@@ -148,81 +155,80 @@ def _to_bool(raw) -> bool:
     raise ValidationError(f"expected a boolean, got {raw!r}")
 
 
-def _to_int(raw) -> int:
-    try:
-        return int(str(raw), 10)
-    except ValueError:
-        raise ValidationError(f"expected an integer, got {raw!r}") from None
+def _one_of(*allowed):
+    """A coercer that accepts exactly the given strings; --help lists them."""
+    def choice(raw):
+        if raw not in allowed:
+            raise ValidationError(f"expected one of {', '.join(allowed)}, got {raw!r}")
+        return raw
+    choice.choices = allowed
+    return choice
 
 
-def _to_float(raw) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValidationError(f"expected a number, got {raw!r}") from None
+# One table per command: key -> (coercer, default, help). build_parser
+# adds --key (underscores become dashes) from it; boolean keys take
+# --key/--no-key. Flags resolved by argparse take precedence.
 
-
-# Per-command schemas: key -> (coercer for file values, default).
-# Flags resolved by argparse take precedence and skip the coercer.
+_DATASET = (str, None, f"canonical dataset dir (default ${DATA_DIR_ENV})")
 
 _INGEST_SCHEMA = {
-    "raw": (str, None),
-    "out": (str, None),
-    "max_gap_hours": (_to_int, 1),
+    "raw": (str, None, "directory with sensors.csv, pm25.csv, wind.csv"),
+    "out": (str, None, "canonical dataset output directory"),
+    "max_gap_hours": (int, 1, "longest missing run a sensor may have (default 1)"),
 }
 
 _SYNTH_SCHEMA = {
-    "out": (str, None),
-    "hours": (_to_int, 2928),
-    "seed": (_to_int, 0),
-    "n_sensors": (_to_int, 40),
-    "noise_sd": (_to_float, 0.5),
-    "height": (_to_int, 32),
-    "width": (_to_int, 32),
+    "out": (str, None, None),
+    "hours": (int, 2928, None),
+    "seed": (int, 0, None),
+    "n_sensors": (int, 40, None),
+    "noise_sd": (float, 0.5, None),
+    "height": (int, 32, None),
+    "width": (int, 32, None),
 }
 
 _TRAIN_SCHEMA = {
-    "dataset": (str, None),
-    "out": (str, None),
-    "preset": (str, "S"),
-    "window": (_to_int, 1),
-    "local_norm": (str, "inverse"),
-    "aggregation": (str, "sum"),
-    "seeds": (parse_seeds, (0, 1, 2, 3, 4)),
-    "split_seed": (_to_int, 0),
-    "workers": (_to_int, 1),
-    "resume": (_to_bool, False),
-    "batch_size": (_to_int, 32),
-    "lr": (_to_float, 1e-4),
-    "max_epochs": (_to_int, 500),
-    "patience": (_to_int, 20),
-    "val_every": (_to_int, 1),
-    "val_hour_stride": (_to_int, 1),
-    "eval_batch": (_to_int, 64),
+    "dataset": _DATASET,
+    "out": (str, None, None),
+    "preset": (_one_of("S", "M", "L"), "S", None),
+    "window": (int, 1, None),
+    "local_norm": (_one_of("direct", "inverse"), "inverse", None),
+    "aggregation": (_one_of("sum", "mean"), "sum", None),
+    "seeds": (parse_seeds, (0, 1, 2, 3, 4), "e.g. 0,1,2,3,4"),
+    "split_seed": (int, 0, None),
+    "workers": (int, 1, None),
+    "resume": (_to_bool, False, None),
+    "batch_size": (int, 32, None),
+    "lr": (float, 1e-4, None),
+    "max_epochs": (int, 500, None),
+    "patience": (int, 20, None),
+    "val_every": (int, 1, None),
+    "val_hour_stride": (int, 1, None),
+    "eval_batch": (int, 64, None),
 }
 
 _EVALUATE_SCHEMA = {
-    "dataset": (str, None),
-    "models": (str, None),
-    "out": (str, None),
-    "idw_power": (_to_float, 1.0),
-    "workers": (_to_int, 1),
-    "density": (_to_bool, True),
-    "gp_selection_stride": (_to_int, 4),
-    "eval_batch": (_to_int, 64),
+    "dataset": _DATASET,
+    "models": (str, None, "training output dir or one .ckpt file"),
+    "out": (str, None, None),
+    "idw_power": (float, 1.0, None),
+    "workers": (int, 1, None),
+    "density": (_to_bool, True, "run the sensor-removal sweep (default) or skip it"),
+    "gp_selection_stride": (int, 4, None),
+    "eval_batch": (int, 64, None),
 }
 
 _INTERPOLATE_SCHEMA = {
-    "dataset": (str, None),
-    "models": (str, None),
-    "out": (str, None),
-    "lat": (_to_float, None),
-    "lon": (_to_float, None),
-    "hours": (str, None),
-    "grid_lat": (str, None),
-    "grid_lon": (str, None),
-    "context": (str, "train"),
-    "eval_batch": (_to_int, 64),
+    "dataset": _DATASET,
+    "models": (str, None, None),
+    "out": (str, None, "also write predictions.csv here"),
+    "lat": (float, None, None),
+    "lon": (float, None, None),
+    "hours": (str, None, "H or LO:HI (half-open); default all hours"),
+    "grid_lat": (str, None, "LO:HI:COUNT sweep"),
+    "grid_lon": (str, None, "LO:HI:COUNT sweep"),
+    "context": (_one_of("train", "all"), "train", None),
+    "eval_batch": (int, 64, None),
 }
 
 
@@ -236,14 +242,14 @@ def resolve_options(args, schema: dict) -> dict:
             raise ValidationError(
                 f"unknown config keys for this command: {', '.join(unknown)}")
     out = {}
-    for key, (coerce, default) in schema.items():
+    for key, (coerce, default, _) in schema.items():
         flag = getattr(args, key, None)
         if flag is not None:
             out[key] = flag
         elif key in file_cfg:
             try:
                 out[key] = coerce(file_cfg[key])
-            except ValidationError as exc:
+            except ValueError as exc:
                 raise ValidationError(f"config key {key!r}: {exc}") from None
         elif key == "dataset" and os.environ.get(DATA_DIR_ENV):
             out[key] = os.environ[DATA_DIR_ENV]
@@ -541,10 +547,8 @@ def cmd_interpolate(args) -> int:
     window = models[0].config.window
     if options["context"] == "train":
         context = split.train
-    elif options["context"] == "all":
-        context = tuple(dataset.sensor_ids())
     else:
-        raise ValidationError("context must be 'train' or 'all'")
+        context = tuple(dataset.sensor_ids())
     hours = _parse_hour_range(options["hours"], dataset.hours)
     grid_mode = options["grid_lat"] is not None or options["grid_lon"] is not None
     point_mode = options["lat"] is not None or options["lon"] is not None
@@ -587,9 +591,14 @@ def cmd_interpolate(args) -> int:
 # Parser assembly and entry.
 # ---------------------------------------------------------------------------
 
-def _add_config_flag(parser):
-    parser.add_argument("--config", metavar="FILE",
-                        help="flat key = value config file; flags override it")
+_COMMANDS = {
+    "ingest": ("raw csv directory -> canonical dataset", _INGEST_SCHEMA),
+    "synth": ("simulate a synthetic dataset", _SYNTH_SCHEMA),
+    "train": ("train a seed ensemble", _TRAIN_SCHEMA),
+    "evaluate": ("score every model on held-out sensors", _EVALUATE_SCHEMA),
+    "interpolate": ("predict at coordinates with a trained ensemble",
+                    _INTERPOLATE_SCHEMA),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -597,78 +606,20 @@ def build_parser() -> argparse.ArgumentParser:
         prog="physair",
         description="Sparse-network PM2.5 interpolation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="raw csv directory -> canonical dataset")
-    _add_config_flag(p)
-    p.add_argument("--raw", help="directory with sensors.csv, pm25.csv, wind.csv")
-    p.add_argument("--out", help="canonical dataset output directory")
-    p.add_argument("--max-gap-hours", dest="max_gap_hours", type=int,
-                   help="longest missing run a sensor may have (default 1)")
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("synth", help="simulate a synthetic dataset")
-    _add_config_flag(p)
-    p.add_argument("--out")
-    p.add_argument("--hours", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n-sensors", dest="n_sensors", type=int)
-    p.add_argument("--noise-sd", dest="noise_sd", type=float)
-    p.add_argument("--height", type=int)
-    p.add_argument("--width", type=int)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("train", help="train a seed ensemble")
-    _add_config_flag(p)
-    p.add_argument("--dataset", help=f"canonical dataset dir (default ${DATA_DIR_ENV})")
-    p.add_argument("--out")
-    p.add_argument("--preset", choices=("S", "M", "L"))
-    p.add_argument("--window", type=int)
-    p.add_argument("--local-norm", dest="local_norm",
-                   choices=("direct", "inverse"))
-    p.add_argument("--aggregation", choices=("sum", "mean"))
-    p.add_argument("--seeds", type=parse_seeds, help="e.g. 0,1,2,3,4")
-    p.add_argument("--split-seed", dest="split_seed", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--resume", action="store_true", default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--val-every", dest="val_every", type=int)
-    p.add_argument("--val-hour-stride", dest="val_hour_stride", type=int)
-    p.add_argument("--eval-batch", dest="eval_batch", type=int)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("evaluate", help="score every model on held-out sensors")
-    _add_config_flag(p)
-    p.add_argument("--dataset", help=f"canonical dataset dir (default ${DATA_DIR_ENV})")
-    p.add_argument("--models", help="training output dir or one .ckpt file")
-    p.add_argument("--out")
-    p.add_argument("--idw-power", dest="idw_power", type=float)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--density", dest="density", action="store_true",
-                   default=None, help="run the sensor-removal sweep (default)")
-    p.add_argument("--no-density", dest="density", action="store_false",
-                   default=None, help="skip the sensor-removal sweep")
-    p.add_argument("--gp-selection-stride", dest="gp_selection_stride", type=int)
-    p.add_argument("--eval-batch", dest="eval_batch", type=int)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("interpolate",
-                       help="predict at coordinates with a trained ensemble")
-    _add_config_flag(p)
-    p.add_argument("--dataset", help=f"canonical dataset dir (default ${DATA_DIR_ENV})")
-    p.add_argument("--models")
-    p.add_argument("--out", help="also write predictions.csv here")
-    p.add_argument("--lat", type=float)
-    p.add_argument("--lon", type=float)
-    p.add_argument("--hours", help="H or LO:HI (half-open); default all hours")
-    p.add_argument("--grid-lat", dest="grid_lat", help="LO:HI:COUNT sweep")
-    p.add_argument("--grid-lon", dest="grid_lon", help="LO:HI:COUNT sweep")
-    p.add_argument("--context", choices=("train", "all"))
-    p.add_argument("--eval-batch", dest="eval_batch", type=int)
-    p.set_defaults(func=cmd_interpolate)
-
+    for name, (summary, schema) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--config", metavar="FILE",
+                       help="flat key = value config file; flags override it")
+        for key, (coerce, _, text) in schema.items():
+            flag = "--" + key.replace("_", "-")
+            if coerce is _to_bool:
+                p.add_argument(flag, action=argparse.BooleanOptionalAction, help=text)
+            else:
+                p.add_argument(flag, type=coerce, help=text,
+                               choices=getattr(coerce, "choices", None))
+        # looked up per call, not at import, so a cmd_* replaced on the
+        # module is the one that runs
+        p.set_defaults(func=globals()[f"cmd_{name}"])
     return parser
 
 

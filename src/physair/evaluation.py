@@ -177,12 +177,6 @@ class BinnedMae:
     maes: tuple
     dropped: int
 
-    def recombined_mae(self) -> float:
-        total = sum(self.counts)
-        if total == 0:
-            return float("nan")
-        return sum(c * m for c, m in zip(self.counts, self.maes) if c > 0) / total
-
 
 def ground_truth_bin_edges(max_value: float) -> np.ndarray:
     """Width-10 bin edges from 0, extended to cover ``max_value``."""
@@ -415,23 +409,6 @@ def evaluate_models(dataset: Dataset, context_ids, target_ids,
                    hours=hours, truths=truths, sh=sh, predictions=predictions)
 
 
-def paired_difference(run: EvalRun, name_a: str, name_b: str,
-                      hour_mask=None) -> dict:
-    """Mean and sd of per-sample |error_a| - |error_b|.
-
-    Negative mean: model a beats model b on the paired samples. This is
-    the summary behind the paired comparison in the report, not a
-    significance test.
-    """
-    preds_a, obs, _ = run.flat(name_a, hour_mask)
-    preds_b, _, _ = run.flat(name_b, hour_mask)
-    diff = np.abs(preds_a - obs) - np.abs(preds_b - obs)
-    if diff.size < 2:
-        raise ValidationError("paired difference needs at least 2 samples")
-    return {"mean": float(diff.mean()), "sd": float(diff.std(ddof=1)),
-            "count": int(diff.size)}
-
-
 # ---------------------------------------------------------------------------
 # Sensor-density robustness.
 # ---------------------------------------------------------------------------
@@ -533,15 +510,6 @@ def density_experiment(dataset: Dataset, context_ids, target_ids,
 # Inference at arbitrary coordinates: a query is a virtual masked node,
 # predicted by training.predict_masked_node as a held-out sensor is.
 # ---------------------------------------------------------------------------
-
-def wind_at(dataset: Dataset, hour: int) -> WindRecord:
-    """The dataset's wind for one hour as a WindRecord."""
-    if not 0 <= hour < dataset.hours:
-        raise ValidationError(f"hour {hour} outside dataset range")
-    speed, direction = dataset.wind[hour]
-    return WindRecord(dataset.timestamps()[hour].isoformat(),
-                      float(speed), float(direction))
-
 
 def infer_at_location(models, normalizer: Normalizer, dataset: Dataset,
                       context_ids, latitude: float, longitude: float,

@@ -115,8 +115,9 @@ class GraphWiring:
 
     Holds the scaled Laplacian and self-loop adjacency as constant tensors,
     the diagonal of the local normalization (both orientations), and the
-    edge order, which sum_incoming uses to add edge messages back onto
-    nodes. Everything here is read-only once built.
+    edge order: edges are grouped by destination, so (B, E, d) edge
+    messages reshape to (B, N, N-1, d) by destination node. Everything
+    here is read-only once built.
     """
 
     def __init__(self, graph: Graph, matrices: GraphMatrices | None = None):
@@ -133,20 +134,6 @@ class GraphWiring:
         m_diag = np.diag(matrices.m)
         self.norm_direct = Tensor(m_diag[:, None])
         self.norm_inverse = Tensor((1.0 / m_diag)[:, None])
-
-    def sum_incoming(self, messages: Tensor) -> Tensor:
-        """(B, E, d) -> (B, N, d): sum of messages grouped by destination."""
-        b, e, d = messages.shape
-        n = self.n_nodes
-        if e != self.n_edges:
-            raise ShapeError(f"expected {self.n_edges} edge rows, got {e}")
-        data = messages.data.reshape(b, n, n - 1, d).sum(axis=2)
-
-        def vjp(g):
-            spread = np.broadcast_to(g[:, :, None, :], (b, n, n - 1, d))
-            return (spread.reshape(b, e, d),)
-
-        return make_op(data, (messages,), vjp)
 
 
 def _incoming(rows: np.ndarray, n: int) -> np.ndarray:
@@ -374,7 +361,9 @@ class ConvectionModule:
                 e = self.edge_mlp(edge_feats)
             # message_mlp(concat(h[dst] + e, h[src] + e)) without any edge-sized
             # temporaries or concatenation; see _convection_messages
-            m = wiring.sum_incoming(_convection_messages(h, e, w, b, wiring, act, pre))
+            n = wiring.n_nodes
+            m = tsum(reshape(_convection_messages(h, e, w, b, wiring, act, pre),
+                             (-1, n, n - 1, self.dim)), axis=2)
         if self.aggregation == "mean":
             m = mul(m, Tensor(1.0 / (wiring.n_nodes - 1)))
         uw, ub, uact = self.update_mlp.layers[0]

@@ -26,7 +26,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -45,7 +44,7 @@ from .autodiff import (
     load_arrays,
     save_params,
 )
-from .data import Dataset
+from .data import Dataset, _atomic_write_text
 from .errors import ValidationError
 from .geo import Graph, WindRecord, build_graph, convection_edge_features
 from .model import EdgePath, GraphWiring, ModelConfig, PhysicsGnn, split_edges
@@ -379,6 +378,8 @@ def predict_masked_node(models, normalizer: Normalizer, graphs,
     chunk the node inputs are built once and the context's edge path runs
     once per member for all G targets (see masked_batch_predictions).
     """
+    if batch_size < 1:
+        raise ValidationError(f"batch_size must be >= 1, got {batch_size}")
     hours = check_hours(hours, dataset.hours)
     graphs = tuple(graphs)
     context = complete_readings(
@@ -450,8 +451,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.max_epochs < 1:
-            raise ValidationError("batch_size and max_epochs must be >= 1")
+        if self.batch_size < 1 or self.eval_batch < 1 or self.max_epochs < 1:
+            raise ValidationError("batch_size, eval_batch and max_epochs must be >= 1")
         if self.patience < 1 or self.val_every < 1 or self.val_hour_stride < 1:
             raise ValidationError("patience and validation strides must be >= 1")
 
@@ -490,16 +491,6 @@ class TrainResult:
     split: SensorSplit
     model_config: ModelConfig
     wall_seconds: float
-
-
-def _atomic_json(path: Path, payload: dict) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
 
 
 def _checkpoint_extra(model_config, train_config, split, normalizer,
@@ -638,7 +629,8 @@ def train_model(dataset: Dataset, split: SensorSplit,
         state.history.append(record)
         save_params(str(last_path), params, extra={**extra, "epoch": epoch})
         save_arrays(str(optim_path), list(opt.state_arrays().items()))
-        _atomic_json(state_path, state.to_dict())
+        _atomic_write_text(state_path,
+                           json.dumps(state.to_dict(), indent=2, sort_keys=True) + "\n")
 
         if state.evals_since_best >= train_config.patience:
             logger.info("early stop at epoch %d", epoch)

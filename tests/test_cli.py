@@ -11,7 +11,8 @@ import json
 import numpy as np
 import pytest
 
-from physair.cli import main, parse_seeds, read_config_file
+from physair import cli
+from physair.cli import build_parser, main, parse_seeds, read_config_file, resolve_options
 from physair.data import load_dataset
 from physair.errors import ValidationError
 from physair.evaluation import infer_at_location
@@ -85,6 +86,65 @@ def test_flag_overrides_config_file(tmp_path):
     assert resolved["hours"] == "12"      # flag won
     assert resolved["seed"] == "5"        # file value kept
     assert resolved["noise_sd"] == "0.5"  # default expanded
+
+
+def _resolve(argv):
+    args = build_parser().parse_args(argv)
+    return resolve_options(args, cli._COMMANDS[argv[0]][1])
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_flag_and_config_line_resolve_alike(command, tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.DATA_DIR_ENV, raising=False)
+    samples = {int: "7", float: "0.25", str: "some/where", parse_seeds: "3,5"}
+    schema = cli._COMMANDS[command][1]
+    defaults = _resolve([command])
+    for key, (coerce, default, _) in schema.items():
+        assert defaults[key] == default
+        flag = "--" + key.replace("_", "-")
+        if coerce is cli._to_bool:
+            cases = [([flag], "true"), (["--no-" + flag[2:]], "false")]
+        else:
+            choices = getattr(coerce, "choices", None)
+            value = next(c for c in choices if c != default) if choices else samples[coerce]
+            cases = [([flag, value], value)]
+        for flag_argv, line in cases:
+            cfg = tmp_path / f"{key}.cfg"
+            cfg.write_text(f"{key} = {line}\n")
+            from_flag = _resolve([command] + flag_argv)[key]
+            from_file = _resolve([command, "--config", str(cfg)])[key]
+            assert from_flag == from_file, (key, from_flag, from_file)
+            assert type(from_flag) is type(from_file)
+        if coerce is not cli._to_bool:
+            assert from_flag != default
+
+
+def test_no_resume_overrides_the_config_file(tmp_path):
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text("resume = true\n")
+    assert _resolve(["train", "--config", str(cfg)])["resume"] is True
+    assert _resolve(["train", "--config", str(cfg), "--no-resume"])["resume"] is False
+
+
+@pytest.mark.parametrize("command, key, allowed", [
+    ("train", "preset", "{S,M,L}"),
+    ("train", "local_norm", "{direct,inverse}"),
+    ("train", "aggregation", "{sum,mean}"),
+    ("interpolate", "context", "{train,all}"),
+])
+def test_choice_options_list_and_check_their_values(command, key, allowed,
+                                                     tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main([command, "--help"])
+    assert err.value.code == 0
+    assert allowed in capsys.readouterr().out
+    with pytest.raises(SystemExit) as err:
+        main([command, "--" + key.replace("_", "-"), "bogus"])
+    assert err.value.code == 2
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text(f"{key} = bogus\n")
+    assert main([command, "--config", str(cfg)]) == 2
+    assert f"config key {key!r}" in capsys.readouterr().err
 
 
 def test_parse_seeds():
@@ -336,6 +396,23 @@ def test_interpolate_point_matches_library(synth_dir, train_dir, capsys):
     got = np.array([float(line.split(",")[2]) for line in lines[1:]])
     assert np.array_equal(got, want)
     assert lines[1].split(",")[1] == "2024-01-01T00:00:00+00:00"
+
+
+@pytest.mark.parametrize("batch", ["0", "-1"])
+def test_non_positive_eval_batch_exits_2(synth_dir, train_dir, tmp_path, batch,
+                                         capsys):
+    # -1 once printed 0.0 for every hour and exited 0
+    sensor = load_dataset(synth_dir).sensors[0]
+    rc = main(["interpolate", "--dataset", str(synth_dir),
+               "--models", str(train_dir), "--lat", repr(sensor.latitude),
+               "--lon", repr(sensor.longitude), "--hours", "0:2",
+               "--eval-batch", batch])
+    assert rc == 2
+    assert "batch_size" in capsys.readouterr().err
+    rc = main(["train", "--dataset", str(synth_dir), "--out", str(tmp_path / "t"),
+               "--seeds", "0", "--max-epochs", "1", "--eval-batch", batch])
+    assert rc == 2
+    assert "eval_batch" in capsys.readouterr().err
 
 
 def test_interpolate_grid(synth_dir, train_dir, tmp_path, capsys):

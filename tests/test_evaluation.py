@@ -30,14 +30,12 @@ from physair.evaluation import (
     infer_at_location,
     mae_ratio,
     metrics,
-    paired_difference,
     sh_series,
     spatial_heterogeneity,
     summary_json,
-    wind_at,
     write_summary,
 )
-from physair.geo import SensorMeta
+from physair.geo import SensorMeta, WindRecord
 from physair.model import ModelConfig, PhysicsGnn
 from physair.training import (
     Normalizer,
@@ -206,7 +204,7 @@ def test_known_per_bin_errors_recombine_to_global():
     truths = [2.0, 0.0, 6.0, 0.0]
     b = binned_mae(axis, preds, truths, [0.0, 10.0, 20.0])
     assert b.maes == (1.0, 3.0)
-    assert b.recombined_mae() == 2.0
+    assert b.counts == (2, 2)
 
 
 def test_recombination_matches_global_on_random_data():
@@ -215,8 +213,8 @@ def test_recombination_matches_global_on_random_data():
     preds = truths + rng.normal(0, 3, 200)
     b = binned_mae(truths, preds, truths, ground_truth_bin_edges(truths.max()))
     assert b.dropped == 0
-    assert b.recombined_mae() == pytest.approx(np.abs(preds - truths).mean(),
-                                               abs=1e-10)
+    recombined = sum(c * m for c, m in zip(b.counts, b.maes) if c) / sum(b.counts)
+    assert recombined == pytest.approx(np.abs(preds - truths).mean(), abs=1e-10)
 
 
 def test_empty_bins_report_count_zero_and_nan():
@@ -385,18 +383,6 @@ def test_benchmark_runners_lineup():
                                      "noise": 0.1})
 
 
-def test_paired_difference_sign_and_self_zero():
-    ds = toy_dataset(hours=8, n=5)
-    run = evaluate_models(ds, ("s0", "s1", "s2"), ("s3", "s4"),
-                          {"mean_fill": estimator_runner(MeanFill),
-                           "idw": estimator_runner(Idw)})
-    self_diff = paired_difference(run, "idw", "idw")
-    assert self_diff["mean"] == 0.0 and self_diff["sd"] == 0.0
-    ab = paired_difference(run, "idw", "mean_fill")
-    ba = paired_difference(run, "mean_fill", "idw")
-    assert ab["mean"] == pytest.approx(-ba["mean"], rel=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # Density experiment.
 # ---------------------------------------------------------------------------
@@ -448,15 +434,6 @@ def test_density_fraction_zero_reproduces_the_main_run_exactly():
 # Arbitrary-location inference.
 # ---------------------------------------------------------------------------
 
-def test_wind_at_wraps_the_hourly_record():
-    ds = toy_dataset(hours=5, n=4)
-    rec = wind_at(ds, 2)
-    assert rec.speed_kmh == ds.wind[2, 0]
-    assert rec.direction_deg == ds.wind[2, 1] % 360.0
-    with pytest.raises(ValidationError, match="hour"):
-        wind_at(ds, 5)
-
-
 def test_infer_at_location_matches_held_out_evaluation():
     ds = toy_dataset(hours=9, n=6)
     models, norm = tiny_models(ds, n_models=2)
@@ -494,7 +471,7 @@ def test_interpolator_estimator_matches_the_masked_protocol():
     models, norm = tiny_models(ds)
     context = ("s0", "s1", "s2", "s3", "s4")
     hour = 3
-    est = GnnInterpolator(models=models, normalizer=norm, wind=wind_at(ds, hour))
+    est = GnnInterpolator(models=models, normalizer=norm, wind=WindRecord("", *ds.wind[hour]))
     coords = np.array([[s.latitude, s.longitude]
                        for s in ds.sensors if s.sensor_id in context])
     values = subset_dataset_values(ds, context)[hour]
@@ -509,15 +486,15 @@ def test_interpolator_validates_its_ingredients():
     models, norm = tiny_models(ds)
     coords = [[32.7, -117.1], [32.71, -117.12]]
     with pytest.raises(ValidationError, match="models"):
-        GnnInterpolator(normalizer=norm, wind=wind_at(ds, 0)).fit(coords, [1.0, 2.0])
+        GnnInterpolator(normalizer=norm, wind=WindRecord("", *ds.wind[0])).fit(coords, [1.0, 2.0])
     with pytest.raises(ValidationError, match="WindRecord"):
         GnnInterpolator(models=models, normalizer=norm).fit(coords, [1.0, 2.0])
     wide = [PhysicsGnn(ModelConfig(preset=None, n_layers=1, hidden_dim=8,
                                    window=3), seed=0)]
     with pytest.raises(ValidationError, match="window"):
         GnnInterpolator(models=wide, normalizer=norm,
-                        wind=wind_at(ds, 0)).fit(coords, [1.0, 2.0])
-    est = GnnInterpolator(models=models, normalizer=norm, wind=wind_at(ds, 0))
+                        wind=WindRecord("", *ds.wind[0])).fit(coords, [1.0, 2.0])
+    est = GnnInterpolator(models=models, normalizer=norm, wind=WindRecord("", *ds.wind[0]))
     with pytest.raises(ValidationError, match="fitted"):
         est.predict(coords)
 

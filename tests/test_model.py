@@ -8,7 +8,7 @@ gradients against the finite-difference oracle.
 import numpy as np
 import pytest
 
-from physair.autodiff import Mlp, Tensor, finite_diff_grad, mse, mul, no_record, tsum
+from physair.autodiff import Mlp, Tensor, finite_diff_grad, mse, mul, no_record, reshape, tsum
 from physair.errors import ShapeError, ValidationError
 from physair.geo import Graph, SensorMeta, WindRecord, build_graph, build_matrices, convection_edge_features
 from physair.model import (
@@ -646,13 +646,23 @@ def test_nan_at_any_context_node_reaches_the_masked_prediction(activation):
 
 
 def test_gather_and_aggregate_gradients():
+    # ConvectionModule's aggregation: edges are grouped by destination, so
+    # summing the N-1 axis of (B, N, N-1, d) adds each node's incoming messages
     w = wiring_for(4, seed=50)
+    n = w.n_nodes
     rng = np.random.default_rng(51)
     e0 = rng.normal(size=(2, w.n_edges, 3))
+
+    def aggregate(t):
+        return tsum(reshape(t, (-1, n, n - 1, 3)), axis=2)
+
+    by_dst = np.zeros((2, n, 3))
+    np.add.at(by_dst, (slice(None), w.dst), e0)
+    assert np.allclose(aggregate(Tensor(e0)).data, by_dst, rtol=0, atol=1e-12)
     e = Tensor(e0, requires_grad=True)
-    y = w.sum_incoming(e)
+    y = aggregate(e)
     tsum(mul(y, y)).backward()
-    fd = finite_diff_grad(lambda t: tsum(mul(w.sum_incoming(t), w.sum_incoming(t))), Tensor(e0)).data
+    fd = finite_diff_grad(lambda t: tsum(mul(aggregate(t), aggregate(t))), Tensor(e0)).data
     assert max_rel_err(e.grad, fd) < 1e-4
 
 

@@ -462,3 +462,16 @@ def test_predictor_refuses_graphs_without_a_shared_context():
             predict_masked_node([model], Normalizer(0.0, 1.0), graphs, ds, None)
     with pytest.raises(ValidationError, match="at least one graph"):
         predict_masked_node([model], Normalizer(0.0, 1.0), [], ds, None)
+
+
+@pytest.mark.parametrize("batch", [0, -1])
+def test_non_positive_inference_batch_is_refused(batch):
+    # -1 once returned the untouched np.empty buffer as predictions
+    ds = toy_dataset(hours=4)
+    model = PhysicsGnn(tiny_model_config(), seed=0)
+    graph = build_graph(ds.sensors[:3])
+    with pytest.raises(ValidationError, match="batch_size"):
+        predict_masked_node([model], Normalizer(0.0, 1.0), [graph], ds, None,
+                            batch_size=batch)
+    with pytest.raises(ValidationError, match="eval_batch"):
+        run_config(eval_batch=batch)
