@@ -48,9 +48,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     """A dense float64 array plus the recipe that produced it.
 
-    Tensors are value-like: operations return new tensors and never mutate
-    their inputs. requires_grad propagates through every op, so subgraphs
-    that cannot reach a trainable leaf are not recorded at all.
+    Tensors are value-like: operations return new tensors and, but for a
+    make_op that takes over a buffer, never mutate their inputs.
+    requires_grad propagates through every op, so subgraphs that cannot
+    reach a trainable leaf are not recorded at all.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
@@ -189,6 +190,8 @@ def make_op(data: np.ndarray, parents: tuple, vjp) -> Tensor:
     vjp receives the cotangent of the output and must return one gradient
     array (or None) per parent, already reduced to that parent's shape.
     Anything built this way should be checked against finite_diff_grad.
+    data may be a parent's own buffer, finished in place, only if nothing
+    reads that parent's data again: not its VJP, and not its caller.
     """
     return _make(np.asarray(data, dtype=np.float64), tuple(parents), vjp)
 

@@ -33,6 +33,7 @@ import argparse
 import functools
 import logging
 import os
+import re
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -267,6 +268,15 @@ def _require(options: dict, *keys: str) -> None:
                 f" or put it in the config file{hint}")
 
 
+def _check_counts(options: dict) -> None:
+    """Refuse a worker count or inference batch below 1 before any file is read."""
+    if options.get("workers", 1) < 1:
+        raise ValidationError("workers must be at least 1")
+    if options["eval_batch"] < 1:
+        raise ValidationError(f"eval_batch, the batch_size of every inference forward, "
+                              f"must be at least 1, got {options['eval_batch']}")
+
+
 def _load_dataset_arg(options: dict) -> Dataset:
     path = Path(options["dataset"])
     if not path.exists():
@@ -338,8 +348,7 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     options = resolve_options(args, _TRAIN_SCHEMA)
     _require(options, "dataset", "out")
-    if options["workers"] < 1:
-        raise ValidationError("workers must be at least 1")
+    _check_counts(options)
     dataset = _load_dataset_arg(options)
     split = make_split(dataset.sensor_ids(), seed=options["split_seed"])
     model_config = ModelConfig(preset=options["preset"],
@@ -428,8 +437,7 @@ def _pooled_gnn_run(pool, workers, dataset, context_ids, target_ids, hours):
 def cmd_evaluate(args) -> int:
     options = resolve_options(args, _EVALUATE_SCHEMA)
     _require(options, "dataset", "models", "out")
-    if options["workers"] < 1:
-        raise ValidationError("workers must be at least 1")
+    _check_counts(options)
     dataset = _load_dataset_arg(options)
     paths, models, normalizer, split = _load_ensemble(options["models"])
     window = models[0].config.window
@@ -542,6 +550,7 @@ def _parse_axis(raw, name: str) -> np.ndarray:
 def cmd_interpolate(args) -> int:
     options = resolve_options(args, _INTERPOLATE_SCHEMA)
     _require(options, "dataset", "models")
+    _check_counts(options)
     dataset = _load_dataset_arg(options)
     paths, models, normalizer, split = _load_ensemble(options["models"])
     window = models[0].config.window
@@ -623,8 +632,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_VALUE_FLAGS = frozenset(["--config"] + [
+    "--" + key.replace("_", "-") for _, schema in _COMMANDS.values()
+    for key, (coerce, _, _) in schema.items() if coerce is not _to_bool])
+
+
+def _attach_dash_values(argv) -> list:
+    """Join each value that starts with a dash and a digit to its flag.
+
+    argparse reads such a token as an option unless it is a plain
+    number, so the sweep in ``--grid-lon -119.85:-119.75:3`` would leave
+    its flag without a value. No option starts with a dash and a digit,
+    so the pair is passed on as ``--grid-lon=-119.85:-119.75:3``.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] in _VALUE_FLAGS and re.match(r"-[\d.]", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _attach_dash_values(sys.argv[1:] if argv is None else argv))
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     try:

@@ -26,15 +26,15 @@ N(N-1). At preset S that cuts the edge-sized d x d GEMMs from 5 to 3 per
 forward and from 10 to 6 per backward. Predictions equal the full
 forward's masked rows to rounding.
 
-The edge path and the node path split for inference. Edge features go
-through each layer's edge MLP and meet the summed message weight
-without ever reading a node state, so for layers 0..L-2 both are plain
-functions of the edge's wind triple: ``PhysicsGnn.edge_path`` runs them
-over any table of edge rows. Graphs that share a context share those
-rows, and the multi-target predictor in ``training`` computes them once
-for all of its targets. ``forward`` then takes the per-layer message
-pre-activations as an ``EdgePath`` instead of the wind triples; that
-form has no backward and is refused while autodiff records.
+Edge features go through each layer's edge MLP and meet the summed
+message weight without reading a node state, so for layers 0..L-2 both
+are functions of the edge's wind triple: ``PhysicsGnn.edge_path`` runs
+them, recorded, over any table of edge rows. One kernel, for training
+and inference alike, then finishes each layer's messages in place in
+that pre-activation buffer. Graphs that share a context share its rows;
+the multi-target predictor in ``training`` computes them once for all
+of its targets and hands them to ``forward`` as an ``EdgePath``, which
+is refused while autodiff records.
 """
 
 from __future__ import annotations
@@ -171,40 +171,62 @@ class EdgePath:
     rows of split_edges; graphs that share a context share the first.
     query_last holds the edge features that enter the last layer on the
     query rows. forward assembles each layer's buffer only when that
-    layer runs.
+    layer runs, and reads every row as a constant.
     """
 
     context: list
     query: list
-    query_last: np.ndarray
+    query_last: Tensor
 
-    def pre(self, k: int, bsz: int, n: int) -> np.ndarray:
-        """Layer k's pre-activations on every edge, (B, E, d), in edge order."""
+    def pre(self, k: int, bsz: int, n: int) -> Tensor:
+        """Layer k's pre-activations on every edge, (B, E, d), in a new buffer."""
         c = n - 1
         d = self.query[k].shape[1]
-        query = self.query[k].reshape(bsz, 2 * c, d)
+        query = self.query[k].data.reshape(bsz, 2 * c, d)
         buf = np.empty((bsz, n, c, d))
-        buf[:, :c, :c - 1] = self.context[k].reshape(bsz, c, c - 1, d)
+        buf[:, :c, :c - 1] = self.context[k].data.reshape(bsz, c, c - 1, d)
         buf[:, :c, c - 1] = query[:, :c]
         buf[:, c] = query[:, c:]
-        return buf.reshape(bsz, n * c, d)
+        return Tensor(buf.reshape(bsz, n * c, d))
 
-    def readout(self, bsz: int, n: int) -> np.ndarray:
+    def readout(self, bsz: int, n: int) -> Tensor:
         """The last layer's input on the N-1 edges into the last node, (B, N-1, d_in)."""
-        return self.query_last.reshape(bsz, 2 * (n - 1), -1)[:, n - 1:]
+        return Tensor(self.query_last.data.reshape(bsz, 2 * (n - 1), -1)[:, n - 1:])
 
 
-def _convection_messages(h: Tensor, e: Tensor | None, w: Tensor, b: Tensor,
-                         wiring: "GraphWiring", activation: str,
-                         pre: np.ndarray | None = None) -> Tensor:
-    """act((h[dst] + e) @ w_r + (h[src] + e) @ w_s + b), reassociated.
+def _message_pre(e: Tensor, w: Tensor) -> Tensor:
+    """e @ (w_recv + w_send), the edge side of each message, in a new buffer.
 
-    w is the stacked message weight [w_r; w_s]. Multiplying h by each half
-    on the nodes turns the two edge-sized GEMMs into node-sized ones, and e
-    only meets the summed weight once. Same math as running the stacked
-    weight over concat(h[dst] + e, h[src] + e), reassociated, so values
-    agree to rounding and the gradient is checked against the
-    finite-difference oracle like every other fused op.
+    w is the stacked message weight [w_recv; w_send]; both halves get the
+    same gradient e.T @ g. The backward never reads the output, so
+    _finish_messages may overwrite it.
+    """
+    dim = e.shape[-1]
+    w_sum = w.data[:dim] + w.data[dim:]
+    e2 = e.data.reshape(-1, dim)
+
+    def vjp(g):
+        g2 = g.reshape(-1, dim)
+        ge = (g2 @ w_sum.T).reshape(e.shape) if e.requires_grad else None
+        gw = np.concatenate([e2.T @ g2] * 2) if w.requires_grad else None
+        return ge, gw
+
+    return make_op((e2 @ w_sum).reshape(e.shape), (e, w), vjp)
+
+
+def _finish_messages(h: Tensor, pre: Tensor, w: Tensor, b: Tensor,
+                     wiring: "GraphWiring", activation: str) -> Tensor:
+    """act(pre + h[dst] @ w_recv + h[src] @ w_send + b) on every edge.
+
+    With pre = _message_pre(e, w) this is the message MLP over
+    concat(h[dst] + e, h[src] + e), reassociated: multiplying h by each
+    half of w on the nodes turns two edge-sized GEMMs into node-sized
+    ones. Values agree to rounding, and the gradient is checked against
+    the finite-difference oracle like every other fused op.
+
+    The messages are written into pre's buffer, so a tape keeps one
+    edge-sized array per layer's messages, not two. pre must be a buffer
+    no one reads afterwards: never one shared across targets.
 
     Node rows reach the edges through views of the edge axis, never through
     an edge-sized gather; both rest on the destination-grouped edge order.
@@ -212,31 +234,21 @@ def _convection_messages(h: Tensor, e: Tensor | None, w: Tensor, b: Tensor,
     holds the edges from sources r+1, ..., N-1, 0, ..., r, so every row
     meets every source once and rows run in ascending edge order. The
     backward sums each source's cotangents row by row in that order.
-
-    pre, if given, is e @ (w_recv + w_send) computed ahead (see
-    EdgePath) and e is unused. The buffer is finished in place, in the same float
-    order, and the result has no backward: its edge cotangent would be
-    wrong, so this form is refused while autodiff records.
     """
     bsz, n, dim = h.shape
     n_edges = wiring.n_edges
     if w.shape != (2 * dim, dim) or b.shape != (dim,):
         raise ShapeError(f"message weight must be ({2 * dim}, {dim}) with ({dim},) bias, "
                          f"got {w.shape} and {b.shape}")
-    edges = e if pre is None else pre
-    if edges.shape != (bsz, n_edges, dim):
-        raise ShapeError(f"edge rows {edges.shape}, expected ({bsz}, {n_edges}, {dim})")
-    if pre is not None and is_recording():
-        raise ValidationError("precomputed message pre-activations are inference-only; "
-                              "run the forward inside autodiff.no_record()")
+    if pre.shape != (bsz, n_edges, dim):
+        raise ShapeError(f"edge rows {pre.shape}, expected ({bsz}, {n_edges}, {dim})")
 
     w_recv = w.data[:dim]
     w_send = w.data[dim:]
-    w_sum = w_recv + w_send
     h2 = h.data.reshape(-1, dim)
     hr = (h2 @ w_recv).reshape(bsz, n, dim)
     hs = (h2 @ w_send).reshape(bsz, n, dim)
-    out = (e.data.reshape(-1, dim) @ w_sum).reshape(bsz, n_edges, dim) if pre is None else pre
+    out = pre.data
     by_dst = out.reshape(bsz, n, n - 1, dim)
     np.add(by_dst, hr[:, :, None, :], out=by_dst)
     # row r of the (N-1, N) view reads sources r+1, r+2, ... of the node
@@ -248,12 +260,9 @@ def _convection_messages(h: Tensor, e: Tensor | None, w: Tensor, b: Tensor,
     np.add(out, b.data, out=out)
     if activation == "relu":
         np.maximum(out, 0.0, out=out)
-    if pre is not None:
-        return Tensor(out)
 
     def vjp(g):
         g_pre = g * (out > 0) if activation == "relu" else g
-        g2 = g_pre.reshape(-1, dim)
         g_recv = g_pre.reshape(bsz, n, n - 1, dim).sum(axis=2)
         # row 0 holds every source's first edge; later rows add in order
         g_rows = g_pre.reshape(bsz, n - 1, n, dim)
@@ -261,38 +270,38 @@ def _convection_messages(h: Tensor, e: Tensor | None, w: Tensor, b: Tensor,
         for r in range(1, n - 1):
             g_send[:, r + 1:] += g_rows[:, r, :n - 1 - r]
             g_send[:, :r + 1] += g_rows[:, r, n - 1 - r:]
-        gh = ge = gw = gb = None
+        gh = gw = gb = None
         if h.requires_grad:
             gh = (g_recv.reshape(-1, dim) @ w_recv.T
                   + g_send.reshape(-1, dim) @ w_send.T).reshape(h.shape)
-        if e.requires_grad:
-            ge = (g2 @ w_sum.T).reshape(e.shape)
         if w.requires_grad:
-            shared = e.data.reshape(-1, dim).T @ g2
-            gw = np.empty_like(w.data)
-            gw[:dim] = shared + h2.T @ g_recv.reshape(-1, dim)
-            gw[dim:] = shared + h2.T @ g_send.reshape(-1, dim)
+            gw = np.concatenate([h2.T @ g_recv.reshape(-1, dim),
+                                 h2.T @ g_send.reshape(-1, dim)])
         if b.requires_grad:
-            gb = g2.sum(axis=0)
-        return gh, ge, gw, gb
+            gb = g_pre.reshape(-1, dim).sum(axis=0)
+        return gh, g_pre, gw, gb
 
-    return make_op(out, (h, e, w, b), vjp)
+    return make_op(out, (h, pre, w, b), vjp)
 
 
-def _readout_messages(h: Tensor, e: Tensor, w: Tensor, b: Tensor,
+def _convection_messages(h: Tensor, e: Tensor, w: Tensor, b: Tensor,
+                         wiring: "GraphWiring", activation: str) -> Tensor:
+    """act((h[dst] + e) @ w_r + (h[src] + e) @ w_s + b) on every edge."""
+    return _finish_messages(h, _message_pre(e, w), w, b, wiring, activation)
+
+
+def _readout_messages(h: Tensor, pre: Tensor, w: Tensor, b: Tensor,
                       rows: np.ndarray, src: np.ndarray, activation: str) -> Tensor:
-    """_convection_messages on the N-1 edges into one node per sample.
+    """_finish_messages on the N-1 edges into one node per sample.
 
-    h is (B, N, d); e is (B, N-1, d), the incoming edges of node rows[b]
-    in edge order, and src (B, N-1) their sources. Built from autodiff ops
-    in the same float order as the full kernel (e @ w_sum, + hr, + hs,
-    + b), so each message equals its full-graph counterpart to rounding.
+    h is (B, N, d); pre is (B, N-1, d), on the incoming edges of node
+    rows[b] in edge order, and src (B, N-1) their sources. Built from
+    autodiff ops in the same float order as the full kernel (pre, + hr,
+    + hs, + b), so each message equals its full-graph one to rounding.
     """
     dim = h.shape[2]
-    w_recv = narrow(w, 0, dim, axis=0)
-    w_send = narrow(w, dim, 2 * dim, axis=0)
-    out = add(matmul(e, add(w_recv, w_send)), take(matmul(h, w_recv), rows))
-    out = add(add(out, take(matmul(h, w_send), src)), b)
+    out = add(pre, take(matmul(h, narrow(w, 0, dim, axis=0)), rows))
+    out = add(add(out, take(matmul(h, narrow(w, dim, 2 * dim, axis=0)), src)), b)
     return relu(out) if activation == "relu" else out
 
 
@@ -328,8 +337,8 @@ class ConvectionModule:
     first layer, from the previous layer's e' afterwards). e' is added to
     both endpoint features before the message MLP, the messages into each
     node are aggregated, and the update MLP mixes the aggregate with the
-    node's own feature. Returns both the node update and e' for the next
-    layer.
+    node's own feature. PhysicsGnn runs the edge side (edge_mlp, then
+    message_pre) of every layer ahead of the node side (nodes).
     """
 
     def __init__(self, dim: int, edge_in_dim: int, rng: np.random.Generator, name: str,
@@ -341,37 +350,36 @@ class ConvectionModule:
         self.message_mlp = Mlp([2 * dim, dim], rng, name=f"{name}.message_mlp", output_activation=activation)
         self.update_mlp = Mlp([2 * dim, dim], rng, name=f"{name}.update_mlp", output_activation=activation)
 
-    def __call__(self, x: Tensor, edge_feats: Tensor | None, wiring: GraphWiring,
-                 rows=None, pre: np.ndarray | None = None):
-        """(x_C, e') on every node, or with rows, an int (B, 1) array of node
-        positions, x_C (B, 1, d) at those nodes and e' on their N-1 edges;
-        then edge_feats holds only those edges, (B, N-1, d_in) in edge order.
-        With pre, the message pre-activations of every edge (see EdgePath),
-        edge_feats is unused and e' is None."""
+    def message_pre(self, e: Tensor) -> Tensor:
+        """This layer's message pre-activations from its edge features e'."""
+        return _message_pre(e, self.message_mlp.layers[0][0])
+
+    def __call__(self, x: Tensor, edge_feats: Tensor, wiring: GraphWiring) -> tuple:
+        """(x_C, e') on every node, from the incoming edge features."""
+        e = self.edge_mlp(edge_feats)
+        return self.nodes(x, self.message_pre(e), wiring), e
+
+    def nodes(self, x: Tensor, pre: Tensor, wiring: GraphWiring, rows=None) -> Tensor:
+        """x_C from pre, (B, E, d), finished in place; or with rows, an int
+        (B, 1) array of node positions, x_C (B, 1, d) at those nodes from
+        pre on their N-1 incoming edges, (B, N-1, d) in edge order."""
         h = self.node_mlp(x)
         w, b, act = self.message_mlp.layers[0]
-        e = None
-        if rows is not None:
-            e = self.edge_mlp(edge_feats)
-            src = wiring.src[_incoming(rows, wiring.n_nodes)]
-            m = tsum(_readout_messages(h, e, w, b, rows, src, act), axis=1, keepdims=True)
-            h = take(h, rows)
-        else:
-            if pre is None:
-                e = self.edge_mlp(edge_feats)
-            # message_mlp(concat(h[dst] + e, h[src] + e)) without any edge-sized
-            # temporaries or concatenation; see _convection_messages
-            n = wiring.n_nodes
-            m = tsum(reshape(_convection_messages(h, e, w, b, wiring, act, pre),
+        n = wiring.n_nodes
+        if rows is None:
+            m = tsum(reshape(_finish_messages(h, pre, w, b, wiring, act),
                              (-1, n, n - 1, self.dim)), axis=2)
+        else:
+            src = wiring.src[_incoming(rows, n)]
+            m = tsum(_readout_messages(h, pre, w, b, rows, src, act), axis=1, keepdims=True)
+            h = take(h, rows)
         if self.aggregation == "mean":
-            m = mul(m, Tensor(1.0 / (wiring.n_nodes - 1)))
+            m = mul(m, Tensor(1.0 / (n - 1)))
         uw, ub, uact = self.update_mlp.layers[0]
-        out = linear_pair(m, add(h, m),
-                          narrow(uw, 0, self.dim, axis=0),
-                          narrow(uw, self.dim, 2 * self.dim, axis=0),
-                          ub, activation=uact)
-        return out, e
+        return linear_pair(m, add(h, m),
+                           narrow(uw, 0, self.dim, axis=0),
+                           narrow(uw, self.dim, 2 * self.dim, axis=0),
+                           ub, activation=uact)
 
     def params(self):
         return (self.node_mlp.params() + self.edge_mlp.params()
@@ -436,16 +444,15 @@ class GnnLayer:
                                  activation=activation)
         self.fusion = FusionHead(dim, rng, f"{name}.fusion")
 
-    def __call__(self, x: Tensor, edge_feats: Tensor | None, wiring: GraphWiring,
-                 rows=None, pre=None):
-        """Blend every node, or with rows (see ConvectionModule) only those."""
+    def __call__(self, x: Tensor, pre: Tensor, wiring: GraphWiring, rows=None) -> tuple:
+        """(blended, fusion weights) on every node, or with rows only at
+        those nodes; pre as in ConvectionModule.nodes."""
         x_d = self.diffusion(x, wiring)
-        x_c, next_edges = self.convection(x, edge_feats, wiring, rows, pre)
+        x_c = self.convection.nodes(x, pre, wiring, rows)
         x_l = self.local(x, wiring)
         if rows is not None:
             x_d, x_l = take(x_d, rows), take(x_l, rows)
-        blended, weights = self.fusion(x_d, x_c, x_l)
-        return blended, next_edges, weights
+        return self.fusion(x_d, x_c, x_l)
 
     def params(self):
         return (self.diffusion.params() + self.convection.params()
@@ -472,23 +479,21 @@ class PhysicsGnn:
                                         config.aggregation, config.activation))
         self.output_head = Mlp([d, 1], rng, name="output_head")
 
-    def edge_path(self, rows: np.ndarray) -> tuple:
-        """The edge side of layers 0..L-2 over a flat (R, 3) table of wind triples.
+    def edge_path(self, feats) -> tuple:
+        """The edge side of layers 0..L-2 over wind triples (..., 3): a
+        batch's (B, E, 3), or a flat (R, 3) table of split_edges rows.
 
-        Returns (pre, e): pre[k], (R, d), is layer k's message pre-activation
-        e_k @ (w_recv + w_send), and e, (R, d_in), the edge features that
-        enter the last layer (the triples themselves when L = 1). Each
-        output row depends on its input row alone; the GEMMs behind it are
-        the ones forward runs, on fewer rows.
+        Returns (pre, e): pre[k] is layer k's _message_pre(e_k, w), and e
+        the edge features that enter the last layer (the triples when
+        L = 1). Each output row depends on its input row alone.
         """
-        e = Tensor(rows)
+        e = feats if isinstance(feats, Tensor) else Tensor(feats)
         pre = []
         for layer in self.layers[:-1]:
-            conv = layer.convection
-            e = conv.edge_mlp(e)
-            w = conv.message_mlp.layers[0][0].data
-            pre.append(e.data @ (w[:conv.dim] + w[conv.dim:]))
-        return pre, e.data
+            # e_{k-1} is free before pre_k is allocated, when nothing records
+            e = layer.convection.edge_mlp(e)
+            pre.append(layer.convection.message_pre(e))
+        return pre, e
 
     def forward(self, x, wiring: GraphWiring, conv_feats, masked_pos=None,
                 edges: EdgePath | None = None) -> Tensor:
@@ -504,8 +509,11 @@ class PhysicsGnn:
         The layers before it run in full, since the masked node's
         prediction reads every node through them.
 
-        edges replaces conv_feats (pass None) with the edge side computed
-        ahead by edge_path. It needs masked_pos = N-1 and no_record().
+        edge_path runs first, over every edge, and one kernel finishes
+        each layer's messages in its pre-activation buffer, in training
+        and inference alike. edges replaces conv_feats (pass None) with
+        the edge side computed ahead; it needs masked_pos = N-1 and
+        no_record(), since its rows are constants.
         """
         x = x if isinstance(x, Tensor) else Tensor(x)
         if x.ndim != 3 or x.shape[1] != wiring.n_nodes:
@@ -522,6 +530,9 @@ class PhysicsGnn:
         elif len(edges.context) != len(self.layers) - 1:
             raise ShapeError(f"edge path has {len(edges.context)} layers, "
                              f"expected {len(self.layers) - 1}")
+        elif is_recording():
+            raise ValidationError("a precomputed edge path is inference-only: the edge MLPs "
+                                  "would get no gradient; run the forward inside autodiff.no_record()")
 
         bsz, n = x.shape[0], wiring.n_nodes
         rows = None
@@ -533,17 +544,18 @@ class PhysicsGnn:
             if rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= n:
                 raise ValidationError(f"masked_pos must be node positions in [0, {n}), got {masked_pos!r}")
 
-        h = self.input_embed(x)
         if edges is None:
-            for layer in self.layers[:-1]:
-                h, edge_feats, _ = layer(h, edge_feats, wiring)
+            pre, last = self.edge_path(edge_feats)
             if rows is not None:
-                edge_feats = take(edge_feats, _incoming(rows, n))
+                last = take(last, _incoming(rows, n))
         else:
-            for k, layer in enumerate(self.layers[:-1]):
-                h, _, _ = layer(h, None, wiring, pre=edges.pre(k, bsz, n))
-            edge_feats = Tensor(edges.readout(bsz, n))
-        h, _, _ = self.layers[-1](h, edge_feats, wiring, rows)
+            last = edges.readout(bsz, n)
+        h = self.input_embed(x)
+        # each layer's buffer is dropped with its layer when nothing records
+        for k, layer in enumerate(self.layers[:-1]):
+            h, _ = layer(h, pre.pop(0) if edges is None else edges.pre(k, bsz, n), wiring)
+        conv = self.layers[-1].convection
+        h, _ = self.layers[-1](h, conv.message_pre(conv.edge_mlp(last)), wiring, rows)
         out = self.output_head(h)
         return out if rows is None else reshape(out, (bsz,))
 

@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from physair import cli
+from physair import cli, evaluation
 from physair.cli import build_parser, main, parse_seeds, read_config_file, resolve_options
 from physair.data import load_dataset
 from physair.errors import ValidationError
@@ -415,12 +415,29 @@ def test_non_positive_eval_batch_exits_2(synth_dir, train_dir, tmp_path, batch,
     assert "eval_batch" in capsys.readouterr().err
 
 
+def test_bad_eval_batch_is_refused_before_any_work(synth_dir, train_dir, tmp_path,
+                                                   monkeypatch, capsys):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the gp search ran before --eval-batch was checked")
+
+    monkeypatch.setattr(evaluation, "select_gp_hyperparameters", no_search)
+    rc = main(["evaluate", "--dataset", str(synth_dir), "--models", str(train_dir),
+               "--out", str(tmp_path / "e"), "--eval-batch", "0"])
+    assert rc == 2
+    assert "eval_batch" in capsys.readouterr().err
+    rc = main(["interpolate", "--dataset", str(tmp_path / "missing"),
+               "--models", str(train_dir), "--lat", "36.7", "--lon", "-119.8",
+               "--eval-batch", "0"])
+    assert rc == 2
+    assert "eval_batch" in capsys.readouterr().err
+
+
 def test_interpolate_grid(synth_dir, train_dir, tmp_path, capsys):
     out = tmp_path / "sweep"
     rc = main(["interpolate", "--dataset", str(synth_dir),
                "--models", str(train_dir), "--out", str(out),
                "--grid-lat", "36.70:36.72:2",
-               "--grid-lon=-119.81:-119.79:2",    # leading dash needs = form
+               "--grid-lon=-119.81:-119.79:2",
                "--hours", "5"])
     assert rc == 0
     text = capsys.readouterr().out
@@ -432,6 +449,32 @@ def test_interpolate_grid(synth_dir, train_dir, tmp_path, capsys):
         assert hour == "5"
         assert np.isfinite(float(value))
     assert (out / "predictions.csv").read_text() == text
+
+
+def test_negative_sweep_parses_with_or_without_equals(synth_dir, train_dir, tmp_path):
+    # argparse alone reads "-119.81:-119.79:2" as an option and exits 2
+    written = []
+    for spelling in (["--grid-lon=-119.81:-119.79:2"], ["--grid-lon", "-119.81:-119.79:2"]):
+        out = tmp_path / str(len(written))
+        rc = main(["interpolate", "--dataset", str(synth_dir), "--models", str(train_dir),
+                   "--out", str(out), "--grid-lat", "36.70:36.72:2", "--hours", "5"] + spelling)
+        assert rc == 0
+        written.append((out / "predictions.csv").read_bytes())
+    assert written[0] == written[1]
+
+
+def test_dash_values_join_only_their_flag():
+    parse = build_parser().parse_args
+    argv = ["interpolate", "--lat", "36.7", "--lon", "-119.8", "--grid-lat", "-1:-.5:3"]
+    joined = cli._attach_dash_values(argv)
+    assert joined == argv[:3] + ["--lon=-119.8", "--grid-lat=-1:-.5:3"]
+    # a plain negative number parsed before and parses the same now
+    assert vars(parse(joined)) == vars(parse(argv[:5] + ["--grid-lat=-1:-.5:3"]))
+    assert parse(joined).lon == -119.8
+    # a flag followed by a real option still lacks its value
+    with pytest.raises(SystemExit) as err:
+        main(["interpolate", "--grid-lon", "--context", "all"])
+    assert err.value.code == 2
 
 
 @pytest.mark.parametrize("extra", [
