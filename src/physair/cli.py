@@ -483,7 +483,7 @@ def cmd_evaluate(args) -> int:
         density = None
         if options["density"]:
             density = density_experiment(dataset, split.train, split.test,
-                                         runners)
+                                         runners, main=run)
             sections += ["Mean MAE by removed context fraction:",
                          format_density_table(density)]
     finally:
@@ -578,11 +578,11 @@ def cmd_interpolate(args) -> int:
         lons = _parse_axis(options["grid_lon"], "longitude")
         points = [(float(lat), float(lon)) for lat in lats for lon in lons]
         lines.append("latitude,longitude,hour,pm25")
-    for lat, lon in points:
-        preds = infer_at_location(models, normalizer, dataset, context, lat, lon,
-                                  hours, batch_size=options["eval_batch"],
-                                  window=window)
-        for hour, value in zip(hours, preds):
+    preds = infer_at_location(models, normalizer, dataset, context,
+                              [lat for lat, _ in points], [lon for _, lon in points],
+                              hours, batch_size=options["eval_batch"], window=window)
+    for (lat, lon), column in zip(points, preds.T):
+        for hour, value in zip(hours, column):
             lead = (f"{hour},{format_timestamp(timestamps[hour])}" if point_mode
                     else f"{lat!r},{lon!r},{hour}")
             lines.append(f"{lead},{float(value)!r}")

@@ -474,14 +474,16 @@ def density_experiment(dataset: Dataset, context_ids, target_ids,
                        runners: Mapping[str, Runner],
                        fractions=DENSITY_FRACTIONS,
                        seeds=tuple(range(DENSITY_SEED_COUNT)),
-                       hours=None) -> DensityExperiment:
+                       hours=None, main: EvalRun | None = None) -> DensityExperiment:
     """Re-evaluate every model as context sensors are randomly removed.
 
     Each (fraction, seed) cell scores the unchanged target set with the
     surviving context only, through the same runners as the main run,
     so the fraction-0 rows equal the main-table MAE exactly. Identical
     surviving sets (fraction 0 in particular) are evaluated once and
-    shared.
+    shared. ``main``, an EvalRun of the same runners on the same targets
+    and hours, supplies the scores of cells whose surviving set is its
+    context, so those are not evaluated again.
     """
     context_ids = tuple(context_ids)
     fractions = tuple(float(f) for f in fractions)
@@ -490,6 +492,15 @@ def density_experiment(dataset: Dataset, context_ids, target_ids,
                 for name in runners}
     remaining_counts = []
     cache = {}
+    if main is not None:
+        if (main.target_ids != tuple(target_ids)
+                or not np.array_equal(main.hours, check_hours(hours, dataset.hours))
+                or set(main.predictions) != set(runners)):
+            raise ValidationError(
+                "the main run must score the same runners on the same targets and "
+                f"hours: it has runners {sorted(main.predictions)}, targets "
+                f"{list(main.target_ids)} and {len(main.hours)} hours")
+        cache[main.context_ids] = {name: main.mae(name) for name in runners}
     for fi, fraction in enumerate(fractions):
         for si, seed in enumerate(seeds):
             kept = density_removal(context_ids, fraction, seed)
@@ -508,27 +519,51 @@ def density_experiment(dataset: Dataset, context_ids, target_ids,
 
 # ---------------------------------------------------------------------------
 # Inference at arbitrary coordinates: a query is a virtual masked node,
-# predicted by training.predict_masked_node as a held-out sensor is.
+# predicted by training.predict_masked_node as a held-out sensor is. The
+# points of one call share their context, so they go through the
+# predictor in groups of at most _POINTS_PER_CALL, and every point of a
+# group shares the context's edge path and node inputs per hour chunk.
 # ---------------------------------------------------------------------------
 
+# Query points per predictor call. A call holds one (B, E, 3) wind-triple
+# array per point and hour chunk, so this bounds its memory: 32 points at
+# B = 64 on a 28-node graph hold 37 MB of them.
+_POINTS_PER_CALL = 32
+
+
 def infer_at_location(models, normalizer: Normalizer, dataset: Dataset,
-                      context_ids, latitude: float, longitude: float,
+                      context_ids, latitude, longitude,
                       hours=None, batch_size: int = 64,
                       window: int = 1) -> np.ndarray:
-    """Interpolate the field at an arbitrary coordinate, hour by hour.
+    """Interpolate the field at arbitrary coordinates, hour by hour.
 
-    A virtual node at (latitude, longitude) joins the context graph and
-    is predicted through the same masked-node path used for held-out
-    sensors. Context sensors must report every hour; ``hours`` defaults
-    to all of them.
+    A virtual node at each (latitude, longitude) joins the context graph
+    and is predicted through the same masked-node path used for held-out
+    sensors. With scalar coordinates, returns (hours,); with equal-length
+    sequences of P latitudes and longitudes, returns (hours, P), each
+    column bit for bit what a scalar call at that point returns. Context
+    sensors must report every hour; ``hours`` defaults to all of them.
     """
     ids = tuple(context_ids)
     if _QUERY_ID in ids:
         raise ValidationError(f"{_QUERY_ID} is reserved for the query node")
-    graph = build_graph(sensor_metas(dataset, ids)
-                        + (SensorMeta(_QUERY_ID, latitude, longitude),))
-    return predict_masked_node(models, normalizer, [graph], dataset, hours,
-                               batch_size=batch_size, window=window)[:, 0]
+    shape = np.shape(latitude)
+    if np.shape(longitude) != shape or len(shape) > 1 or shape == (0,):
+        raise ValidationError(
+            "latitude and longitude must be two scalars or two sequences of one "
+            f"nonzero length, got shapes {shape} and {np.shape(longitude)}")
+    scalar = shape == ()
+    points = [(latitude, longitude)] if scalar else list(zip(latitude, longitude))
+    hours = check_hours(hours, dataset.hours)
+    metas = sensor_metas(dataset, ids)
+    out = np.empty((len(hours), len(points)))
+    for lo in range(0, len(points), _POINTS_PER_CALL):
+        graphs = [build_graph(metas + (SensorMeta(_QUERY_ID, lat, lon),))
+                  for lat, lon in points[lo:lo + _POINTS_PER_CALL]]
+        out[:, lo:lo + len(graphs)] = predict_masked_node(
+            models, normalizer, graphs, dataset, hours,
+            batch_size=batch_size, window=window)
+    return out[:, 0] if scalar else out
 
 
 class GnnInterpolator(BaseEstimator):

@@ -9,7 +9,7 @@ the reports promise, not how good the numbers are:
 - every metric row has r2 <= 1 and MAE^2 <= MSE;
 - the fraction-0 row of the density sweep equals the main table's MAE
   bit for bit, for every runner;
-- every grid prediction is finite, and a grid cell equals the point
+- every grid prediction is finite, and every grid cell equals the point
   query at the same coordinates and hour bit for bit.
 """
 
@@ -89,9 +89,9 @@ def test_interpolate_grid_matches_point(trained):
     assert len(rows) == 9
     assert all(np.isfinite(float(row[3])) for row in rows)
 
-    lat, lon, hour, value = rows[4]
-    point = _run(["interpolate", "--dataset", str(data), "--models", str(models),
-                  f"--lat={lat}", f"--lon={lon}", "--hours", hour])
-    lines = point.strip().splitlines()
-    assert len(lines) == 2
-    assert float(lines[1].split(",")[2]) == float(value)
+    for lat, lon, hour, value in rows:
+        point = _run(["interpolate", "--dataset", str(data), "--models", str(models),
+                      f"--lat={lat}", f"--lon={lon}", "--hours", hour])
+        lines = point.strip().splitlines()
+        assert len(lines) == 2
+        assert float(lines[1].split(",")[2]) == float(value), (lat, lon)

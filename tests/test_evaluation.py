@@ -7,6 +7,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
+from physair import evaluation
 from physair.baselines import Idw, MeanFill
 from physair.data import Dataset
 from physair.errors import ValidationError
@@ -430,6 +431,54 @@ def test_density_fraction_zero_reproduces_the_main_run_exactly():
     assert result.remaining == (5, 3)
 
 
+def _counted(runners):
+    """Wrap each runner so calls[name] counts how often it runs."""
+    calls = {name: 0 for name in runners}
+
+    def wrap(name, runner):
+        def run(*args):
+            calls[name] += 1
+            return runner(*args)
+        return run
+
+    return {name: wrap(name, r) for name, r in runners.items()}, calls
+
+
+def test_density_takes_the_main_runs_scores_for_its_context():
+    ds = toy_dataset(hours=12, n=7)
+    context, targets = ("s0", "s1", "s2", "s3", "s4"), ("s5", "s6")
+    models, norm = tiny_models(ds)
+    runners = {"mean_fill": estimator_runner(MeanFill),
+               "idw": estimator_runner(Idw),
+               "gnn": gnn_runner(models, norm, batch_size=5)}
+    main = evaluate_models(ds, context, targets, runners)
+    kwargs = dict(fractions=(0.0, 0.4), seeds=(0, 1))
+    counted, calls = _counted(runners)
+    alone = density_experiment(ds, context, targets, counted, **kwargs)
+    alone_calls = dict(calls)
+    counted, calls = _counted(runners)
+    reused = density_experiment(ds, context, targets, counted, main=main, **kwargs)
+    for name in runners:
+        assert calls[name] == alone_calls[name] - 1, name
+        assert reused.per_seed_mae[name].tobytes() == alone.per_seed_mae[name].tobytes()
+    assert reused.remaining == alone.remaining
+
+
+def test_density_refuses_a_main_run_of_another_experiment():
+    ds = toy_dataset(hours=12, n=7)
+    context = ("s0", "s1", "s2", "s3", "s4")
+    runners = {"mean_fill": estimator_runner(MeanFill),
+               "idw": estimator_runner(Idw)}
+    other_targets = evaluate_models(ds, context, ("s5",), runners)
+    other_hours = evaluate_models(ds, context, ("s5", "s6"), runners, hours=np.arange(6))
+    other_runners = evaluate_models(ds, context, ("s5", "s6"),
+                                    {"mean_fill": runners["mean_fill"]})
+    for main in (other_targets, other_hours, other_runners):
+        with pytest.raises(ValidationError, match="same runners on the same targets"):
+            density_experiment(ds, context, ("s5", "s6"), runners,
+                               fractions=(0.0,), seeds=(0,), main=main)
+
+
 # ---------------------------------------------------------------------------
 # Arbitrary-location inference.
 # ---------------------------------------------------------------------------
@@ -456,6 +505,44 @@ def test_infer_at_location_rejects_bad_hours(hour):
     with pytest.raises(ValidationError, match="whole hour indices"):
         infer_at_location(models, norm, ds, ("s0", "s1", "s2"), 32.71, -117.11,
                           hours=[hour])
+
+
+@pytest.mark.parametrize("points_per_call", [2, evaluation._POINTS_PER_CALL])
+def test_multi_point_inference_equals_single_point_calls(monkeypatch, points_per_call):
+    ds = toy_dataset(hours=24, n=6)
+    models, norm = tiny_models(ds, n_models=2)
+    context = ("s0", "s1", "s2", "s3")
+    rng = np.random.default_rng(3)
+    lats = (32.70 + 0.02 * rng.uniform(size=5)).tolist()
+    lons = (-117.12 + 0.02 * rng.uniform(size=5)).tolist()
+    hours = np.arange(0, 20)
+    singles = [infer_at_location(models, norm, ds, context, lat, lon, hours, batch_size=7)
+               for lat, lon in zip(lats, lons)]
+    monkeypatch.setattr(evaluation, "_POINTS_PER_CALL", points_per_call)
+    predictor_calls = []
+    predict = evaluation.predict_masked_node
+
+    def counted(models, normalizer, graphs, *args, **kwargs):
+        predictor_calls.append(len(graphs))
+        return predict(models, normalizer, graphs, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "predict_masked_node", counted)
+    grid = infer_at_location(models, norm, ds, context, lats, lons, hours, batch_size=7)
+    assert grid.shape == (20, 5)
+    assert predictor_calls == ([2, 2, 1] if points_per_call == 2 else [5])
+    for p, single in enumerate(singles):
+        assert single.shape == (20,)
+        assert grid[:, p].tobytes() == single.tobytes()
+
+
+def test_infer_at_location_refuses_mismatched_coordinates():
+    ds = toy_dataset(hours=4, n=4)
+    models, norm = tiny_models(ds)
+    context = ("s0", "s1", "s2")
+    for lat, lon in [([32.70, 32.71], [-117.11]), (32.70, [-117.11]), ([], []),
+                     ([[32.70]], [[-117.11]])]:
+        with pytest.raises(ValidationError, match="two scalars or two sequences"):
+            infer_at_location(models, norm, ds, context, lat, lon)
 
 
 def test_infer_at_location_requires_complete_context():
