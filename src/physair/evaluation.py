@@ -571,8 +571,9 @@ class GnnInterpolator(BaseEstimator):
 
     fit() takes the context sensors' coordinates and readings for one
     hour; predict() interpolates at query coordinates, each a masked node
-    on the context graph, all of them in one pass over the context's
-    edges. It holds readings, not a dataset, so it runs
+    on the context graph, with one pass over the context's edges per
+    group of _POINTS_PER_CALL points; an empty query gives an empty
+    result. It holds readings, not a dataset, so it runs
     masked_batch_predictions, the predictor's unit. Only window-1 models
     qualify: a single-hour snapshot has no history to fill a longer
     input window with.
@@ -608,12 +609,15 @@ class GnnInterpolator(BaseEstimator):
                       for i, (lat, lon) in enumerate(self.coords_))
         values_norm = np.append(self.normalizer.normalize(self.values_), 0.0)
         x = build_node_inputs(values_norm[None], 0, n, 1)[None]
-        graphs = [build_graph(metas + (SensorMeta(_QUERY_ID, lat, lon),))
-                  for lat, lon in query]
-        convs = [convection_edge_features(graph, self.wind)[None] for graph in graphs]
-        return masked_batch_predictions(
-            self.models, [GraphWiring(graph) for graph in graphs], x, convs,
-            self.normalizer)[0]
+        out = np.empty(len(query))
+        for lo in range(0, len(query), _POINTS_PER_CALL):
+            graphs = [build_graph(metas + (SensorMeta(_QUERY_ID, lat, lon),))
+                      for lat, lon in query[lo:lo + _POINTS_PER_CALL]]
+            convs = [convection_edge_features(graph, self.wind)[None] for graph in graphs]
+            out[lo:lo + len(graphs)] = masked_batch_predictions(
+                self.models, [GraphWiring(graph) for graph in graphs], x, convs,
+                self.normalizer)[0]
+        return out
 
 
 # ---------------------------------------------------------------------------

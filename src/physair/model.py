@@ -35,6 +35,20 @@ that pre-activation buffer. Graphs that share a context share its rows;
 the multi-target predictor in ``training`` computes them once for all
 of its targets and hands them to ``forward`` as an ``EdgePath``, which
 is refused while autodiff records.
+
+Its targets share more than rows at layer 0. There every target sees
+the same node states: the inputs are the call's, and the query node's
+row is zero. So the three node_mlp outputs, the message halves, and the
+finished messages on the C(C-1) context edges are the same for every
+target, and ``PhysicsGnn.share_context`` computes them once per call
+(``SharedLayer0``). It keeps each context node's sum over its context
+messages, not the messages. A target then finishes its 2C query-edge
+messages and adds each context node's query message to that sum. This
+is exact, not just close: numpy sums the (N, N-1) edge axis one row at
+a time, and each context node's query edge is its last row, so the
+shared sum plus the query row is the full sum bit for bit
+(``tests/test_model.py`` pins that order). Layers 1..L-2 read node
+states that differ per target and run whole per target.
 """
 
 from __future__ import annotations
@@ -162,29 +176,57 @@ def split_edges(edge_rows: np.ndarray, n: int) -> tuple:
 
 
 @dataclass
-class EdgePath:
-    """The edge side of an inference forward whose masked node is the
-    last one, computed ahead of it by PhysicsGnn.edge_path.
+class SharedLayer0:
+    """The part of layer 0 that every target of a predictor call shares
+    (see the module docstring); built by GnnLayer.share.
 
-    context[k] and query[k], for each layer k < L-1, hold the message
-    pre-activations e_k @ (w_recv + w_send) on the context and the query
-    rows of split_edges; graphs that share a context share the first.
-    query_last holds the edge features that enter the last layer on the
-    query rows. forward assembles each layer's buffer only when that
-    layer runs, and reads every row as a constant.
+    h_d, h_c and h_l are the three modules' node_mlp outputs, hr and hs
+    the message halves h_c @ w_recv and h_c @ w_send, all (B, N, d).
+    partial (B, C, d) is each context node's sum over its C-1 context
+    messages, None when C = 1.
     """
 
+    h_d: Tensor
+    h_c: Tensor
+    h_l: Tensor
+    hr: np.ndarray
+    hs: np.ndarray
+    partial: np.ndarray | None
+
+
+@dataclass
+class EdgePath:
+    """The edge side of an inference forward whose masked node is the
+    last one, computed ahead of it: PhysicsGnn.share_context gives the
+    first two fields, PhysicsGnn.edge_path on the query rows the rest.
+
+    context[k-1] and query[k], for each layer k < L-1, hold the message
+    pre-activations e_k @ (w_recv + w_send) on the context (k >= 1) and
+    the query rows of split_edges. query_last holds the edge features
+    that enter the last layer on the query rows. Graphs that share a
+    context share layer0 and context.
+
+    layer0 is layer 0's shared part (None when L = 1, where layer 0 is
+    the readout). With it, layer 0 reads no context row and allocates no
+    edge-sized buffer per target: it finishes the 2C query messages of
+    query[0] and adds them to layer0's per-node context sums, which
+    equals the full layer bit for bit (see the module docstring). Each
+    later layer's buffer is assembled only when that layer runs. forward
+    reads every row and layer0 as constants.
+    """
+
+    layer0: SharedLayer0 | None
     context: list
     query: list
     query_last: Tensor
 
     def pre(self, k: int, bsz: int, n: int) -> Tensor:
-        """Layer k's pre-activations on every edge, (B, E, d), in a new buffer."""
+        """Layer k's pre-activations on every edge, (B, E, d), in a new buffer; k >= 1."""
         c = n - 1
         d = self.query[k].shape[1]
         query = self.query[k].data.reshape(bsz, 2 * c, d)
         buf = np.empty((bsz, n, c, d))
-        buf[:, :c, :c - 1] = self.context[k].data.reshape(bsz, c, c - 1, d)
+        buf[:, :c, :c - 1] = self.context[k - 1].data.reshape(bsz, c, c - 1, d)
         buf[:, :c, c - 1] = query[:, :c]
         buf[:, c] = query[:, c:]
         return Tensor(buf.reshape(bsz, n * c, d))
@@ -214,6 +256,70 @@ def _message_pre(e: Tensor, w: Tensor) -> Tensor:
     return make_op((e2 @ w_sum).reshape(e.shape), (e, w), vjp)
 
 
+def _message_halves(h: Tensor, w: Tensor) -> tuple:
+    """(h @ w_recv, h @ w_send), each (B, N, d): the node side of every
+    message, from the stacked message weight w = [w_recv; w_send]."""
+    bsz, n, dim = h.shape
+    h2 = h.data.reshape(-1, dim)
+    return (h2 @ w.data[:dim]).reshape(bsz, n, dim), (h2 @ w.data[dim:]).reshape(bsz, n, dim)
+
+
+def _act_messages(by_dst: np.ndarray, hr_dst: np.ndarray, by_src: np.ndarray,
+                  hs_src: np.ndarray, b: np.ndarray, activation: str) -> None:
+    """act(pre + hr[dst] + hs[src] + b), in place, in that float order.
+
+    by_dst and by_src are two views of one pre-activation buffer, each
+    covering all of it; hr_dst and hs_src broadcast against them to each
+    edge's receiver and sender rows. Every message, on whichever rows,
+    is finished here.
+    """
+    np.add(by_dst, hr_dst, out=by_dst)
+    np.add(by_src, hs_src, out=by_src)
+    np.add(by_dst, b, out=by_dst)
+    if activation == "relu":
+        np.maximum(by_dst, 0.0, out=by_dst)
+
+
+def _finish_graph(out: np.ndarray, hr: np.ndarray, hs: np.ndarray, b: np.ndarray,
+                  activation: str) -> None:
+    """_act_messages on every edge of an n-node graph, n >= 2: out is its
+    (B, n(n-1), d) destination-grouped pre buffer, hr and hs (B, n, d).
+
+    Node rows reach the edges through views of the edge axis, never
+    through an edge-sized gather. As (n, n-1), row i holds the n-1 edges
+    into node i. As (n-1, n), row r holds the edges from sources r+1,
+    ..., n-1, 0, ..., r: window r+1 of length n over [hs; hs].
+    """
+    bsz, n, dim = hr.shape
+    twice = np.concatenate([hs, hs], axis=1)
+    src_rows = np.lib.stride_tricks.sliding_window_view(twice[:, 1:-1], n, axis=1)
+    _act_messages(out.reshape(bsz, n, n - 1, dim), hr[:, :, None, :],
+                  out.reshape(bsz, n - 1, n, dim), src_rows.transpose(0, 1, 3, 2),
+                  b, activation)
+
+
+def _sum_incoming(partial: np.ndarray | None, query: np.ndarray) -> np.ndarray:
+    """Each node's summed incoming messages, (B, N, d), from a context's
+    per-node partial sums (B, C, d) and one target's finished query-edge
+    messages (B, 2C, d), ordered as in split_edges.
+
+    Equal bit for bit to summing the whole (B, N, N-1, d) message buffer
+    over its third axis: numpy adds those rows one at a time, and each
+    context node's query edge is its last. With C = 1 there is no
+    partial, and the one query row goes through the same one-row
+    reduction as in the full sum.
+    """
+    bsz, two_c, dim = query.shape
+    c = two_c // 2
+    m = np.empty((bsz, c + 1, dim))
+    if partial is None:
+        m[:, :c] = query[:, :c, None].sum(axis=2)
+    else:
+        np.add(partial, query[:, :c], out=m[:, :c])
+    m[:, c] = query[:, c:].sum(axis=1)
+    return m
+
+
 def _finish_messages(h: Tensor, pre: Tensor, w: Tensor, b: Tensor,
                      wiring: "GraphWiring", activation: str) -> Tensor:
     """act(pre + h[dst] @ w_recv + h[src] @ w_send + b) on every edge.
@@ -228,9 +334,7 @@ def _finish_messages(h: Tensor, pre: Tensor, w: Tensor, b: Tensor,
     edge-sized array per layer's messages, not two. pre must be a buffer
     no one reads afterwards: never one shared across targets.
 
-    Node rows reach the edges through views of the edge axis, never through
-    an edge-sized gather; both rest on the destination-grouped edge order.
-    As (N, N-1), row i holds the N-1 edges into node i. As (N-1, N), row r
+    The forward is _finish_graph. Seen as (N-1, N), the buffer's row r
     holds the edges from sources r+1, ..., N-1, 0, ..., r, so every row
     meets every source once and rows run in ascending edge order. The
     backward sums each source's cotangents row by row in that order.
@@ -246,20 +350,8 @@ def _finish_messages(h: Tensor, pre: Tensor, w: Tensor, b: Tensor,
     w_recv = w.data[:dim]
     w_send = w.data[dim:]
     h2 = h.data.reshape(-1, dim)
-    hr = (h2 @ w_recv).reshape(bsz, n, dim)
-    hs = (h2 @ w_send).reshape(bsz, n, dim)
     out = pre.data
-    by_dst = out.reshape(bsz, n, n - 1, dim)
-    np.add(by_dst, hr[:, :, None, :], out=by_dst)
-    # row r of the (N-1, N) view reads sources r+1, r+2, ... of the node
-    # axis laid out twice, i.e. window r+1 of length N over [hs; hs]
-    twice = np.concatenate([hs, hs], axis=1)
-    by_row = out.reshape(bsz, n - 1, n, dim)
-    src_rows = np.lib.stride_tricks.sliding_window_view(twice[:, 1:-1], n, axis=1)
-    np.add(by_row, src_rows.transpose(0, 1, 3, 2), out=by_row)
-    np.add(out, b.data, out=out)
-    if activation == "relu":
-        np.maximum(out, 0.0, out=out)
+    _finish_graph(out, *_message_halves(h, w), b.data, activation)
 
     def vjp(g):
         g_pre = g * (out > 0) if activation == "relu" else g
@@ -320,7 +412,11 @@ class DiffusionModule:
         self.scale = Param(np.ones(dim), name=f"{name}.scale")
 
     def __call__(self, x: Tensor, wiring: GraphWiring) -> Tensor:
-        h = matmul(wiring.lap_scaled, self.node_mlp(x))
+        return self.propagate(self.node_mlp(x), wiring)
+
+    def propagate(self, h: Tensor, wiring: GraphWiring) -> Tensor:
+        """x_D from node_mlp's output h."""
+        h = matmul(wiring.lap_scaled, h)
         h = matmul(h, self.gcn_weight)
         if self.activation == "relu":
             h = relu(h)
@@ -373,6 +469,46 @@ class ConvectionModule:
             src = wiring.src[_incoming(rows, n)]
             m = tsum(_readout_messages(h, pre, w, b, rows, src, act), axis=1, keepdims=True)
             h = take(h, rows)
+        return self.update(h, m, n)
+
+    def share(self, h: Tensor, context: Tensor) -> tuple:
+        """(hr, hs, partial) of SharedLayer0 from node_mlp's output h,
+        (B, N, d), and the message pre-activations on the C(C-1) context
+        rows of split_edges, (B * C(C-1), d).
+
+        hr and hs are computed on all N rows and then sliced, since a GEMM
+        over the first C rows need not equal those rows of the N-row one.
+        The context messages are finished in context's own buffer, which
+        no one may read afterwards, and only their per-node sums are kept.
+        """
+        w, b, act = self.message_mlp.layers[0]
+        hr, hs = _message_halves(h, w)
+        bsz, n, dim = h.shape
+        c = n - 1
+        if c < 2:
+            return hr, hs, None
+        out = context.data.reshape(bsz, c * (c - 1), dim)
+        _finish_graph(out, hr[:, :c], hs[:, :c], b.data, act)
+        return hr, hs, out.reshape(bsz, c, c - 1, dim).sum(axis=2)
+
+    def finish(self, shared: SharedLayer0, query: Tensor) -> Tensor:
+        """x_C on every node from layer 0's shared part and one target's
+        message pre-activations on its 2C query rows, (B * 2C, d)."""
+        h, hr, hs = shared.h_c, shared.hr, shared.hs
+        bsz, n, dim = h.shape
+        c = n - 1
+        w, b, act = self.message_mlp.layers[0]
+        msgs = query.data.reshape(bsz, 2 * c, dim).copy()
+        # first the edges from the query node into each context node, then
+        # the edges from each context node into the query node
+        into_ctx, into_query = msgs[:, :c], msgs[:, c:]
+        _act_messages(into_ctx, hr[:, :c], into_ctx, hs[:, c:], b.data, act)
+        _act_messages(into_query, hr[:, c:], into_query, hs[:, :c], b.data, act)
+        return self.update(h, Tensor(_sum_incoming(shared.partial, msgs)), n)
+
+    def update(self, h: Tensor, m: Tensor, n: int) -> Tensor:
+        """x_C from node_mlp's output h and the summed messages m into the
+        same nodes of an n-node graph."""
         if self.aggregation == "mean":
             m = mul(m, Tensor(1.0 / (n - 1)))
         uw, ub, uact = self.update_mlp.layers[0]
@@ -402,7 +538,11 @@ class LocalModule:
         self.conv_weight = Param(rng.uniform(-bound, bound, size=(dim, dim)), name=f"{name}.conv_weight")
 
     def __call__(self, x: Tensor, wiring: GraphWiring) -> Tensor:
-        f = matmul(matmul(wiring.loop_adj, self.node_mlp(x)), self.conv_weight)
+        return self.propagate(self.node_mlp(x), wiring)
+
+    def propagate(self, h: Tensor, wiring: GraphWiring) -> Tensor:
+        """x_L from node_mlp's output h."""
+        f = matmul(matmul(wiring.loop_adj, h), self.conv_weight)
         if self.activation == "relu":
             f = relu(f)
         norm = wiring.norm_inverse if self.local_norm == "inverse" else wiring.norm_direct
@@ -454,6 +594,22 @@ class GnnLayer:
             x_d, x_l = take(x_d, rows), take(x_l, rows)
         return self.fusion(x_d, x_c, x_l)
 
+    def share(self, h: Tensor, context: Tensor) -> SharedLayer0:
+        """This layer's part that every target of a predictor call shares,
+        as layer 0, from the embedded inputs h and the message
+        pre-activations on the context rows (see ConvectionModule.share)."""
+        h_c = self.convection.node_mlp(h)
+        return SharedLayer0(self.diffusion.node_mlp(h), h_c, self.local.node_mlp(h),
+                            *self.convection.share(h_c, context))
+
+    def finish(self, shared: SharedLayer0, query: Tensor, wiring: GraphWiring) -> tuple:
+        """(blended, fusion weights) on every node of one target's graph,
+        from the shared part and the target's query-row pre-activations."""
+        x_d = self.diffusion.propagate(shared.h_d, wiring)
+        x_c = self.convection.finish(shared, query)
+        x_l = self.local.propagate(shared.h_l, wiring)
+        return self.fusion(x_d, x_c, x_l)
+
     def params(self):
         return (self.diffusion.params() + self.convection.params()
                 + self.local.params() + self.fusion.params())
@@ -495,6 +651,21 @@ class PhysicsGnn:
             pre.append(layer.convection.message_pre(e))
         return pre, e
 
+    def share_context(self, x, context_feats) -> tuple:
+        """(layer0, context) of an EdgePath, shared by every target of a
+        predictor call: x its (B, N, window+1) node inputs, context_feats
+        the flat (R, 3) context rows of split_edges.
+
+        context holds layers 1..L-2's message pre-activations on those
+        rows; layer 0's are finished, summed and dropped by GnnLayer.share.
+        layer0 is None when L = 1.
+        """
+        x = x if isinstance(x, Tensor) else Tensor(x)
+        pre = self.edge_path(context_feats)[0]
+        if not pre:
+            return None, pre
+        return self.layers[0].share(self.input_embed(x), pre.pop(0)), pre
+
     def forward(self, x, wiring: GraphWiring, conv_feats, masked_pos=None,
                 edges: EdgePath | None = None) -> Tensor:
         """Predict one scalar per node, or only at each sample's masked node.
@@ -513,7 +684,8 @@ class PhysicsGnn:
         each layer's messages in its pre-activation buffer, in training
         and inference alike. edges replaces conv_feats (pass None) with
         the edge side computed ahead; it needs masked_pos = N-1 and
-        no_record(), since its rows are constants.
+        no_record(), since its rows are constants. Its layer0 must come
+        from the same x: layer 0 then finishes only the query rows.
         """
         x = x if isinstance(x, Tensor) else Tensor(x)
         if x.ndim != 3 or x.shape[1] != wiring.n_nodes:
@@ -527,8 +699,9 @@ class PhysicsGnn:
         elif conv_feats is not None or np.any(np.asarray(masked_pos) != wiring.n_nodes - 1):
             raise ValidationError("a precomputed edge path replaces conv_feats and needs "
                                   f"masked_pos = {wiring.n_nodes - 1}, the last node")
-        elif len(edges.context) != len(self.layers) - 1:
-            raise ShapeError(f"edge path has {len(edges.context)} layers, "
+        elif (len(edges.query) != len(self.layers) - 1
+              or (edges.layer0 is None) != (len(self.layers) == 1)):
+            raise ShapeError(f"edge path has {len(edges.query)} layers, "
                              f"expected {len(self.layers) - 1}")
         elif is_recording():
             raise ValidationError("a precomputed edge path is inference-only: the edge MLPs "
@@ -548,12 +721,18 @@ class PhysicsGnn:
             pre, last = self.edge_path(edge_feats)
             if rows is not None:
                 last = take(last, _incoming(rows, n))
+            h = self.input_embed(x)
+            # each layer's buffer is dropped with its layer when nothing records
+            for layer in self.layers[:-1]:
+                h, _ = layer(h, pre.pop(0), wiring)
         else:
             last = edges.readout(bsz, n)
-        h = self.input_embed(x)
-        # each layer's buffer is dropped with its layer when nothing records
-        for k, layer in enumerate(self.layers[:-1]):
-            h, _ = layer(h, pre.pop(0) if edges is None else edges.pre(k, bsz, n), wiring)
+            if edges.layer0 is None:
+                h = self.input_embed(x)
+            else:
+                h, _ = self.layers[0].finish(edges.layer0, edges.query[0], wiring)
+            for k in range(1, len(self.layers) - 1):
+                h, _ = self.layers[k](h, edges.pre(k, bsz, n), wiring)
         conv = self.layers[-1].convection
         h, _ = self.layers[-1](h, conv.message_pre(conv.edge_mlp(last)), wiring, rows)
         out = self.output_head(h)

@@ -13,8 +13,9 @@ One path per half of the protocol: ``train_model`` batches the
 prediction at a masked node, a held-out sensor or an arbitrary
 coordinate, goes through ``predict_masked_node``. It predicts G targets
 that share one context at once: per hour chunk and member, the
-context's edge path runs once for all of them, and every forward runs
-inside ``autodiff.no_record()``, so inference keeps no tape.
+context's edge path and its first-layer messages run once for all of
+them, and every forward runs inside ``autodiff.no_record()``, so
+inference keeps no tape.
 
 Inputs are standardized by the train-set mean/std. The flag channel is
 left raw, and predictions are mapped back to concentration units before
@@ -337,12 +338,10 @@ def _shared_context(graphs) -> tuple:
 def _member_predictions(model, wirings, x: np.ndarray, convs) -> np.ndarray:
     """One member's normalized predictions at each graph's last node, (B, G)."""
     n = x.shape[1]
-    context, _ = split_edges(convs[0], n)
-    ctx_pre, _ = model.edge_path(context)
+    shared = model.share_context(x, split_edges(convs[0], n)[0])
     out = np.empty((x.shape[0], len(wirings)))
     for g, (wiring, conv) in enumerate(zip(wirings, convs)):
-        _, query = split_edges(conv, n)
-        edges = EdgePath(ctx_pre, *model.edge_path(query))
+        edges = EdgePath(*shared, *model.edge_path(split_edges(conv, n)[1]))
         out[:, g] = model.forward(x, wiring, None, n - 1, edges=edges).data
     return out
 
@@ -356,7 +355,10 @@ def masked_batch_predictions(models, wirings, x: np.ndarray, convs,
     node inputs; convs: one (B, E, 3) wind-triple array per graph. The
     C(C-1) context edges carry the same triples in every graph, so each
     member runs the edge path over them once and keeps only those rows
-    across targets; each target adds its 2C query edges. Every forward
+    across targets; each target adds its 2C query edges. Layer 0's node
+    states are the same for every target too, so each member finishes
+    and sums its context messages once (PhysicsGnn.share_context), and
+    each target's layer 0 finishes only its query edges. Every forward
     runs without a tape.
     """
     _shared_context(w.graph for w in wirings)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from physair import evaluation
-from physair.baselines import Idw, MeanFill
+from physair.baselines import GaussianProcess, Idw, MeanFill, OrdinaryKriging
 from physair.data import Dataset
 from physair.errors import ValidationError
 from physair.evaluation import (
@@ -566,6 +566,41 @@ def test_interpolator_estimator_matches_the_masked_protocol():
     pred = est.fit(coords, values).predict([[target.latitude, target.longitude]])
     direct, _ = evaluate_target_sensor(models, norm, ds, context, "s5", [hour])
     assert pred[0] == direct[0]
+
+
+def test_every_estimator_predicts_an_empty_query_as_empty():
+    ds = toy_dataset(hours=4, n=5)
+    models, norm = tiny_models(ds)
+    coords = np.array([[s.latitude, s.longitude] for s in ds.sensors])
+    for est in (MeanFill(), Idw(), OrdinaryKriging(), GaussianProcess(),
+                GnnInterpolator(models=models, normalizer=norm,
+                                wind=WindRecord("", *ds.wind[1]))):
+        assert est.fit(coords, ds.pm25[1]).predict(np.empty((0, 2))).shape == (0,)
+
+
+def test_interpolator_predicts_in_groups_of_points(monkeypatch):
+    ds = toy_dataset(hours=4, n=6)
+    models = [PhysicsGnn(ModelConfig(preset=None, n_layers=2, hidden_dim=8), seed=s)
+              for s in (0, 1)]
+    norm = Normalizer.from_values(ds.pm25)
+    est = GnnInterpolator(models=models, normalizer=norm, wind=WindRecord("", *ds.wind[2]))
+    est.fit([[s.latitude, s.longitude] for s in ds.sensors[:4]], ds.pm25[2, :4])
+    rng = np.random.default_rng(5)
+    query = np.column_stack([32.70 + 0.02 * rng.uniform(size=5),
+                             -117.12 + 0.02 * rng.uniform(size=5)])
+    singles = [est.predict(query[p:p + 1]) for p in range(5)]
+    monkeypatch.setattr(evaluation, "_POINTS_PER_CALL", 2)
+    calls = []
+    predict = evaluation.masked_batch_predictions
+
+    def counted(models, wirings, *args):
+        calls.append(len(wirings))
+        return predict(models, wirings, *args)
+
+    monkeypatch.setattr(evaluation, "masked_batch_predictions", counted)
+    grouped = est.predict(query)
+    assert calls == [2, 2, 1]
+    assert grouped.tobytes() == np.concatenate(singles).tobytes()
 
 
 def test_interpolator_validates_its_ingredients():

@@ -21,6 +21,7 @@ from physair.model import (
     LocalModule,
     ModelConfig,
     PhysicsGnn,
+    _sum_incoming,
     split_edges,
 )
 
@@ -687,11 +688,12 @@ def test_no_record_forward_leaves_no_tape():
     assert len(tape_nodes(recorded)) > 1
 
 
-def edge_path_for(model, w, feats):
+def edge_path_for(model, w, x, feats):
     """The EdgePath of a whole-graph edge table, split as the predictor splits it."""
     context, query = split_edges(feats, w.n_nodes)
-    ctx_pre, _ = model.edge_path(context)
-    return EdgePath(ctx_pre, *model.edge_path(query))
+    with no_record():
+        shared = model.share_context(x, context)
+    return EdgePath(*shared, *model.edge_path(query))
 
 
 @pytest.mark.parametrize("n_layers", [1, 2, 3])
@@ -702,7 +704,7 @@ def test_precomputed_edge_path_matches_the_forward(n_layers):
     x, feats = batch_for(w, 3, cfg, seed=101)
     want = model.forward(x, w, feats, 5).data
     with no_record():
-        got = model.forward(x, w, None, 5, edges=edge_path_for(model, w, feats)).data
+        got = model.forward(x, w, None, 5, edges=edge_path_for(model, w, x, feats)).data
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -712,8 +714,27 @@ def test_precomputed_pre_activations_refused_while_recording():
     w = wiring_for(5, seed=110)
     x, feats = batch_for(w, 2, cfg, seed=111)
     with pytest.raises(ValidationError, match="no_record"):
-        model.forward(x, w, None, 4, edges=edge_path_for(model, w, feats))
+        model.forward(x, w, None, 4, edges=edge_path_for(model, w, x, feats))
     with no_record():
         for masked_pos in (None, 0):
             with pytest.raises(ValidationError, match="masked_pos"):
-                model.forward(x, w, None, masked_pos, edges=edge_path_for(model, w, feats))
+                model.forward(x, w, None, masked_pos, edges=edge_path_for(model, w, x, feats))
+
+
+@pytest.mark.parametrize("bsz,n,dim", [(64, 28, 128), (4, 28, 128), (1, 8, 128), (64, 10, 8), (3, 2, 8)])
+def test_shared_partial_sums_keep_the_full_reduction_order(bsz, n, dim):
+    # the predictor sums each context node's C-1 context messages once per
+    # call and adds its query message per target; that equals the full
+    # per-destination sum bit for bit only while numpy reduces that axis
+    # one row at a time (numpy only: no BLAS call here)
+    rng = np.random.default_rng([bsz, n, dim])
+    msgs = rng.standard_normal((bsz, n * (n - 1), dim)) * 10.0 ** rng.integers(-12, 13, (bsz, n * (n - 1), dim))
+    msgs[rng.random(msgs.shape) < 0.1] = -0.0
+    msgs[..., 0] = -0.0
+    full = msgs.reshape(bsz, n, n - 1, dim).sum(axis=2)
+    c = n - 1
+    context, query = split_edges(msgs, n)
+    partial = context.reshape(bsz, c, c - 1, dim).sum(axis=2) if c > 1 else None
+    got = _sum_incoming(partial, query.reshape(bsz, 2 * c, dim))
+    assert got[:, :c].tobytes() == np.ascontiguousarray(full[:, :c]).tobytes()
+    assert got[:, c].tobytes() == np.ascontiguousarray(full[:, c]).tobytes()

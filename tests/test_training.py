@@ -387,15 +387,10 @@ def shared_context_graphs(n, g, seed):
     return [build_graph(metas[:n - 1] + [metas[n - 1 + k]]) for k in range(g)]
 
 
-@pytest.mark.parametrize("n", [2, 3, 7, 28])
-@pytest.mark.parametrize("n_layers", [1, 2, 3])
-@pytest.mark.parametrize("bsz", [1, 4])
-@pytest.mark.parametrize("g", [1, 2, 9])
-def test_multi_target_predictor_matches_per_target_forward(n, n_layers, bsz, g):
-    config = ModelConfig(preset=None, n_layers=n_layers, hidden_dim=8)
+def assert_predictor_matches_per_target_forward(config, n, bsz, g):
     models = [PhysicsGnn(config, seed=s) for s in (n, n + 1)]
     graphs = shared_context_graphs(n, g, seed=n * 10 + g)
-    rng = np.random.default_rng(n_layers * 100 + bsz)
+    rng = np.random.default_rng(config.n_layers * 100 + bsz)
     x = rng.normal(size=(bsz, n, config.input_dim))
     x[:, -1] = 0.0
     winds = [WindRecord("t", rng.uniform(0, 15), rng.uniform(0, 360)) for _ in range(bsz)]
@@ -406,6 +401,47 @@ def test_multi_target_predictor_matches_per_target_forward(n, n_layers, bsz, g):
     for col, (wiring, conv) in enumerate(zip(wirings, convs)):
         want = sum(m.forward(x, wiring, conv, n - 1).data for m in models) / len(models)
         assert np.max(np.abs(got[:, col] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 28])
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+@pytest.mark.parametrize("bsz", [1, 4])
+@pytest.mark.parametrize("g", [1, 2, 9])
+def test_multi_target_predictor_matches_per_target_forward(n, n_layers, bsz, g):
+    config = ModelConfig(preset=None, n_layers=n_layers, hidden_dim=8)
+    assert_predictor_matches_per_target_forward(config, n, bsz, g)
+
+
+@pytest.mark.parametrize("aggregation", ["sum", "mean"])
+@pytest.mark.parametrize("activation", ["relu", "identity"])
+@pytest.mark.parametrize("n", [2, 3, 7, 28])
+@pytest.mark.parametrize("n_layers", [2, 3])
+@pytest.mark.parametrize("bsz", [1, 4])
+def test_shared_layer0_predictor_matches_per_target_forward(aggregation, activation, n,
+                                                            n_layers, bsz):
+    config = ModelConfig(preset=None, n_layers=n_layers, hidden_dim=8,
+                         aggregation=aggregation, activation=activation)
+    assert_predictor_matches_per_target_forward(config, n, bsz, 9)
+
+
+def test_shared_context_pass_runs_once_per_member_and_chunk(monkeypatch):
+    ds = toy_dataset(hours=6)
+    models = [PhysicsGnn(ModelConfig(preset=None, n_layers=2, hidden_dim=8), seed=s)
+              for s in (0, 1)]
+    calls = {id(m): [] for m in models}
+    for model in models:
+        share = model.share_context
+
+        def spy(x, feats, share=share, seen=calls[id(model)]):
+            seen.append(x.shape[0])
+            return share(x, feats)
+
+        monkeypatch.setattr(model, "share_context", spy)
+    preds, _ = evaluate_target_sensor(models, Normalizer(10.0, 2.0), ds,
+                                      ("s0", "s1", "s2"), ("s3", "s4", "s5"), None,
+                                      batch_size=4)
+    assert preds.shape == (6, 3)
+    assert all(seen == [4, 2] for seen in calls.values())
 
 
 def test_predictor_records_no_tape(monkeypatch):
