@@ -11,6 +11,12 @@ Inside ``no_record()`` no op records its parents or its VJP, so an
 inference forward keeps no tape: every intermediate array is freed as
 soon as the next op has read it.
 
+``backward(consume=True)``, which training uses, frees the tape as the
+walk runs, and a consumed tape refuses a second backward. The default
+walk keeps the tape, so a second backward adds the same gradient again.
+Both walks add a node's second cotangent in place into one the walk owns
+(see Tensor.backward), with the bits of an out-of-place sum.
+
 Deliberate non-features: no views into shared storage, no in-place ops on
 tensors, no higher-order derivatives, no dtypes other than float64.
 """
@@ -54,7 +60,7 @@ class Tensor:
     reach a trainable leaf are not recorded at all.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "__weakref__")
 
     def __init__(self, values, requires_grad: bool = False):
         self.data = _as_array(values)
@@ -78,13 +84,28 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def backward(self) -> None:
+    def backward(self, consume: bool = False) -> None:
         """Accumulate d(self)/d(leaf) into .grad of every reachable leaf.
 
         self must be a scalar. Intermediate cotangents are kept in a local
         table and discarded, so calling backward twice on the same graph
         adds the same gradient twice (leaves accumulate; they are only
         cleared by zero_grad or by hand).
+
+        With consume=True the walk frees the tape as it goes: it pops
+        each node off its order list, and once the node's VJP has run the
+        node drops its parents and its VJP. So an intermediate node, its
+        forward buffer and the arrays its VJP captured are freed as soon
+        as the walk has passed it and all its consumers, unless the
+        caller holds the node. Nodes the caller holds keep their data,
+        but a later backward through any of them raises ValidationError.
+
+        A second cotangent for the same node is added in place into the
+        first when the walk owns one of them: an array a VJP returned that
+        shares no memory with the g it was given or with another of its
+        outputs. A view of g, or g itself as add hands it to both parents,
+        is never added into. Addition is commutative, so the bits are
+        those of a fresh prev + pg.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {self.data.shape}")
@@ -105,30 +126,67 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._vjp is _consumed:
+                _consumed()
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
                 if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
 
-        cotan = {id(self): np.ones_like(self.data)}
-        for node in reversed(order):
-            g = cotan.pop(id(node), None)
-            if g is None:
-                continue
+        # id -> (cotangent, whether the walk owns it and may add into it)
+        cotan = {id(self): (np.ones_like(self.data), True)}
+        while order:
+            node = order.pop()
+            g, _ = cotan.pop(id(node), (None, False))
             if node._vjp is None:
                 # leaf: accumulate persistently
+                if g is None:
+                    continue
                 if node.grad is None:
                     node.grad = g.copy()
                 else:
                     node.grad = node.grad + g
                 continue
-            for parent, pg in zip(node._parents, node._vjp(g)):
+            parents = node._parents
+            grads = () if g is None else node._vjp(g)
+            if consume:
+                node._parents, node._vjp = (), _consumed
+            for parent, pg, owned in zip(parents, grads, _owned(g, grads)):
                 if pg is None or not parent.requires_grad:
                     continue
                 key = id(parent)
-                prev = cotan.get(key)
-                cotan[key] = pg if prev is None else prev + pg
+                if key not in cotan:
+                    cotan[key] = (pg, owned)
+                    continue
+                prev, prev_owned = cotan[key]
+                if prev_owned:
+                    np.add(prev, pg, out=prev)
+                elif owned:
+                    cotan[key] = (np.add(prev, pg, out=pg), True)
+                else:
+                    total = prev + pg
+                    cotan[key] = (total, _writeable(total))
+
+
+def _consumed(g=None):
+    """The VJP of a node whose tape backward(consume=True) has freed. The
+    walk calls it before it computes any gradient, so none is half added."""
+    raise ValidationError("backward through a tape that an earlier backward(consume=True) consumed")
+
+
+def _writeable(a) -> bool:
+    return isinstance(a, np.ndarray) and a.flags.writeable
+
+
+def _owned(g, grads) -> list:
+    """Per VJP output: may the walk add into it? Only if it is a writeable
+    array sharing no memory with g or with another output of the VJP."""
+    return [_writeable(pg)
+            and not np.may_share_memory(pg, g)
+            and not any(other is not None and j != i and np.may_share_memory(pg, other)
+                        for j, other in enumerate(grads))
+            for i, pg in enumerate(grads)]
 
 
 class Param(Tensor):
@@ -189,6 +247,9 @@ def make_op(data: np.ndarray, parents: tuple, vjp) -> Tensor:
 
     vjp receives the cotangent of the output and must return one gradient
     array (or None) per parent, already reduced to that parent's shape.
+    It may return g or views of g; any other array it returns it must not
+    keep, because backward may add into an array that shares no memory
+    with g or with the VJP's other outputs.
     Anything built this way should be checked against finite_diff_grad.
     data may be a parent's own buffer, finished in place, only if nothing
     reads that parent's data again: not its VJP, and not its caller.

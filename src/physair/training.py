@@ -600,7 +600,7 @@ def train_model(dataset: Dataset, split: SensorSplit,
                     f"leading param max-abs {norms}")
             for p in params:
                 p.zero_grad()
-            loss.backward()
+            loss.backward(consume=True)
             opt.step()
             epoch_sq_err += float(loss.data) * len(batch)
 

@@ -22,6 +22,7 @@ from physair.autodiff import (
     linear_pair,
     load_arrays,
     load_params,
+    make_op,
     matmul,
     mse,
     mul,
@@ -445,6 +446,90 @@ def test_shared_intermediate_three_consumers_matches_finite_diff():
     fd = finite_diff_grad(loss_fn, w)
     denom = max(1.0, np.abs(w.grad).max())
     assert np.abs(w.grad - fd.data).max() / denom < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# The consuming walk, and cotangents added in place.
+# ---------------------------------------------------------------------------
+
+def test_consumed_tape_refuses_a_second_backward():
+    rng = np.random.default_rng(17)
+    p = Param(rng.normal(size=(4, 3)), name="p")
+    x = Tensor(rng.normal(size=(2, 4)))
+    pred = matmul(x, p)
+    loss = mse(pred, Tensor(np.zeros((2, 3))))
+    loss.backward(consume=True)
+    once = p.grad.copy()
+    for again in (loss, tsum(pred)):
+        with pytest.raises(ValidationError, match="consumed"):
+            again.backward()
+    # the refused walks added nothing
+    assert np.array_equal(p.grad, once)
+    assert loss._parents == () and pred._parents == ()
+
+
+def _aliasing_graphs():
+    """name -> (f, x0): graphs in which a VJP hands its g, or views of it,
+    to parents that receive a second cotangent."""
+    rng = np.random.default_rng(18)
+    c1, c2, c3, c4 = (Tensor(rng.normal(size=(3, 4))) for _ in range(4))
+    wide = Tensor(rng.normal(size=(3, 8)))
+    rows = Tensor(rng.normal(size=(2, 5, 3)))
+    index = np.array([[1, 3, 1, 1, 0], [2, 2, 4, 1, 2]])
+
+    def add_shared_operands(t):
+        # add hands one g to a and b; each has a second consumer
+        a, b = mul(t, c1), mul(mul(t, t), c2)
+        s = add(a, b)
+        return add(tsum(mul(s, s)), add(tsum(mul(a, c3)), tsum(mul(b, c4))))
+
+    def add_self(t):
+        h = mul(t, c1)
+        twice = add(h, h)
+        return add(tsum(mul(twice, twice)), tsum(mul(h, c2)))
+
+    def reshape_and_concat_views(t):
+        # both views are of one g that add also hands to a sibling
+        h, k = mul(t, c1), mul(t, t)
+        r = reshape(h, (4, 3))
+        joined = concat([h, k], axis=-1)
+        s = add(joined, mul(joined, wide))
+        flat = add(reshape(r, (3, 4)), k)
+        return add(add(tsum(mul(s, s)), tsum(mul(flat, flat))),
+                   add(tsum(mul(r, r)), tsum(mul(joined, wide))))
+
+    def take_repeated_rows(t):
+        e = mul(t, t)
+        picked = take(e, index)
+        return add(tsum(mul(picked, picked)), tsum(mul(e, rows)))
+
+    def one_fresh_array_for_both_parents(t):
+        # an add whose VJP copies g once and hands the copy to both operands
+        a, b = mul(t, c1), mul(t, t)
+        s = make_op(a.data + b.data, (a, b), lambda g: (g.copy(),) * 2)
+        return add(tsum(mul(s, s)), add(tsum(mul(a, c3)), tsum(mul(b, c4))))
+
+    return {
+        "add_shared_operands": (add_shared_operands, rng.normal(size=(3, 4))),
+        "add_self": (add_self, rng.normal(size=(3, 4))),
+        "reshape_and_concat_views": (reshape_and_concat_views, rng.normal(size=(3, 4))),
+        "take_repeated_rows": (take_repeated_rows, rng.normal(size=(2, 5, 3))),
+        "one_fresh_array_for_both_parents": (one_fresh_array_for_both_parents,
+                                             rng.normal(size=(3, 4))),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_aliasing_graphs()))
+def test_in_place_accumulation_never_adds_into_an_alias(name):
+    f, x0 = _aliasing_graphs()[name]
+    grads = []
+    for consume in (False, True):
+        x = Tensor(x0, requires_grad=True)
+        f(x).backward(consume=consume)
+        grads.append(x.grad)
+    assert grads[0].tobytes() == grads[1].tobytes()
+    fd = finite_diff_grad(f, Tensor(x0)).data
+    assert max_rel_err(grads[1], fd) < 1e-6, name
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@ re-implementation; diffusion and local against their closed formulas;
 gradients against the finite-difference oracle.
 """
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -626,6 +629,52 @@ def test_readout_gradients_match_finite_differences():
         fd = finite_diff_grad(f, Tensor(p.data)).data
         err = max_rel_err(p.grad, fd)
         assert err < 1e-4, f"{p.name}: rel err {err:.3e}"
+
+
+def train_step_loss(model, n=6, bsz=3, seed=80):
+    """A training step's loss as train_model builds it: the readout at a
+    masked node per sample, against a target."""
+    w = wiring_for(n, seed=seed)
+    x, feats = batch_for(w, bsz, model.config, seed=seed + 1)
+    masked = np.arange(bsz) % n
+    target = np.random.default_rng(seed + 2).normal(size=bsz)
+    return mse(model.forward(x, w, feats, masked), Tensor(target)), w
+
+
+@pytest.mark.parametrize("activation", ["relu", "identity"])
+def test_consumed_backward_equals_the_retained_one_and_frees_the_tape(activation):
+    grads = {}
+    for consume in (False, True):
+        model = PhysicsGnn(tiny_config(n_layers=3, activation=activation), seed=8)
+        loss, w = train_step_loss(model)
+        edge = next(t for t in tape_nodes(loss)
+                    if t._parents and t.ndim == 3 and t.shape[1] == w.n_edges)
+        ref = weakref.ref(edge)
+        del edge
+        loss.backward(consume=consume)
+        grads[consume] = [p.grad.tobytes() for p in model.params()]
+        assert (ref() is None) == consume
+    assert grads[True] == grads[False]
+    # the consumed loss keeps its value and nothing else
+    assert np.isfinite(loss.data) and tape_nodes(loss) == [loss]
+
+
+def test_consumed_backward_peaks_lower_by_at_least_an_edge_array():
+    cfg = tiny_config(n_layers=3, hidden_dim=16)
+    peaks = {}
+    for consume in (False, True):
+        model = PhysicsGnn(cfg, seed=9)
+        tracemalloc.start()
+        try:
+            loss, w = train_step_loss(model, n=8, bsz=4)
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loss.backward(consume=consume)
+            peaks[consume] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    edge_bytes = 4 * w.n_edges * cfg.hidden_dim * 8
+    assert peaks[True] + edge_bytes <= peaks[False], peaks
 
 
 @pytest.mark.parametrize("activation", ["relu", "identity"])
