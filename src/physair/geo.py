@@ -159,10 +159,9 @@ def build_graph(sensors, eps_dist: float = EPS_DIST_KM) -> Graph:
     dist = pairwise_distances_km(lats, lons)
     off = ~np.eye(n, dtype=bool)
     dist[off] = np.maximum(dist[off], eps_dist)
-
-    idx = np.arange(n)
-    dst = np.repeat(idx, n - 1)
-    src = np.concatenate([np.delete(idx, i) for i in range(n)])
+    # the off-diagonal (dst, src) pairs in row-major order: grouped by
+    # destination, sources ascending
+    dst, src = np.divmod(np.flatnonzero(off), n)
 
     # Unit edge vectors in a local equirectangular frame anchored at the
     # midpoint latitude of each pair. Built from coordinate differences, so

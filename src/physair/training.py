@@ -655,12 +655,12 @@ def load_trained(checkpoint_path):
     (backward allocates one on first use), so it holds and pickles only
     its weights.
     """
-    manifest, _ = load_arrays(str(checkpoint_path))
-    extra = manifest.get("extra", {})
+    loaded = load_arrays(str(checkpoint_path))
+    extra = loaded[0].get("extra", {})
     config = ModelConfig.from_dict(extra["model_config"])
     model = PhysicsGnn(config, seed=int(extra["train_config"]["seed"]))
     params = model.params()
-    load_params(str(checkpoint_path), params)
+    load_params(str(checkpoint_path), params, loaded)
     for p in params:
         p.grad = None
     normalizer = Normalizer.from_dict(extra["normalizer"])

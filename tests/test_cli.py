@@ -274,6 +274,47 @@ def test_ingest_missing_wind_exits_2(tmp_path, capsys):
     assert "wind.csv" in capsys.readouterr().err
 
 
+def _break_line(path, line, text):
+    lines = path.read_text().splitlines()
+    lines[line - 1] = text
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _drop_manifest_hours(data):
+    manifest = json.loads((data / "manifest.json").read_text())
+    del manifest["hours"]
+    (data / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("damage, message", [
+    pytest.param(lambda d: _break_line(d / "wind.csv", 3, "2024-01-01T01:00:00+00:00,fast,90.0"),
+                 "wind.csv, line 3: wind speed or direction is not a finite number", id="wind-speed"),
+    pytest.param(lambda d: _break_line(d / "wind.csv", 3, "2024-01-01T01:00:00+00:00,5.0,east"),
+                 "wind.csv, line 3: wind speed or direction is not a finite number", id="wind-direction"),
+    pytest.param(lambda d: _break_line(d / "wind.csv", 3, "tomorrow,5.0,90.0"),
+                 "wind.csv, line 3: unparsable timestamp", id="wind-timestamp"),
+    pytest.param(lambda d: _break_line(d / "wind.csv", 3, "2024-01-01T00:00:00+00:00,5.0,90.0"),
+                 "wind.csv, line 3: a second row for hour 2024-01-01T00:00:00",
+                 id="wind-duplicate-hour"),
+    pytest.param(lambda d: _break_line(d / "sensors.csv", 2, "s00,north,-119.7"),
+                 "sensors.csv, line 2: non-numeric latitude or longitude", id="sensor-latitude"),
+    pytest.param(_drop_manifest_hours, "manifest.json: missing field 'hours'",
+                 id="manifest-hours"),
+])
+def test_malformed_dataset_files_exit_2_naming_the_file(synth_dir, tmp_path, damage,
+                                                        message, capsys):
+    import shutil
+
+    data = tmp_path / "data"
+    shutil.copytree(synth_dir, data)
+    damage(data)
+    rc = main(["train", "--dataset", str(data), "--out", str(tmp_path / "t"),
+               "--seeds", "0", "--max-epochs", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------

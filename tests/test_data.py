@@ -1,12 +1,14 @@
 """Ingestion, gap filtering, and canonical dataset round-trips."""
 
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
 
 from physair.data import (
+    HOUR,
     Dataset,
+    IngestReport,
     export_dataset,
     floor_hour,
     gap_filter,
@@ -126,6 +128,167 @@ def test_ingest_pins_axis_with_explicit_range(tmp_path):
     assert np.isnan(series["a"][0]) and series["a"][5] == 2.0
 
 
+def reference_ingest_pm25(path, start=None, end=None):
+    """The row-at-a-time ingest_pm25 that the table-filling one replaced:
+    one timestamp parse and one dict bucket per row."""
+    import csv
+
+    report = IngestReport()
+    sums = {}
+    lo = hi = None
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            report.rows_read += 1
+            if len(row) < 3:
+                report.rows_malformed += 1
+                continue
+            sensor_id = row[0].strip()
+            try:
+                ts = parse_timestamp(row[1])
+                value = float(row[2])
+            except (ValueError, TypeError):
+                report.rows_malformed += 1
+                continue
+            if not sensor_id or not np.isfinite(value):
+                report.rows_malformed += 1
+                continue
+            if value < 0:
+                report.values_clamped += 1
+                value = 0.0
+            hour = floor_hour(ts)
+            bucket = sums.setdefault(sensor_id, {}).setdefault(hour, [0.0, 0])
+            bucket[0] += value
+            bucket[1] += 1
+            lo = hour if lo is None or hour < lo else lo
+            hi = hour if hi is None or hour > hi else hi
+    if start is not None:
+        lo = floor_hour(start)
+    if end is not None:
+        hi = floor_hour(end)
+    if lo is None or hi is None or hi < lo:
+        raise ValidationError(f"{path}: no usable rows in the requested range")
+    n_hours = int((hi - lo) / HOUR) + 1
+    series = {}
+    for sensor_id, buckets in sorted(sums.items()):
+        values = np.full(n_hours, np.nan)
+        for hour, (total, count) in buckets.items():
+            idx = int((hour - lo) / HOUR)
+            if 0 <= idx < n_hours:
+                values[idx] = total / count
+        series[sensor_id] = values
+    return series, lo, report
+
+
+BAD_ROWS = [
+    "short",                                    # too few fields
+    "s1,2024-03-01T02:10:00Z",
+    "s1,not-a-time,3.0",                        # bad timestamps
+    "s1,2024-13-01T00:00:00Z,3.0",
+    "s1,,3.0",
+    "s1,2024-03-01T02:10:00Z,banana",           # bad values
+    "s1,2024-03-01T02:10:00Z,",
+    "s1,2024-03-01T02:10:00Z,nan",
+    "s1,2024-03-01T02:10:00Z,inf",
+    "s1,2024-03-01T02:10:00Z,-inf",
+    ",2024-03-01T02:10:00Z,4.0",                # empty ids
+    "  ,2024-03-01T02:10:00Z,4.0",
+    # malformed rows far outside the valid rows' hours must not widen the axis
+    "s1,2023-01-01T00:00:00Z,nan",
+    ",2025-06-01T00:00:00Z,4.0",
+    "s1,2025-06-01T00:00:00Z,banana",
+]
+
+
+def messy_raw_rows(seed):
+    """Sub-hourly rows in shuffled order over 30 hours, with timestamps in
+    several spellings and zones, values spanning 1e-3..1e16 (so the sum
+    order shows in the last bits), negatives, -0.0 and the malformed rows
+    above."""
+    rng = np.random.default_rng(seed)
+    t0 = datetime(2024, 3, 1, tzinfo=timezone.utc)
+    plus_5_30 = timezone(timedelta(hours=5, minutes=30))
+    rows = []
+    for _ in range(400):
+        ts = t0 + timedelta(minutes=int(rng.integers(30 * 60)))
+        spelling = int(rng.integers(4))
+        if spelling == 0:
+            text = ts.strftime("%Y-%m-%dT%H:%M:%SZ")
+        elif spelling == 1:
+            text = ts.strftime("%Y-%m-%dT%H:%M:%S")                 # naive = UTC
+        elif spelling == 2:
+            text = " " + ts.astimezone(plus_5_30).isoformat() + " "
+        else:
+            text = ts.isoformat()
+        kind = int(rng.integers(10))
+        if kind == 0:
+            value = "-0.0"
+        elif kind == 1:
+            value = repr(-float(rng.uniform(0, 5)))
+        elif kind == 2:
+            value = repr(float(10.0 ** rng.integers(8, 17)))
+        else:
+            value = repr(float(rng.uniform(0, 60)) * 10.0 ** int(rng.integers(-3, 3)))
+        rows.append(f"s{int(rng.integers(6))},{text},{value}")
+    rows += BAD_ROWS
+    return [rows[i] for i in rng.permutation(len(rows))]
+
+
+def assert_same_ingest(got, want):
+    series, lo, report = got
+    ref_series, ref_lo, ref_report = want
+    assert lo == ref_lo and lo.tzinfo is timezone.utc
+    assert report == ref_report
+    assert list(series) == list(ref_series)
+    for sensor_id, values in ref_series.items():
+        assert series[sensor_id].dtype == values.dtype
+        assert series[sensor_id].tobytes() == values.tobytes(), sensor_id
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ingest_pm25_matches_the_row_loop_oracle(tmp_path, seed):
+    rows = messy_raw_rows(seed)
+    path = write(tmp_path / "raw.csv", "\n".join(["sensor_id,timestamp,value"] + rows) + "\n")
+    want = reference_ingest_pm25(path)
+    assert want[2].rows_malformed == len(BAD_ROWS)
+    assert want[2].values_clamped > 0
+    assert_same_ingest(ingest_pm25(path), want)
+    # an explicit range that cuts rows off at both ends, one that reaches
+    # past the data, and one given in another whole-hour zone
+    plus_2 = timezone(timedelta(hours=2))
+    for start, end in [(T0 + 5 * HOUR, T0 + 20 * HOUR),
+                       (T0 - 3 * HOUR, T0 + 40 * HOUR),
+                       (datetime(2024, 3, 1, 9, 40, tzinfo=plus_2), T0 + 12 * HOUR)]:
+        assert_same_ingest(ingest_pm25(path, start=start, end=end),
+                           reference_ingest_pm25(path, start=start, end=end))
+
+
+def test_ingest_pm25_takes_an_explicit_start_to_its_utc_hour(tmp_path):
+    # 09:10 at +05:30 is 03:40 UTC: the axis starts at 03:00 UTC, and the
+    # rows of 03:xx and 04:xx UTC keep hours of their own
+    text = ("sensor_id,timestamp,value\n"
+            "a,2024-03-01T03:20:00Z,1.0\n"
+            "a,2024-03-01T04:10:00Z,2.0\n")
+    start = datetime(2024, 3, 1, 9, 10, tzinfo=timezone(timedelta(hours=5, minutes=30)))
+    series, axis_start, _ = ingest_pm25(write(tmp_path / "raw.csv", text),
+                                        start=start, end=T0 + 4 * HOUR)
+    assert axis_start == T0 + 3 * HOUR and axis_start.tzinfo is timezone.utc
+    assert series["a"].tolist() == [1.0, 2.0]
+
+
+def test_ingest_pm25_axis_spans_only_accepted_rows(tmp_path):
+    text = ("sensor_id,timestamp,value\n"
+            "a,2024-03-01T02:00:00Z,1.0\n"
+            "a,2024-02-01T00:00:00Z,nan\n"
+            ",2024-04-01T00:00:00Z,1.0\n"
+            "a,2024-03-01T03:30:00Z,2.0\n")
+    series, start, report = ingest_pm25(write(tmp_path / "raw.csv", text))
+    assert start == T0 + 2 * HOUR
+    assert series["a"].tolist() == [1.0, 2.0]
+    assert report.rows_malformed == 2
+
+
 # ---------------------------------------------------------------------------
 # Wind ingestion and unit conversion.
 # ---------------------------------------------------------------------------
@@ -149,6 +312,47 @@ def test_ingest_wind_requires_full_coverage(tmp_path):
             "2024-03-01T00:00:00Z,5.0,180.0\n")
     with pytest.raises(ValidationError):
         ingest_wind(write(tmp_path / "wind.csv", text), T0, 3)
+
+
+def test_ingest_wind_rejects_a_second_row_for_an_hour(tmp_path):
+    text = ("timestamp,wind_speed_kmh,wind_dir_deg\n"
+            "2024-03-01T00:00:00Z,5.0,180.0\n"
+            "2024-03-01T01:00:00Z,5.63,180.0\n"
+            "2024-03-01T01:30:00Z,99.0,180.0\n")
+    with pytest.raises(ValidationError, match=r"line 4: a second row for hour "
+                       r"2024-03-01T01:00:00\+00:00"):
+        ingest_wind(write(tmp_path / "wind.csv", text), T0, 2)
+
+
+def test_ingest_wind_ignores_rows_outside_the_axis(tmp_path):
+    text = ("timestamp,wind_speed_kmh,wind_dir_deg\n"
+            "2024-02-29T23:00:00Z,7.0,10.0\n"
+            "2024-03-01T00:00:00Z,5.0,370.0\n"
+            "2024-03-01T01:00:00Z,7.0,10.0\n")
+    wind = ingest_wind(write(tmp_path / "wind.csv", text), T0, 1)
+    assert wind.tolist() == [[5.0, 10.0]]
+
+
+@pytest.mark.parametrize("row, message", [
+    pytest.param("2024-03-01T01:00:00Z,fast,180.0",
+                 "line 3: wind speed or direction is not a finite number", id="speed"),
+    pytest.param("2024-03-01T01:00:00Z,5.0,north",
+                 "line 3: wind speed or direction is not a finite number", id="direction"),
+    pytest.param("2024-03-01T01:00:00Z,nan,180.0",
+                 "line 3: wind speed or direction is not a finite number", id="nan-speed"),
+    pytest.param("2024-03-01T01:00:00Z,5.0,inf",
+                 "line 3: wind speed or direction is not a finite number", id="inf-direction"),
+    pytest.param("yesterday,5.0,180.0", "line 3: unparsable timestamp 'yesterday'",
+                 id="timestamp"),
+    pytest.param("2024-03-01T01:00:00Z,5.0", "line 3: short wind row", id="short"),
+])
+def test_ingest_wind_names_the_line_of_a_malformed_row(tmp_path, row, message):
+    text = ("timestamp,wind_speed_kmh,wind_dir_deg\n"
+            f"2024-03-01T00:00:00Z,5.0,180.0\n{row}\n")
+    path = write(tmp_path / "wind.csv", text)
+    with pytest.raises(ValidationError, match=message) as info:
+        ingest_wind(path, T0, 2)
+    assert str(path) in str(info.value)
 
 
 # ---------------------------------------------------------------------------
@@ -237,3 +441,34 @@ def test_dataset_rejects_mismatched_wind_length():
 def test_dataset_rejects_negative_pm25():
     with pytest.raises(ValidationError):
         make_dataset([[-1.0], [2.0]])
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda m: m.pop("hours"), "missing field 'hours'", id="no-hours"),
+    pytest.param(lambda m: m.pop("start"), "missing field 'start'", id="no-start"),
+    pytest.param(lambda m: m.update(hours="many"), "bad field value", id="bad-hours"),
+    pytest.param(lambda m: m.update(start="soon"), "bad field value", id="bad-start"),
+])
+def test_load_dataset_names_a_malformed_manifest(tmp_path, edit, message):
+    import json
+    export_dataset(make_dataset(np.ones((3, 2))), tmp_path / "d")
+    path = tmp_path / "d" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValidationError, match=message) as info:
+        load_dataset(tmp_path / "d")
+    assert "manifest.json" in str(info.value)
+
+
+def test_load_dataset_names_the_line_of_a_bad_manifest_or_sensor(tmp_path):
+    export_dataset(make_dataset(np.ones((3, 2))), tmp_path / "d")
+    sensors = tmp_path / "d" / "sensors.csv"
+    lines = sensors.read_text().splitlines()
+    lines[2] = "s1,north,-117.1"
+    sensors.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match=r"sensors.csv, line 3: non-numeric latitude"):
+        load_dataset(tmp_path / "d")
+    (tmp_path / "d" / "manifest.json").write_text('{\n"hours": 3,\n}\n')
+    with pytest.raises(ValidationError, match=r"manifest.json, line 3: not valid JSON"):
+        load_dataset(tmp_path / "d")

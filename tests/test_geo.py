@@ -91,6 +91,17 @@ def test_edges_grouped_by_destination():
     assert np.array_equal(g.dst, np.repeat(np.arange(n), n - 1))
 
 
+def test_edge_order_matches_the_repeat_and_delete_construction():
+    for n in range(2, 41):
+        g = build_graph(random_sensors(n, seed=n))
+        idx = np.arange(n)
+        dst = np.repeat(idx, n - 1)
+        src = np.concatenate([np.delete(idx, i) for i in range(n)])
+        for got, want in ((g.dst, dst), (g.src, src)):
+            assert got.dtype == want.dtype and got.flags.c_contiguous
+            assert np.array_equal(got, want), n
+
+
 def test_inverse_distance_feature_two_km():
     lon = 2.0 / KM_PER_DEG
     g = build_graph([sensor(0, 0.0, 0.0), sensor(1, 0.0, lon)])

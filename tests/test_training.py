@@ -342,6 +342,51 @@ def test_checkpoint_roundtrip_restores_predictions(tmp_path):
     assert np.array_equal(preds, same)
 
 
+def test_load_trained_reads_each_checkpoint_once(tmp_path, monkeypatch):
+    import builtins
+
+    ds = toy_dataset(hours=8)
+    split = make_split(ds.sensor_ids(), seed=0)
+    result = train_model(ds, split, tiny_model_config(),
+                         run_config(max_epochs=1), tmp_path / "run")
+    opened = []
+    real_open = builtins.open
+
+    def spy(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy)
+    model, _, _, _ = load_trained(result.checkpoint_path)
+    monkeypatch.undo()
+    assert opened == [str(result.checkpoint_path)]
+    _, arrays = load_arrays(str(result.checkpoint_path))
+    assert [p.name for p in model.params()] == list(arrays)
+    for p in model.params():
+        assert p.data.tobytes() == arrays[p.name].tobytes()
+        assert p.data.flags.writeable and p.data.flags.c_contiguous
+
+
+@pytest.mark.parametrize("damage", ["missing", "misshaped"])
+def test_load_trained_refuses_a_missing_or_misshaped_param(tmp_path, damage):
+    from physair.autodiff import save_arrays
+
+    ds = toy_dataset(hours=8)
+    split = make_split(ds.sensor_ids(), seed=0)
+    result = train_model(ds, split, tiny_model_config(),
+                         run_config(max_epochs=1), tmp_path / "run")
+    manifest, arrays = load_arrays(str(result.checkpoint_path))
+    name = next(iter(arrays))
+    if damage == "missing":
+        del arrays[name]
+    else:
+        arrays[name] = np.zeros(arrays[name].size + 1)
+    bad = tmp_path / "bad.ckpt"
+    save_arrays(str(bad), list(arrays.items()), extra=manifest["extra"])
+    with pytest.raises(ValidationError, match=f"param {name!r}"):
+        load_trained(bad)
+
+
 def test_validation_mse_finite_and_reproducible(tmp_path):
     ds = toy_dataset(hours=12)
     split = make_split(ds.sensor_ids(), seed=0)
