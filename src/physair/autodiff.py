@@ -106,6 +106,10 @@ class Tensor:
         outputs. A view of g, or g itself as add hands it to both parents,
         is never added into. Addition is commutative, so the bits are
         those of a fresh prev + pg.
+
+        Each node's VJP outputs are dropped once they are filed, so no
+        cotangent of one node lives on through the next node's VJP unless
+        the table still holds it.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {self.data.shape}")
@@ -167,6 +171,8 @@ class Tensor:
                 else:
                     total = prev + pg
                     cotan[key] = (total, _writeable(total))
+            # hold no cotangent of this node into the next VJP
+            grads = pg = prev = total = None
 
 
 def _consumed(g=None):
@@ -253,6 +259,10 @@ def make_op(data: np.ndarray, parents: tuple, vjp) -> Tensor:
     Anything built this way should be checked against finite_diff_grad.
     data may be a parent's own buffer, finished in place, only if nothing
     reads that parent's data again: not its VJP, and not its caller.
+    An op that keeps none of such a buffer may release it while it
+    records: it sets a recorded (non-leaf) parent's data to an empty array
+    when that parent's own VJP never reads its output, so the tape stops
+    holding it. A leaf or constant parent keeps its data.
     """
     return _make(np.asarray(data, dtype=np.float64), tuple(parents), vjp)
 

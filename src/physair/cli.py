@@ -434,6 +434,20 @@ def _pooled_gnn_run(pool, workers, dataset, context_ids, target_ids, hours):
     return np.hstack(list(pool.map(columns, groups)))
 
 
+def _bit_facts(eval_batch: int) -> dict:
+    """What fixes a report's bits beside its inputs: numpy, its BLAS and
+    the BLAS thread settings (null when unset), and eval_batch."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy builds before meson have no dict mode
+        blas = {}
+    return {"numpy": np.__version__,
+            "blas": {key: str(blas.get(key, "unknown")) for key in ("name", "version")},
+            "blas_threads": {var: os.environ.get(var) for var in (
+                "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+            "eval_batch": eval_batch}
+
+
 def cmd_evaluate(args) -> int:
     options = resolve_options(args, _EVALUATE_SCHEMA)
     _require(options, "dataset", "models", "out")
@@ -502,6 +516,7 @@ def cmd_evaluate(args) -> int:
                "checkpoints": [str(p) for p in paths],
                "context_sensors": list(split.train),
                "target_sensors": list(split.test)})
+    payload["facts"] = _bit_facts(options["eval_batch"])
     write_summary(out / "report.json", payload)
     write_resolved_config(out, options)
     print(text, end="")

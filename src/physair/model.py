@@ -31,7 +31,10 @@ message weight without reading a node state, so for layers 0..L-2 both
 are functions of the edge's wind triple: ``PhysicsGnn.edge_path`` runs
 them, recorded, over any table of edge rows. One kernel, for training
 and inference alike, then finishes each layer's messages in place in
-that pre-activation buffer. Graphs that share a context share its rows;
+that pre-activation buffer and sums them per node in the same op. While
+training records, the kernel keeps only a bool relu mask and releases
+the buffer, so each full layer's tape holds one edge-sized float array,
+the edge MLP's output. Graphs that share a context share its rows;
 the multi-target predictor in ``training`` computes them once for all
 of its targets and hands them to ``forward`` as an ``EdgePath``, which
 is refused while autodiff records.
@@ -322,22 +325,33 @@ def _sum_incoming(partial: np.ndarray | None, query: np.ndarray) -> np.ndarray:
 
 def _finish_messages(h: Tensor, pre: Tensor, w: Tensor, b: Tensor,
                      wiring: "GraphWiring", activation: str) -> Tensor:
-    """act(pre + h[dst] @ w_recv + h[src] @ w_send + b) on every edge.
+    """Each node's sum over its N-1 incoming messages, (B, N, d), where a
+    message is act(pre + h[dst] @ w_recv + h[src] @ w_send + b).
 
-    With pre = _message_pre(e, w) this is the message MLP over
+    With pre = _message_pre(e, w) each message is the message MLP over
     concat(h[dst] + e, h[src] + e), reassociated: multiplying h by each
     half of w on the nodes turns two edge-sized GEMMs into node-sized
     ones. Values agree to rounding, and the gradient is checked against
     the finite-difference oracle like every other fused op.
 
-    The messages are written into pre's buffer, so a tape keeps one
-    edge-sized array per layer's messages, not two. pre must be a buffer
-    no one reads afterwards: never one shared across targets.
+    One op finishes the messages and aggregates them (the fused
+    message-aggregation of Zhang et al., MLSys 2022). The messages are
+    written into pre's buffer and summed per destination with the same
+    numpy reduction as a separate sum over the (N, N-1) edge axis, so the
+    bits are those of finishing and then summing. pre must be a buffer no
+    one reads afterwards: never one shared across targets. While
+    recording, the op keeps a bool relu mask (nothing edge-sized with
+    identity) and releases a non-leaf pre's buffer, since the VJP of
+    _message_pre never reads its output; a leaf or constant pre keeps its
+    data. So a layer's tape holds one edge-sized float array, the edge
+    MLP's output, not two.
 
     The forward is _finish_graph. Seen as (N-1, N), the buffer's row r
     holds the edges from sources r+1, ..., N-1, 0, ..., r, so every row
     meets every source once and rows run in ascending edge order. The
-    backward sums each source's cotangents row by row in that order.
+    backward broadcasts each node's cotangent to its incoming edges,
+    masked, in one pass, and sums each source's cotangents row by row in
+    that order.
     """
     bsz, n, dim = h.shape
     n_edges = wiring.n_edges
@@ -350,12 +364,17 @@ def _finish_messages(h: Tensor, pre: Tensor, w: Tensor, b: Tensor,
     w_recv = w.data[:dim]
     w_send = w.data[dim:]
     h2 = h.data.reshape(-1, dim)
-    out = pre.data
-    _finish_graph(out, *_message_halves(h, w), b.data, activation)
+    msgs = pre.data.reshape(bsz, n, n - 1, dim)
+    _finish_graph(pre.data, *_message_halves(h, w), b.data, activation)
+    mask = None
 
     def vjp(g):
-        g_pre = g * (out > 0) if activation == "relu" else g
-        g_recv = g_pre.reshape(bsz, n, n - 1, dim).sum(axis=2)
+        g_in = g[:, :, None, :]
+        if mask is None:
+            g_pre = np.broadcast_to(g_in, (bsz, n, n - 1, dim)).copy()
+        else:
+            g_pre = g_in * mask
+        g_recv = g_pre.sum(axis=2)
         # row 0 holds every source's first edge; later rows add in order
         g_rows = g_pre.reshape(bsz, n - 1, n, dim)
         g_send = np.concatenate([g_rows[:, 0, -1:], g_rows[:, 0, :-1]], axis=1)
@@ -371,14 +390,22 @@ def _finish_messages(h: Tensor, pre: Tensor, w: Tensor, b: Tensor,
                                  h2.T @ g_send.reshape(-1, dim)])
         if b.requires_grad:
             gb = g_pre.reshape(-1, dim).sum(axis=0)
-        return gh, g_pre, gw, gb
+        return gh, g_pre.reshape(bsz, n_edges, dim), gw, gb
 
-    return make_op(out, (h, pre, w, b), vjp)
+    sums = make_op(msgs.sum(axis=2), (h, pre, w, b), vjp)
+    if sums.requires_grad:
+        # recorded: the VJP reads only the mask, never the messages
+        if activation == "relu":
+            mask = msgs > 0
+        if pre._vjp is not None:
+            pre.data = np.empty(0)
+    return sums
 
 
 def _convection_messages(h: Tensor, e: Tensor, w: Tensor, b: Tensor,
                          wiring: "GraphWiring", activation: str) -> Tensor:
-    """act((h[dst] + e) @ w_r + (h[src] + e) @ w_s + b) on every edge."""
+    """Each node's sum over act((h[dst] + e) @ w_r + (h[src] + e) @ w_s + b)
+    on its incoming edges."""
     return _finish_messages(h, _message_pre(e, w), w, b, wiring, activation)
 
 
@@ -456,15 +483,15 @@ class ConvectionModule:
         return self.nodes(x, self.message_pre(e), wiring), e
 
     def nodes(self, x: Tensor, pre: Tensor, wiring: GraphWiring, rows=None) -> Tensor:
-        """x_C from pre, (B, E, d), finished in place; or with rows, an int
-        (B, 1) array of node positions, x_C (B, 1, d) at those nodes from
-        pre on their N-1 incoming edges, (B, N-1, d) in edge order."""
+        """x_C from pre, (B, E, d), finished in place and summed per node
+        by _finish_messages; or with rows, an int (B, 1) array of node
+        positions, x_C (B, 1, d) at those nodes from pre on their N-1
+        incoming edges, (B, N-1, d) in edge order."""
         h = self.node_mlp(x)
         w, b, act = self.message_mlp.layers[0]
         n = wiring.n_nodes
         if rows is None:
-            m = tsum(reshape(_finish_messages(h, pre, w, b, wiring, act),
-                             (-1, n, n - 1, self.dim)), axis=2)
+            m = _finish_messages(h, pre, w, b, wiring, act)
         else:
             src = wiring.src[_incoming(rows, n)]
             m = tsum(_readout_messages(h, pre, w, b, rows, src, act), axis=1, keepdims=True)

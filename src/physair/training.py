@@ -533,6 +533,12 @@ def _check_resume(saved: dict, extra: dict, path) -> None:
             f"cannot resume from {path}: {', '.join(differ)} differ from this run's")
 
 
+def _global_grad_norm(params) -> float:
+    """L2 norm of all parameter gradients together, summed by numpy in
+    parameter order (no BLAS), so equal gradients give equal bits."""
+    return float(np.sqrt(sum(float(np.square(p.grad).sum()) for p in params)))
+
+
 def train_model(dataset: Dataset, split: SensorSplit,
                 model_config: ModelConfig, train_config: TrainConfig,
                 out_dir, resume: bool = False) -> TrainResult:
@@ -540,7 +546,9 @@ def train_model(dataset: Dataset, split: SensorSplit,
 
     Layout under out_dir: ``best.ckpt`` (weights + metadata at the best
     validation epoch), ``last.ckpt`` + ``last.optim`` + ``state.json``
-    (for resuming), all written atomically.
+    (for resuming), all written atomically. Each epoch's history record
+    holds its train and validation MSE and grad_norm, the largest global
+    gradient norm over its steps, taken before the optimizer step.
     """
     started = time.monotonic()
     out = Path(out_dir)
@@ -581,6 +589,7 @@ def train_model(dataset: Dataset, split: SensorSplit,
         samples = list(iter_masked_samples(dataset, split, epoch,
                                            train_config.seed, window))
         epoch_sq_err = 0.0
+        grad_norms = []
         for lo in range(0, len(samples), train_config.batch_size):
             batch = samples[lo:lo + train_config.batch_size]
             bh = np.array([s.hour for s in batch])
@@ -601,11 +610,16 @@ def train_model(dataset: Dataset, split: SensorSplit,
             for p in params:
                 p.zero_grad()
             loss.backward(consume=True)
+            grad_norms.append(_global_grad_norm(params))
             opt.step()
             epoch_sq_err += float(loss.data) * len(batch)
 
         train_loss = epoch_sq_err / len(samples)
-        record = {"epoch": epoch, "train_mse": train_loss, "val_mse": None}
+        # keys in state.json's sorted order, so a resumed history dumps the same
+        # np.max keeps a NaN; keys in state.json's sorted order, so a
+        # resumed history dumps the same
+        record = {"epoch": epoch, "grad_norm": float(np.max(grad_norms)),
+                  "train_mse": train_loss, "val_mse": None}
 
         if epoch % train_config.val_every == 0 or epoch == train_config.max_epochs:
             val = validation_mse([model], normalizer, dataset, split,

@@ -7,6 +7,7 @@ and the files left behind.
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -379,6 +380,16 @@ def test_evaluate_json_payload(eval_dir):
     assert payload["density"]["fractions"] == [0.0, 0.2, 0.4, 0.6, 0.8]
     assert set(payload["extra"]["mae_ratio_vs_gnn"]) == {"ground_truth", "sh"}
     assert len(payload["extra"]["checkpoints"]) == 2
+
+
+def test_evaluate_report_names_what_fixes_its_bits(eval_dir):
+    facts = json.loads((eval_dir / "report.json").read_text())["facts"]
+    assert facts["numpy"] == np.__version__
+    assert set(facts["blas"]) == {"name", "version"}
+    assert all(isinstance(v, str) and v for v in facts["blas"].values())
+    assert facts["blas_threads"] == {var: os.environ.get(var) for var in (
+        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    assert facts["eval_batch"] == 64
 
 
 def test_evaluate_no_density(synth_dir, train_dir, tmp_path):

@@ -264,6 +264,9 @@ def take_messages_oracle(h, e, w, b, graph, activation, g):
 @pytest.mark.parametrize("activation", ["relu", "identity"])
 @pytest.mark.parametrize("n", [2, 3, 7, 28])
 def test_convection_messages_bitwise_match_gather_oracle(n, activation):
+    # the fused op returns each node's summed messages; the oracle's edge
+    # messages, summed per destination, and its gradients under the node
+    # cotangent gathered onto every edge must match bit for bit
     from physair.model import _convection_messages
 
     wiring = wiring_for(n, seed=60 + n)
@@ -271,22 +274,53 @@ def test_convection_messages_bitwise_match_gather_oracle(n, activation):
     bsz, dim = 3, 5
     arrays = [rng.normal(size=(bsz, n, dim)), rng.normal(size=(bsz, wiring.n_edges, dim)),
               rng.normal(size=(2 * dim, dim)), rng.normal(size=(dim,))]
-    g = rng.normal(size=(bsz, wiring.n_edges, dim))
+    g = rng.normal(size=(bsz, n, dim))
     # negative zeros meet the relu mask and the source-side sums; in sample
-    # 0, feature 0, every edge leaving node 0 carries one
-    g[0, wiring.src == 0, 0] = -0.0
+    # 0, feature 0, every edge carries one
+    g[0, :, 0] = -0.0
     g[1, ::2, 1] = -0.0
 
     inputs = [Tensor(a, requires_grad=True) for a in arrays]
     out = _convection_messages(*inputs, wiring, activation)
     tsum(mul(out, Tensor(g))).backward()
     grads = [t.grad for t in inputs]
-    ref_out, ref_grads = take_messages_oracle(*arrays, wiring.graph, activation, g)
+    ref_out, ref_grads = take_messages_oracle(*arrays, wiring.graph, activation,
+                                              np.take(g, wiring.dst, axis=1))
 
-    assert out.data.tobytes() == ref_out.tobytes()
+    assert out.data.tobytes() == ref_out.reshape(bsz, n, n - 1, dim).sum(axis=2).tobytes()
     for name, got, want in zip(("h", "e", "w", "b"), grads, ref_grads):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes(), f"gradient wrt {name} differs"
+
+
+@pytest.mark.parametrize("kind", ["leaf", "constant", "recorded"])
+def test_finish_messages_releases_only_a_recorded_pre(kind):
+    # a recorded pre is released: its VJP never reads its output, and the
+    # messages live on only as node sums; one a caller passes keeps the
+    # finished messages
+    from physair.model import _finish_messages, _message_pre
+
+    wiring = wiring_for(5, seed=62)
+    rng = np.random.default_rng(63)
+    bsz, n, dim = 2, 5, 4
+    h = Tensor(rng.normal(size=(bsz, n, dim)), requires_grad=True)
+    w = Tensor(rng.normal(size=(2 * dim, dim)), requires_grad=True)
+    b = Tensor(rng.normal(size=(dim,)), requires_grad=True)
+    rows = rng.normal(size=(bsz, wiring.n_edges, dim))
+    if kind == "recorded":
+        pre = _message_pre(Tensor(rows, requires_grad=True), w)
+    else:
+        pre = Tensor(rows, requires_grad=kind == "leaf")
+    out = _finish_messages(h, pre, w, b, wiring, "relu")
+    if kind == "recorded":
+        assert pre.data.size == 0
+    else:
+        assert pre.shape == (bsz, wiring.n_edges, dim)
+        sums = pre.data.reshape(bsz, n, n - 1, dim).sum(axis=2)
+        assert sums.tobytes() == out.data.tobytes()
+    tsum(mul(out, out)).backward()
+    assert h.grad.shape == h.shape and np.isfinite(h.grad).all()
+    assert (pre.grad is not None) == (kind == "leaf")
 
 
 def test_convection_returns_next_layer_edge_features():
@@ -591,10 +625,43 @@ def test_readout_leaves_no_edge_sized_tensor_in_the_last_layer():
         return len({t.data.__array_interface__["data"][0] for t in tape_nodes(out)
                     if t.ndim == 3 and t.shape[1] == w.n_edges})
 
-    # distinct buffers: each layer's edge_mlp output and its messages, which
-    # are finished in the pre-activation's buffer, plus the wind input
-    assert edge_sized(model.forward(x, w, feats)) == 2 * 3 + 1
-    assert edge_sized(model.forward(x, w, feats, 0)) == 2 * 2 + 1
+    # distinct buffers: each full layer's edge_mlp output, plus the wind
+    # input; the messages are summed per node in the op that finishes
+    # them, and their buffer leaves the tape
+    assert edge_sized(model.forward(x, w, feats)) == 3 + 1
+    assert edge_sized(model.forward(x, w, feats, 0)) == 2 + 1
+
+
+def tape_buffers(out):
+    """The distinct base arrays a tape holds: each node's data and the
+    arrays its VJP closure captured."""
+    found = {}
+    for node in tape_nodes(out):
+        cells = node._vjp.__closure__ if node._vjp is not None else None
+        arrays = [node.data] + [c.cell_contents for c in cells or ()
+                                if isinstance(c.cell_contents, np.ndarray)]
+        for a in arrays:
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            found[id(a)] = a
+    return list(found.values())
+
+
+@pytest.mark.parametrize("activation", ["relu", "identity"])
+def test_recorded_forward_keeps_a_bool_mask_and_no_float_message_buffer(activation):
+    cfg = tiny_config(n_layers=3, activation=activation)
+    model = PhysicsGnn(cfg, seed=2)
+    w = wiring_for(6, seed=2)
+    x, feats = batch_for(w, 2, cfg)
+    edge_size = 2 * w.n_edges * cfg.hidden_dim
+    for masked_pos, full_layers in ((None, 3), (0, 2)):
+        held = [a for a in tape_buffers(model.forward(x, w, feats, masked_pos))
+                if a.size == edge_size]
+        # per full layer: the edge_mlp output, and with relu its message mask
+        assert sum(a.dtype == np.float64 for a in held) == full_layers
+        masks = [a for a in held if a.dtype != np.float64]
+        assert len(masks) == (full_layers if activation == "relu" else 0)
+        assert all(a.dtype == bool for a in masks)
 
 
 def test_readout_gradients_match_finite_differences():
@@ -675,6 +742,26 @@ def test_consumed_backward_peaks_lower_by_at_least_an_edge_array():
             tracemalloc.stop()
     edge_bytes = 4 * w.n_edges * cfg.hidden_dim * 8
     assert peaks[True] + edge_bytes <= peaks[False], peaks
+
+
+def test_consumed_backward_peaks_under_an_edge_array_above_the_forward():
+    # the walk drops every VJP's outputs once they are filed, and the
+    # message kernel turns a node cotangent into one masked edge cotangent;
+    # an edge cotangent kept alive into the next VJP lifts this shape's
+    # peak past one edge array
+    cfg = tiny_config(n_layers=3)
+    model = PhysicsGnn(cfg, seed=9)
+    tracemalloc.start()
+    try:
+        loss, w = train_step_loss(model, n=20, bsz=8)
+        after_forward = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loss.backward(consume=True)
+        peak = tracemalloc.get_traced_memory()[1] - after_forward
+    finally:
+        tracemalloc.stop()
+    edge_bytes = 8 * w.n_edges * cfg.hidden_dim * 8
+    assert peak <= edge_bytes, (peak, edge_bytes)
 
 
 @pytest.mark.parametrize("activation", ["relu", "identity"])

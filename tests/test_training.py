@@ -211,6 +211,18 @@ def test_history_bit_identical_across_runs(tmp_path):
         (tmp_path / "b" / "best.ckpt").read_bytes()
 
 
+def test_history_records_a_finite_positive_grad_norm_per_epoch(tmp_path):
+    ds = toy_dataset(hours=24)
+    split = make_split(ds.sensor_ids(), seed=0)
+    result = train_model(ds, split, tiny_model_config(), run_config(),
+                         tmp_path / "run")
+    norms = [h["grad_norm"] for h in result.state.history]
+    assert len(norms) == 3
+    assert all(np.isfinite(v) and v > 0 for v in norms)
+    saved = json.loads((tmp_path / "run" / "state.json").read_text())
+    assert [h["grad_norm"] for h in saved["history"]] == norms
+
+
 def test_saved_best_is_minimum_of_recorded_vals(tmp_path):
     ds = toy_dataset(hours=24)
     split = make_split(ds.sensor_ids(), seed=0)
