@@ -454,12 +454,11 @@ def cmd_evaluate(args) -> int:
     _check_counts(options)
     dataset = _load_dataset_arg(options)
     paths, models, normalizer, split = _load_ensemble(options["models"])
-    window = models[0].config.window
     runners = benchmark_runners(
         dataset, split.train, models=models, normalizer=normalizer,
         idw_power=options["idw_power"],
         gp_selection_stride=options["gp_selection_stride"],
-        batch_size=options["eval_batch"], window=window)
+        batch_size=options["eval_batch"])
     pool = None
     try:
         if options["workers"] > 1:
@@ -568,7 +567,6 @@ def cmd_interpolate(args) -> int:
     _check_counts(options)
     dataset = _load_dataset_arg(options)
     paths, models, normalizer, split = _load_ensemble(options["models"])
-    window = models[0].config.window
     if options["context"] == "train":
         context = split.train
     else:
@@ -595,7 +593,7 @@ def cmd_interpolate(args) -> int:
         lines.append("latitude,longitude,hour,pm25")
     preds = infer_at_location(models, normalizer, dataset, context,
                               [lat for lat, _ in points], [lon for _, lon in points],
-                              hours, batch_size=options["eval_batch"], window=window)
+                              hours, batch_size=options["eval_batch"])
     for (lat, lon), column in zip(points, preds.T):
         for hour, value in zip(hours, column):
             lead = (f"{hour},{format_timestamp(timestamps[hour])}" if point_mode

@@ -25,14 +25,12 @@ import numpy as np
 
 from .baselines import GaussianProcess, Idw, MeanFill, OrdinaryKriging, \
     select_gp_hyperparameters
-from .data import Dataset, _atomic_write_text
+from .data import _EPOCH, Dataset, _atomic_write_text
 from .errors import ValidationError
 from .estimators import BaseEstimator, check_coords, check_values
-from .geo import SensorMeta, WindRecord, build_graph, convection_edge_features
-from .model import GraphWiring
-from .training import Normalizer, build_node_inputs, check_hours, \
-    evaluate_target_sensor, masked_batch_predictions, predict_masked_node, \
-    sensor_metas, subset_dataset_values
+from .geo import SensorMeta, WindRecord, build_graph
+from .training import Normalizer, check_hours, evaluate_target_sensor, \
+    predict_masked_node, sensor_metas, subset_dataset_values
 
 logger = logging.getLogger(__name__)
 
@@ -278,8 +276,7 @@ def estimator_runner(factory: Callable[[], BaseEstimator]) -> Runner:
     return run
 
 
-def gnn_runner(models, normalizer: Normalizer, batch_size: int = 64,
-               window: int = 1) -> Runner:
+def gnn_runner(models, normalizer: Normalizer, batch_size: int = 64) -> Runner:
     """Run a trained model ensemble through the masked-node protocol.
 
     Each target sensor is appended to the context graph as a masked node
@@ -288,22 +285,20 @@ def gnn_runner(models, normalizer: Normalizer, batch_size: int = 64,
     is the ensemble-mean prediction in raw units. The runner pickles, so
     worker processes can run it on a group of targets each.
     """
-    return functools.partial(_gnn_run, models, normalizer, batch_size, window)
+    return functools.partial(_gnn_run, models, normalizer, batch_size)
 
 
-def _gnn_run(models, normalizer, batch_size, window,
-             dataset, context_ids, target_ids, hours):
+def _gnn_run(models, normalizer, batch_size, dataset, context_ids, target_ids, hours):
     preds, _ = evaluate_target_sensor(
         models, normalizer, dataset, context_ids, tuple(target_ids), hours,
-        batch_size=batch_size, window=window)
+        batch_size=batch_size)
     return preds
 
 
 def benchmark_runners(dataset: Dataset, context_ids, models=None,
                       normalizer: Normalizer | None = None,
                       idw_power: float = 1.0, gp_params: dict | None = None,
-                      gp_selection_stride: int = 4, batch_size: int = 64,
-                      window: int = 1) -> dict:
+                      gp_selection_stride: int = 4, batch_size: int = 64) -> dict:
     """Assemble the standard model lineup for an evaluation run.
 
     GP hyperparameters are grid-searched once on the context sensors'
@@ -328,8 +323,7 @@ def benchmark_runners(dataset: Dataset, context_ids, models=None,
     if models is not None:
         if normalizer is None:
             raise ValidationError("a model lineup needs its normalizer")
-        runners["gnn"] = gnn_runner(models, normalizer,
-                                    batch_size=batch_size, window=window)
+        runners["gnn"] = gnn_runner(models, normalizer, batch_size=batch_size)
     return runners
 
 
@@ -533,8 +527,7 @@ _POINTS_PER_CALL = 32
 
 def infer_at_location(models, normalizer: Normalizer, dataset: Dataset,
                       context_ids, latitude, longitude,
-                      hours=None, batch_size: int = 64,
-                      window: int = 1) -> np.ndarray:
+                      hours=None, batch_size: int = 64) -> np.ndarray:
     """Interpolate the field at arbitrary coordinates, hour by hour.
 
     A virtual node at each (latitude, longitude) joins the context graph
@@ -561,22 +554,19 @@ def infer_at_location(models, normalizer: Normalizer, dataset: Dataset,
         graphs = [build_graph(metas + (SensorMeta(_QUERY_ID, lat, lon),))
                   for lat, lon in points[lo:lo + _POINTS_PER_CALL]]
         out[:, lo:lo + len(graphs)] = predict_masked_node(
-            models, normalizer, graphs, dataset, hours,
-            batch_size=batch_size, window=window)
+            models, normalizer, graphs, dataset, hours, batch_size=batch_size)
     return out[:, 0] if scalar else out
 
 
 class GnnInterpolator(BaseEstimator):
     """Single-hour estimator facade over a trained model ensemble.
 
-    fit() takes the context sensors' coordinates and readings for one
-    hour; predict() interpolates at query coordinates, each a masked node
-    on the context graph, with one pass over the context's edges per
-    group of _POINTS_PER_CALL points; an empty query gives an empty
-    result. It holds readings, not a dataset, so it runs
-    masked_batch_predictions, the predictor's unit. Only window-1 models
-    qualify: a single-hour snapshot has no history to fill a longer
-    input window with.
+    fit() keeps the context sensors' coordinates, their readings for one
+    hour and that hour's wind as a one-hour Dataset; predict() runs
+    infer_at_location on it, so its query points go through the same
+    path as any other; an empty query gives an empty result. Only
+    window-1 models qualify: a single-hour snapshot has no history to
+    fill a longer input window with.
     """
 
     def __init__(self, models=None, normalizer=None, wind=None):
@@ -597,27 +587,22 @@ class GnnInterpolator(BaseEstimator):
         values = check_values(values, n=coords.shape[0])
         if coords.shape[0] < 2:
             raise ValidationError("need at least 2 context sensors")
-        self.coords_ = coords
-        self.values_ = values
+        # not validate()d: that refuses the negative readings fit accepts
+        self.context_ = Dataset(
+            sensors=tuple(SensorMeta(f"c{i:03d}", lat, lon)
+                          for i, (lat, lon) in enumerate(coords)),
+            start=_EPOCH, pm25=values[None],
+            wind=np.array([[self.wind.speed_kmh, self.wind.direction_deg]]))
         return self
 
     def predict(self, coords) -> np.ndarray:
-        self._check_fitted("coords_", "values_")
+        self._check_fitted("context_")
         query = check_coords(coords, "query coords")
-        n = self.coords_.shape[0]
-        metas = tuple(SensorMeta(f"c{i:03d}", lat, lon)
-                      for i, (lat, lon) in enumerate(self.coords_))
-        values_norm = np.append(self.normalizer.normalize(self.values_), 0.0)
-        x = build_node_inputs(values_norm[None], 0, n, 1)[None]
-        out = np.empty(len(query))
-        for lo in range(0, len(query), _POINTS_PER_CALL):
-            graphs = [build_graph(metas + (SensorMeta(_QUERY_ID, lat, lon),))
-                      for lat, lon in query[lo:lo + _POINTS_PER_CALL]]
-            convs = [convection_edge_features(graph, self.wind)[None] for graph in graphs]
-            out[lo:lo + len(graphs)] = masked_batch_predictions(
-                self.models, [GraphWiring(graph) for graph in graphs], x, convs,
-                self.normalizer)[0]
-        return out
+        if not len(query):
+            return np.empty(0)
+        return infer_at_location(self.models, self.normalizer, self.context_,
+                                 self.context_.sensor_ids(), query[:, 0], query[:, 1],
+                                 hours=[0])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,7 @@ class Graph:
     """Complete directed graph over a sensor network.
 
     dist keeps true zero on the diagonal; off-diagonal entries are floored
-    at eps_dist. Edge k runs src[k] -> dst[k], grouped by destination.
+    at EPS_DIST_KM. Edge k runs src[k] -> dst[k], grouped by destination.
     edge_east/edge_north are unit vectors along each edge in a local
     east/north frame, zero where endpoints coincide.
     """
@@ -110,7 +110,6 @@ class Graph:
     dst: np.ndarray
     edge_east: np.ndarray
     edge_north: np.ndarray
-    eps_dist: float = EPS_DIST_KM
 
     @property
     def n_nodes(self) -> int:
@@ -137,7 +136,7 @@ class Graph:
         return a
 
 
-def build_graph(sensors, eps_dist: float = EPS_DIST_KM) -> Graph:
+def build_graph(sensors) -> Graph:
     """Build the complete directed graph for a list of SensorMeta.
 
     Validates ids and coordinates, computes the clamped distance matrix,
@@ -158,7 +157,7 @@ def build_graph(sensors, eps_dist: float = EPS_DIST_KM) -> Graph:
     lons = np.array([s.longitude for s in sensors])
     dist = pairwise_distances_km(lats, lons)
     off = ~np.eye(n, dtype=bool)
-    dist[off] = np.maximum(dist[off], eps_dist)
+    dist[off] = np.maximum(dist[off], EPS_DIST_KM)
     # the off-diagonal (dst, src) pairs in row-major order: grouped by
     # destination, sources ascending
     dst, src = np.divmod(np.flatnonzero(off), n)
@@ -176,7 +175,7 @@ def build_graph(sensors, eps_dist: float = EPS_DIST_KM) -> Graph:
     edge_north = np.where(norm > 0, dy / safe, 0.0)
 
     return Graph(sensors=sensors, dist=dist, src=src, dst=dst,
-                 edge_east=edge_east, edge_north=edge_north, eps_dist=eps_dist)
+                 edge_east=edge_east, edge_north=edge_north)
 
 
 def convection_edge_features(graph: Graph, wind: WindRecord) -> np.ndarray:

@@ -63,7 +63,7 @@ import numpy as np
 from .autodiff import (Mlp, Param, Tensor, add, concat, is_recording, linear_pair, make_op,
                        matmul, mul, narrow, relu, reshape, softmax, take, tsum)
 from .errors import ShapeError, ValidationError
-from .geo import Graph, GraphMatrices, build_matrices
+from .geo import Graph, build_matrices
 
 PRESETS = {"S": (3, 128), "M": (4, 256), "L": (5, 512)}
 
@@ -137,9 +137,8 @@ class GraphWiring:
     here is read-only once built.
     """
 
-    def __init__(self, graph: Graph, matrices: GraphMatrices | None = None):
-        if matrices is None:
-            matrices = build_matrices(graph)
+    def __init__(self, graph: Graph):
+        matrices = build_matrices(graph)
         n = graph.n_nodes
         self.graph = graph
         self.n_nodes = n

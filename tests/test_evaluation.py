@@ -37,10 +37,13 @@ from physair.evaluation import (
     write_summary,
 )
 from physair.geo import SensorMeta, WindRecord
-from physair.model import ModelConfig, PhysicsGnn
+from physair.model import GraphWiring, ModelConfig, PhysicsGnn
 from physair.training import (
     Normalizer,
+    build_node_inputs,
     evaluate_target_sensor,
+    graph_for_ids,
+    hourly_conv_features,
     subset_dataset_values,
 )
 
@@ -384,6 +387,57 @@ def test_benchmark_runners_lineup():
                                      "noise": 0.1})
 
 
+def window_models(dataset, windows):
+    models = [PhysicsGnn(ModelConfig(preset=None, n_layers=2, hidden_dim=8, window=w),
+                         seed=k) for k, w in enumerate(windows)]
+    return models, Normalizer.from_values(dataset.pm25)
+
+
+def per_target_forward(models, norm, ds, context, target, hours):
+    """The ensemble mean of each member's own forward on context + target."""
+    graph = graph_for_ids(ds, context + (target,))
+    values = np.concatenate([norm.normalize(subset_dataset_values(ds, context)),
+                             np.zeros((ds.hours, 1))], axis=1)
+    window = models[0].config.window
+    x = np.stack([build_node_inputs(values, int(h), len(context), window) for h in hours])
+    conv = hourly_conv_features(graph, ds, hours)
+    wiring = GraphWiring(graph)
+    mean = sum(m.forward(x, wiring, conv, len(context)).data for m in models) / len(models)
+    return norm.denormalize(mean)
+
+
+def test_inference_reads_the_input_window_from_the_ensemble():
+    ds = toy_dataset(hours=8, n=6)
+    models, norm = window_models(ds, (3, 3))
+    context, targets, hours = ("s0", "s1", "s2", "s3"), ("s4", "s5"), np.arange(8)
+    want = np.column_stack([per_target_forward(models, norm, ds, context, t, hours)
+                            for t in targets])
+    runner = benchmark_runners(ds, context, models=models, normalizer=norm,
+                               gp_params={"variance": 1.0, "lengthscale": 5.0,
+                                          "noise": 0.1})["gnn"]
+    points = [s for s in ds.sensors if s.sensor_id in targets]
+    for got in (runner(ds, context, targets, hours),
+                evaluate_target_sensor(models, norm, ds, context, targets, hours)[0],
+                infer_at_location(models, norm, ds, context,
+                                  [s.latitude for s in points],
+                                  [s.longitude for s in points], hours)):
+        assert got.shape == (8, 2)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_an_ensemble_without_one_shared_window_is_refused():
+    ds = toy_dataset(hours=6, n=5)
+    models, norm = window_models(ds, (1, 3))
+    context = ("s0", "s1", "s2")
+    with pytest.raises(ValidationError, match=r"windows \[1, 3\]"):
+        evaluate_target_sensor(models, norm, ds, context, "s3", None)
+    with pytest.raises(ValidationError, match=r"windows \[1, 3\]"):
+        infer_at_location(models, norm, ds, context, 32.71, -117.11)
+    # an empty ensemble has no window either, and no mean to take
+    with pytest.raises(ValidationError, match=r"windows \[\]"):
+        evaluate_target_sensor([], norm, ds, context, "s3", None)
+
+
 # ---------------------------------------------------------------------------
 # Density experiment.
 # ---------------------------------------------------------------------------
@@ -591,13 +645,13 @@ def test_interpolator_predicts_in_groups_of_points(monkeypatch):
     singles = [est.predict(query[p:p + 1]) for p in range(5)]
     monkeypatch.setattr(evaluation, "_POINTS_PER_CALL", 2)
     calls = []
-    predict = evaluation.masked_batch_predictions
+    predict = evaluation.predict_masked_node
 
-    def counted(models, wirings, *args):
-        calls.append(len(wirings))
-        return predict(models, wirings, *args)
+    def counted(models, normalizer, graphs, *args, **kwargs):
+        calls.append(len(graphs))
+        return predict(models, normalizer, graphs, *args, **kwargs)
 
-    monkeypatch.setattr(evaluation, "masked_batch_predictions", counted)
+    monkeypatch.setattr(evaluation, "predict_masked_node", counted)
     grouped = est.predict(query)
     assert calls == [2, 2, 1]
     assert grouped.tobytes() == np.concatenate(singles).tobytes()

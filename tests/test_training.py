@@ -1,6 +1,7 @@
 """Split logic, the masking protocol, and the training loop."""
 
 import json
+import tracemalloc
 from datetime import datetime, timezone
 
 import numpy as np
@@ -444,14 +445,21 @@ def shared_context_graphs(n, g, seed):
     return [build_graph(metas[:n - 1] + [metas[n - 1 + k]]) for k in range(g)]
 
 
-def assert_predictor_matches_per_target_forward(config, n, bsz, g):
-    models = [PhysicsGnn(config, seed=s) for s in (n, n + 1)]
-    graphs = shared_context_graphs(n, g, seed=n * 10 + g)
-    rng = np.random.default_rng(config.n_layers * 100 + bsz)
-    x = rng.normal(size=(bsz, n, config.input_dim))
+def predictor_batch(graphs, config, bsz, rng):
+    """(x, convs) for masked_batch_predictions: random node inputs, the
+    masked last node zeroed, and one random wind per sample."""
+    x = rng.normal(size=(bsz, graphs[0].n_nodes, config.input_dim))
     x[:, -1] = 0.0
     winds = [WindRecord("t", rng.uniform(0, 15), rng.uniform(0, 360)) for _ in range(bsz)]
     convs = [np.stack([convection_edge_features(graph, w) for w in winds]) for graph in graphs]
+    return x, convs
+
+
+def assert_predictor_matches_per_target_forward(config, n, bsz, g):
+    models = [PhysicsGnn(config, seed=s) for s in (n, n + 1)]
+    graphs = shared_context_graphs(n, g, seed=n * 10 + g)
+    x, convs = predictor_batch(graphs, config, bsz,
+                               np.random.default_rng(config.n_layers * 100 + bsz))
     wirings = [GraphWiring(graph) for graph in graphs]
     got = masked_batch_predictions(models, wirings, x, convs, Normalizer(0.0, 1.0))
     assert got.shape == (bsz, g)
@@ -467,6 +475,28 @@ def assert_predictor_matches_per_target_forward(config, n, bsz, g):
 def test_multi_target_predictor_matches_per_target_forward(n, n_layers, bsz, g):
     config = ModelConfig(preset=None, n_layers=n_layers, hidden_dim=8)
     assert_predictor_matches_per_target_forward(config, n, bsz, g)
+
+
+def test_predictor_peak_memory_does_not_grow_with_ensemble_members():
+    # each member's shared context is freed before the next member builds
+    # its own, so a call peaks at one member's working set however many
+    # members it averages; holding two at once adds ~0.5 MB to this ~1.2 MB
+    config = ModelConfig(preset=None, n_layers=3, hidden_dim=16)
+    graphs = shared_context_graphs(28, 9, seed=3)
+    wirings = [GraphWiring(graph) for graph in graphs]
+    x, convs = predictor_batch(graphs, config, 4, np.random.default_rng(4))
+    peaks = {}
+    for members in (1, 2, 3):
+        models = [PhysicsGnn(config, seed=s) for s in range(members)]
+        masked_batch_predictions(models, wirings, x, convs, Normalizer(0.0, 1.0))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            masked_batch_predictions(models, wirings, x, convs, Normalizer(0.0, 1.0))
+            peaks[members] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert max(peaks[2], peaks[3]) <= 1.02 * peaks[1], peaks
 
 
 @pytest.mark.parametrize("aggregation", ["sum", "mean"])
