@@ -14,6 +14,13 @@ closed-form solves), so per-hour refitting is the intended usage. The
 one exception is GP hyperparameter selection, which is a grid search
 over the whole training period done once via
 :func:`select_gp_hyperparameters`.
+
+Refitting one estimator is cheaper still: a fit or predict reuses the
+previous call's coordinate-only work (distances, IDW weights, variogram
+bins, the GP covariance and its Cholesky factor, cross kernels) while
+the coordinates and the hyperparameters that work depends on are
+unchanged. The reuse is exact: every step that reads the values runs as
+on a fresh estimator, so predictions are bit-identical.
 """
 
 from __future__ import annotations
@@ -80,18 +87,24 @@ class Idw(BaseEstimator):
     def predict(self, coords) -> np.ndarray:
         self._check_fitted("coords_", "values_")
         targets = check_coords(coords, name="targets")
+        inv, row_sums, at_sensor, nearest = self._reuse(
+            "weights", (targets, self.coords_, self.power, self.eps_dist),
+            lambda: self._weights(targets))
+        pred = (inv @ self.values_) / row_sums
+        if at_sensor.any():
+            pred[at_sensor] = self.values_[nearest]
+        return pred
+
+    def _weights(self, targets: np.ndarray) -> tuple:
+        """Inverse weights, their row sums, and each exact row's nearest sensor."""
         dist = cross_distances_km(targets[:, 0], targets[:, 1],
                                   self.coords_[:, 0], self.coords_[:, 1])
         # Guard the power against the zero-distance rows that the
         # exactness rule will overwrite anyway.
         safe = np.maximum(dist, self.eps_dist)
         inv = safe ** (-self.power)
-        pred = (inv @ self.values_) / inv.sum(axis=1)
         at_sensor = dist.min(axis=1) <= self.eps_dist
-        if at_sensor.any():
-            nearest = dist[at_sensor].argmin(axis=1)
-            pred[at_sensor] = self.values_[nearest]
-        return pred
+        return inv, inv.sum(axis=1), at_sensor, dist[at_sensor].argmin(axis=1)
 
 
 @dataclass(frozen=True)
@@ -119,24 +132,43 @@ def fit_linear_variogram(dist: np.ndarray, values: np.ndarray,
     through the (bin centre, mean semivariance) points. Slope and
     nugget are both clamped to be non-negative.
     """
-    iu, ju = np.triu_indices(values.shape[0], k=1)
+    return _fit_binned_variogram(_variogram_bins(dist, n_bins), values)
+
+
+def _variogram_bins(dist: np.ndarray, n_bins: int) -> tuple:
+    """The half of :func:`fit_linear_variogram` that reads only distances.
+
+    Returns the pair indices ``(iu, ju)`` in ``triu_indices`` order, the
+    non-empty bins' centres and each one's member mask over the pairs.
+    Centres and masks are None when no pair has a positive distance.
+    """
+    iu, ju = np.triu_indices(dist.shape[0], k=1)
     h = dist[iu, ju]
-    gamma = 0.5 * (values[iu] - values[ju]) ** 2
     h_max = h.max(initial=0.0)
     if h.size == 0 or h_max <= 0.0:
-        return 0.0, float(gamma.mean()) if gamma.size else 0.0
+        return iu, ju, None, None
     width = h_max / n_bins
     idx = np.minimum((h / width).astype(int), n_bins - 1)
     centers = []
-    means = []
+    members = []
     for b in range(n_bins):
         sel = idx == b
         if sel.any():
             centers.append((b + 0.5) * width)
-            means.append(gamma[sel].mean())
+            members.append(sel)
+    return iu, ju, np.asarray(centers), members
+
+
+def _fit_binned_variogram(bins: tuple, values: np.ndarray) -> tuple[float, float]:
+    """The half of :func:`fit_linear_variogram` that reads the values."""
+    iu, ju, centers, members = bins
+    gamma = 0.5 * (values[iu] - values[ju]) ** 2
+    if centers is None:
+        return 0.0, float(gamma.mean()) if gamma.size else 0.0
+    means = [gamma[sel].mean() for sel in members]
     if len(centers) < 2:
         return 0.0, max(0.0, float(means[0])) if means else 0.0
-    slope, nugget = np.polyfit(np.asarray(centers), np.asarray(means), 1)
+    slope, nugget = np.polyfit(centers, np.asarray(means), 1)
     return max(0.0, float(slope)), max(0.0, float(nugget))
 
 
@@ -171,15 +203,17 @@ class OrdinaryKriging(BaseEstimator):
         n = self.coords_.shape[0]
         if n < 2:
             raise ValidationError(f"kriging needs at least 2 sensors, got {n}")
-        dist = pairwise_distances_km(self.coords_[:, 0], self.coords_[:, 1])
+        dist = self._reuse("dist", (self.coords_,), lambda: pairwise_distances_km(
+            self.coords_[:, 0], self.coords_[:, 1]))
         if self.slope is not None or self.nugget is not None:
             self.slope_ = float(self.slope if self.slope is not None else 0.0)
             self.nugget_ = float(self.nugget if self.nugget is not None else 0.0)
             if self.slope_ < 0 or self.nugget_ < 0:
                 raise ValidationError("variogram slope and nugget must be >= 0")
         else:
-            self.slope_, self.nugget_ = fit_linear_variogram(
-                dist, self.values_, n_bins=self.n_bins)
+            bins = self._reuse("bins", (self.coords_, self.n_bins),
+                               lambda: _variogram_bins(dist, self.n_bins))
+            self.slope_, self.nugget_ = _fit_binned_variogram(bins, self.values_)
         matrix = np.ones((n + 1, n + 1))
         matrix[:n, :n] = self._gamma(dist)
         matrix[n, n] = 0.0
@@ -191,8 +225,8 @@ class OrdinaryKriging(BaseEstimator):
         self._check_fitted("matrix_")
         targets = check_coords(coords, name="targets")
         n = self.coords_.shape[0]
-        cross = cross_distances_km(self.coords_[:, 0], self.coords_[:, 1],
-                                   targets[:, 0], targets[:, 1])
+        cross = self._reuse("cross", (self.coords_, targets), lambda: cross_distances_km(
+            self.coords_[:, 0], self.coords_[:, 1], targets[:, 0], targets[:, 1]))
         rhs = np.ones((n + 1, targets.shape[0]))
         rhs[:n] = self._gamma(cross)
         solution = np.linalg.solve(self.matrix_, rhs)
@@ -251,22 +285,29 @@ class GaussianProcess(BaseEstimator):
             raise ValidationError(f"noise must be >= 0, got {self.noise}")
         self.coords_ = check_coords(coords)
         self.values_ = check_values(values, n=self.coords_.shape[0])
-        n = self.coords_.shape[0]
-        dist = pairwise_distances_km(self.coords_[:, 0], self.coords_[:, 1])
-        cov = self._kernel(dist) + (self.noise + self.jitter) * np.eye(n)
-        chol = np.linalg.cholesky(cov)
-        self.log_det_ = float(2.0 * np.log(np.diag(chol)).sum())
+        cov, self.log_det_ = self._reuse(
+            "cov", (self.coords_, self.variance, self.lengthscale, self.noise, self.jitter),
+            self._covariance)
         self.mean_ = float(self.values_.mean())
         resid = self.values_ - self.mean_
         self.alpha_ = np.linalg.solve(cov, resid)
         return self
 
+    def _covariance(self) -> tuple:
+        """The fitted coordinates' covariance and its Cholesky log-determinant."""
+        dist = pairwise_distances_km(self.coords_[:, 0], self.coords_[:, 1])
+        cov = self._kernel(dist) + (self.noise + self.jitter) * np.eye(dist.shape[0])
+        chol = np.linalg.cholesky(cov)
+        return cov, float(2.0 * np.log(np.diag(chol)).sum())
+
     def predict(self, coords) -> np.ndarray:
         self._check_fitted("alpha_")
         targets = check_coords(coords, name="targets")
-        cross = cross_distances_km(targets[:, 0], targets[:, 1],
-                                   self.coords_[:, 0], self.coords_[:, 1])
-        return self.mean_ + self._kernel(cross) @ self.alpha_
+        kernel = self._reuse(
+            "cross", (targets, self.coords_, self.variance, self.lengthscale),
+            lambda: self._kernel(cross_distances_km(
+                targets[:, 0], targets[:, 1], self.coords_[:, 0], self.coords_[:, 1])))
+        return self.mean_ + kernel @ self.alpha_
 
     def log_marginal_likelihood(self) -> float:
         """Log marginal likelihood of the fitted values under the prior."""
@@ -290,6 +331,27 @@ def select_gp_hyperparameters(coords, value_rows,
     maximizing the summed per-hour log marginal likelihood wins, first
     in grid order on ties. Returns kwargs for :class:`GaussianProcess`.
     """
+    best = None
+    best_score = -np.inf
+    for params, score in _gp_grid_scores(coords, value_rows, variance_factors,
+                                         lengthscales, noise_factors):
+        if score > best_score:
+            best_score = score
+            best = params
+    if best is None:
+        raise ValidationError("no usable hours in value_rows")
+    return best
+
+
+def _gp_grid_scores(coords, value_rows, variance_factors, lengthscales,
+                    noise_factors) -> list:
+    """Each grid point's GP kwargs and summed score, in grid order.
+
+    A grid point whose covariance fails to factor on some hour scores
+    ``-inf``. Consecutive usable hours with one finite mask share each
+    grid point's masked covariance and Cholesky factor; every hour still
+    runs its own solve and adds its term to the score in hour order.
+    """
     coords = check_coords(coords)
     rows = np.asarray(value_rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != coords.shape[0]:
@@ -302,22 +364,24 @@ def select_gp_hyperparameters(coords, value_rows,
     if var <= 0.0:
         var = 1.0  # constant data; any scale works, keep the grid sane
     dist = pairwise_distances_km(coords[:, 0], coords[:, 1])
-    masks = np.isfinite(rows)
+    runs = []  # (finite mask, the residuals of its consecutive hours)
+    for mask, row in zip(np.isfinite(rows), rows):
+        if mask.sum() < 2:
+            continue
+        v = row[mask]
+        if not (runs and runs[-1][0].tobytes() == mask.tobytes()):
+            runs.append((mask, []))
+        runs[-1][1].append(v - v.mean())
 
-    best = None
-    best_score = -np.inf
+    scores = []
     for vf in variance_factors:
         for ls in lengthscales:
             kernel = vf * var * np.exp(-dist / ls)
             for nf in noise_factors:
                 noise = nf * var
                 score = 0.0
-                for t in range(rows.shape[0]):
-                    mask = masks[t]
-                    n = int(mask.sum())
-                    if n < 2:
-                        continue
-                    v = rows[t, mask]
+                for mask, resids in runs:
+                    n = resids[0].shape[0]
                     cov = kernel[np.ix_(mask, mask)] + \
                         (noise + GP_JITTER) * np.eye(n)
                     try:
@@ -325,15 +389,12 @@ def select_gp_hyperparameters(coords, value_rows,
                     except np.linalg.LinAlgError:
                         score = -np.inf
                         break
-                    resid = v - v.mean()
-                    alpha = np.linalg.solve(cov, resid)
-                    score += (-0.5 * resid @ alpha
-                              - np.log(np.diag(chol)).sum()
-                              - 0.5 * n * np.log(2.0 * np.pi))
-                if score > best_score:
-                    best_score = score
-                    best = {"variance": vf * var, "lengthscale": ls,
-                            "noise": noise}
-    if best is None:
-        raise ValidationError("no usable hours in value_rows")
-    return best
+                    half_log_det = np.log(np.diag(chol)).sum()
+                    for resid in resids:
+                        alpha = np.linalg.solve(cov, resid)
+                        score += (-0.5 * resid @ alpha
+                                  - half_log_det
+                                  - 0.5 * n * np.log(2.0 * np.pi))
+                scores.append(({"variance": vf * var, "lengthscale": ls,
+                                "noise": noise}, score))
+    return scores

@@ -12,6 +12,7 @@ convention is small enough to carry locally.
 from __future__ import annotations
 
 import inspect
+from typing import Callable
 
 import numpy as np
 
@@ -46,6 +47,28 @@ class BaseEstimator:
             if getattr(self, attr, None) is None:
                 raise ValidationError(
                     f"{type(self).__name__} is not fitted; call fit() first")
+
+    def _reuse(self, slot: str, key: tuple, compute: Callable[[], object]):
+        """Return ``compute()``, or the value the last call on ``slot`` stored.
+
+        The stored value is reused only when ``key`` equals that call's key
+        exactly: arrays by dtype, shape and bytes, other parts by type and
+        ``repr`` (so ``-0.0`` and ``0.0`` differ). The key is kept as one
+        bytes copy (the parts' description, which fixes each array's length,
+        a NUL, then the arrays' bytes), so mutating a key array in place
+        makes the next call recompute. One value is kept per slot.
+        """
+        parts = [(k.dtype.str, k.shape) if isinstance(k, np.ndarray) else (type(k), k)
+                 for k in key]
+        frozen = b"\0".join([repr(parts).encode()]
+                            + [k.tobytes() for k in key if isinstance(k, np.ndarray)])
+        store = vars(self).setdefault("_reused", {})
+        hit = store.get(slot)
+        if hit is not None and hit[0] == frozen:
+            return hit[1]
+        value = compute()
+        store[slot] = (frozen, value)
+        return value
 
 
 def check_coords(coords, name: str = "coords") -> np.ndarray:

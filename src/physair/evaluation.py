@@ -250,9 +250,12 @@ def _coords_for(dataset: Dataset, ids) -> np.ndarray:
 def estimator_runner(factory: Callable[[], BaseEstimator]) -> Runner:
     """Wrap a fit/predict estimator factory as a per-hour runner.
 
-    Each hour gets a fresh estimator fitted on that hour's finite
-    context readings. Hours where fewer than two context sensors
-    report are an error: one point cannot anchor an interpolation.
+    Each call builds one estimator and refits it on every hour's finite
+    context readings, so hours that share a finite mask reuse its
+    coordinate-only work (see :mod:`physair.baselines`); predictions are
+    bit-identical to a fresh estimator per hour. Hours where fewer than
+    two context sensors report are an error: one point cannot anchor an
+    interpolation.
     """
 
     def run(dataset, context_ids, target_ids, hours):
@@ -261,6 +264,7 @@ def estimator_runner(factory: Callable[[], BaseEstimator]) -> Runner:
         tgt_coords = _coords_for(dataset, target_ids)
         ctx_values = subset_dataset_values(dataset, context_ids)
         out = np.empty((len(hours), len(target_ids)))
+        est = factory()
         for row, hour in enumerate(hours):
             vals = ctx_values[hour]
             ok = np.isfinite(vals)
@@ -268,7 +272,6 @@ def estimator_runner(factory: Callable[[], BaseEstimator]) -> Runner:
                 raise ValidationError(
                     f"hour {hour}: only {int(ok.sum())} context sensors "
                     "report a value; need at least 2")
-            est = factory()
             est.fit(ctx_coords[ok], vals[ok])
             out[row] = est.predict(tgt_coords)
         return out

@@ -7,15 +7,19 @@ import pytest
 
 from physair.baselines import (
     GP_JITTER,
+    GP_LENGTHSCALES_KM,
+    GP_NOISE_FACTORS,
+    GP_VARIANCE_FACTORS,
     GaussianProcess,
     Idw,
     MeanFill,
     OrdinaryKriging,
+    _gp_grid_scores,
     fit_linear_variogram,
     select_gp_hyperparameters,
 )
 from physair.errors import ValidationError
-from physair.geo import SensorMeta, haversine_km
+from physair.geo import SensorMeta, haversine_km, pairwise_distances_km
 
 BASE_LAT, BASE_LON = 32.7, -117.15
 
@@ -208,7 +212,6 @@ def test_variogram_recovers_linear_trend():
     lon = np.sort(rng.uniform(-117.3, -117.0, 12))
     coords = np.column_stack([np.full(12, 32.7), lon])
     values = 100.0 * (lon - lon.min())
-    from physair.geo import pairwise_distances_km
     dist = pairwise_distances_km(coords[:, 0], coords[:, 1])
     slope, nugget = fit_linear_variogram(dist, values)
     assert slope > 0.0
@@ -377,3 +380,130 @@ def test_all_baselines_deterministic_predictions():
         a = make().fit(coords, values).predict(targets)
         b = make().fit(coords, values).predict(targets)
         np.testing.assert_array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Refitting one estimator reuses coordinate-only work exactly.
+# ---------------------------------------------------------------------------
+
+def refit_gp():
+    return GaussianProcess(variance=4.0, lengthscale=6.0, noise=0.1)
+
+
+REFIT_BASELINES = (Idw, OrdinaryKriging, refit_gp)
+
+
+def fresh_bytes(make, coords, values, targets, **params):
+    return make().set_params(**params).fit(coords, values).predict(targets).tobytes()
+
+
+@pytest.mark.parametrize("make", REFIT_BASELINES)
+def test_refit_on_other_coords_and_back_matches_fresh(make):
+    rng = np.random.default_rng(61)
+    a, b = random_coords(rng, 7), random_coords(rng, 7)
+    targets = random_coords(rng, 3)
+    est = make()
+    for coords in (a, b, a):
+        values = rng.uniform(5, 40, 7)
+        for query in (targets, targets[:2], targets):
+            got = est.fit(coords, values).predict(query).tobytes()
+            assert got == fresh_bytes(make, coords, values, query)
+
+
+@pytest.mark.parametrize("make", REFIT_BASELINES)
+def test_refit_after_mutating_coords_in_place_matches_fresh(make):
+    rng = np.random.default_rng(62)
+    coords, targets = random_coords(rng, 6), random_coords(rng, 3)
+    values = rng.uniform(5, 40, 6)
+    est = make()
+    est.fit(coords, values).predict(targets)
+    targets[0] -= 0.03
+    assert est.predict(targets).tobytes() == fresh_bytes(make, coords, values, targets)
+    coords[2] += 0.05
+    got = est.fit(coords, values).predict(targets).tobytes()
+    assert got == fresh_bytes(make, coords, values, targets)
+
+
+@pytest.mark.parametrize("make, params", [
+    (Idw, {"power": 2.0}),
+    (Idw, {"eps_dist": 5.0}),
+    (OrdinaryKriging, {"n_bins": 3}),
+    (OrdinaryKriging, {"slope": 2.0}),
+    (OrdinaryKriging, {"nugget": 1.5}),
+    (refit_gp, {"variance": 9.0}),
+    (refit_gp, {"lengthscale": 1.5}),
+    (refit_gp, {"noise": 2.0}),
+    (refit_gp, {"jitter": 1e-3}),
+])
+def test_refit_after_set_params_matches_fresh(make, params):
+    rng = np.random.default_rng(63)
+    coords, targets = random_coords(rng, 8), random_coords(rng, 4)
+    targets[0] = coords[3] + 1e-4  # within 5 km, so eps_dist changes a row
+    values = rng.uniform(5, 40, 8)
+    est = make()
+    est.fit(coords, values).predict(targets)
+    got = est.set_params(**params).fit(coords, values).predict(targets).tobytes()
+    assert got == fresh_bytes(make, coords, values, targets, **params)
+
+
+def per_hour_grid_scores(coords, rows, variance_factors, lengthscales, noise_factors):
+    """The grid search's per-hour loop before refits shared a factorization."""
+    coords = np.asarray(coords, dtype=float)
+    pooled = rows[np.isfinite(rows)]
+    var = float(pooled.var())
+    if var <= 0.0:
+        var = 1.0
+    dist = pairwise_distances_km(coords[:, 0], coords[:, 1])
+    masks = np.isfinite(rows)
+    scores = []
+    for vf in variance_factors:
+        for ls in lengthscales:
+            kernel = vf * var * np.exp(-dist / ls)
+            for nf in noise_factors:
+                noise = nf * var
+                score = 0.0
+                for t in range(rows.shape[0]):
+                    mask = masks[t]
+                    n = int(mask.sum())
+                    if n < 2:
+                        continue
+                    v = rows[t, mask]
+                    cov = kernel[np.ix_(mask, mask)] + \
+                        (noise + GP_JITTER) * np.eye(n)
+                    try:
+                        chol = np.linalg.cholesky(cov)
+                    except np.linalg.LinAlgError:
+                        score = -np.inf
+                        break
+                    resid = v - v.mean()
+                    alpha = np.linalg.solve(cov, resid)
+                    score += (-0.5 * resid @ alpha
+                              - np.log(np.diag(chol)).sum()
+                              - 0.5 * n * np.log(2.0 * np.pi))
+                scores.append(({"variance": vf * var, "lengthscale": ls,
+                                "noise": noise}, score))
+    return scores
+
+
+@pytest.mark.parametrize("grid", [
+    (GP_VARIANCE_FACTORS, GP_LENGTHSCALES_KM, GP_NOISE_FACTORS),
+    # noise -10 x variance makes every covariance indefinite
+    ((0.5, 2.0), (1.0, 5.0), (0.0, -10.0, 0.1)),
+])
+def test_gp_grid_scores_match_the_per_hour_loop_bit_for_bit(grid):
+    rng = np.random.default_rng(64)
+    coords = random_coords(rng, 6)
+    rows = rng.uniform(5, 40, (14, 6))
+    # the mask changes and changes back; hour 10 has one reading (skipped)
+    rows[[3, 4, 9], 2] = np.nan
+    rows[[6, 7, 9], 4] = np.nan
+    rows[10, 1:] = np.nan
+    got = _gp_grid_scores(coords, rows, *grid)
+    want = per_hour_grid_scores(coords, rows, *grid)
+    assert [p for p, _ in got] == [p for p, _ in want]
+    assert np.array([s for _, s in got]).tobytes() == \
+        np.array([s for _, s in want]).tobytes()
+    if -10.0 in grid[2]:
+        assert sum(s == -np.inf for _, s in got) == 4
+    best = max(want, key=lambda ps: ps[1])[0]  # first maximum in grid order
+    assert select_gp_hyperparameters(coords, rows, *grid) == best

@@ -1,6 +1,7 @@
 """Metrics, heterogeneity, binning, density runs, and report output."""
 
 import json
+import logging
 import statistics
 from datetime import datetime, timezone
 
@@ -306,6 +307,69 @@ def test_estimator_runner_rejects_bad_hours(hours):
     ds = toy_dataset(hours=8)
     with pytest.raises(ValidationError, match="whole hour indices"):
         estimator_runner(MeanFill)(ds, ("s0", "s1", "s2", "s3"), ("s4",), hours)
+
+
+def fresh_estimator_loop(factory, ds, context, targets, hours):
+    """A fresh estimator fitted and queried per hour: the refit oracle."""
+    ctx = subset_dataset_values(ds, context)
+    ctx_coords = np.array([[s.latitude, s.longitude] for s in ds.sensors
+                           if s.sensor_id in context])
+    tgt_coords = np.array([[s.latitude, s.longitude] for s in ds.sensors
+                           if s.sensor_id in targets])
+    out = np.empty((len(hours), len(targets)))
+    for row, hour in enumerate(hours):
+        ok = np.isfinite(ctx[hour])
+        out[row] = factory().fit(ctx_coords[ok], ctx[hour, ok]).predict(tgt_coords)
+    return out
+
+
+ALL_BASELINES = {
+    "mean_fill": MeanFill,
+    "idw": Idw,
+    "kriging": OrdinaryKriging,
+    "gp": lambda: GaussianProcess(variance=20.0, lengthscale=3.0, noise=0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALL_BASELINES))
+def test_estimator_runner_refit_matches_a_fresh_estimator_per_hour(name):
+    ds = toy_dataset(hours=14, n=7, seed=3)
+    # The finite mask changes and changes back: s1 is silent at hours
+    # 3-4 and 9, s2 at 6-7, both at 12.
+    for hour, sensor in ((3, 1), (4, 1), (9, 1), (6, 2), (7, 2), (12, 1), (12, 2)):
+        ds.pm25[hour, sensor] = np.nan
+    context, targets, hours = ("s0", "s1", "s2", "s3", "s4"), ("s5", "s6"), np.arange(14)
+    factory = ALL_BASELINES[name]
+    got = estimator_runner(factory)(ds, context, targets, hours)
+    want = fresh_estimator_loop(factory, ds, context, targets, hours)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_refit_kriging_warns_once_per_singular_hour(caplog):
+    ds = toy_dataset(hours=12, n=6, seed=4)
+    # s0 and s1 coincide, so every hour both report has a singular system.
+    ds = Dataset(sensors=(ds.sensors[0], SensorMeta("s1", ds.sensors[0].latitude,
+                                                    ds.sensors[0].longitude))
+                 + ds.sensors[2:], start=T0, pm25=ds.pm25, wind=ds.wind).validate()
+    ds.pm25[[2, 5, 6], 1] = np.nan
+    context, targets, hours = ("s0", "s1", "s2", "s3"), ("s4", "s5"), np.arange(12)
+    with caplog.at_level(logging.WARNING, logger="physair.baselines"):
+        got = estimator_runner(OrdinaryKriging)(ds, context, targets, hours)
+    # the text perfbench's fallback counter matches
+    fallbacks = [r for r in caplog.records if "falling back" in r.getMessage()]
+    ctx = subset_dataset_values(ds, context)
+    coords = np.array([[s.latitude, s.longitude] for s in ds.sensors])
+    singular = 0
+    for hour in hours:
+        ok = np.isfinite(ctx[hour])
+        try:
+            OrdinaryKriging().fit(coords[:4][ok], ctx[hour, ok]).solve(coords[4:])
+        except np.linalg.LinAlgError:
+            singular += 1
+    assert 0 < singular < len(hours)
+    assert len(fallbacks) == singular
+    want = fresh_estimator_loop(OrdinaryKriging, ds, context, targets, hours)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_evaluate_models_rejects_context_target_overlap():
