@@ -343,15 +343,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), vjp)
 
 
+def _grouped_product(x2: np.ndarray, w: np.ndarray, groups: int) -> np.ndarray:
+    """x2 @ w for 2-d x2, with one BLAS call per block of rows if groups > 1 (see linear)."""
+    if groups == 1:
+        return x2 @ w
+    return np.matmul(x2.reshape(groups, -1, x2.shape[1]), w).reshape(-1, w.shape[1])
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None,
-           activation: str = "identity") -> Tensor:
+           activation: str = "identity", groups: int = 1) -> Tensor:
     """act(x @ w + b) as one graph node.
 
     Fuses the affine layer into a single GEMM with the bias add and the
     activation applied in place on the GEMM output. Values match the
     composition of matmul/add/relu exactly; the only difference is that
     no intermediate arrays are materialized, which matters on the edge
-    tensors where each temporary is tens of megabytes.
+    tensors where each temporary is tens of megabytes. With groups > 1,
+    one 3-d np.matmul gives each of that many equal blocks of rows its own
+    BLAS call, and so its own call's bits at any row count.
     """
     if w.ndim != 2:
         raise ShapeError(f"linear weight must be 2d, got {w.shape}")
@@ -364,7 +373,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None,
         raise ShapeError(f"linear bias must be ({n},), got {b.shape}")
 
     x2 = x.data.reshape(-1, k)
-    out2 = x2 @ w.data
+    out2 = _grouped_product(x2, w.data, groups)
     if b is not None:
         np.add(out2, b.data, out=out2)
     if activation == "relu":
@@ -387,12 +396,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None,
 
 
 def linear_pair(a: Tensor, c: Tensor, wa: Tensor, wc: Tensor,
-                b: Tensor | None = None, activation: str = "identity") -> Tensor:
+                b: Tensor | None = None, activation: str = "identity", groups: int = 1) -> Tensor:
     """act(a @ wa + c @ wc + b): a two-operand affine layer in one node.
 
     Equivalent to concatenating a and c and multiplying by the stacked
     weight [wa; wc], but skips the concat and evaluates the halves as two
-    GEMMs accumulated into one buffer.
+    GEMMs accumulated into one buffer. groups as in linear.
     """
     for w, operand, label in ((wa, a, "a"), (wc, c, "c")):
         if w.ndim != 2:
@@ -411,8 +420,8 @@ def linear_pair(a: Tensor, c: Tensor, wa: Tensor, wc: Tensor,
 
     a2 = a.data.reshape(-1, wa.shape[0])
     c2 = c.data.reshape(-1, wc.shape[0])
-    out2 = a2 @ wa.data
-    np.add(out2, c2 @ wc.data, out=out2)
+    out2 = _grouped_product(a2, wa.data, groups)
+    np.add(out2, _grouped_product(c2, wc.data, groups), out=out2)
     if b is not None:
         np.add(out2, b.data, out=out2)
     if activation == "relu":
@@ -582,9 +591,9 @@ class Mlp:
             act = output_activation if i == last else hidden_activation
             self.layers.append((w, b, act))
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, groups: int = 1) -> Tensor:
         for w, b, act in self.layers:
-            x = linear(x, w, b, activation=act)
+            x = linear(x, w, b, activation=act, groups=groups)
         return x
 
     def params(self) -> list:

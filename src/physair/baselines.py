@@ -372,6 +372,8 @@ def _gp_grid_scores(coords, value_rows, variance_factors, lengthscales,
         if not (runs and runs[-1][0].tobytes() == mask.tobytes()):
             runs.append((mask, []))
         runs[-1][1].append(v - v.mean())
+    if not runs:
+        raise ValidationError("no usable hours in value_rows: none holds two finite readings")
 
     scores = []
     for vf in variance_factors:

@@ -518,14 +518,9 @@ def density_experiment(dataset: Dataset, context_ids, target_ids,
 # Inference at arbitrary coordinates: a query is a virtual masked node,
 # predicted by training.predict_masked_node as a held-out sensor is. The
 # points of one call share their context, so they go through the
-# predictor in groups of at most _POINTS_PER_CALL, and every point of a
-# group shares the context's edge path and node inputs per hour chunk.
+# predictor in one call, where they share the context's edge path and
+# node inputs per hour chunk and run in stacks of one forward each.
 # ---------------------------------------------------------------------------
-
-# Query points per predictor call. A call holds one (B, E, 3) wind-triple
-# array per point and hour chunk, so this bounds its memory: 32 points at
-# B = 64 on a 28-node graph hold 37 MB of them.
-_POINTS_PER_CALL = 32
 
 
 def infer_at_location(models, normalizer: Normalizer, dataset: Dataset,
@@ -552,12 +547,8 @@ def infer_at_location(models, normalizer: Normalizer, dataset: Dataset,
     points = [(latitude, longitude)] if scalar else list(zip(latitude, longitude))
     hours = check_hours(hours, dataset.hours)
     metas = sensor_metas(dataset, ids)
-    out = np.empty((len(hours), len(points)))
-    for lo in range(0, len(points), _POINTS_PER_CALL):
-        graphs = [build_graph(metas + (SensorMeta(_QUERY_ID, lat, lon),))
-                  for lat, lon in points[lo:lo + _POINTS_PER_CALL]]
-        out[:, lo:lo + len(graphs)] = predict_masked_node(
-            models, normalizer, graphs, dataset, hours, batch_size=batch_size)
+    graphs = [build_graph(metas + (SensorMeta(_QUERY_ID, lat, lon),)) for lat, lon in points]
+    out = predict_masked_node(models, normalizer, graphs, dataset, hours, batch_size=batch_size)
     return out[:, 0] if scalar else out
 
 

@@ -50,18 +50,24 @@ messages and adds each context node's query message to that sum. This
 is exact, not just close: numpy sums the (N, N-1) edge axis one row at
 a time, and each context node's query edge is its last row, so the
 shared sum plus the query row is the full sum bit for bit
-(``tests/test_model.py`` pins that order). Layers 1..L-2 read node
-states that differ per target and run whole per target.
+(``tests/test_model.py`` pins that order). Later layers read node
+states that differ per target, and ``forward`` runs a stack of G targets
+as one batch of G·B samples. A d-wide GEMM runs once over the stack, exact
+at two or more rows per target; the GEMMs whose blocks can be narrow or
+one row make each target's own BLAS call (``autodiff.linear``). So each
+target gets the bits of a forward of its own.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Mlp, Param, Tensor, add, concat, is_recording, linear_pair, make_op,
-                       matmul, mul, narrow, relu, reshape, softmax, take, tsum)
+from .autodiff import (Mlp, Param, Tensor, _grouped_product, add, concat, is_recording,
+                       linear_pair, make_op, matmul, mul, narrow, relu, reshape, softmax, take, tsum)
 from .errors import ShapeError, ValidationError
 from .geo import Graph, build_matrices
 
@@ -137,6 +143,8 @@ class GraphWiring:
     here is read-only once built.
     """
 
+    groups = 1  # targets whose samples it stacks (stack)
+
     def __init__(self, graph: Graph):
         matrices = build_matrices(graph)
         n = graph.n_nodes
@@ -150,6 +158,18 @@ class GraphWiring:
         m_diag = np.diag(matrices.m)
         self.norm_direct = Tensor(m_diag[:, None])
         self.norm_inverse = Tensor((1.0 / m_diag)[:, None])
+
+    @staticmethod
+    def stack(wirings, bsz: int) -> "GraphWiring":
+        """One wiring for G·B samples of G same-size graphs, whose edge order
+        is the same: sample g·B + b reads graph g's matrices, in its own matmul."""
+        if len(wirings) == 1:
+            return wirings[0]  # its matrices broadcast over the samples
+        out = copy.copy(wirings[0])
+        out.groups = len(wirings)
+        for name in ("lap_scaled", "loop_adj", "norm_direct", "norm_inverse"):
+            setattr(out, name, Tensor(np.repeat([getattr(w, name).data for w in wirings], bsz, axis=0)))
+        return out
 
 
 def _incoming(rows: np.ndarray, n: int) -> np.ndarray:
@@ -212,9 +232,9 @@ class EdgePath:
     the readout). With it, layer 0 reads no context row and allocates no
     edge-sized buffer per target: it finishes the 2C query messages of
     query[0] and adds them to layer0's per-node context sums, which
-    equals the full layer bit for bit (see the module docstring). Each
-    later layer's buffer is assembled only when that layer runs. forward
-    reads every row and layer0 as constants.
+    equals the full layer bit for bit (see the module docstring). The
+    query rows may hold G targets', one after another. forward reads
+    every row and layer0 as constants.
     """
 
     layer0: SharedLayer0 | None
@@ -222,28 +242,29 @@ class EdgePath:
     query: list
     query_last: Tensor
 
-    def pre(self, k: int, bsz: int, n: int) -> Tensor:
-        """Layer k's pre-activations on every edge, (B, E, d), in a new buffer; k >= 1."""
+    def messages(self, k: int, groups: int, hr: np.ndarray, hs: np.ndarray,
+                 b: np.ndarray, activation: str) -> np.ndarray:
+        """Layer k's summed messages, (G·B, N, d), k >= 1, of G = groups targets,
+        each finished as on its graph alone in one reused (B, N, N-1, d) buffer."""
+        bsz, n, d = hr.shape[0] // groups, hr.shape[1], hr.shape[2]
         c = n - 1
-        d = self.query[k].shape[1]
-        query = self.query[k].data.reshape(bsz, 2 * c, d)
-        buf = np.empty((bsz, n, c, d))
-        buf[:, :c, :c - 1] = self.context[k - 1].data.reshape(bsz, c, c - 1, d)
-        buf[:, :c, c - 1] = query[:, :c]
-        buf[:, c] = query[:, c:]
-        return Tensor(buf.reshape(bsz, n * c, d))
-
-    def readout(self, bsz: int, n: int) -> Tensor:
-        """The last layer's input on the N-1 edges into the last node, (B, N-1, d_in)."""
-        return Tensor(self.query_last.data.reshape(bsz, 2 * (n - 1), -1)[:, n - 1:])
+        query = self.query[k].data.reshape(groups, bsz, 2 * c, d)
+        buf, m = np.empty((bsz, n, c, d)), np.empty_like(hr)
+        for g in range(groups):
+            own = slice(g * bsz, (g + 1) * bsz)
+            buf[:, :c, :c - 1] = self.context[k - 1].data.reshape(bsz, c, c - 1, d)
+            buf[:, :c, c - 1], buf[:, c] = query[g, :, :c], query[g, :, c:]
+            _finish_graph(buf.reshape(bsz, n * c, d), hr[own], hs[own], b, activation)
+            m[own] = buf.sum(axis=2)
+        return m
 
 
-def _message_pre(e: Tensor, w: Tensor) -> Tensor:
+def _message_pre(e: Tensor, w: Tensor, groups: int = 1) -> Tensor:
     """e @ (w_recv + w_send), the edge side of each message, in a new buffer.
 
     w is the stacked message weight [w_recv; w_send]; both halves get the
     same gradient e.T @ g. The backward never reads the output, so
-    _finish_messages may overwrite it.
+    _finish_messages may overwrite it. groups as in autodiff.linear.
     """
     dim = e.shape[-1]
     w_sum = w.data[:dim] + w.data[dim:]
@@ -255,7 +276,7 @@ def _message_pre(e: Tensor, w: Tensor) -> Tensor:
         gw = np.concatenate([e2.T @ g2] * 2) if w.requires_grad else None
         return ge, gw
 
-    return make_op((e2 @ w_sum).reshape(e.shape), (e, w), vjp)
+    return make_op(_grouped_product(e2, w_sum, groups).reshape(e.shape), (e, w), vjp)
 
 
 def _message_halves(h: Tensor, w: Tensor) -> tuple:
@@ -301,9 +322,9 @@ def _finish_graph(out: np.ndarray, hr: np.ndarray, hs: np.ndarray, b: np.ndarray
 
 
 def _sum_incoming(partial: np.ndarray | None, query: np.ndarray) -> np.ndarray:
-    """Each node's summed incoming messages, (B, N, d), from a context's
-    per-node partial sums (B, C, d) and one target's finished query-edge
-    messages (B, 2C, d), ordered as in split_edges.
+    """Each node's summed incoming messages, (..., B, N, d), from a context's
+    per-node partial sums (B, C, d) and any number of targets' finished
+    query-edge messages (..., B, 2C, d), ordered as in split_edges.
 
     Equal bit for bit to summing the whole (B, N, N-1, d) message buffer
     over its third axis: numpy adds those rows one at a time, and each
@@ -311,14 +332,13 @@ def _sum_incoming(partial: np.ndarray | None, query: np.ndarray) -> np.ndarray:
     partial, and the one query row goes through the same one-row
     reduction as in the full sum.
     """
-    bsz, two_c, dim = query.shape
-    c = two_c // 2
-    m = np.empty((bsz, c + 1, dim))
+    c = query.shape[-2] // 2
+    m = np.empty(query.shape[:-2] + (c + 1, query.shape[-1]))
     if partial is None:
-        m[:, :c] = query[:, :c, None].sum(axis=2)
+        m[..., :c, :] = query[..., :c, None, :].sum(axis=-2)
     else:
-        np.add(partial, query[:, :c], out=m[:, :c])
-    m[:, c] = query[:, c:].sum(axis=1)
+        np.add(partial, query[..., :c, :], out=m[..., :c, :])
+    m[..., c, :] = query[..., c:, :].sum(axis=-2)
     return m
 
 
@@ -472,30 +492,33 @@ class ConvectionModule:
         self.message_mlp = Mlp([2 * dim, dim], rng, name=f"{name}.message_mlp", output_activation=activation)
         self.update_mlp = Mlp([2 * dim, dim], rng, name=f"{name}.update_mlp", output_activation=activation)
 
-    def message_pre(self, e: Tensor) -> Tensor:
+    def message_pre(self, e: Tensor, groups: int = 1) -> Tensor:
         """This layer's message pre-activations from its edge features e'."""
-        return _message_pre(e, self.message_mlp.layers[0][0])
+        return _message_pre(e, self.message_mlp.layers[0][0], groups)
 
     def __call__(self, x: Tensor, edge_feats: Tensor, wiring: GraphWiring) -> tuple:
         """(x_C, e') on every node, from the incoming edge features."""
         e = self.edge_mlp(edge_feats)
         return self.nodes(x, self.message_pre(e), wiring), e
 
-    def nodes(self, x: Tensor, pre: Tensor, wiring: GraphWiring, rows=None) -> Tensor:
+    def nodes(self, x: Tensor, pre, wiring: GraphWiring, rows=None) -> Tensor:
         """x_C from pre, (B, E, d), finished in place and summed per node
         by _finish_messages; or with rows, an int (B, 1) array of node
         positions, x_C (B, 1, d) at those nodes from pre on their N-1
-        incoming edges, (B, N-1, d) in edge order."""
+        incoming edges, (B, N-1, d) in edge order. pre may also be a
+        function of the message halves that sums the messages itself."""
         h = self.node_mlp(x)
         w, b, act = self.message_mlp.layers[0]
         n = wiring.n_nodes
-        if rows is None:
+        if callable(pre):
+            m = Tensor(pre(*_message_halves(h, w), b.data, act))
+        elif rows is None:
             m = _finish_messages(h, pre, w, b, wiring, act)
         else:
             src = wiring.src[_incoming(rows, n)]
             m = tsum(_readout_messages(h, pre, w, b, rows, src, act), axis=1, keepdims=True)
             h = take(h, rows)
-        return self.update(h, m, n)
+        return self.update(h, m, n, wiring.groups)
 
     def share(self, h: Tensor, context: Tensor) -> tuple:
         """(hr, hs, partial) of SharedLayer0 from node_mlp's output h,
@@ -517,22 +540,23 @@ class ConvectionModule:
         _finish_graph(out, hr[:, :c], hs[:, :c], b.data, act)
         return hr, hs, out.reshape(bsz, c, c - 1, dim).sum(axis=2)
 
-    def finish(self, shared: SharedLayer0, query: Tensor) -> Tensor:
-        """x_C on every node from layer 0's shared part and one target's
-        message pre-activations on its 2C query rows, (B * 2C, d)."""
+    def finish(self, shared: SharedLayer0, query: Tensor, groups: int) -> Tensor:
+        """x_C on every node of G = groups stacked targets from layer 0's
+        shared part and their pre-activations on 2C query rows each."""
         h, hr, hs = shared.h_c, shared.hr, shared.hs
         bsz, n, dim = h.shape
         c = n - 1
         w, b, act = self.message_mlp.layers[0]
-        msgs = query.data.reshape(bsz, 2 * c, dim).copy()
+        msgs = query.data.reshape(groups, bsz, 2 * c, dim).copy()
         # first the edges from the query node into each context node, then
         # the edges from each context node into the query node
-        into_ctx, into_query = msgs[:, :c], msgs[:, c:]
+        into_ctx, into_query = msgs[..., :c, :], msgs[..., c:, :]
         _act_messages(into_ctx, hr[:, :c], into_ctx, hs[:, c:], b.data, act)
         _act_messages(into_query, hr[:, c:], into_query, hs[:, :c], b.data, act)
-        return self.update(h, Tensor(_sum_incoming(shared.partial, msgs)), n)
+        m = _sum_incoming(shared.partial, msgs).reshape(-1, n, dim)
+        return self.update(Tensor(np.tile(h.data, (groups, 1, 1))), Tensor(m), n, groups)
 
-    def update(self, h: Tensor, m: Tensor, n: int) -> Tensor:
+    def update(self, h: Tensor, m: Tensor, n: int, groups: int = 1) -> Tensor:
         """x_C from node_mlp's output h and the summed messages m into the
         same nodes of an n-node graph."""
         if self.aggregation == "mean":
@@ -541,7 +565,7 @@ class ConvectionModule:
         return linear_pair(m, add(h, m),
                            narrow(uw, 0, self.dim, axis=0),
                            narrow(uw, self.dim, 2 * self.dim, axis=0),
-                           ub, activation=uact)
+                           ub, activation=uact, groups=groups)
 
     def params(self):
         return (self.node_mlp.params() + self.edge_mlp.params()
@@ -584,10 +608,10 @@ class FusionHead:
     def __init__(self, dim: int, rng: np.random.Generator, name: str):
         self.mlp = Mlp([3 * dim, 3], rng, name=f"{name}.mlp")
 
-    def __call__(self, x_d: Tensor, x_c: Tensor, x_l: Tensor):
+    def __call__(self, x_d: Tensor, x_c: Tensor, x_l: Tensor, groups: int = 1):
         if not (x_d.shape == x_c.shape == x_l.shape):
             raise ShapeError(f"fusion inputs differ: {x_d.shape}, {x_c.shape}, {x_l.shape}")
-        weights = softmax(self.mlp(concat([x_d, x_c, x_l])))
+        weights = softmax(self.mlp(concat([x_d, x_c, x_l]), groups))
         w_d = narrow(weights, 0, 1)
         w_c = narrow(weights, 1, 2)
         w_l = narrow(weights, 2, 3)
@@ -610,7 +634,7 @@ class GnnLayer:
                                  activation=activation)
         self.fusion = FusionHead(dim, rng, f"{name}.fusion")
 
-    def __call__(self, x: Tensor, pre: Tensor, wiring: GraphWiring, rows=None) -> tuple:
+    def __call__(self, x: Tensor, pre, wiring: GraphWiring, rows=None) -> tuple:
         """(blended, fusion weights) on every node, or with rows only at
         those nodes; pre as in ConvectionModule.nodes."""
         x_d = self.diffusion(x, wiring)
@@ -618,7 +642,7 @@ class GnnLayer:
         x_l = self.local(x, wiring)
         if rows is not None:
             x_d, x_l = take(x_d, rows), take(x_l, rows)
-        return self.fusion(x_d, x_c, x_l)
+        return self.fusion(x_d, x_c, x_l, wiring.groups)
 
     def share(self, h: Tensor, context: Tensor) -> SharedLayer0:
         """This layer's part that every target of a predictor call shares,
@@ -629,12 +653,12 @@ class GnnLayer:
                             *self.convection.share(h_c, context))
 
     def finish(self, shared: SharedLayer0, query: Tensor, wiring: GraphWiring) -> tuple:
-        """(blended, fusion weights) on every node of one target's graph,
-        from the shared part and the target's query-row pre-activations."""
-        x_d = self.diffusion.propagate(shared.h_d, wiring)
-        x_c = self.convection.finish(shared, query)
-        x_l = self.local.propagate(shared.h_l, wiring)
-        return self.fusion(x_d, x_c, x_l)
+        """(blended, fusion weights) on every node of the targets stacked in
+        wiring, from the shared part, repeated per target, and their query rows."""
+        x_d = self.diffusion.propagate(Tensor(np.tile(shared.h_d.data, (wiring.groups, 1, 1))), wiring)
+        x_c = self.convection.finish(shared, query, wiring.groups)
+        x_l = self.local.propagate(Tensor(np.tile(shared.h_l.data, (wiring.groups, 1, 1))), wiring)
+        return self.fusion(x_d, x_c, x_l, wiring.groups)
 
     def params(self):
         return (self.diffusion.params() + self.convection.params()
@@ -712,8 +736,12 @@ class PhysicsGnn:
         the edge side computed ahead; it needs masked_pos = N-1 and
         no_record(), since its rows are constants. Its layer0 must come
         from the same x: layer 0 then finishes only the query rows.
+        With edges, wiring may stack G targets' wirings (GraphWiring.stack)
+        in the order of edges' query rows: the forward then predicts their
+        G·B samples, target-major, (G·B,), as the module docstring says.
         """
         x = x if isinstance(x, Tensor) else Tensor(x)
+        groups = wiring.groups
         if x.ndim != 3 or x.shape[1] != wiring.n_nodes:
             raise ShapeError(f"inputs {x.shape} do not match graph with {wiring.n_nodes} nodes")
         if x.shape[2] != self.config.input_dim:
@@ -752,17 +780,18 @@ class PhysicsGnn:
             for layer in self.layers[:-1]:
                 h, _ = layer(h, pre.pop(0), wiring)
         else:
-            last = edges.readout(bsz, n)
+            rows = np.tile(rows, (groups, 1))
+            last = Tensor(edges.query_last.data.reshape(groups * bsz, 2 * (n - 1), -1)[:, n - 1:])
             if edges.layer0 is None:
-                h = self.input_embed(x)
+                h = Tensor(np.tile(self.input_embed(x).data, (groups, 1, 1)))
             else:
                 h, _ = self.layers[0].finish(edges.layer0, edges.query[0], wiring)
             for k in range(1, len(self.layers) - 1):
-                h, _ = self.layers[k](h, edges.pre(k, bsz, n), wiring)
+                h, _ = self.layers[k](h, functools.partial(edges.messages, k, groups), wiring)
         conv = self.layers[-1].convection
-        h, _ = self.layers[-1](h, conv.message_pre(conv.edge_mlp(last)), wiring, rows)
-        out = self.output_head(h)
-        return out if rows is None else reshape(out, (bsz,))
+        h, _ = self.layers[-1](h, conv.message_pre(conv.edge_mlp(last, groups), groups), wiring, rows)
+        out = self.output_head(h, groups)
+        return out if rows is None else reshape(out, (len(rows),))
 
     def params(self) -> list:
         out = self.input_embed.params()

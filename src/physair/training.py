@@ -14,8 +14,8 @@ prediction at a masked node, a held-out sensor or an arbitrary
 coordinate, goes through ``predict_masked_node``. It predicts G targets
 that share one context at once: per hour chunk and member, the
 context's edge path and its first-layer messages run once for all of
-them, and every forward runs inside ``autodiff.no_record()``, so
-inference keeps no tape.
+them, each stack of them runs one forward, and every forward runs
+inside ``autodiff.no_record()``, so inference keeps no tape.
 
 Inputs are standardized by the train-set mean/std. The flag channel is
 left raw, and predictions are mapped back to concentration units before
@@ -335,46 +335,55 @@ def _shared_context(graphs) -> tuple:
     return context
 
 
-def _member_predictions(model, wirings, x: np.ndarray, convs) -> np.ndarray:
+# Node rows per forward: the predictor runs its targets in stacks of
+# max(1, _STACK_ROWS // (B * N)) to share a forward's fixed cost.
+_STACK_ROWS = 256
+
+
+def _member_predictions(model, wirings, x: np.ndarray, context, conv_feats) -> np.ndarray:
     """One member's normalized predictions at each graph's last node, (B, G).
 
-    A function of its own so that one member's shared context is freed
-    when it returns, before the next member calls share_context: with
-    the member loop inlined into masked_batch_predictions, the previous
-    member's context stays alive while the next one is built, and
-    perfbench evaluate peak_rss_mb rose from 60.1 to 65.4 MB in 3 of 3
-    pairs.
+    A stack's wind triples are built only while it runs. A function of
+    its own so that one member's shared context is freed when it returns,
+    before the next member calls share_context: with the member loop
+    inlined into masked_batch_predictions, the previous member's context
+    stays alive while the next one is built, and perfbench evaluate
+    peak_rss_mb rose from 60.1 to 65.4 MB in 3 of 3 pairs.
     """
-    n = x.shape[1]
-    shared = model.share_context(x, split_edges(convs[0], n)[0])
-    out = np.empty((x.shape[0], len(wirings)))
-    for g, (wiring, conv) in enumerate(zip(wirings, convs)):
-        edges = EdgePath(*shared, *model.edge_path(split_edges(conv, n)[1]))
-        out[:, g] = model.forward(x, wiring, None, n - 1, edges=edges).data
-    return out
+    bsz, n = x.shape[:2]
+    shared = model.share_context(x, context)
+    size = max(1, _STACK_ROWS // (bsz * n))
+    out = np.empty((len(wirings), bsz))
+    for lo in range(0, len(wirings), size):
+        stack = wirings[lo:lo + size]
+        query = np.concatenate([split_edges(conv_feats(w.graph), n)[1] for w in stack])
+        edges = EdgePath(*shared, *model.edge_path(query))
+        out[lo:lo + len(stack)] = model.forward(x, GraphWiring.stack(stack, bsz), None, n - 1,
+                                                edges=edges).data.reshape(-1, bsz)
+    return out.T
 
 
-def masked_batch_predictions(models, wirings, x: np.ndarray, convs,
+def masked_batch_predictions(models, wirings, x: np.ndarray, conv_feats,
                              normalizer: Normalizer) -> np.ndarray:
     """Ensemble-mean predictions at the last node of each graph, (B, G), raw units.
 
     wirings: G graphs sharing a context of C = N-1 nodes (see
     _shared_context) whose last node is masked; x: their common (B, N, F)
-    node inputs; convs: one (B, E, 3) wind-triple array per graph. The
-    C(C-1) context edges carry the same triples in every graph, so each
-    member runs the edge path over them once and keeps only those rows
-    across targets; each target adds its 2C query edges. Layer 0's node
-    states are the same for every target too, so each member finishes
-    and sums its context messages once (PhysicsGnn.share_context), and
-    each target's layer 0 finishes only its query edges. Every forward
-    runs without a tape. Its one caller is predict_masked_node, which
-    builds x and convs from a dataset.
+    node inputs; conv_feats: a function that gives a graph's (B, E, 3)
+    wind triples. The C(C-1) context edges carry the same triples in
+    every graph, so each member runs the edge path over them once and
+    keeps only those rows across targets; each target adds its 2C query
+    edges. Layer 0's node states are the same for every target too, so
+    each member finishes and sums its context messages once
+    (PhysicsGnn.share_context). Then each stack of targets runs one
+    forward without a tape. Its one caller is predict_masked_node.
     """
     _shared_context(w.graph for w in wirings)
+    context = split_edges(conv_feats(wirings[0].graph), x.shape[1])[0]
     preds = np.zeros((x.shape[0], len(wirings)))
     with no_record():
         for model in models:
-            preds += _member_predictions(model, wirings, x, convs)
+            preds += _member_predictions(model, wirings, x, context, conv_feats)
     return normalizer.denormalize(preds / len(models))
 
 
@@ -388,7 +397,7 @@ def predict_masked_node(models, normalizer: Normalizer, graphs,
     window is the members' config.window, which every member must share.
     Per hour chunk the node inputs are built once and the context's edge
     path runs once per member for all G targets (see
-    masked_batch_predictions).
+    masked_batch_predictions). Predictions depend on batch_size, not on G.
     """
     if batch_size < 1:
         raise ValidationError(f"batch_size must be >= 1, got {batch_size}")
@@ -410,9 +419,9 @@ def predict_masked_node(models, normalizer: Normalizer, graphs,
         chunk = hours[lo:lo + batch_size]
         x = np.stack([build_node_inputs(values_norm, int(h), masked_pos, window)
                       for h in chunk])
-        convs = [hourly_conv_features(graph, dataset, chunk) for graph in graphs]
         preds[lo:lo + len(chunk)] = masked_batch_predictions(
-            models, wirings, x, convs, normalizer)
+            models, wirings, x, lambda graph: hourly_conv_features(graph, dataset, chunk),
+            normalizer)
     return preds
 
 

@@ -357,6 +357,13 @@ def test_select_gp_hyperparameters_rejects_empty():
         select_gp_hyperparameters([[32.7, -117.1]], np.full((3, 1), np.nan))
 
 
+def test_select_gp_hyperparameters_rejects_hours_without_two_readings():
+    # two finite readings in the pool but never two in one hour: every
+    # grid point scored 0.0, and the first one came back as the winner
+    with pytest.raises(ValidationError, match="no usable hours"):
+        select_gp_hyperparameters([[32.7, -117.1], [32.71, -117.1]], [[1, np.nan], [np.nan, 3]])
+
+
 # ---------------------------------------------------------------------------
 # Estimator conventions shared by all baselines.
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from physair import evaluation
+from physair import training
 from physair.baselines import GaussianProcess, Idw, MeanFill, OrdinaryKriging
 from physair.data import Dataset
 from physair.errors import ValidationError
@@ -625,8 +625,20 @@ def test_infer_at_location_rejects_bad_hours(hour):
                           hours=[hour])
 
 
-@pytest.mark.parametrize("points_per_call", [2, evaluation._POINTS_PER_CALL])
-def test_multi_point_inference_equals_single_point_calls(monkeypatch, points_per_call):
+def stacked_targets(monkeypatch, models) -> list:
+    """The number of targets of each forward the models run from now on."""
+    stacks = []
+    for model in models:
+        def spy(x, wiring, *args, forward=model.forward, **kwargs):
+            stacks.append(wiring.groups)
+            return forward(x, wiring, *args, **kwargs)
+
+        monkeypatch.setattr(model, "forward", spy)
+    return stacks
+
+
+@pytest.mark.parametrize("points_per_stack", [2, 32])
+def test_multi_point_inference_equals_single_point_calls(monkeypatch, points_per_stack):
     ds = toy_dataset(hours=24, n=6)
     models, norm = tiny_models(ds, n_models=2)
     context = ("s0", "s1", "s2", "s3")
@@ -636,18 +648,14 @@ def test_multi_point_inference_equals_single_point_calls(monkeypatch, points_per
     hours = np.arange(0, 20)
     singles = [infer_at_location(models, norm, ds, context, lat, lon, hours, batch_size=7)
                for lat, lon in zip(lats, lons)]
-    monkeypatch.setattr(evaluation, "_POINTS_PER_CALL", points_per_call)
-    predictor_calls = []
-    predict = evaluation.predict_masked_node
-
-    def counted(models, normalizer, graphs, *args, **kwargs):
-        predictor_calls.append(len(graphs))
-        return predict(models, normalizer, graphs, *args, **kwargs)
-
-    monkeypatch.setattr(evaluation, "predict_masked_node", counted)
+    # 5-node graphs in hour chunks of 7, 7 and 6 hours: a stack of p points
+    # holds at most p * 35 node rows
+    monkeypatch.setattr(training, "_STACK_ROWS", points_per_stack * 35)
+    stacks = stacked_targets(monkeypatch, models)
     grid = infer_at_location(models, norm, ds, context, lats, lons, hours, batch_size=7)
     assert grid.shape == (20, 5)
-    assert predictor_calls == ([2, 2, 1] if points_per_call == 2 else [5])
+    # per hour chunk and member
+    assert stacks == ([2, 2, 1] if points_per_stack == 2 else [5]) * 6
     for p, single in enumerate(singles):
         assert single.shape == (20,)
         assert grid[:, p].tobytes() == single.tobytes()
@@ -707,17 +715,11 @@ def test_interpolator_predicts_in_groups_of_points(monkeypatch):
     query = np.column_stack([32.70 + 0.02 * rng.uniform(size=5),
                              -117.12 + 0.02 * rng.uniform(size=5)])
     singles = [est.predict(query[p:p + 1]) for p in range(5)]
-    monkeypatch.setattr(evaluation, "_POINTS_PER_CALL", 2)
-    calls = []
-    predict = evaluation.predict_masked_node
-
-    def counted(models, normalizer, graphs, *args, **kwargs):
-        calls.append(len(graphs))
-        return predict(models, normalizer, graphs, *args, **kwargs)
-
-    monkeypatch.setattr(evaluation, "predict_masked_node", counted)
+    # one hour on 5-node graphs: 10 rows hold 2 points
+    monkeypatch.setattr(training, "_STACK_ROWS", 10)
+    stacks = stacked_targets(monkeypatch, models)
     grouped = est.predict(query)
-    assert calls == [2, 2, 1]
+    assert stacks == [2, 2, 1] * 2
     assert grouped.tobytes() == np.concatenate(singles).tobytes()
 
 

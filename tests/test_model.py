@@ -874,3 +874,24 @@ def test_shared_partial_sums_keep_the_full_reduction_order(bsz, n, dim):
     got = _sum_incoming(partial, query.reshape(bsz, 2 * c, dim))
     assert got[:, :c].tobytes() == np.ascontiguousarray(full[:, :c]).tobytes()
     assert got[:, c].tobytes() == np.ascontiguousarray(full[:, c]).tobytes()
+
+
+@pytest.mark.parametrize("k,width", [(128, 128), (3, 128), (256, 128), (8, 8), (3, 8),
+                                     (384, 3), (24, 3), (128, 1), (8, 1)])
+def test_stacked_products_keep_each_blocks_bits(k, width):
+    # a stacked predictor forward multiplies G targets' rows at once and
+    # gives each target the bits of its own forward only while these hold
+    # (numpy and its BLAS only): a 2-d product over stacked blocks of >= 2
+    # rows with a d-wide output, and a 3-d product over (G, rows, k) for
+    # any row count and width, including 1 row and the 3- and 1-wide heads
+    for rows in (1, 2, 3, 7, 28, 112):
+        for blocks in (2, 9, 16):
+            rng = np.random.default_rng([rows, blocks, k, width])
+            w = rng.standard_normal((k, width))
+            x = rng.standard_normal((blocks, rows, k)) * 10.0 ** rng.integers(-8, 9, (blocks, rows, 1))
+            own = [(x[g] @ w).tobytes() for g in range(blocks)]
+            grouped = np.matmul(x, w)
+            assert [grouped[g].tobytes() for g in range(blocks)] == own, (rows, blocks)
+            if rows >= 2 and width not in (1, 3):
+                stacked = (x.reshape(-1, k) @ w).reshape(blocks, rows, width)
+                assert [stacked[g].tobytes() for g in range(blocks)] == own, (rows, blocks)

@@ -7,6 +7,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
+from physair import training
 from physair.data import Dataset
 from physair.errors import ValidationError
 from dataclasses import replace
@@ -446,25 +447,25 @@ def shared_context_graphs(n, g, seed):
 
 
 def predictor_batch(graphs, config, bsz, rng):
-    """(x, convs) for masked_batch_predictions: random node inputs, the
+    """(x, conv_feats) for masked_batch_predictions: random node inputs, the
     masked last node zeroed, and one random wind per sample."""
     x = rng.normal(size=(bsz, graphs[0].n_nodes, config.input_dim))
     x[:, -1] = 0.0
     winds = [WindRecord("t", rng.uniform(0, 15), rng.uniform(0, 360)) for _ in range(bsz)]
-    convs = [np.stack([convection_edge_features(graph, w) for w in winds]) for graph in graphs]
-    return x, convs
+    return x, lambda graph: np.stack([convection_edge_features(graph, w) for w in winds])
 
 
 def assert_predictor_matches_per_target_forward(config, n, bsz, g):
     models = [PhysicsGnn(config, seed=s) for s in (n, n + 1)]
     graphs = shared_context_graphs(n, g, seed=n * 10 + g)
-    x, convs = predictor_batch(graphs, config, bsz,
-                               np.random.default_rng(config.n_layers * 100 + bsz))
-    wirings = [GraphWiring(graph) for graph in graphs]
-    got = masked_batch_predictions(models, wirings, x, convs, Normalizer(0.0, 1.0))
+    x, conv_feats = predictor_batch(graphs, config, bsz,
+                                    np.random.default_rng(config.n_layers * 100 + bsz))
+    got = masked_batch_predictions(models, [GraphWiring(graph) for graph in graphs], x,
+                                   conv_feats, Normalizer(0.0, 1.0))
     assert got.shape == (bsz, g)
-    for col, (wiring, conv) in enumerate(zip(wirings, convs)):
-        want = sum(m.forward(x, wiring, conv, n - 1).data for m in models) / len(models)
+    for col, graph in enumerate(graphs):
+        want = sum(m.forward(x, GraphWiring(graph), conv_feats(graph), n - 1).data
+                   for m in models) / len(models)
         assert np.max(np.abs(got[:, col] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -484,15 +485,15 @@ def test_predictor_peak_memory_does_not_grow_with_ensemble_members():
     config = ModelConfig(preset=None, n_layers=3, hidden_dim=16)
     graphs = shared_context_graphs(28, 9, seed=3)
     wirings = [GraphWiring(graph) for graph in graphs]
-    x, convs = predictor_batch(graphs, config, 4, np.random.default_rng(4))
+    x, conv_feats = predictor_batch(graphs, config, 4, np.random.default_rng(4))
     peaks = {}
     for members in (1, 2, 3):
         models = [PhysicsGnn(config, seed=s) for s in range(members)]
-        masked_batch_predictions(models, wirings, x, convs, Normalizer(0.0, 1.0))
+        masked_batch_predictions(models, wirings, x, conv_feats, Normalizer(0.0, 1.0))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            masked_batch_predictions(models, wirings, x, convs, Normalizer(0.0, 1.0))
+            masked_batch_predictions(models, wirings, x, conv_feats, Normalizer(0.0, 1.0))
             peaks[members] = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -509,6 +510,75 @@ def test_shared_layer0_predictor_matches_per_target_forward(aggregation, activat
     config = ModelConfig(preset=None, n_layers=n_layers, hidden_dim=8,
                          aggregation=aggregation, activation=activation)
     assert_predictor_matches_per_target_forward(config, n, bsz, 9)
+
+
+def one_target_calls(models, wirings, x, conv_feats) -> np.ndarray:
+    return np.concatenate([masked_batch_predictions(models, [wiring], x, conv_feats,
+                                                    Normalizer(10.0, 2.0))
+                           for wiring in wirings], axis=1)
+
+
+@pytest.mark.parametrize("aggregation", ["sum", "mean"])
+@pytest.mark.parametrize("window", [1, 3])
+@pytest.mark.parametrize("n", [2, 3, 7, 28])
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+def test_stacked_targets_equal_one_target_calls(aggregation, window, n, n_layers):
+    # a stack's forward gives each target the bits of its own forward, so
+    # a prediction depends on neither G nor the other targets of its call
+    config = ModelConfig(preset=None, n_layers=n_layers, hidden_dim=8,
+                         aggregation=aggregation, window=window)
+    models = [PhysicsGnn(config, seed=s) for s in (n, n + 1)]
+    graphs = shared_context_graphs(n, 16, seed=n * 10 + window)
+    wirings = [GraphWiring(graph) for graph in graphs]
+    for bsz in (1, 3, 4):
+        x, conv_feats = predictor_batch(graphs, config, bsz, np.random.default_rng(bsz))
+        singles = one_target_calls(models, wirings, x, conv_feats)
+        for g in (1, 2, 9, 16):
+            got = masked_batch_predictions(models, wirings[:g], x, conv_feats,
+                                           Normalizer(10.0, 2.0))
+            assert got.tobytes() == singles[:, :g].tobytes(), (bsz, g)
+
+
+def test_a_row_budget_splits_the_targets_into_stacks(monkeypatch):
+    config = ModelConfig(preset=None, n_layers=3, hidden_dim=8)
+    models = [PhysicsGnn(config, seed=s) for s in (0, 1)]
+    graphs = shared_context_graphs(7, 9, seed=5)
+    wirings = [GraphWiring(graph) for graph in graphs]
+    x, conv_feats = predictor_batch(graphs, config, 3, np.random.default_rng(5))
+    singles = one_target_calls(models, wirings, x, conv_feats)
+    # 3 samples of 7 nodes: 84 rows hold 4 targets, so 9 split 4, 4, 1
+    monkeypatch.setattr(training, "_STACK_ROWS", 84)
+    stacks = []
+    for model in models:
+        def spy(x, wiring, *args, forward=model.forward, **kwargs):
+            stacks.append(wiring.groups)
+            return forward(x, wiring, *args, **kwargs)
+
+        monkeypatch.setattr(model, "forward", spy)
+    got = masked_batch_predictions(models, wirings, x, conv_feats, Normalizer(10.0, 2.0))
+    assert stacks == [4, 4, 1] * 2
+    assert got.tobytes() == singles.tobytes()
+
+
+def test_a_nine_target_call_peaks_below_nine_edge_buffers():
+    # the row budget stacks 2 of these targets at a time, and layers
+    # 1..L-2 finish each target's edge messages in one reused (B, N, N-1, d)
+    # buffer, so the call peaks near 1.4 MB, below a 9-fold layer-1 edge
+    # buffer (3.5 MB); 9 targets in one stack with 9 buffers held 6.3 MB
+    config = ModelConfig(preset=None, n_layers=3, hidden_dim=16)
+    graphs = shared_context_graphs(28, 9, seed=3)
+    wirings = [GraphWiring(graph) for graph in graphs]
+    x, conv_feats = predictor_batch(graphs, config, 4, np.random.default_rng(4))
+    models = [PhysicsGnn(config, seed=0)]
+    masked_batch_predictions(models, wirings, x, conv_feats, Normalizer(0.0, 1.0))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        masked_batch_predictions(models, wirings, x, conv_feats, Normalizer(0.0, 1.0))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 4 * 28 * 27 * 16 * 8, peak
 
 
 def test_shared_context_pass_runs_once_per_member_and_chunk(monkeypatch):
@@ -545,7 +615,8 @@ def test_predictor_records_no_tape(monkeypatch):
     monkeypatch.setattr(model, "forward", spy)
     preds, _ = evaluate_target_sensor([model], Normalizer(10.0, 2.0), ds,
                                       ("s0", "s1", "s2"), ("s3", "s4"), None, batch_size=4)
-    assert preds.shape == (6, 2) and len(seen) == 4
+    # one stack of both targets per hour chunk
+    assert preds.shape == (6, 2) and len(seen) == 2
     assert all(out._vjp is None and out._parents == () for out in seen)
 
 
