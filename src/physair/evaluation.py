@@ -516,10 +516,9 @@ def density_experiment(dataset: Dataset, context_ids, target_ids,
 
 # ---------------------------------------------------------------------------
 # Inference at arbitrary coordinates: a query is a virtual masked node,
-# predicted by training.predict_masked_node as a held-out sensor is. The
-# points of one call share their context, so they go through the
-# predictor in one call, where they share the context's edge path and
-# node inputs per hour chunk and run in stacks of one forward each.
+# predicted by training.predict_masked_node as a held-out sensor is. A
+# call's points go through one predictor call, sharing the context's edge
+# path and node inputs per hour chunk, in stacks of one forward each.
 # ---------------------------------------------------------------------------
 
 

@@ -242,8 +242,7 @@ class EdgePath:
     query: list
     query_last: Tensor
 
-    def messages(self, k: int, groups: int, hr: np.ndarray, hs: np.ndarray,
-                 b: np.ndarray, activation: str) -> np.ndarray:
+    def messages(self, k: int, groups: int, hr, hs, b, activation: str) -> np.ndarray:
         """Layer k's summed messages, (G·B, N, d), k >= 1, of G = groups targets,
         each finished as on its graph alone in one reused (B, N, N-1, d) buffer."""
         bsz, n, d = hr.shape[0] // groups, hr.shape[1], hr.shape[2]
@@ -255,7 +254,7 @@ class EdgePath:
             buf[:, :c, :c - 1] = self.context[k - 1].data.reshape(bsz, c, c - 1, d)
             buf[:, :c, c - 1], buf[:, c] = query[g, :, :c], query[g, :, c:]
             _finish_graph(buf.reshape(bsz, n * c, d), hr[own], hs[own], b, activation)
-            m[own] = buf.sum(axis=2)
+            buf.sum(axis=2, out=m[own])
         return m
 
 

@@ -340,15 +340,16 @@ def _shared_context(graphs) -> tuple:
 _STACK_ROWS = 256
 
 
-def _member_predictions(model, wirings, x: np.ndarray, context, conv_feats) -> np.ndarray:
-    """One member's normalized predictions at each graph's last node, (B, G).
+def _member_predictions(model, wirings, x: np.ndarray, context, first, conv_feats) -> np.ndarray:
+    """One member's normalized predictions at each graph's last node, (B, G),
+    from the context rows and the first graph's query rows of split_edges.
 
-    A stack's wind triples are built only while it runs. A function of
-    its own so that one member's shared context is freed when it returns,
-    before the next member calls share_context: with the member loop
-    inlined into masked_batch_predictions, the previous member's context
-    stays alive while the next one is built, and perfbench evaluate
-    peak_rss_mb rose from 60.1 to 65.4 MB in 3 of 3 pairs.
+    Other targets' wind triples are built only while their stack runs. A
+    function of its own so that one member's shared context is freed when
+    it returns, before the next member calls share_context: with the
+    member loop inlined into masked_batch_predictions, the previous
+    member's context stays alive while the next one is built, and perfbench
+    evaluate peak_rss_mb rose from 60.1 to 65.4 MB in 3 of 3 pairs.
     """
     bsz, n = x.shape[:2]
     shared = model.share_context(x, context)
@@ -356,7 +357,8 @@ def _member_predictions(model, wirings, x: np.ndarray, context, conv_feats) -> n
     out = np.empty((len(wirings), bsz))
     for lo in range(0, len(wirings), size):
         stack = wirings[lo:lo + size]
-        query = np.concatenate([split_edges(conv_feats(w.graph), n)[1] for w in stack])
+        query = np.concatenate([first if w is wirings[0] else split_edges(conv_feats(w.graph), n)[1]
+                                for w in stack])
         edges = EdgePath(*shared, *model.edge_path(query))
         out[lo:lo + len(stack)] = model.forward(x, GraphWiring.stack(stack, bsz), None, n - 1,
                                                 edges=edges).data.reshape(-1, bsz)
@@ -379,11 +381,11 @@ def masked_batch_predictions(models, wirings, x: np.ndarray, conv_feats,
     forward without a tape. Its one caller is predict_masked_node.
     """
     _shared_context(w.graph for w in wirings)
-    context = split_edges(conv_feats(wirings[0].graph), x.shape[1])[0]
+    rows = split_edges(conv_feats(wirings[0].graph), x.shape[1])
     preds = np.zeros((x.shape[0], len(wirings)))
     with no_record():
         for model in models:
-            preds += _member_predictions(model, wirings, x, context, conv_feats)
+            preds += _member_predictions(model, wirings, x, *rows, conv_feats)
     return normalizer.denormalize(preds / len(models))
 
 
