@@ -358,9 +358,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None,
     activation applied in place on the GEMM output. Values match the
     composition of matmul/add/relu exactly; the only difference is that
     no intermediate arrays are materialized, which matters on the edge
-    tensors where each temporary is tens of megabytes. With groups > 1,
-    one 3-d np.matmul gives each of that many equal blocks of rows its own
-    BLAS call, and so its own call's bits at any row count.
+    tensors where each temporary is tens of megabytes. With groups > 1, one
+    3-d np.matmul gives each of that many equal row blocks its own BLAS call.
     """
     if w.ndim != 2:
         raise ShapeError(f"linear weight must be 2d, got {w.shape}")

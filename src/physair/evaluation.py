@@ -522,6 +522,21 @@ def density_experiment(dataset: Dataset, context_ids, target_ids,
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _QueryGraphs:
+    """Each query point's graph over the context, built only when read: a
+    call holds the graphs of the stacks it is running, not of every point."""
+
+    context: tuple
+    points: list
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __getitem__(self, i: int):
+        return build_graph(self.context + (SensorMeta(_QUERY_ID, *self.points[i]),))
+
+
 def infer_at_location(models, normalizer: Normalizer, dataset: Dataset,
                       context_ids, latitude, longitude,
                       hours=None, batch_size: int = 64) -> np.ndarray:
@@ -545,9 +560,9 @@ def infer_at_location(models, normalizer: Normalizer, dataset: Dataset,
     scalar = shape == ()
     points = [(latitude, longitude)] if scalar else list(zip(latitude, longitude))
     hours = check_hours(hours, dataset.hours)
-    metas = sensor_metas(dataset, ids)
-    graphs = [build_graph(metas + (SensorMeta(_QUERY_ID, lat, lon),)) for lat, lon in points]
-    out = predict_masked_node(models, normalizer, graphs, dataset, hours, batch_size=batch_size)
+    graphs = _QueryGraphs(sensor_metas(dataset, ids), points)
+    out = predict_masked_node(models, normalizer, ids, graphs, dataset, hours,
+                              batch_size=batch_size)
     return out[:, 0] if scalar else out
 
 

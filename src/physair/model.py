@@ -61,7 +61,6 @@ target gets the bits of a forward of its own.
 from __future__ import annotations
 
 import copy
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,12 +142,11 @@ class GraphWiring:
     here is read-only once built.
     """
 
-    groups = 1  # targets whose samples it stacks (stack)
-
     def __init__(self, graph: Graph):
         matrices = build_matrices(graph)
         n = graph.n_nodes
         self.graph = graph
+        self.groups = 1  # targets whose samples it stacks (stack)
         self.n_nodes = n
         self.n_edges = graph.n_edges
         self.src = graph.src
@@ -241,21 +239,6 @@ class EdgePath:
     context: list
     query: list
     query_last: Tensor
-
-    def messages(self, k: int, groups: int, hr, hs, b, activation: str) -> np.ndarray:
-        """Layer k's summed messages, (G·B, N, d), k >= 1, of G = groups targets,
-        each finished as on its graph alone in one reused (B, N, N-1, d) buffer."""
-        bsz, n, d = hr.shape[0] // groups, hr.shape[1], hr.shape[2]
-        c = n - 1
-        query = self.query[k].data.reshape(groups, bsz, 2 * c, d)
-        buf, m = np.empty((bsz, n, c, d)), np.empty_like(hr)
-        for g in range(groups):
-            own = slice(g * bsz, (g + 1) * bsz)
-            buf[:, :c, :c - 1] = self.context[k - 1].data.reshape(bsz, c, c - 1, d)
-            buf[:, :c, c - 1], buf[:, c] = query[g, :, :c], query[g, :, c:]
-            _finish_graph(buf.reshape(bsz, n * c, d), hr[own], hs[own], b, activation)
-            buf.sum(axis=2, out=m[own])
-        return m
 
 
 def _message_pre(e: Tensor, w: Tensor, groups: int = 1) -> Tensor:
@@ -500,24 +483,39 @@ class ConvectionModule:
         e = self.edge_mlp(edge_feats)
         return self.nodes(x, self.message_pre(e), wiring), e
 
-    def nodes(self, x: Tensor, pre, wiring: GraphWiring, rows=None) -> Tensor:
+    def nodes(self, x: Tensor, pre: Tensor, wiring: GraphWiring, rows=None) -> Tensor:
         """x_C from pre, (B, E, d), finished in place and summed per node
         by _finish_messages; or with rows, an int (B, 1) array of node
         positions, x_C (B, 1, d) at those nodes from pre on their N-1
-        incoming edges, (B, N-1, d) in edge order. pre may also be a
-        function of the message halves that sums the messages itself."""
+        incoming edges, (B, N-1, d) in edge order."""
         h = self.node_mlp(x)
         w, b, act = self.message_mlp.layers[0]
-        n = wiring.n_nodes
-        if callable(pre):
-            m = Tensor(pre(*_message_halves(h, w), b.data, act))
-        elif rows is None:
+        if rows is None:
             m = _finish_messages(h, pre, w, b, wiring, act)
         else:
-            src = wiring.src[_incoming(rows, n)]
+            src = wiring.src[_incoming(rows, wiring.n_nodes)]
             m = tsum(_readout_messages(h, pre, w, b, rows, src, act), axis=1, keepdims=True)
             h = take(h, rows)
-        return self.update(h, m, n, wiring.groups)
+        return self.update(h, m, wiring)
+
+    def stacked(self, x: Tensor, edges: EdgePath, k: int, wiring: GraphWiring) -> Tensor:
+        """x_C on every node of the G targets stacked in wiring, as layer k,
+        k >= 1, of an inference forward over edges: each target's messages
+        are finished as on its graph alone, in one reused (B, N, N-1, d) buffer."""
+        h = self.node_mlp(x)
+        w, b, act = self.message_mlp.layers[0]
+        hr, hs = _message_halves(h, w)
+        groups, (rows, n, d) = wiring.groups, hr.shape
+        bsz, c = rows // groups, n - 1
+        query = edges.query[k].data.reshape(groups, bsz, 2 * c, d)
+        buf, m = np.empty((bsz, n, c, d)), np.empty_like(hr)
+        for g in range(groups):
+            own = slice(g * bsz, (g + 1) * bsz)
+            buf[:, :c, :c - 1] = edges.context[k - 1].data.reshape(bsz, c, c - 1, d)
+            buf[:, :c, c - 1], buf[:, c] = query[g, :, :c], query[g, :, c:]
+            _finish_graph(buf.reshape(bsz, n * c, d), hr[own], hs[own], b.data, act)
+            buf.sum(axis=2, out=m[own])
+        return self.update(h, Tensor(m), wiring)
 
     def share(self, h: Tensor, context: Tensor) -> tuple:
         """(hr, hs, partial) of SharedLayer0 from node_mlp's output h,
@@ -539,10 +537,10 @@ class ConvectionModule:
         _finish_graph(out, hr[:, :c], hs[:, :c], b.data, act)
         return hr, hs, out.reshape(bsz, c, c - 1, dim).sum(axis=2)
 
-    def finish(self, shared: SharedLayer0, query: Tensor, groups: int) -> Tensor:
-        """x_C on every node of G = groups stacked targets from layer 0's
-        shared part and their pre-activations on 2C query rows each."""
-        h, hr, hs = shared.h_c, shared.hr, shared.hs
+    def finish(self, shared: SharedLayer0, query: Tensor, wiring: GraphWiring) -> Tensor:
+        """x_C on every node of the G targets stacked in wiring from layer
+        0's shared part and their pre-activations on 2C query rows each."""
+        groups, h, hr, hs = wiring.groups, shared.h_c, shared.hr, shared.hs
         bsz, n, dim = h.shape
         c = n - 1
         w, b, act = self.message_mlp.layers[0]
@@ -553,18 +551,18 @@ class ConvectionModule:
         _act_messages(into_ctx, hr[:, :c], into_ctx, hs[:, c:], b.data, act)
         _act_messages(into_query, hr[:, c:], into_query, hs[:, :c], b.data, act)
         m = _sum_incoming(shared.partial, msgs).reshape(-1, n, dim)
-        return self.update(Tensor(np.tile(h.data, (groups, 1, 1))), Tensor(m), n, groups)
+        return self.update(Tensor(np.tile(h.data, (groups, 1, 1))), Tensor(m), wiring)
 
-    def update(self, h: Tensor, m: Tensor, n: int, groups: int = 1) -> Tensor:
+    def update(self, h: Tensor, m: Tensor, wiring: GraphWiring) -> Tensor:
         """x_C from node_mlp's output h and the summed messages m into the
-        same nodes of an n-node graph."""
+        same nodes of wiring's graph, or of the targets it stacks."""
         if self.aggregation == "mean":
-            m = mul(m, Tensor(1.0 / (n - 1)))
+            m = mul(m, Tensor(1.0 / (wiring.n_nodes - 1)))
         uw, ub, uact = self.update_mlp.layers[0]
         return linear_pair(m, add(h, m),
                            narrow(uw, 0, self.dim, axis=0),
                            narrow(uw, self.dim, 2 * self.dim, axis=0),
-                           ub, activation=uact, groups=groups)
+                           ub, activation=uact, groups=wiring.groups)
 
     def params(self):
         return (self.node_mlp.params() + self.edge_mlp.params()
@@ -633,7 +631,7 @@ class GnnLayer:
                                  activation=activation)
         self.fusion = FusionHead(dim, rng, f"{name}.fusion")
 
-    def __call__(self, x: Tensor, pre, wiring: GraphWiring, rows=None) -> tuple:
+    def __call__(self, x: Tensor, pre: Tensor, wiring: GraphWiring, rows=None) -> tuple:
         """(blended, fusion weights) on every node, or with rows only at
         those nodes; pre as in ConvectionModule.nodes."""
         x_d = self.diffusion(x, wiring)
@@ -655,7 +653,7 @@ class GnnLayer:
         """(blended, fusion weights) on every node of the targets stacked in
         wiring, from the shared part, repeated per target, and their query rows."""
         x_d = self.diffusion.propagate(Tensor(np.tile(shared.h_d.data, (wiring.groups, 1, 1))), wiring)
-        x_c = self.convection.finish(shared, query, wiring.groups)
+        x_c = self.convection.finish(shared, query, wiring)
         x_l = self.local.propagate(Tensor(np.tile(shared.h_l.data, (wiring.groups, 1, 1))), wiring)
         return self.fusion(x_d, x_c, x_l, wiring.groups)
 
@@ -785,8 +783,9 @@ class PhysicsGnn:
                 h = Tensor(np.tile(self.input_embed(x).data, (groups, 1, 1)))
             else:
                 h, _ = self.layers[0].finish(edges.layer0, edges.query[0], wiring)
-            for k in range(1, len(self.layers) - 1):
-                h, _ = self.layers[k](h, functools.partial(edges.messages, k, groups), wiring)
+            for k, layer in enumerate(self.layers[1:-1], start=1):
+                x_c = layer.convection.stacked(h, edges, k, wiring)
+                h, _ = layer.fusion(layer.diffusion(h, wiring), x_c, layer.local(h, wiring), groups)
         conv = self.layers[-1].convection
         h, _ = self.layers[-1](h, conv.message_pre(conv.edge_mlp(last, groups), groups), wiring, rows)
         out = self.output_head(h, groups)

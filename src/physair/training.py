@@ -25,6 +25,7 @@ the MSE loss, so reported losses are in (ug/m3)^2.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import logging
 import time
@@ -317,112 +318,95 @@ def hourly_conv_features(graph: Graph, dataset: Dataset,
     return out
 
 
-def _shared_context(graphs) -> tuple:
-    """The context sensors every graph shares: all nodes but its last.
-
-    Raises unless each graph's first N-1 sensors are the same sensors, in
-    the same order, with the same ids and coordinates.
-    """
-    graphs = tuple(graphs)
-    if not graphs:
-        raise ValidationError("need at least one graph to predict")
-    context = graphs[0].sensors[:-1]
-    for graph in graphs[1:]:
-        if graph.sensors[:-1] != context:
-            raise ValidationError(
-                "graphs must share their context: the first N-1 sensors of every "
-                "graph must be the same ids at the same coordinates")
-    return context
-
-
 # Node rows per forward: the predictor runs its targets in stacks of
 # max(1, _STACK_ROWS // (B * N)) to share a forward's fixed cost.
 _STACK_ROWS = 256
 
 
-def _member_predictions(model, wirings, x: np.ndarray, context, first, conv_feats) -> np.ndarray:
-    """One member's normalized predictions at each graph's last node, (B, G),
-    from the context rows and the first graph's query rows of split_edges.
+def _member_predictions(model, x: np.ndarray, context_rows, stacks) -> np.ndarray:
+    """One member's normalized predictions at each target, (B, G), from the
+    context rows of split_edges and each stack's (wiring, query rows).
 
-    Other targets' wind triples are built only while their stack runs. A
-    function of its own so that one member's shared context is freed when
-    it returns, before the next member calls share_context: with the
+    A function of its own so that one member's shared context is freed
+    when it returns, before the next member calls share_context: with the
     member loop inlined into masked_batch_predictions, the previous
     member's context stays alive while the next one is built, and perfbench
     evaluate peak_rss_mb rose from 60.1 to 65.4 MB in 3 of 3 pairs.
     """
     bsz, n = x.shape[:2]
-    shared = model.share_context(x, context)
-    size = max(1, _STACK_ROWS // (bsz * n))
-    out = np.empty((len(wirings), bsz))
-    for lo in range(0, len(wirings), size):
-        stack = wirings[lo:lo + size]
-        query = np.concatenate([first if w is wirings[0] else split_edges(conv_feats(w.graph), n)[1]
-                                for w in stack])
-        edges = EdgePath(*shared, *model.edge_path(query))
-        out[lo:lo + len(stack)] = model.forward(x, GraphWiring.stack(stack, bsz), None, n - 1,
-                                                edges=edges).data.reshape(-1, bsz)
-    return out.T
+    shared = model.share_context(x, context_rows)
+    return np.concatenate([
+        model.forward(x, wiring, None, n - 1, edges=EdgePath(*shared, *model.edge_path(query)))
+        .data.reshape(-1, bsz) for wiring, query in stacks]).T
 
 
-def masked_batch_predictions(models, wirings, x: np.ndarray, conv_feats,
+def masked_batch_predictions(models, context, graphs, x: np.ndarray, conv_feats,
                              normalizer: Normalizer) -> np.ndarray:
     """Ensemble-mean predictions at the last node of each graph, (B, G), raw units.
 
-    wirings: G graphs sharing a context of C = N-1 nodes (see
-    _shared_context) whose last node is masked; x: their common (B, N, F)
-    node inputs; conv_feats: a function that gives a graph's (B, E, 3)
-    wind triples. The C(C-1) context edges carry the same triples in
-    every graph, so each member runs the edge path over them once and
-    keeps only those rows across targets; each target adds its 2C query
-    edges. Layer 0's node states are the same for every target too, so
-    each member finishes and sums its context messages once
-    (PhysicsGnn.share_context). Then each stack of targets runs one
-    forward without a tape. Its one caller is predict_masked_node.
+    context: the C = N-1 sensors each graph starts with; graphs: G graphs,
+    read by index, whose last node is masked; x: their common (B, N, F)
+    node inputs; conv_feats: a function from a graph to its (B, E, 3) wind
+    triples. Each member runs the C(C-1) context edges and layer 0's
+    shared part once (PhysicsGnn.share_context), then one forward per
+    stack of targets, without a tape. A stack's graphs, wirings and wind
+    triples are built while it runs, the first stack's once for all
+    members, so a call holds two stacks' at most however many targets it
+    has. Its one caller is predict_masked_node.
     """
-    _shared_context(w.graph for w in wirings)
-    rows = split_edges(conv_feats(wirings[0].graph), x.shape[1])
-    preds = np.zeros((x.shape[0], len(wirings)))
+    bsz, n = x.shape[:2]
+    size = max(1, _STACK_ROWS // (bsz * n))
+
+    def stack(lo):
+        built = [graphs[i] for i in range(lo, min(lo + size, len(graphs)))]
+        if any(graph.sensors[:-1] != context for graph in built):
+            raise ValidationError("graphs must share their context: every graph's "
+                                  "first N-1 sensors must be the context sensors, in order")
+        rows = [split_edges(conv_feats(graph), n) for graph in built]
+        wiring = GraphWiring.stack([GraphWiring(graph) for graph in built], bsz)
+        return (wiring, np.concatenate([query for _, query in rows])), rows[0][0]
+
+    first, context_rows = stack(0)
+    preds = np.zeros((bsz, len(graphs)))
     with no_record():
         for model in models:
-            preds += _member_predictions(model, wirings, x, *rows, conv_feats)
+            later = (stack(lo)[0] for lo in range(size, len(graphs), size))
+            preds += _member_predictions(model, x, context_rows, itertools.chain([first], later))
     return normalizer.denormalize(preds / len(models))
 
 
-def predict_masked_node(models, normalizer: Normalizer, graphs,
+def predict_masked_node(models, normalizer: Normalizer, context_ids, graphs,
                         dataset: Dataset, hours, batch_size: int = 64) -> np.ndarray:
     """Ensemble-mean prediction at the last node of each graph, (hours, G), raw units.
 
-    The graphs share their first N-1 nodes, the context (see
-    _shared_context). Those are read from the dataset by sensor id and must
-    report every hour; each masked last node's inputs are zero. The input
-    window is the members' config.window, which every member must share.
-    Per hour chunk the node inputs are built once and the context's edge
-    path runs once per member for all G targets (see
-    masked_batch_predictions). Predictions depend on batch_size, not on G.
+    Each graph is the context, the dataset's sensors context_ids in that
+    order, plus one masked last node. graphs is read by index, a stack at
+    a time, so it may build each graph when read. The context must report
+    every hour; each masked node's inputs are zero. The input window is
+    the members' config.window, which every member must share. Node inputs
+    are built once per hour chunk. Predictions depend on batch_size, not G.
     """
     if batch_size < 1:
         raise ValidationError(f"batch_size must be >= 1, got {batch_size}")
+    if not len(graphs):
+        raise ValidationError("need at least one graph to predict")
     windows = sorted({model.config.window for model in models})
     if len(windows) != 1:
         raise ValidationError(
             f"an ensemble needs members that share one input window, got windows {windows}")
     window = windows[0]
     hours = check_hours(hours, dataset.hours)
-    graphs = tuple(graphs)
-    context = complete_readings(
-        dataset, [s.sensor_id for s in _shared_context(graphs)], "context")
+    context = complete_readings(dataset, context_ids, "context")
     values_norm = np.concatenate(
         [normalizer.normalize(context), np.zeros((dataset.hours, 1))], axis=1)
-    wirings = [GraphWiring(graph) for graph in graphs]
-    masked_pos = context.shape[1]
+    metas = sensor_metas(dataset, context_ids)
     preds = np.empty((len(hours), len(graphs)))
     for lo in range(0, len(hours), batch_size):
         chunk = hours[lo:lo + batch_size]
-        x = np.stack([build_node_inputs(values_norm, int(h), masked_pos, window)
+        x = np.stack([build_node_inputs(values_norm, int(h), context.shape[1], window)
                       for h in chunk])
         preds[lo:lo + len(chunk)] = masked_batch_predictions(
-            models, wirings, x, lambda graph: hourly_conv_features(graph, dataset, chunk),
+            models, metas, graphs, x, lambda graph: hourly_conv_features(graph, dataset, chunk),
             normalizer)
     return preds
 
@@ -440,7 +424,7 @@ def evaluate_target_sensor(models, normalizer, dataset: Dataset,
     hours = check_hours(hours, dataset.hours)
     targets = (target_id,) if isinstance(target_id, str) else tuple(target_id)
     graphs = [graph_for_ids(dataset, tuple(context_ids) + (t,)) for t in targets]
-    preds = predict_masked_node(models, normalizer, graphs, dataset, hours,
+    preds = predict_masked_node(models, normalizer, context_ids, graphs, dataset, hours,
                                 batch_size=batch_size)
     truths = subset_dataset_values(dataset, targets)[hours]
     if isinstance(target_id, str):

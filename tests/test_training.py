@@ -460,8 +460,8 @@ def assert_predictor_matches_per_target_forward(config, n, bsz, g):
     graphs = shared_context_graphs(n, g, seed=n * 10 + g)
     x, conv_feats = predictor_batch(graphs, config, bsz,
                                     np.random.default_rng(config.n_layers * 100 + bsz))
-    got = masked_batch_predictions(models, [GraphWiring(graph) for graph in graphs], x,
-                                   conv_feats, Normalizer(0.0, 1.0))
+    got = masked_batch_predictions(models, graphs[0].sensors[:-1], graphs, x, conv_feats,
+                                   Normalizer(0.0, 1.0))
     assert got.shape == (bsz, g)
     for col, graph in enumerate(graphs):
         want = sum(m.forward(x, GraphWiring(graph), conv_feats(graph), n - 1).data
@@ -481,19 +481,19 @@ def test_multi_target_predictor_matches_per_target_forward(n, n_layers, bsz, g):
 def test_predictor_peak_memory_does_not_grow_with_ensemble_members():
     # each member's shared context is freed before the next member builds
     # its own, so a call peaks at one member's working set however many
-    # members it averages; holding two at once adds ~0.5 MB to this ~1.2 MB
+    # members it averages; holding two at once adds ~0.5 MB to this ~1.6 MB
     config = ModelConfig(preset=None, n_layers=3, hidden_dim=16)
     graphs = shared_context_graphs(28, 9, seed=3)
-    wirings = [GraphWiring(graph) for graph in graphs]
+    context = graphs[0].sensors[:-1]
     x, conv_feats = predictor_batch(graphs, config, 4, np.random.default_rng(4))
     peaks = {}
     for members in (1, 2, 3):
         models = [PhysicsGnn(config, seed=s) for s in range(members)]
-        masked_batch_predictions(models, wirings, x, conv_feats, Normalizer(0.0, 1.0))
+        masked_batch_predictions(models, context, graphs, x, conv_feats, Normalizer(0.0, 1.0))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            masked_batch_predictions(models, wirings, x, conv_feats, Normalizer(0.0, 1.0))
+            masked_batch_predictions(models, context, graphs, x, conv_feats, Normalizer(0.0, 1.0))
             peaks[members] = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -512,10 +512,10 @@ def test_shared_layer0_predictor_matches_per_target_forward(aggregation, activat
     assert_predictor_matches_per_target_forward(config, n, bsz, 9)
 
 
-def one_target_calls(models, wirings, x, conv_feats) -> np.ndarray:
-    return np.concatenate([masked_batch_predictions(models, [wiring], x, conv_feats,
-                                                    Normalizer(10.0, 2.0))
-                           for wiring in wirings], axis=1)
+def one_target_calls(models, graphs, x, conv_feats) -> np.ndarray:
+    return np.concatenate([masked_batch_predictions(models, graph.sensors[:-1], [graph], x,
+                                                    conv_feats, Normalizer(10.0, 2.0))
+                           for graph in graphs], axis=1)
 
 
 @pytest.mark.parametrize("aggregation", ["sum", "mean"])
@@ -529,13 +529,12 @@ def test_stacked_targets_equal_one_target_calls(aggregation, window, n, n_layers
                          aggregation=aggregation, window=window)
     models = [PhysicsGnn(config, seed=s) for s in (n, n + 1)]
     graphs = shared_context_graphs(n, 16, seed=n * 10 + window)
-    wirings = [GraphWiring(graph) for graph in graphs]
     for bsz in (1, 3, 4):
         x, conv_feats = predictor_batch(graphs, config, bsz, np.random.default_rng(bsz))
-        singles = one_target_calls(models, wirings, x, conv_feats)
+        singles = one_target_calls(models, graphs, x, conv_feats)
         for g in (1, 2, 9, 16):
-            got = masked_batch_predictions(models, wirings[:g], x, conv_feats,
-                                           Normalizer(10.0, 2.0))
+            got = masked_batch_predictions(models, graphs[0].sensors[:-1], graphs[:g], x,
+                                           conv_feats, Normalizer(10.0, 2.0))
             assert got.tobytes() == singles[:, :g].tobytes(), (bsz, g)
 
 
@@ -543,9 +542,8 @@ def test_a_row_budget_splits_the_targets_into_stacks(monkeypatch):
     config = ModelConfig(preset=None, n_layers=3, hidden_dim=8)
     models = [PhysicsGnn(config, seed=s) for s in (0, 1)]
     graphs = shared_context_graphs(7, 9, seed=5)
-    wirings = [GraphWiring(graph) for graph in graphs]
     x, conv_feats = predictor_batch(graphs, config, 3, np.random.default_rng(5))
-    singles = one_target_calls(models, wirings, x, conv_feats)
+    singles = one_target_calls(models, graphs, x, conv_feats)
     # 3 samples of 7 nodes: 84 rows hold 4 targets, so 9 split 4, 4, 1
     monkeypatch.setattr(training, "_STACK_ROWS", 84)
     stacks = []
@@ -555,7 +553,8 @@ def test_a_row_budget_splits_the_targets_into_stacks(monkeypatch):
             return forward(x, wiring, *args, **kwargs)
 
         monkeypatch.setattr(model, "forward", spy)
-    got = masked_batch_predictions(models, wirings, x, conv_feats, Normalizer(10.0, 2.0))
+    got = masked_batch_predictions(models, graphs[0].sensors[:-1], graphs, x, conv_feats,
+                                   Normalizer(10.0, 2.0))
     assert stacks == [4, 4, 1] * 2
     assert got.tobytes() == singles.tobytes()
 
@@ -563,18 +562,18 @@ def test_a_row_budget_splits_the_targets_into_stacks(monkeypatch):
 def test_a_nine_target_call_peaks_below_nine_edge_buffers():
     # the row budget stacks 2 of these targets at a time, and layers
     # 1..L-2 finish each target's edge messages in one reused (B, N, N-1, d)
-    # buffer, so the call peaks near 1.4 MB, below a 9-fold layer-1 edge
+    # buffer, so the call peaks near 1.6 MB, below a 9-fold layer-1 edge
     # buffer (3.5 MB); 9 targets in one stack with 9 buffers held 6.3 MB
     config = ModelConfig(preset=None, n_layers=3, hidden_dim=16)
     graphs = shared_context_graphs(28, 9, seed=3)
-    wirings = [GraphWiring(graph) for graph in graphs]
+    context = graphs[0].sensors[:-1]
     x, conv_feats = predictor_batch(graphs, config, 4, np.random.default_rng(4))
     models = [PhysicsGnn(config, seed=0)]
-    masked_batch_predictions(models, wirings, x, conv_feats, Normalizer(0.0, 1.0))
+    masked_batch_predictions(models, context, graphs, x, conv_feats, Normalizer(0.0, 1.0))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        masked_batch_predictions(models, wirings, x, conv_feats, Normalizer(0.0, 1.0))
+        masked_batch_predictions(models, context, graphs, x, conv_feats, Normalizer(0.0, 1.0))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -650,12 +649,15 @@ def test_predictor_refuses_graphs_without_a_shared_context():
         [graph("s0", "s1", "s4"), graph("s1", "s0", "s5")],
         [graph("s0", "s1", "s4"), graph("s0", "s1", "s2", "s5")],
         [graph("s0", "s1", "s4"), build_graph([metas["s0"], moved, metas["s5"]])],
+        # the first graph is checked against the dataset's context sensors too
+        [graph("s1", "s0", "s4")],
+        [build_graph([metas["s0"], moved, metas["s4"]]), graph("s0", "s1", "s5")],
     )
     for graphs in unshared:
         with pytest.raises(ValidationError, match="share their context"):
-            predict_masked_node([model], Normalizer(0.0, 1.0), graphs, ds, None)
+            predict_masked_node([model], Normalizer(0.0, 1.0), ("s0", "s1"), graphs, ds, None)
     with pytest.raises(ValidationError, match="at least one graph"):
-        predict_masked_node([model], Normalizer(0.0, 1.0), [], ds, None)
+        predict_masked_node([model], Normalizer(0.0, 1.0), ("s0", "s1"), [], ds, None)
 
 
 @pytest.mark.parametrize("batch", [0, -1])
@@ -665,7 +667,7 @@ def test_non_positive_inference_batch_is_refused(batch):
     model = PhysicsGnn(tiny_model_config(), seed=0)
     graph = build_graph(ds.sensors[:3])
     with pytest.raises(ValidationError, match="batch_size"):
-        predict_masked_node([model], Normalizer(0.0, 1.0), [graph], ds, None,
+        predict_masked_node([model], Normalizer(0.0, 1.0), ("s0", "s1"), [graph], ds, None,
                             batch_size=batch)
     with pytest.raises(ValidationError, match="eval_batch"):
         run_config(eval_batch=batch)
