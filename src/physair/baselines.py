@@ -172,6 +172,12 @@ def _fit_binned_variogram(bins: tuple, values: np.ndarray) -> tuple[float, float
     return max(0.0, float(slope)), max(0.0, float(nugget))
 
 
+def _distances(coords: np.ndarray) -> tuple:
+    """(pairwise distances, whether two points coincide: a zero off the diagonal)."""
+    dist = pairwise_distances_km(coords[:, 0], coords[:, 1])
+    return dist, np.count_nonzero(dist == 0) > len(coords)
+
+
 class OrdinaryKriging(BaseEstimator):
     """Ordinary kriging with a linear variogram.
 
@@ -179,7 +185,9 @@ class OrdinaryKriging(BaseEstimator):
     ``slope``/``nugget`` are given explicitly. Prediction solves the
     augmented system with the unbiasedness constraint (weights sum to
     one); a singular system falls back to inverse distance weighting
-    with a logged warning.
+    with a logged warning. Two coinciding sensors (equal rows for any
+    variogram) or a zero slope and nugget make it exactly singular, and
+    solve refuses it before LU, which may meet no zero pivot.
     """
 
     def __init__(self, slope: float | None = None,
@@ -192,6 +200,7 @@ class OrdinaryKriging(BaseEstimator):
         self.slope_ = None
         self.nugget_ = None
         self.matrix_ = None
+        self.singular_ = None
 
     def _gamma(self, h: np.ndarray) -> np.ndarray:
         # gamma(0) is 0 by definition; the nugget applies only to h > 0.
@@ -203,8 +212,7 @@ class OrdinaryKriging(BaseEstimator):
         n = self.coords_.shape[0]
         if n < 2:
             raise ValidationError(f"kriging needs at least 2 sensors, got {n}")
-        dist = self._reuse("dist", (self.coords_,), lambda: pairwise_distances_km(
-            self.coords_[:, 0], self.coords_[:, 1]))
+        dist, coincide = self._reuse("dist", (self.coords_,), lambda: _distances(self.coords_))
         if self.slope is not None or self.nugget is not None:
             self.slope_ = float(self.slope if self.slope is not None else 0.0)
             self.nugget_ = float(self.nugget if self.nugget is not None else 0.0)
@@ -218,12 +226,15 @@ class OrdinaryKriging(BaseEstimator):
         matrix[:n, :n] = self._gamma(dist)
         matrix[n, n] = 0.0
         self.matrix_ = matrix
+        self.singular_ = coincide or self.slope_ == self.nugget_ == 0.0
         return self
 
     def solve(self, coords) -> KrigingSystem:
         """Solve for kriging weights at the given targets."""
         self._check_fitted("matrix_")
         targets = check_coords(coords, name="targets")
+        if self.singular_:
+            raise np.linalg.LinAlgError("singular: coinciding sensors or a zero variogram")
         n = self.coords_.shape[0]
         cross = self._reuse("cross", (self.coords_, targets), lambda: cross_distances_km(
             self.coords_[:, 0], self.coords_[:, 1], targets[:, 0], targets[:, 1]))

@@ -224,37 +224,29 @@ def scaled_laplacian(a: np.ndarray):
     return lap, lam_max, scaled
 
 
-def local_norm_matrix(graph: Graph, edge_features: np.ndarray | None = None) -> np.ndarray:
-    """Diagonal matrix M with M[i, i] = 1 + sum of features on edges into i.
+def local_norm_matrix(graph: Graph) -> np.ndarray:
+    """The diagonal of the local normalization M, per node: 1 plus the
+    inverse distances on the edges into it.
 
-    Defaults to the inverse-distance edge features. Entries are
-    always >= 1, so M scales features up; its inverse is what actually
-    shrinks them (see the model module for which one is applied).
+    Entries are always >= 1, so M scales features up; its inverse is what
+    actually shrinks them (see the model module for which one is applied).
     """
-    feats = graph.diffusion_edge_features() if edge_features is None else np.asarray(edge_features, dtype=float)
-    if feats.shape != (graph.n_edges,):
-        raise ValidationError(f"expected {graph.n_edges} edge features, got shape {feats.shape}")
-    if np.any(feats <= 0):
-        raise ValidationError("local edge features must be positive")
     m = np.ones(graph.n_nodes)
-    np.add.at(m, graph.dst, feats)
-    return np.diag(m)
+    np.add.at(m, graph.dst, graph.diffusion_edge_features())
+    return m
 
 
 @dataclass(frozen=True)
 class GraphMatrices:
-    """Everything the model's linear algebra needs, derived once per graph."""
+    """Everything the model's linear algebra needs, derived once per graph:
+    the adjacency, the scaled Laplacian and the diagonal of M."""
 
     a: np.ndarray
-    lap: np.ndarray
     lap_scaled: np.ndarray
-    lambda_max: float
     m: np.ndarray
 
 
 def build_matrices(graph: Graph) -> GraphMatrices:
-    """Adjacency, Laplacians, and local normalization for one graph."""
+    """Adjacency, scaled Laplacian, and local normalization for one graph."""
     a = graph.adjacency()
-    lap, lam_max, lap_scaled = scaled_laplacian(a)
-    m = local_norm_matrix(graph)
-    return GraphMatrices(a=a, lap=lap, lap_scaled=lap_scaled, lambda_max=lam_max, m=m)
+    return GraphMatrices(a=a, lap_scaled=scaled_laplacian(a)[2], m=local_norm_matrix(graph))

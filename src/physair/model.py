@@ -83,6 +83,7 @@ class ModelConfig:
     local_norm picks which side of the local module's normalization matrix
     is applied: "inverse" divides features by the degree-like diagonal
     (the default; it actually shrinks them), "direct" multiplies by it.
+    Every physics module applies ReLU; checkpoints record it as "activation".
     """
 
     preset: str | None = "S"
@@ -91,7 +92,6 @@ class ModelConfig:
     window: int = 1
     local_norm: str = "inverse"
     aggregation: str = "sum"
-    activation: str = "relu"
 
     def __post_init__(self):
         if self.preset is not None:
@@ -113,8 +113,6 @@ class ModelConfig:
             raise ValidationError(f"local_norm must be one of {LOCAL_NORMS}, got {self.local_norm!r}")
         if self.aggregation not in AGGREGATIONS:
             raise ValidationError(f"aggregation must be one of {AGGREGATIONS}, got {self.aggregation!r}")
-        if self.activation not in Mlp.ACTIVATIONS:
-            raise ValidationError(f"activation must be one of {Mlp.ACTIVATIONS}, got {self.activation!r}")
 
     @property
     def input_dim(self) -> int:
@@ -124,12 +122,14 @@ class ModelConfig:
     def to_dict(self) -> dict:
         return {"preset": self.preset, "n_layers": self.n_layers, "hidden_dim": self.hidden_dim,
                 "window": self.window, "local_norm": self.local_norm,
-                "aggregation": self.aggregation, "activation": self.activation}
+                "aggregation": self.aggregation, "activation": "relu"}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        if d.get("activation", "relu") != "relu":
+            raise ValidationError(f"activation must be 'relu', got {d['activation']!r}")
         return cls(**{k: d[k] for k in ("preset", "n_layers", "hidden_dim", "window",
-                                        "local_norm", "aggregation", "activation") if k in d})
+                                        "local_norm", "aggregation") if k in d})
 
 
 class GraphWiring:
@@ -153,9 +153,8 @@ class GraphWiring:
         self.dst = graph.dst
         self.lap_scaled = Tensor(matrices.lap_scaled)
         self.loop_adj = Tensor(np.eye(n) + matrices.a)
-        m_diag = np.diag(matrices.m)
-        self.norm_direct = Tensor(m_diag[:, None])
-        self.norm_inverse = Tensor((1.0 / m_diag)[:, None])
+        self.norm_direct = Tensor(matrices.m[:, None])
+        self.norm_inverse = Tensor((1.0 / matrices.m)[:, None])
 
     @staticmethod
     def stack(wirings, bsz: int) -> "GraphWiring":
@@ -270,8 +269,8 @@ def _message_halves(h: Tensor, w: Tensor) -> tuple:
 
 
 def _act_messages(by_dst: np.ndarray, hr_dst: np.ndarray, by_src: np.ndarray,
-                  hs_src: np.ndarray, b: np.ndarray, activation: str) -> None:
-    """act(pre + hr[dst] + hs[src] + b), in place, in that float order.
+                  hs_src: np.ndarray, b: np.ndarray) -> None:
+    """relu(pre + hr[dst] + hs[src] + b), in place, in that float order.
 
     by_dst and by_src are two views of one pre-activation buffer, each
     covering all of it; hr_dst and hs_src broadcast against them to each
@@ -281,12 +280,10 @@ def _act_messages(by_dst: np.ndarray, hr_dst: np.ndarray, by_src: np.ndarray,
     np.add(by_dst, hr_dst, out=by_dst)
     np.add(by_src, hs_src, out=by_src)
     np.add(by_dst, b, out=by_dst)
-    if activation == "relu":
-        np.maximum(by_dst, 0.0, out=by_dst)
+    np.maximum(by_dst, 0.0, out=by_dst)
 
 
-def _finish_graph(out: np.ndarray, hr: np.ndarray, hs: np.ndarray, b: np.ndarray,
-                  activation: str) -> None:
+def _finish_graph(out: np.ndarray, hr: np.ndarray, hs: np.ndarray, b: np.ndarray) -> None:
     """_act_messages on every edge of an n-node graph, n >= 2: out is its
     (B, n(n-1), d) destination-grouped pre buffer, hr and hs (B, n, d).
 
@@ -299,8 +296,7 @@ def _finish_graph(out: np.ndarray, hr: np.ndarray, hs: np.ndarray, b: np.ndarray
     twice = np.concatenate([hs, hs], axis=1)
     src_rows = np.lib.stride_tricks.sliding_window_view(twice[:, 1:-1], n, axis=1)
     _act_messages(out.reshape(bsz, n, n - 1, dim), hr[:, :, None, :],
-                  out.reshape(bsz, n - 1, n, dim), src_rows.transpose(0, 1, 3, 2),
-                  b, activation)
+                  out.reshape(bsz, n - 1, n, dim), src_rows.transpose(0, 1, 3, 2), b)
 
 
 def _sum_incoming(partial: np.ndarray | None, query: np.ndarray) -> np.ndarray:
@@ -325,9 +321,9 @@ def _sum_incoming(partial: np.ndarray | None, query: np.ndarray) -> np.ndarray:
 
 
 def _finish_messages(h: Tensor, pre: Tensor, w: Tensor, b: Tensor,
-                     wiring: "GraphWiring", activation: str) -> Tensor:
+                     wiring: "GraphWiring") -> Tensor:
     """Each node's sum over its N-1 incoming messages, (B, N, d), where a
-    message is act(pre + h[dst] @ w_recv + h[src] @ w_send + b).
+    message is relu(pre + h[dst] @ w_recv + h[src] @ w_send + b).
 
     With pre = _message_pre(e, w) each message is the message MLP over
     concat(h[dst] + e, h[src] + e), reassociated: multiplying h by each
@@ -341,11 +337,10 @@ def _finish_messages(h: Tensor, pre: Tensor, w: Tensor, b: Tensor,
     numpy reduction as a separate sum over the (N, N-1) edge axis, so the
     bits are those of finishing and then summing. pre must be a buffer no
     one reads afterwards: never one shared across targets. While
-    recording, the op keeps a bool relu mask (nothing edge-sized with
-    identity) and releases a non-leaf pre's buffer, since the VJP of
-    _message_pre never reads its output; a leaf or constant pre keeps its
-    data. So a layer's tape holds one edge-sized float array, the edge
-    MLP's output, not two.
+    recording, the op keeps a bool relu mask and releases a non-leaf
+    pre's buffer, since the VJP of _message_pre never reads its output; a
+    leaf or constant pre keeps its data. So a layer's tape holds one
+    edge-sized float array, the edge MLP's output, not two.
 
     The forward is _finish_graph. Seen as (N-1, N), the buffer's row r
     holds the edges from sources r+1, ..., N-1, 0, ..., r, so every row
@@ -366,15 +361,11 @@ def _finish_messages(h: Tensor, pre: Tensor, w: Tensor, b: Tensor,
     w_send = w.data[dim:]
     h2 = h.data.reshape(-1, dim)
     msgs = pre.data.reshape(bsz, n, n - 1, dim)
-    _finish_graph(pre.data, *_message_halves(h, w), b.data, activation)
+    _finish_graph(pre.data, *_message_halves(h, w), b.data)
     mask = None
 
     def vjp(g):
-        g_in = g[:, :, None, :]
-        if mask is None:
-            g_pre = np.broadcast_to(g_in, (bsz, n, n - 1, dim)).copy()
-        else:
-            g_pre = g_in * mask
+        g_pre = g[:, :, None, :] * mask
         g_recv = g_pre.sum(axis=2)
         # row 0 holds every source's first edge; later rows add in order
         g_rows = g_pre.reshape(bsz, n - 1, n, dim)
@@ -396,8 +387,7 @@ def _finish_messages(h: Tensor, pre: Tensor, w: Tensor, b: Tensor,
     sums = make_op(msgs.sum(axis=2), (h, pre, w, b), vjp)
     if sums.requires_grad:
         # recorded: the VJP reads only the mask, never the messages
-        if activation == "relu":
-            mask = msgs > 0
+        mask = msgs > 0
         if pre._vjp is not None:
             pre.data = np.empty(0)
     return sums
@@ -405,13 +395,15 @@ def _finish_messages(h: Tensor, pre: Tensor, w: Tensor, b: Tensor,
 
 def _convection_messages(h: Tensor, e: Tensor, w: Tensor, b: Tensor,
                          wiring: "GraphWiring", activation: str) -> Tensor:
-    """Each node's sum over act((h[dst] + e) @ w_r + (h[src] + e) @ w_s + b)
-    on its incoming edges."""
-    return _finish_messages(h, _message_pre(e, w), w, b, wiring, activation)
+    """Each node's sum over relu((h[dst] + e) @ w_r + (h[src] + e) @ w_s + b)
+    on its incoming edges; activation, the message MLP's, must be relu."""
+    if activation != "relu":
+        raise ValidationError(f"messages apply relu, got activation {activation!r}")
+    return _finish_messages(h, _message_pre(e, w), w, b, wiring)
 
 
 def _readout_messages(h: Tensor, pre: Tensor, w: Tensor, b: Tensor,
-                      rows: np.ndarray, src: np.ndarray, activation: str) -> Tensor:
+                      rows: np.ndarray, src: np.ndarray) -> Tensor:
     """_finish_messages on the N-1 edges into one node per sample.
 
     h is (B, N, d); pre is (B, N-1, d), on the incoming edges of node
@@ -421,20 +413,18 @@ def _readout_messages(h: Tensor, pre: Tensor, w: Tensor, b: Tensor,
     """
     dim = h.shape[2]
     out = add(pre, take(matmul(h, narrow(w, 0, dim, axis=0)), rows))
-    out = add(add(out, take(matmul(h, narrow(w, dim, 2 * dim, axis=0)), src)), b)
-    return relu(out) if activation == "relu" else out
+    return relu(add(add(out, take(matmul(h, narrow(w, dim, 2 * dim, axis=0)), src)), b))
 
 
 class DiffusionModule:
-    """x_D = l * act(L_D . node_mlp(x) . W): spectral smoothing over the graph.
+    """x_D = l * relu(L_D . node_mlp(x) . W): spectral smoothing over the graph.
 
     The learnable vector l plays the role of a per-feature diffusion rate.
     It starts at ones (neutral scaling) rather than random values.
     """
 
-    def __init__(self, dim: int, rng: np.random.Generator, name: str, activation: str = "relu"):
-        self.activation = activation
-        self.node_mlp = Mlp([dim, dim], rng, name=f"{name}.node_mlp", output_activation=activation)
+    def __init__(self, dim: int, rng: np.random.Generator, name: str):
+        self.node_mlp = Mlp([dim, dim], rng, name=f"{name}.node_mlp", output_activation="relu")
         bound = 1.0 / np.sqrt(dim)
         self.gcn_weight = Param(rng.uniform(-bound, bound, size=(dim, dim)), name=f"{name}.gcn_weight")
         self.scale = Param(np.ones(dim), name=f"{name}.scale")
@@ -444,11 +434,7 @@ class DiffusionModule:
 
     def propagate(self, h: Tensor, wiring: GraphWiring) -> Tensor:
         """x_D from node_mlp's output h."""
-        h = matmul(wiring.lap_scaled, h)
-        h = matmul(h, self.gcn_weight)
-        if self.activation == "relu":
-            h = relu(h)
-        return mul(self.scale, h)
+        return mul(self.scale, relu(matmul(matmul(wiring.lap_scaled, h), self.gcn_weight)))
 
     def params(self):
         return self.node_mlp.params() + [self.gcn_weight, self.scale]
@@ -466,13 +452,13 @@ class ConvectionModule:
     """
 
     def __init__(self, dim: int, edge_in_dim: int, rng: np.random.Generator, name: str,
-                 aggregation: str = "sum", activation: str = "relu"):
+                 aggregation: str = "sum"):
         self.dim = dim
         self.aggregation = aggregation
-        self.node_mlp = Mlp([dim, dim], rng, name=f"{name}.node_mlp", output_activation=activation)
-        self.edge_mlp = Mlp([edge_in_dim, dim], rng, name=f"{name}.edge_mlp", output_activation=activation)
-        self.message_mlp = Mlp([2 * dim, dim], rng, name=f"{name}.message_mlp", output_activation=activation)
-        self.update_mlp = Mlp([2 * dim, dim], rng, name=f"{name}.update_mlp", output_activation=activation)
+        self.node_mlp = Mlp([dim, dim], rng, name=f"{name}.node_mlp", output_activation="relu")
+        self.edge_mlp = Mlp([edge_in_dim, dim], rng, name=f"{name}.edge_mlp", output_activation="relu")
+        self.message_mlp = Mlp([2 * dim, dim], rng, name=f"{name}.message_mlp", output_activation="relu")
+        self.update_mlp = Mlp([2 * dim, dim], rng, name=f"{name}.update_mlp", output_activation="relu")
 
     def message_pre(self, e: Tensor, groups: int = 1) -> Tensor:
         """This layer's message pre-activations from its edge features e'."""
@@ -489,12 +475,12 @@ class ConvectionModule:
         positions, x_C (B, 1, d) at those nodes from pre on their N-1
         incoming edges, (B, N-1, d) in edge order."""
         h = self.node_mlp(x)
-        w, b, act = self.message_mlp.layers[0]
+        w, b, _ = self.message_mlp.layers[0]
         if rows is None:
-            m = _finish_messages(h, pre, w, b, wiring, act)
+            m = _finish_messages(h, pre, w, b, wiring)
         else:
             src = wiring.src[_incoming(rows, wiring.n_nodes)]
-            m = tsum(_readout_messages(h, pre, w, b, rows, src, act), axis=1, keepdims=True)
+            m = tsum(_readout_messages(h, pre, w, b, rows, src), axis=1, keepdims=True)
             h = take(h, rows)
         return self.update(h, m, wiring)
 
@@ -503,7 +489,7 @@ class ConvectionModule:
         k >= 1, of an inference forward over edges: each target's messages
         are finished as on its graph alone, in one reused (B, N, N-1, d) buffer."""
         h = self.node_mlp(x)
-        w, b, act = self.message_mlp.layers[0]
+        w, b, _ = self.message_mlp.layers[0]
         hr, hs = _message_halves(h, w)
         groups, (rows, n, d) = wiring.groups, hr.shape
         bsz, c = rows // groups, n - 1
@@ -513,7 +499,7 @@ class ConvectionModule:
             own = slice(g * bsz, (g + 1) * bsz)
             buf[:, :c, :c - 1] = edges.context[k - 1].data.reshape(bsz, c, c - 1, d)
             buf[:, :c, c - 1], buf[:, c] = query[g, :, :c], query[g, :, c:]
-            _finish_graph(buf.reshape(bsz, n * c, d), hr[own], hs[own], b.data, act)
+            _finish_graph(buf.reshape(bsz, n * c, d), hr[own], hs[own], b.data)
             buf.sum(axis=2, out=m[own])
         return self.update(h, Tensor(m), wiring)
 
@@ -527,14 +513,14 @@ class ConvectionModule:
         The context messages are finished in context's own buffer, which
         no one may read afterwards, and only their per-node sums are kept.
         """
-        w, b, act = self.message_mlp.layers[0]
+        w, b, _ = self.message_mlp.layers[0]
         hr, hs = _message_halves(h, w)
         bsz, n, dim = h.shape
         c = n - 1
         if c < 2:
             return hr, hs, None
         out = context.data.reshape(bsz, c * (c - 1), dim)
-        _finish_graph(out, hr[:, :c], hs[:, :c], b.data, act)
+        _finish_graph(out, hr[:, :c], hs[:, :c], b.data)
         return hr, hs, out.reshape(bsz, c, c - 1, dim).sum(axis=2)
 
     def finish(self, shared: SharedLayer0, query: Tensor, wiring: GraphWiring) -> Tensor:
@@ -543,13 +529,13 @@ class ConvectionModule:
         groups, h, hr, hs = wiring.groups, shared.h_c, shared.hr, shared.hs
         bsz, n, dim = h.shape
         c = n - 1
-        w, b, act = self.message_mlp.layers[0]
+        w, b, _ = self.message_mlp.layers[0]
         msgs = query.data.reshape(groups, bsz, 2 * c, dim).copy()
         # first the edges from the query node into each context node, then
         # the edges from each context node into the query node
         into_ctx, into_query = msgs[..., :c, :], msgs[..., c:, :]
-        _act_messages(into_ctx, hr[:, :c], into_ctx, hs[:, c:], b.data, act)
-        _act_messages(into_query, hr[:, c:], into_query, hs[:, :c], b.data, act)
+        _act_messages(into_ctx, hr[:, :c], into_ctx, hs[:, c:], b.data)
+        _act_messages(into_query, hr[:, c:], into_query, hs[:, :c], b.data)
         m = _sum_incoming(shared.partial, msgs).reshape(-1, n, dim)
         return self.update(Tensor(np.tile(h.data, (groups, 1, 1))), Tensor(m), wiring)
 
@@ -558,11 +544,11 @@ class ConvectionModule:
         same nodes of wiring's graph, or of the targets it stacks."""
         if self.aggregation == "mean":
             m = mul(m, Tensor(1.0 / (wiring.n_nodes - 1)))
-        uw, ub, uact = self.update_mlp.layers[0]
+        uw, ub, _ = self.update_mlp.layers[0]
         return linear_pair(m, add(h, m),
                            narrow(uw, 0, self.dim, axis=0),
                            narrow(uw, self.dim, 2 * self.dim, axis=0),
-                           ub, activation=uact, groups=wiring.groups)
+                           ub, activation="relu", groups=wiring.groups)
 
     def params(self):
         return (self.node_mlp.params() + self.edge_mlp.params()
@@ -577,10 +563,9 @@ class LocalModule:
     """
 
     def __init__(self, dim: int, rng: np.random.Generator, name: str,
-                 local_norm: str = "inverse", activation: str = "relu"):
+                 local_norm: str = "inverse"):
         self.local_norm = local_norm
-        self.activation = activation
-        self.node_mlp = Mlp([dim, dim], rng, name=f"{name}.node_mlp", output_activation=activation)
+        self.node_mlp = Mlp([dim, dim], rng, name=f"{name}.node_mlp", output_activation="relu")
         bound = 1.0 / np.sqrt(dim)
         self.conv_weight = Param(rng.uniform(-bound, bound, size=(dim, dim)), name=f"{name}.conv_weight")
 
@@ -589,9 +574,7 @@ class LocalModule:
 
     def propagate(self, h: Tensor, wiring: GraphWiring) -> Tensor:
         """x_L from node_mlp's output h."""
-        f = matmul(matmul(wiring.loop_adj, h), self.conv_weight)
-        if self.activation == "relu":
-            f = relu(f)
+        f = relu(matmul(matmul(wiring.loop_adj, h), self.conv_weight))
         norm = wiring.norm_inverse if self.local_norm == "inverse" else wiring.norm_direct
         return mul(norm, f)
 
@@ -623,12 +606,11 @@ class GnnLayer:
     """One stacked layer: the three physics modules plus their fusion head."""
 
     def __init__(self, dim: int, edge_in_dim: int, rng: np.random.Generator, name: str,
-                 local_norm: str, aggregation: str, activation: str):
-        self.diffusion = DiffusionModule(dim, rng, f"{name}.diffusion", activation=activation)
+                 local_norm: str, aggregation: str):
+        self.diffusion = DiffusionModule(dim, rng, f"{name}.diffusion")
         self.convection = ConvectionModule(dim, edge_in_dim, rng, f"{name}.convection",
-                                           aggregation=aggregation, activation=activation)
-        self.local = LocalModule(dim, rng, f"{name}.local", local_norm=local_norm,
-                                 activation=activation)
+                                           aggregation=aggregation)
+        self.local = LocalModule(dim, rng, f"{name}.local", local_norm=local_norm)
         self.fusion = FusionHead(dim, rng, f"{name}.fusion")
 
     def __call__(self, x: Tensor, pre: Tensor, wiring: GraphWiring, rows=None) -> tuple:
@@ -679,7 +661,7 @@ class PhysicsGnn:
         for k in range(config.n_layers):
             edge_in = 3 if k == 0 else d
             self.layers.append(GnnLayer(d, edge_in, rng, f"layer{k}", config.local_norm,
-                                        config.aggregation, config.activation))
+                                        config.aggregation))
         self.output_head = Mlp([d, 1], rng, name="output_head")
 
     def edge_path(self, feats) -> tuple:

@@ -672,18 +672,26 @@ def load_trained(checkpoint_path):
 
     The model is for inference: its params carry no gradient buffers
     (backward allocates one on first use), so it holds and pickles only
-    its weights.
+    its weights. A file that lacks what train_model records in extra
+    (an optimizer state, say) raises ValidationError naming it.
     """
     loaded = load_arrays(str(checkpoint_path))
     extra = loaded[0].get("extra", {})
-    config = ModelConfig.from_dict(extra["model_config"])
-    model = PhysicsGnn(config, seed=int(extra["train_config"]["seed"]))
+    try:
+        config = ModelConfig.from_dict(extra["model_config"])
+        seed = int(extra["train_config"]["seed"])
+        normalizer = Normalizer.from_dict(extra["normalizer"])
+        split = SensorSplit.from_dict(extra["split"])
+    except KeyError as exc:
+        raise ValidationError(f"{checkpoint_path} is not a trained model's checkpoint: "
+                              f"it has no {exc}") from None
+    except ValidationError as exc:
+        raise ValidationError(f"{checkpoint_path}: {exc}") from None
+    model = PhysicsGnn(config, seed=seed)
     params = model.params()
     load_params(str(checkpoint_path), params, loaded)
     for p in params:
         p.grad = None
-    normalizer = Normalizer.from_dict(extra["normalizer"])
-    split = SensorSplit.from_dict(extra["split"])
     return model, normalizer, split, extra
 
 

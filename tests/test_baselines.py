@@ -195,6 +195,25 @@ def test_kriging_singular_system_falls_back_to_idw(caplog):
     np.testing.assert_array_equal(pred, expected)
 
 
+@pytest.mark.parametrize("coords, slope, nugget", [
+    # coinciding sensors give equal rows whatever the variogram
+    ([[32.7, -117.1], [32.7, -117.1], [32.8, -117.2]], 0.0, 3.0),
+    ([[32.7, -117.1], [32.7, -117.1], [32.8, -117.2]], 2.0, 1.0),
+    # a zero variogram leaves only the unbiasedness row and column
+    ([[32.7, -117.1], [32.75, -117.1], [32.8, -117.2]], 0.0, 0.0),
+], ids=["coinciding-flat", "coinciding-sloped", "zero-variogram"])
+def test_kriging_refuses_an_exactly_singular_system_before_solving(coords, slope, nugget,
+                                                                    monkeypatch):
+    est = OrdinaryKriging(slope=slope, nugget=nugget).fit(coords, [1.0, 2.0, 9.0])
+
+    def no_solve(*args):
+        raise AssertionError("solved a singular system")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        est.solve([[32.75, -117.15]])
+
+
 def test_variogram_slope_clamped_nonnegative():
     # Near pairs disagree strongly, far pairs agree: the unconstrained
     # least-squares slope is negative and must clamp to zero.

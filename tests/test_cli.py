@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from physair import cli, evaluation
+from physair.autodiff import load_arrays, save_arrays
 from physair.cli import build_parser, main, parse_seeds, read_config_file, resolve_options
 from physair.data import load_dataset
 from physair.errors import ValidationError
@@ -543,6 +544,35 @@ def test_interpolate_bad_requests_exit_2(synth_dir, train_dir, extra):
     rc = main(["interpolate", "--dataset", str(synth_dir),
                "--models", str(train_dir)] + extra)
     assert rc == 2
+
+
+def _point_query(synth_dir, models):
+    return ["interpolate", "--dataset", str(synth_dir), "--models", str(models),
+            "--lat", "36.75", "--lon", "-119.75", "--hours", "0:2"]
+
+
+def test_optimizer_state_as_models_exits_2_naming_the_file(synth_dir, train_dir, capsys):
+    # last.optim is a checkpoint-format file that holds no model
+    optim = train_dir / "seed0" / "last.optim"
+    assert main(_point_query(synth_dir, optim)) == 2
+    err = capsys.readouterr().err
+    assert str(optim) in err and "model_config" in err
+    assert "Traceback" not in err
+
+
+def test_checkpoint_naming_another_activation_exits_2(synth_dir, train_dir, tmp_path, capsys):
+    manifest, arrays = load_arrays(str(train_dir / "seed0" / "best.ckpt"))
+    assert manifest["extra"]["model_config"]["activation"] == "relu"
+    extra = json.loads(json.dumps(manifest["extra"]))
+    extra["model_config"]["activation"] = "identity"
+    ckpt = tmp_path / "identity.ckpt"
+    save_arrays(str(ckpt), list(arrays.items()), extra=extra)
+    for argv in (_point_query(synth_dir, ckpt),
+                 ["evaluate", "--dataset", str(synth_dir), "--models", str(ckpt),
+                  "--out", str(tmp_path / "eval")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "'identity'" in err
 
 
 # ---------------------------------------------------------------------------

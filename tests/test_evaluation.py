@@ -346,13 +346,19 @@ def test_estimator_runner_refit_matches_a_fresh_estimator_per_hour(name):
     assert got.tobytes() == want.tobytes()
 
 
-def test_refit_kriging_warns_once_per_singular_hour(caplog):
+def coincident_pair_dataset():
+    """s0 and s1 coincide, so every hour both report has a singular
+    kriging system; s1 is missing at hours 2, 5 and 6."""
     ds = toy_dataset(hours=12, n=6, seed=4)
-    # s0 and s1 coincide, so every hour both report has a singular system.
     ds = Dataset(sensors=(ds.sensors[0], SensorMeta("s1", ds.sensors[0].latitude,
                                                     ds.sensors[0].longitude))
                  + ds.sensors[2:], start=T0, pm25=ds.pm25, wind=ds.wind).validate()
     ds.pm25[[2, 5, 6], 1] = np.nan
+    return ds
+
+
+def test_refit_kriging_warns_once_per_singular_hour(caplog):
+    ds = coincident_pair_dataset()
     context, targets, hours = ("s0", "s1", "s2", "s3"), ("s4", "s5"), np.arange(12)
     with caplog.at_level(logging.WARNING, logger="physair.baselines"):
         got = estimator_runner(OrdinaryKriging)(ds, context, targets, hours)
@@ -371,6 +377,21 @@ def test_refit_kriging_warns_once_per_singular_hour(caplog):
     assert len(fallbacks) == singular
     want = fresh_estimator_loop(OrdinaryKriging, ds, context, targets, hours)
     assert got.tobytes() == want.tobytes()
+
+
+def test_coincident_sensors_take_the_idw_fallback_at_a_zero_slope(caplog):
+    # LU meets no zero pivot here: it returned -2.4e16 from weights of
+    # +-6.2e15, with no warning
+    ds = coincident_pair_dataset()
+    ctx = subset_dataset_values(ds, ("s0", "s1", "s2", "s3"))[4]
+    coords = np.array([[s.latitude, s.longitude] for s in ds.sensors])
+    kriging = OrdinaryKriging().fit(coords[:4], ctx)
+    assert kriging.slope_ == 0.0 and kriging.nugget_ > 0.0
+    with caplog.at_level(logging.WARNING, logger="physair.baselines"):
+        got = kriging.predict(coords[4:])
+    assert len([r for r in caplog.records if "falling back" in r.getMessage()]) == 1
+    assert got.tobytes() == Idw().fit(coords[:4], ctx).predict(coords[4:]).tobytes()
+    assert abs(got[0] - 21.51) < 0.01
 
 
 def test_evaluate_models_rejects_context_target_overlap():

@@ -95,6 +95,18 @@ def test_config_roundtrip():
     assert cfg.input_dim == 4
 
 
+def test_config_records_relu_and_refuses_another_activation():
+    # every physics module applies relu; a checkpoint that names another
+    # activation was trained by some other model
+    cfg = ModelConfig(preset="S")
+    assert cfg.to_dict()["activation"] == "relu"
+    assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+    with pytest.raises(ValidationError, match="'identity'"):
+        ModelConfig.from_dict({**cfg.to_dict(), "activation": "identity"})
+    with pytest.raises(TypeError):
+        ModelConfig(preset="S", activation="relu")
+
+
 # ---------------------------------------------------------------------------
 # Diffusion module.
 # ---------------------------------------------------------------------------
@@ -108,7 +120,7 @@ def test_diffusion_zero_scale_annihilates():
 
 
 def identity_diffusion(dim, wiring):
-    mod = DiffusionModule(dim, np.random.default_rng(0), "diff", activation="identity")
+    mod = DiffusionModule(dim, np.random.default_rng(0), "diff")
     set_identity_mlp(mod.node_mlp)
     mod.gcn_weight.data = np.eye(dim)
     mod.scale.data = np.ones(dim)
@@ -116,12 +128,14 @@ def identity_diffusion(dim, wiring):
 
 
 def test_diffusion_identity_setting_applies_scaled_laplacian():
+    # identity weights leave the module's two relus: relu(L_D . relu(x))
     w = wiring_for(6, seed=2)
     mod = identity_diffusion(3, w)
     x = np.random.default_rng(3).normal(size=(1, 6, 3))
     out = mod(Tensor(x), w).data
-    expected = w.lap_scaled.data @ x[0]
+    expected = np.maximum(w.lap_scaled.data @ np.maximum(x[0], 0.0), 0.0)
     assert np.allclose(out[0], expected, atol=1e-12)
+    assert (out[0] == 0.0).any() and (out[0] > 0.0).any()
 
 
 def test_diffusion_never_grows_the_norm():
@@ -135,12 +149,15 @@ def test_diffusion_never_grows_the_norm():
 
 
 def test_diffusion_two_node_hand_case():
-    # unit-weight K2 has scaled Laplacian [[0,-1],[-1,0]]
+    # unit-weight K2 has scaled Laplacian [[0,-1],[-1,0]]: L_D x = [0, -1],
+    # which a weight of -1 turns into [0, 1] ahead of the relu
     g = manual_graph(2, dist_km=1.0)
     w = GraphWiring(g)
     mod = identity_diffusion(1, w)
+    mod.gcn_weight.data = -np.eye(1)
     out = mod(Tensor([[[1.0], [0.0]]]), w).data
-    assert np.allclose(out[0], [[0.0], [-1.0]], atol=1e-6)
+    assert np.allclose(out[0], [[0.0], [1.0]], atol=1e-6)
+    assert np.array_equal(mod(Tensor([[[-1.0], [-2.0]]]), w).data, np.zeros((1, 2, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +244,18 @@ def test_convection_message_gradients_each_input(slot):
     assert rel < 1e-4, f"slot {slot}: rel err {rel:.3e}"
 
 
-def take_messages_oracle(h, e, w, b, graph, activation, g):
+def test_convection_messages_refuse_an_activation_but_relu():
+    from physair.model import _convection_messages
+
+    wiring = wiring_for(3, seed=15)
+    rng = np.random.default_rng(16)
+    args = [Tensor(rng.normal(size=shape)) for shape in ((1, 3, 2), (1, wiring.n_edges, 2),
+                                                          (4, 2), (2,))]
+    with pytest.raises(ValidationError, match="'identity'"):
+        _convection_messages(*args, wiring, "identity")
+
+
+def take_messages_oracle(h, e, w, b, graph, g):
     """The edge-gather formulation of the message op: np.take puts node rows
     on edges, and the source adjoint sums a (node, slot) position table.
     Returns the forward output and the four VJP outputs for cotangent g."""
@@ -243,10 +271,9 @@ def take_messages_oracle(h, e, w, b, graph, activation, g):
     np.take(hs, graph.src, axis=1, out=buf)
     np.add(out, buf, out=out)
     np.add(out, b, out=out)
-    if activation == "relu":
-        np.maximum(out, 0.0, out=out)
+    np.maximum(out, 0.0, out=out)
 
-    g_pre = g * (out > 0) if activation == "relu" else g
+    g_pre = g * (out > 0)
     g2 = g_pre.reshape(-1, dim)
     src_positions = np.argsort(graph.src, kind="stable").reshape(n, n - 1)
     g_recv = g_pre.reshape(bsz, n, n - 1, dim).sum(axis=2)
@@ -261,7 +288,7 @@ def take_messages_oracle(h, e, w, b, graph, activation, g):
     return out, (gh, ge, gw, gb)
 
 
-@pytest.mark.parametrize("activation", ["relu", "identity"])
+@pytest.mark.parametrize("activation", ["relu"])
 @pytest.mark.parametrize("n", [2, 3, 7, 28])
 def test_convection_messages_bitwise_match_gather_oracle(n, activation):
     # the fused op returns each node's summed messages; the oracle's edge
@@ -284,7 +311,7 @@ def test_convection_messages_bitwise_match_gather_oracle(n, activation):
     out = _convection_messages(*inputs, wiring, activation)
     tsum(mul(out, Tensor(g))).backward()
     grads = [t.grad for t in inputs]
-    ref_out, ref_grads = take_messages_oracle(*arrays, wiring.graph, activation,
+    ref_out, ref_grads = take_messages_oracle(*arrays, wiring.graph,
                                               np.take(g, wiring.dst, axis=1))
 
     assert out.data.tobytes() == ref_out.reshape(bsz, n, n - 1, dim).sum(axis=2).tobytes()
@@ -311,7 +338,7 @@ def test_finish_messages_releases_only_a_recorded_pre(kind):
         pre = _message_pre(Tensor(rows, requires_grad=True), w)
     else:
         pre = Tensor(rows, requires_grad=kind == "leaf")
-    out = _finish_messages(h, pre, w, b, wiring, "relu")
+    out = _finish_messages(h, pre, w, b, wiring)
     if kind == "recorded":
         assert pre.data.size == 0
     else:
@@ -348,9 +375,7 @@ def reference_local(mod, x, wiring):
         return v
 
     f = wiring.loop_adj.data @ apply_mlp(mod.node_mlp, x) @ mod.conv_weight.data
-    if mod.activation == "relu":
-        f = np.maximum(f, 0.0)
-    return f
+    return np.maximum(f, 0.0)
 
 
 def test_local_constant_field_equal_degrees():
@@ -439,9 +464,10 @@ def test_fusion_weights_positive_normalized_shift_invariant():
 # ---------------------------------------------------------------------------
 
 def tiny_config(**kw):
+    """Read as a checkpoint's model_config, whose "activation" is checked."""
     base = dict(preset=None, n_layers=2, hidden_dim=8, window=1)
     base.update(kw)
-    return ModelConfig(**base)
+    return ModelConfig.from_dict(base)
 
 
 def batch_for(wiring, b, cfg, seed=0):
@@ -589,7 +615,7 @@ def test_full_model_gradients_match_finite_differences():
 
 @pytest.mark.parametrize("n", [2, 3, 7, 28])
 @pytest.mark.parametrize("aggregation", ["sum", "mean"])
-@pytest.mark.parametrize("activation", ["relu", "identity"])
+@pytest.mark.parametrize("activation", ["relu"])
 def test_readout_matches_full_forward_masked_rows(n, aggregation, activation):
     cfg = tiny_config(aggregation=aggregation, activation=activation)
     model = PhysicsGnn(cfg, seed=n)
@@ -647,7 +673,7 @@ def tape_buffers(out):
     return list(found.values())
 
 
-@pytest.mark.parametrize("activation", ["relu", "identity"])
+@pytest.mark.parametrize("activation", ["relu"])
 def test_recorded_forward_keeps_a_bool_mask_and_no_float_message_buffer(activation):
     cfg = tiny_config(n_layers=3, activation=activation)
     model = PhysicsGnn(cfg, seed=2)
@@ -657,10 +683,10 @@ def test_recorded_forward_keeps_a_bool_mask_and_no_float_message_buffer(activati
     for masked_pos, full_layers in ((None, 3), (0, 2)):
         held = [a for a in tape_buffers(model.forward(x, w, feats, masked_pos))
                 if a.size == edge_size]
-        # per full layer: the edge_mlp output, and with relu its message mask
+        # per full layer: the edge_mlp output and its message relu mask
         assert sum(a.dtype == np.float64 for a in held) == full_layers
         masks = [a for a in held if a.dtype != np.float64]
-        assert len(masks) == (full_layers if activation == "relu" else 0)
+        assert len(masks) == full_layers
         assert all(a.dtype == bool for a in masks)
 
 
@@ -708,7 +734,7 @@ def train_step_loss(model, n=6, bsz=3, seed=80):
     return mse(model.forward(x, w, feats, masked), Tensor(target)), w
 
 
-@pytest.mark.parametrize("activation", ["relu", "identity"])
+@pytest.mark.parametrize("activation", ["relu"])
 def test_consumed_backward_equals_the_retained_one_and_frees_the_tape(activation):
     grads = {}
     for consume in (False, True):
@@ -764,7 +790,7 @@ def test_consumed_backward_peaks_under_an_edge_array_above_the_forward():
     assert peak <= edge_bytes, (peak, edge_bytes)
 
 
-@pytest.mark.parametrize("activation", ["relu", "identity"])
+@pytest.mark.parametrize("activation", ["relu"])
 def test_nan_at_any_context_node_reaches_the_masked_prediction(activation):
     # every layer before the last mixes all nodes (dense L_D and I + A,
     # one message from every node), so one bad reading anywhere poisons
