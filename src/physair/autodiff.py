@@ -196,7 +196,8 @@ def _owned(g, grads) -> list:
 
 
 class Param(Tensor):
-    """A named trainable leaf. grad is allocated up front and zeroed on demand."""
+    """A named trainable leaf. grad is allocated up front and zeroed on
+    demand, but for a param init_param leaves unfilled."""
 
     __slots__ = ("name",)
 
@@ -210,6 +211,26 @@ class Param(Tensor):
 
     def __repr__(self):
         return f"Param({self.name!r}, shape={self.data.shape})"
+
+
+def init_param(rng: np.random.Generator | None, name: str, shape: tuple,
+               bound: float | None = None) -> Param:
+    """A new Param, with values uniform in +-bound drawn from rng, or ones
+    when bound is None.
+
+    With rng None nothing is drawn or allocated: the param is unfilled,
+    for load_params to give it a checkpoint's array. It has its name and
+    shape, a read-only NaN stand-in for values, so that forgetting to
+    fill it shows, and no grad buffer (backward allocates one on first
+    use).
+    """
+    if rng is not None:
+        return Param(np.ones(shape) if bound is None else rng.uniform(-bound, bound, size=shape),
+                     name)
+    param = Param.__new__(Param)
+    Tensor.__init__(param, np.broadcast_to(np.nan, shape), requires_grad=True)
+    param.name = name
+    return param
 
 
 class _Recording(threading.local):
@@ -395,8 +416,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None,
 
 
 def linear_pair(a: Tensor, c: Tensor, wa: Tensor, wc: Tensor,
-                b: Tensor | None = None, activation: str = "identity", groups: int = 1) -> Tensor:
-    """act(a @ wa + c @ wc + b): a two-operand affine layer in one node.
+                b: Tensor | None = None, groups: int = 1) -> Tensor:
+    """relu(a @ wa + c @ wc + b): a two-operand affine layer in one node.
 
     Equivalent to concatenating a and c and multiplying by the stacked
     weight [wa; wc], but skips the concat and evaluates the halves as two
@@ -411,8 +432,6 @@ def linear_pair(a: Tensor, c: Tensor, wa: Tensor, wc: Tensor,
         raise ShapeError(f"linear_pair operands disagree: {a.shape} vs {c.shape}")
     if wa.shape[1] != wc.shape[1]:
         raise ShapeError(f"linear_pair outputs disagree: {wa.shape} vs {wc.shape}")
-    if activation not in ("relu", "identity"):
-        raise ValidationError(f"unknown activation {activation!r}")
     n = wa.shape[1]
     if b is not None and b.shape != (n,):
         raise ShapeError(f"linear_pair bias must be ({n},), got {b.shape}")
@@ -423,13 +442,11 @@ def linear_pair(a: Tensor, c: Tensor, wa: Tensor, wc: Tensor,
     np.add(out2, _grouped_product(c2, wc.data, groups), out=out2)
     if b is not None:
         np.add(out2, b.data, out=out2)
-    if activation == "relu":
-        np.maximum(out2, 0.0, out=out2)
+    np.maximum(out2, 0.0, out=out2)
 
     def vjp(g):
-        g2 = g.reshape(-1, n)
-        if activation == "relu":
-            g2 = g2 * (out2 > 0)
+        # out = max(pre, 0), so out > 0 is exactly pre > 0
+        g2 = g.reshape(-1, n) * (out2 > 0)
         ga = (g2 @ wa.data.T).reshape(a.shape) if a.requires_grad else None
         gc = (g2 @ wc.data.T).reshape(c.shape) if c.requires_grad else None
         gwa = a2.T @ g2 if wa.requires_grad else None
@@ -562,45 +579,27 @@ def finite_diff_grad(f, x, h: float = 1e-5) -> Tensor:
 
 
 class Mlp:
-    """A stack of affine layers: x @ W + b, relu between layers by default.
+    """One affine layer, act(x @ W + b), act relu or identity.
 
-    dims gives every width in order, so dims=[4, 16, 2] is a two-layer
-    network 4 -> 16 -> 2. The final layer uses output_activation (identity
-    unless asked otherwise). Weights and biases start uniform in
-    +-1/sqrt(d_in), drawn from the generator handed in.
+    layers holds its one (W, b, act) triple. W and b, named <name>.w0 and
+    <name>.b0, start uniform in +-1/sqrt(d_in), drawn from the generator
+    handed in, or unfilled without one (see init_param).
     """
 
-    ACTIVATIONS = ("relu", "identity")
-
-    def __init__(self, dims, rng: np.random.Generator, name: str = "mlp",
-                 hidden_activation: str = "relu", output_activation: str = "identity"):
-        if len(dims) < 2:
-            raise ValidationError(f"mlp needs at least [d_in, d_out], got {list(dims)}")
-        for act in (hidden_activation, output_activation):
-            if act not in self.ACTIVATIONS:
-                raise ValidationError(f"unknown activation {act!r}, expected one of {self.ACTIVATIONS}")
-        self.name = name
-        self.layers = []
-        last = len(dims) - 2
-        for i in range(len(dims) - 1):
-            d_in, d_out = int(dims[i]), int(dims[i + 1])
-            bound = 1.0 / np.sqrt(d_in)
-            w = Param(rng.uniform(-bound, bound, size=(d_in, d_out)), name=f"{name}.w{i}")
-            b = Param(rng.uniform(-bound, bound, size=(d_out,)), name=f"{name}.b{i}")
-            act = output_activation if i == last else hidden_activation
-            self.layers.append((w, b, act))
+    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator | None,
+                 name: str = "mlp", activation: str = "identity"):
+        if activation not in ("relu", "identity"):
+            raise ValidationError(f"unknown activation {activation!r}, expected relu or identity")
+        bound = 1.0 / np.sqrt(d_in)
+        self.layers = [(init_param(rng, f"{name}.w0", (d_in, d_out), bound),
+                        init_param(rng, f"{name}.b0", (d_out,), bound), activation)]
 
     def __call__(self, x: Tensor, groups: int = 1) -> Tensor:
-        for w, b, act in self.layers:
-            x = linear(x, w, b, activation=act, groups=groups)
-        return x
+        w, b, act = self.layers[0]
+        return linear(x, w, b, activation=act, groups=groups)
 
     def params(self) -> list:
-        out = []
-        for w, b, _ in self.layers:
-            out.append(w)
-            out.append(b)
-        return out
+        return list(self.layers[0][:2])
 
 
 class Adam:

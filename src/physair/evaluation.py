@@ -523,18 +523,18 @@ def density_experiment(dataset: Dataset, context_ids, target_ids,
 
 
 @dataclass(frozen=True)
-class _QueryGraphs:
-    """Each query point's graph over the context, built only when read: a
-    call holds the graphs of the stacks it is running, not of every point."""
+class _QuerySensors:
+    """Query points as virtual sensors, each made only when read: a call
+    holds the sensors and graphs of the stacks it is running, not of every
+    point."""
 
-    context: tuple
     points: list
 
     def __len__(self) -> int:
         return len(self.points)
 
-    def __getitem__(self, i: int):
-        return build_graph(self.context + (SensorMeta(_QUERY_ID, *self.points[i]),))
+    def __getitem__(self, i: int) -> SensorMeta:
+        return SensorMeta(_QUERY_ID, *self.points[i])
 
 
 def infer_at_location(models, normalizer: Normalizer, dataset: Dataset,
@@ -546,8 +546,10 @@ def infer_at_location(models, normalizer: Normalizer, dataset: Dataset,
     and is predicted through the same masked-node path used for held-out
     sensors. With scalar coordinates, returns (hours,); with equal-length
     sequences of P latitudes and longitudes, returns (hours, P), each
-    column bit for bit what a scalar call at that point returns. Context
-    sensors must report every hour; ``hours`` defaults to all of them.
+    column bit for bit what a scalar call at that point returns. Only the
+    first point's graph is built whole; the predictor derives every later
+    point's from it by replacing the query node. Context sensors must
+    report every hour; ``hours`` defaults to all of them.
     """
     ids = tuple(context_ids)
     if _QUERY_ID in ids:
@@ -560,9 +562,9 @@ def infer_at_location(models, normalizer: Normalizer, dataset: Dataset,
     scalar = shape == ()
     points = [(latitude, longitude)] if scalar else list(zip(latitude, longitude))
     hours = check_hours(hours, dataset.hours)
-    graphs = _QueryGraphs(sensor_metas(dataset, ids), points)
-    out = predict_masked_node(models, normalizer, ids, graphs, dataset, hours,
-                              batch_size=batch_size)
+    first = build_graph(sensor_metas(dataset, ids) + (SensorMeta(_QUERY_ID, *points[0]),))
+    out = predict_masked_node(models, normalizer, ids, first, _QuerySensors(points[1:]),
+                              dataset, hours, batch_size=batch_size)
     return out[:, 0] if scalar else out
 
 

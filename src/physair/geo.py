@@ -161,39 +161,83 @@ def build_graph(sensors) -> Graph:
     # the off-diagonal (dst, src) pairs in row-major order: grouped by
     # destination, sources ascending
     dst, src = np.divmod(np.flatnonzero(off), n)
+    edge_east, edge_north = _edge_vectors(lats, lons, dst, src)
+    return Graph(sensors=sensors, dist=dist, src=src, dst=dst,
+                 edge_east=edge_east, edge_north=edge_north)
 
-    # Unit edge vectors in a local equirectangular frame anchored at the
-    # midpoint latitude of each pair. Built from coordinate differences, so
-    # reversing an edge flips the vector exactly.
+
+def _edge_vectors(lats, lons, dst, src) -> tuple:
+    """(east, north) unit vectors of the edges src -> dst, in a local
+    equirectangular frame anchored at each pair's midpoint latitude.
+
+    Built from coordinate differences, so reversing an edge flips the
+    vector exactly. Each edge's vector depends on its two endpoints alone.
+    """
     lat_r = np.radians(lats)
     lon_r = np.radians(lons)
     dx = (lon_r[dst] - lon_r[src]) * np.cos((lat_r[dst] + lat_r[src]) / 2.0)
     dy = lat_r[dst] - lat_r[src]
     norm = np.hypot(dx, dy)
     safe = np.where(norm > 0, norm, 1.0)
-    edge_east = np.where(norm > 0, dx / safe, 0.0)
-    edge_north = np.where(norm > 0, dy / safe, 0.0)
+    return np.where(norm > 0, dx / safe, 0.0), np.where(norm > 0, dy / safe, 0.0)
 
-    return Graph(sensors=sensors, dist=dist, src=src, dst=dst,
+
+def last_node_edges(n: int) -> np.ndarray:
+    """Positions of the 2(n-1) edges that touch the last node of an n-node
+    graph: first the edge from it into each other node, then the edges
+    into it, each in edge order."""
+    c = n - 1
+    return np.concatenate([np.arange(c) * c + (c - 1), c * c + np.arange(c)])
+
+
+def replace_last_node(graph: Graph, sensor: SensorMeta) -> Graph:
+    """``build_graph(graph.sensors[:-1] + (sensor,))``, from graph.
+
+    Only the new node's distance row and column and the 2(N-1) edge
+    vectors that touch it are computed; every other entry is graph's.
+    Each entry of build_graph's arrays depends on its own pair alone, so
+    the result equals build_graph's field for field, bit for bit. The new
+    node passes build_graph's checks: coordinates in range, and an id that
+    no other node of the graph has.
+    """
+    context = graph.sensors[:-1]
+    if any(s.sensor_id == sensor.sensor_id for s in context):
+        raise ValidationError(f"duplicate sensor ids: {[sensor.sensor_id]}")
+    sensor.validate()
+    c = len(context)
+    lats = np.array([s.latitude for s in context] + [sensor.latitude])
+    lons = np.array([s.longitude for s in context] + [sensor.longitude])
+    col = np.maximum(cross_distances_km(lats[:c], lons[:c], lats[c:], lons[c:])[:, 0],
+                     EPS_DIST_KM)
+    dist = graph.dist.copy()
+    dist[:c, c] = col
+    dist[c, :c] = col
+    edges = last_node_edges(c + 1)
+    edge_east, edge_north = graph.edge_east.copy(), graph.edge_north.copy()
+    edge_east[edges], edge_north[edges] = _edge_vectors(lats, lons, graph.dst[edges],
+                                                        graph.src[edges])
+    return Graph(sensors=context + (sensor,), dist=dist, src=graph.src, dst=graph.dst,
                  edge_east=edge_east, edge_north=edge_north)
 
 
-def convection_edge_features(graph: Graph, wind: WindRecord) -> np.ndarray:
-    """Per-edge (w_v, w_A, dist) for one wind record, shape (E, 3).
+def convection_edge_features(graph: Graph, wind: WindRecord, edges=slice(None)) -> np.ndarray:
+    """Per-edge (w_v, w_A, dist) for one wind record, shape (E, 3), or
+    only on the edge positions ``edges`` (an index array), in their order.
 
     w_v is the city-level wind speed copied to every edge. w_A is the
     cosine of the angle between the wind's blowing-toward vector and the
     bearing of the edge, so wind blowing straight from j toward i gives
-    w_A = +1 on edge j->i and, exactly, -1 on the reverse edge.
+    w_A = +1 on edge j->i and, exactly, -1 on the reverse edge. Each row
+    depends on its own edge alone.
     """
     toward = np.radians((wind.direction_deg + 180.0) % 360.0)
     # compass angle: 0 = north, 90 = east
     u_east, u_north = np.sin(toward), np.cos(toward)
-    w_a = np.clip(u_east * graph.edge_east + u_north * graph.edge_north, -1.0, 1.0)
-    out = np.empty((graph.n_edges, 3))
+    w_a = np.clip(u_east * graph.edge_east[edges] + u_north * graph.edge_north[edges], -1.0, 1.0)
+    out = np.empty((len(w_a), 3))
     out[:, 0] = wind.speed_kmh
     out[:, 1] = w_a
-    out[:, 2] = graph.edge_dist()
+    out[:, 2] = graph.dist[graph.src[edges], graph.dst[edges]]
     return out
 
 

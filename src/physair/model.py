@@ -65,10 +65,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Mlp, Param, Tensor, _grouped_product, add, concat, is_recording,
+from .autodiff import (Mlp, Tensor, _grouped_product, add, concat, init_param, is_recording,
                        linear_pair, make_op, matmul, mul, narrow, relu, reshape, softmax, take, tsum)
 from .errors import ShapeError, ValidationError
-from .geo import Graph, build_matrices
+from .geo import Graph, build_matrices, last_node_edges
 
 PRESETS = {"S": (3, 128), "M": (4, 256), "L": (5, 512)}
 
@@ -185,13 +185,12 @@ def split_edges(edge_rows: np.ndarray, n: int) -> tuple:
     Seen as (B, N, N-1, f), edge (i, j) is the j-th edge into node i.
     The context rows are the C(C-1) edges among the first C = N-1 nodes,
     in edge order. The query rows are the 2C edges that touch the last
-    node: first the edge from it into each context node, then the C
-    edges into it, in edge order.
+    node (geo.last_node_edges): first the edge from it into each context
+    node, then the C edges into it, in edge order.
     """
     bsz, c, f = edge_rows.shape[0], n - 1, edge_rows.shape[2]
-    by_dst = edge_rows.reshape(bsz, n, c, f)
-    query = np.concatenate([by_dst[:, :c, c - 1], by_dst[:, c]], axis=1)
-    return by_dst[:, :c, :c - 1].reshape(-1, f), query.reshape(-1, f)
+    context = edge_rows.reshape(bsz, n, c, f)[:, :c, :c - 1]
+    return context.reshape(-1, f), edge_rows[:, last_node_edges(n)].reshape(-1, f)
 
 
 @dataclass
@@ -423,11 +422,10 @@ class DiffusionModule:
     It starts at ones (neutral scaling) rather than random values.
     """
 
-    def __init__(self, dim: int, rng: np.random.Generator, name: str):
-        self.node_mlp = Mlp([dim, dim], rng, name=f"{name}.node_mlp", output_activation="relu")
-        bound = 1.0 / np.sqrt(dim)
-        self.gcn_weight = Param(rng.uniform(-bound, bound, size=(dim, dim)), name=f"{name}.gcn_weight")
-        self.scale = Param(np.ones(dim), name=f"{name}.scale")
+    def __init__(self, dim: int, rng: np.random.Generator | None, name: str):
+        self.node_mlp = Mlp(dim, dim, rng, f"{name}.node_mlp", "relu")
+        self.gcn_weight = init_param(rng, f"{name}.gcn_weight", (dim, dim), 1.0 / np.sqrt(dim))
+        self.scale = init_param(rng, f"{name}.scale", (dim,))
 
     def __call__(self, x: Tensor, wiring: GraphWiring) -> Tensor:
         return self.propagate(self.node_mlp(x), wiring)
@@ -451,14 +449,14 @@ class ConvectionModule:
     message_pre) of every layer ahead of the node side (nodes).
     """
 
-    def __init__(self, dim: int, edge_in_dim: int, rng: np.random.Generator, name: str,
+    def __init__(self, dim: int, edge_in_dim: int, rng: np.random.Generator | None, name: str,
                  aggregation: str = "sum"):
         self.dim = dim
         self.aggregation = aggregation
-        self.node_mlp = Mlp([dim, dim], rng, name=f"{name}.node_mlp", output_activation="relu")
-        self.edge_mlp = Mlp([edge_in_dim, dim], rng, name=f"{name}.edge_mlp", output_activation="relu")
-        self.message_mlp = Mlp([2 * dim, dim], rng, name=f"{name}.message_mlp", output_activation="relu")
-        self.update_mlp = Mlp([2 * dim, dim], rng, name=f"{name}.update_mlp", output_activation="relu")
+        self.node_mlp = Mlp(dim, dim, rng, f"{name}.node_mlp", "relu")
+        self.edge_mlp = Mlp(edge_in_dim, dim, rng, f"{name}.edge_mlp", "relu")
+        self.message_mlp = Mlp(2 * dim, dim, rng, f"{name}.message_mlp", "relu")
+        self.update_mlp = Mlp(2 * dim, dim, rng, f"{name}.update_mlp", "relu")
 
     def message_pre(self, e: Tensor, groups: int = 1) -> Tensor:
         """This layer's message pre-activations from its edge features e'."""
@@ -548,7 +546,7 @@ class ConvectionModule:
         return linear_pair(m, add(h, m),
                            narrow(uw, 0, self.dim, axis=0),
                            narrow(uw, self.dim, 2 * self.dim, axis=0),
-                           ub, activation="relu", groups=wiring.groups)
+                           ub, groups=wiring.groups)
 
     def params(self):
         return (self.node_mlp.params() + self.edge_mlp.params()
@@ -562,12 +560,11 @@ class LocalModule:
     features; which orientation applies is the model config's call.
     """
 
-    def __init__(self, dim: int, rng: np.random.Generator, name: str,
+    def __init__(self, dim: int, rng: np.random.Generator | None, name: str,
                  local_norm: str = "inverse"):
         self.local_norm = local_norm
-        self.node_mlp = Mlp([dim, dim], rng, name=f"{name}.node_mlp", output_activation="relu")
-        bound = 1.0 / np.sqrt(dim)
-        self.conv_weight = Param(rng.uniform(-bound, bound, size=(dim, dim)), name=f"{name}.conv_weight")
+        self.node_mlp = Mlp(dim, dim, rng, f"{name}.node_mlp", "relu")
+        self.conv_weight = init_param(rng, f"{name}.conv_weight", (dim, dim), 1.0 / np.sqrt(dim))
 
     def __call__(self, x: Tensor, wiring: GraphWiring) -> Tensor:
         return self.propagate(self.node_mlp(x), wiring)
@@ -585,8 +582,8 @@ class LocalModule:
 class FusionHead:
     """Per-node softmax blending of the three module outputs."""
 
-    def __init__(self, dim: int, rng: np.random.Generator, name: str):
-        self.mlp = Mlp([3 * dim, 3], rng, name=f"{name}.mlp")
+    def __init__(self, dim: int, rng: np.random.Generator | None, name: str):
+        self.mlp = Mlp(3 * dim, 3, rng, f"{name}.mlp")
 
     def __call__(self, x_d: Tensor, x_c: Tensor, x_l: Tensor, groups: int = 1):
         if not (x_d.shape == x_c.shape == x_l.shape):
@@ -605,7 +602,7 @@ class FusionHead:
 class GnnLayer:
     """One stacked layer: the three physics modules plus their fusion head."""
 
-    def __init__(self, dim: int, edge_in_dim: int, rng: np.random.Generator, name: str,
+    def __init__(self, dim: int, edge_in_dim: int, rng: np.random.Generator | None, name: str,
                  local_norm: str, aggregation: str):
         self.diffusion = DiffusionModule(dim, rng, f"{name}.diffusion")
         self.convection = ConvectionModule(dim, edge_in_dim, rng, f"{name}.convection",
@@ -648,21 +645,25 @@ class PhysicsGnn:
     """Input embedding, the stacked physics layers, and the scalar head.
 
     Construction is a pure function of (config, seed): the parameter count
-    and every initial value are reproducible. Node count is a property of
-    the wiring passed to forward, never of the model.
+    and every initial value are reproducible. With seed None nothing is
+    drawn: every param is unfilled (autodiff.init_param), with its name
+    and shape but no values and no grad buffer, for load_params to fill
+    from a checkpoint, as training.load_trained does. Node count is a
+    property of the wiring passed to forward, never of the model.
     """
 
-    def __init__(self, config: ModelConfig, seed: int = 0):
+    def __init__(self, config: ModelConfig, seed: int | None = 0):
         self.config = config
-        rng = np.random.default_rng(np.random.SeedSequence([0x9A1D, int(seed)]))
+        rng = None if seed is None else np.random.default_rng(
+            np.random.SeedSequence([0x9A1D, int(seed)]))
         d = config.hidden_dim
-        self.input_embed = Mlp([config.input_dim, d], rng, name="input_embed")
+        self.input_embed = Mlp(config.input_dim, d, rng, "input_embed")
         self.layers = []
         for k in range(config.n_layers):
             edge_in = 3 if k == 0 else d
             self.layers.append(GnnLayer(d, edge_in, rng, f"layer{k}", config.local_norm,
                                         config.aggregation))
-        self.output_head = Mlp([d, 1], rng, name="output_head")
+        self.output_head = Mlp(d, 1, rng, "output_head")
 
     def edge_path(self, feats) -> tuple:
         """The edge side of layers 0..L-2 over wind triples (..., 3): a

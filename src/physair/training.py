@@ -48,7 +48,8 @@ from .autodiff import (
 )
 from .data import Dataset, _atomic_write_text
 from .errors import ValidationError
-from .geo import Graph, WindRecord, build_graph, convection_edge_features
+from .geo import (Graph, WindRecord, build_graph, convection_edge_features, last_node_edges,
+                  replace_last_node)
 from .model import EdgePath, GraphWiring, ModelConfig, PhysicsGnn, split_edges
 
 logger = logging.getLogger(__name__)
@@ -307,14 +308,15 @@ def check_hours(hours, n_hours: int) -> np.ndarray:
     return raw.astype(int)
 
 
-def hourly_conv_features(graph: Graph, dataset: Dataset,
-                         hours) -> np.ndarray:
-    """Stack per-edge wind triples for the given hours, (len, E, 3)."""
-    out = np.empty((len(hours), graph.n_edges, 3))
+def hourly_conv_features(graph: Graph, dataset: Dataset, hours,
+                         edges=slice(None)) -> np.ndarray:
+    """Stack per-edge wind triples for the given hours, (len, E, 3), or
+    only on the edge positions ``edges`` (see convection_edge_features)."""
+    out = np.empty((len(hours),) + graph.src[edges].shape + (3,))
     for row, hour in enumerate(hours):
         speed, direction = dataset.wind[hour]
         rec = WindRecord(str(hour), float(speed), float(direction))
-        out[row] = convection_edge_features(graph, rec)
+        out[row] = convection_edge_features(graph, rec, edges)
     return out
 
 
@@ -340,56 +342,70 @@ def _member_predictions(model, x: np.ndarray, context_rows, stacks) -> np.ndarra
         .data.reshape(-1, bsz) for wiring, query in stacks]).T
 
 
-def masked_batch_predictions(models, context, graphs, x: np.ndarray, conv_feats,
+def masked_batch_predictions(models, first: Graph, others, x: np.ndarray, conv_feats,
                              normalizer: Normalizer) -> np.ndarray:
-    """Ensemble-mean predictions at the last node of each graph, (B, G), raw units.
+    """Ensemble-mean predictions at G = 1 + len(others) targets, (B, G), raw units.
 
-    context: the C = N-1 sensors each graph starts with; graphs: G graphs,
-    read by index, whose last node is masked; x: their common (B, N, F)
-    node inputs; conv_feats: a function from a graph to its (B, E, 3) wind
-    triples. Each member runs the C(C-1) context edges and layer 0's
-    shared part once (PhysicsGnn.share_context), then one forward per
-    stack of targets, without a tape. A stack's graphs, wirings and wind
-    triples are built while it runs, the first stack's once for all
-    members, so a call holds two stacks' at most however many targets it
-    has. Its one caller is predict_masked_node.
+    first: the graph of the C = N-1 context sensors plus the first
+    target, masked, as its last node; others: the other targets' sensors,
+    read by index; x: the targets' common (B, N, F) node inputs;
+    conv_feats: a function from a graph and its edge positions (an index
+    array, or slice(None) for all) to those edges' (B, E, 3) wind triples.
+    Target g's graph is first with its last node replaced by others[g-1]
+    (geo.replace_last_node), which builds only the query node's distances
+    and edge vectors, and only its 2C query rows of wind triples are built.
+    Each member runs the C(C-1) context edges and layer 0's shared part
+    once (PhysicsGnn.share_context), then one forward per stack of
+    targets, without a tape. A stack's graphs, wirings and wind triples
+    are built while it runs, the first stack's once for all members, so a
+    call holds two stacks' at most however many targets it has. Its one
+    caller is predict_masked_node.
     """
     bsz, n = x.shape[:2]
     size = max(1, _STACK_ROWS // (bsz * n))
+    count = 1 + len(others)
+    context_rows, first_query = split_edges(conv_feats(first, slice(None)), n)
+    query_edges = last_node_edges(n)
+
+    def target(i):
+        if i == 0:
+            return first, first_query
+        graph = replace_last_node(first, others[i - 1])
+        return graph, conv_feats(graph, query_edges).reshape(-1, 3)
 
     def stack(lo):
-        built = [graphs[i] for i in range(lo, min(lo + size, len(graphs)))]
-        if any(graph.sensors[:-1] != context for graph in built):
-            raise ValidationError("graphs must share their context: every graph's "
-                                  "first N-1 sensors must be the context sensors, in order")
-        rows = [split_edges(conv_feats(graph), n) for graph in built]
-        wiring = GraphWiring.stack([GraphWiring(graph) for graph in built], bsz)
-        return (wiring, np.concatenate([query for _, query in rows])), rows[0][0]
+        built = [target(i) for i in range(lo, min(lo + size, count))]
+        wiring = GraphWiring.stack([GraphWiring(graph) for graph, _ in built], bsz)
+        return wiring, np.concatenate([query for _, query in built])
 
-    first, context_rows = stack(0)
-    preds = np.zeros((bsz, len(graphs)))
+    first_stack = stack(0)
+    preds = np.zeros((bsz, count))
     with no_record():
         for model in models:
-            later = (stack(lo)[0] for lo in range(size, len(graphs), size))
-            preds += _member_predictions(model, x, context_rows, itertools.chain([first], later))
+            later = (stack(lo) for lo in range(size, count, size))
+            preds += _member_predictions(model, x, context_rows,
+                                         itertools.chain([first_stack], later))
     return normalizer.denormalize(preds / len(models))
 
 
-def predict_masked_node(models, normalizer: Normalizer, context_ids, graphs,
+def predict_masked_node(models, normalizer: Normalizer, context_ids, first: Graph, others,
                         dataset: Dataset, hours, batch_size: int = 64) -> np.ndarray:
-    """Ensemble-mean prediction at the last node of each graph, (hours, G), raw units.
+    """Ensemble-mean prediction at G = 1 + len(others) masked targets,
+    (hours, G), raw units.
 
-    Each graph is the context, the dataset's sensors context_ids in that
-    order, plus one masked last node. graphs is read by index, a stack at
-    a time, so it may build each graph when read. The context must report
-    every hour; each masked node's inputs are zero. The input window is
-    the members' config.window, which every member must share. Node inputs
-    are built once per hour chunk. Predictions depend on batch_size, not G.
+    first is the graph of the context, the dataset's sensors context_ids
+    in that order, plus the first target as its last node; the caller
+    builds it. others holds the other targets' SensorMeta, read by index a
+    stack at a time, so it may make each when read; their graphs are
+    derived from first (see masked_batch_predictions), so they share its
+    context by construction, and only first is checked against
+    context_ids. The context must report every hour; each masked node's
+    inputs are zero. The input window is the members' config.window,
+    which every member must share. Node inputs are built once per hour
+    chunk. Predictions depend on batch_size, not G.
     """
     if batch_size < 1:
         raise ValidationError(f"batch_size must be >= 1, got {batch_size}")
-    if not len(graphs):
-        raise ValidationError("need at least one graph to predict")
     windows = sorted({model.config.window for model in models})
     if len(windows) != 1:
         raise ValidationError(
@@ -399,15 +415,17 @@ def predict_masked_node(models, normalizer: Normalizer, context_ids, graphs,
     context = complete_readings(dataset, context_ids, "context")
     values_norm = np.concatenate(
         [normalizer.normalize(context), np.zeros((dataset.hours, 1))], axis=1)
-    metas = sensor_metas(dataset, context_ids)
-    preds = np.empty((len(hours), len(graphs)))
+    if first.sensors[:-1] != sensor_metas(dataset, context_ids):
+        raise ValidationError("the first graph's first N-1 sensors must be the context "
+                              "sensors, in order")
+    preds = np.empty((len(hours), 1 + len(others)))
     for lo in range(0, len(hours), batch_size):
         chunk = hours[lo:lo + batch_size]
         x = np.stack([build_node_inputs(values_norm, int(h), context.shape[1], window)
                       for h in chunk])
         preds[lo:lo + len(chunk)] = masked_batch_predictions(
-            models, metas, graphs, x, lambda graph: hourly_conv_features(graph, dataset, chunk),
-            normalizer)
+            models, first, others, x,
+            lambda graph, edges: hourly_conv_features(graph, dataset, chunk, edges), normalizer)
     return preds
 
 
@@ -423,8 +441,11 @@ def evaluate_target_sensor(models, normalizer, dataset: Dataset,
     """
     hours = check_hours(hours, dataset.hours)
     targets = (target_id,) if isinstance(target_id, str) else tuple(target_id)
-    graphs = [graph_for_ids(dataset, tuple(context_ids) + (t,)) for t in targets]
-    preds = predict_masked_node(models, normalizer, context_ids, graphs, dataset, hours,
+    if not targets:
+        raise ValidationError("need at least one target to predict")
+    first = graph_for_ids(dataset, tuple(context_ids) + targets[:1])
+    preds = predict_masked_node(models, normalizer, context_ids, first,
+                                sensor_metas(dataset, targets[1:]), dataset, hours,
                                 batch_size=batch_size)
     truths = subset_dataset_values(dataset, targets)[hours]
     if isinstance(target_id, str):
@@ -670,16 +691,19 @@ def train_model(dataset: Dataset, split: SensorSplit,
 def load_trained(checkpoint_path):
     """Rebuild (model, normalizer, split, extra) from a checkpoint.
 
-    The model is for inference: its params carry no gradient buffers
-    (backward allocates one on first use), so it holds and pickles only
-    its weights. A file that lacks what train_model records in extra
-    (an optimizer state, say) raises ValidationError naming it.
+    The model is for inference. It is built unfilled (PhysicsGnn with
+    seed None): no initial value is drawn and no gradient buffer is
+    allocated (backward allocates one on first use), and load_params,
+    which checks every param's name and shape, gives each param its
+    array from the one read of the file. So the model holds and pickles
+    only its weights. A file that lacks what train_model records in
+    extra (an optimizer state, say) raises ValidationError naming it.
     """
     loaded = load_arrays(str(checkpoint_path))
     extra = loaded[0].get("extra", {})
     try:
         config = ModelConfig.from_dict(extra["model_config"])
-        seed = int(extra["train_config"]["seed"])
+        int(extra["train_config"]["seed"])  # recorded by train_model, as the rest is
         normalizer = Normalizer.from_dict(extra["normalizer"])
         split = SensorSplit.from_dict(extra["split"])
     except KeyError as exc:
@@ -687,11 +711,8 @@ def load_trained(checkpoint_path):
                               f"it has no {exc}") from None
     except ValidationError as exc:
         raise ValidationError(f"{checkpoint_path}: {exc}") from None
-    model = PhysicsGnn(config, seed=seed)
-    params = model.params()
-    load_params(str(checkpoint_path), params, loaded)
-    for p in params:
-        p.grad = None
+    model = PhysicsGnn(config, seed=None)
+    load_params(str(checkpoint_path), model.params(), loaded)
     return model, normalizer, split, extra
 
 

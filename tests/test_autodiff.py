@@ -253,7 +253,7 @@ def test_linear_pair_matches_stacked_weight():
     b = Tensor(rng.normal(size=(5,)))
     wa = narrow(w, 0, 3, axis=0)
     wc = narrow(w, 3, 7, axis=0)
-    fused = linear_pair(a, c, wa, wc, b, activation="relu")
+    fused = linear_pair(a, c, wa, wc, b)
     assert np.array_equal(fused.data,
                           relu(add(add(matmul(a, wa), matmul(c, wc)), b)).data)
     # the concat form groups the inner sum differently, so allclose not equal
@@ -270,12 +270,15 @@ def test_grad_linear_pair_each_input():
     b0 = rng.normal(size=(2,))
     a, c, wa, wc, b = (Tensor(v) for v in (a0, c0, wa0, wc0, b0))
     target = Tensor(np.ones((4, 2)))
-    check_grad(lambda t: mse(linear_pair(t, c, wa, wc, b, activation="relu"), target), a0)
-    check_grad(lambda t: mse(linear_pair(a, t, wa, wc, b, activation="relu"), target), c0)
-    check_grad(lambda t: mse(linear_pair(a, c, t, wc, b, activation="relu"), target), wa0)
-    check_grad(lambda t: mse(linear_pair(a, c, wa, t, b, activation="relu"), target), wc0)
-    check_grad(lambda t: mse(linear_pair(a, c, wa, wc, t, activation="relu"), target), b0)
     check_grad(lambda t: mse(linear_pair(t, c, wa, wc, b), target), a0)
+    check_grad(lambda t: mse(linear_pair(a, t, wa, wc, b), target), c0)
+    check_grad(lambda t: mse(linear_pair(a, c, t, wc, b), target), wa0)
+    check_grad(lambda t: mse(linear_pair(a, c, wa, t, b), target), wc0)
+    check_grad(lambda t: mse(linear_pair(a, c, wa, wc, t), target), b0)
+    # a 3-d operand: the relu mask meets the cotangent's flattened rows
+    c3 = Tensor(rng.normal(size=(2, 4, 2)))
+    check_grad(lambda t: mse(linear_pair(t, c3, wa, wc, b), Tensor(np.ones((2, 4, 2)))),
+               rng.normal(size=(2, 4, 3)))
 
 
 def test_linear_rejects_bad_shapes():
@@ -353,14 +356,19 @@ def test_grad_mse():
 
 def test_grad_two_layer_mlp_all_params():
     rng = np.random.default_rng(11)
-    net = Mlp([3, 8, 2], rng, name="net")
+    hidden = Mlp(3, 8, rng, name="hidden", activation="relu")
+    head = Mlp(8, 2, rng, name="head")
+
+    def net(x):
+        return head(hidden(x))
+
     x = np.random.default_rng(12).normal(size=(5, 3))
     target = Tensor(np.random.default_rng(13).normal(size=(5, 2)))
 
     loss = mse(net(Tensor(x)), target)
     loss.backward()
 
-    for p in net.params():
+    for p in hidden.params() + head.params():
         def f(t, p=p):
             saved = p.data
             p.data = t.data
@@ -376,7 +384,15 @@ def test_grad_two_layer_mlp_all_params():
 
 def test_mlp_input_gradient_matches_oracle():
     rng = np.random.default_rng(14)
-    net = Mlp([4, 6, 6, 1], rng, name="deep")
+    layers = [Mlp(4, 6, rng, name="deep0", activation="relu"),
+              Mlp(6, 6, rng, name="deep1", activation="relu"),
+              Mlp(6, 1, rng, name="deep2")]
+
+    def net(x):
+        for layer in layers:
+            x = layer(x)
+        return x
+
     target = Tensor(np.zeros((3, 1)))
     check_grad(lambda t: mse(net(t), target), rng.normal(size=(3, 4)))
 
@@ -629,11 +645,11 @@ def test_zero_grad_resets():
 
 def test_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(18)
-    net = Mlp([3, 5, 2], rng, name="net")
+    net = Mlp(3, 5, rng, name="net")
     path = str(tmp_path / "model.ckpt")
     save_params(path, net.params(), extra={"preset": "S", "seed": 4})
 
-    clone = Mlp([3, 5, 2], np.random.default_rng(99), name="net")
+    clone = Mlp(3, 5, np.random.default_rng(99), name="net")
     extra = load_params(path, clone.params())
     assert extra == {"preset": "S", "seed": 4}
     for p, q in zip(net.params(), clone.params()):

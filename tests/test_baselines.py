@@ -237,6 +237,30 @@ def test_variogram_recovers_linear_trend():
     assert nugget >= 0.0
 
 
+def test_variogram_bin_means_equal_np_mean_bit_for_bit():
+    # the fit takes each bin's mean as np.add.reduce(g) / g.size, which is
+    # what np.mean computes; bins hold 1 to 351 pairs (27 sensors, one bin)
+    rng = np.random.default_rng(31)
+    for size in range(1, 352):
+        g = 0.5 * rng.normal(0.0, 10.0, size) ** 2
+        assert (np.add.reduce(g) / g.size).tobytes() == np.mean(g).tobytes(), size
+    for n in (3, 9, 27):
+        coords = random_coords(rng, n)
+        values = rng.uniform(5.0, 60.0, n)
+        dist = pairwise_distances_km(coords[:, 0], coords[:, 1])
+        # the same fit, written with np.mean
+        iu, ju = np.triu_indices(n, k=1)
+        h = dist[iu, ju]
+        width = h.max() / 10
+        idx = np.minimum((h / width).astype(int), 9)
+        gamma = 0.5 * (values[iu] - values[ju]) ** 2
+        kept = [b for b in range(10) if (idx == b).any()]
+        means = [np.mean(gamma[idx == b]) for b in kept]
+        slope, nugget = np.polyfit([(b + 0.5) * width for b in kept], means, 1)
+        got = fit_linear_variogram(dist, values)
+        assert got == (max(0.0, float(slope)), max(0.0, float(nugget)))
+
+
 def test_kriging_requires_two_sensors():
     with pytest.raises(ValidationError):
         OrdinaryKriging().fit([[0.0, 0.0]], [1.0])

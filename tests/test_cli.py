@@ -575,6 +575,22 @@ def test_checkpoint_naming_another_activation_exits_2(synth_dir, train_dir, tmp_
         assert str(ckpt) in err and "'identity'" in err
 
 
+@pytest.mark.parametrize("damage", ["missing", "misshaped"])
+def test_checkpoint_with_a_missing_or_misshaped_param_exits_2(synth_dir, train_dir, tmp_path,
+                                                              capsys, damage):
+    manifest, arrays = load_arrays(str(train_dir / "seed0" / "best.ckpt"))
+    name = list(arrays)[-1]
+    if damage == "missing":
+        del arrays[name]
+    else:
+        arrays[name] = np.zeros(arrays[name].size + 1)
+    ckpt = tmp_path / f"{damage}.ckpt"
+    save_arrays(str(ckpt), list(arrays.items()), extra=manifest["extra"])
+    assert main(_point_query(synth_dir, ckpt)) == 2
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and repr(name) in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # dataset default from the environment
 # ---------------------------------------------------------------------------

@@ -667,6 +667,9 @@ def test_multi_point_inference_equals_single_point_calls(monkeypatch, points_per
     rng = np.random.default_rng(3)
     lats = (32.70 + 0.02 * rng.uniform(size=5)).tolist()
     lons = (-117.12 + 0.02 * rng.uniform(size=5)).tolist()
+    # the last point sits on a context sensor: the distance floor, a zero
+    # edge vector, and a graph derived from the first point's
+    lats[-1], lons[-1] = ds.sensors[2].latitude, ds.sensors[2].longitude
     hours = np.arange(0, 20)
     singles = [infer_at_location(models, norm, ds, context, lat, lon, hours, batch_size=7)
                for lat, lon in zip(lats, lons)]

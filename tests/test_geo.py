@@ -14,10 +14,13 @@ from physair.geo import (
     build_matrices,
     convection_edge_features,
     haversine_km,
+    last_node_edges,
     local_norm_matrix,
     pairwise_distances_km,
+    replace_last_node,
     scaled_laplacian,
 )
+from physair.model import GraphWiring, split_edges
 
 KM_PER_DEG = 6371.0 * np.pi / 180.0  # one degree of a great circle
 
@@ -312,3 +315,69 @@ def test_build_matrices_deterministic():
     m2 = build_matrices(build_graph(sensors))
     for name in ("a", "lap_scaled", "m"):
         assert getattr(m1, name).tobytes() == getattr(m2, name).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# A graph with its last node replaced.
+# ---------------------------------------------------------------------------
+
+def swap_cases():
+    """(context, first query, next query) triples: C = 1, 2 and 27 context
+    sensors, and a next query on a context sensor's coordinates."""
+    for c in (1, 2, 27):
+        points = random_sensors(c + 2, seed=c)
+        context = tuple(points[:c])
+        yield context, replace(points[c], sensor_id="q"), replace(points[c + 1], sensor_id="q")
+        on_sensor = replace(context[-1], sensor_id="q")
+        yield context, replace(points[c], sensor_id="q"), on_sensor
+
+
+@pytest.mark.parametrize("context, first, query", list(swap_cases()))
+def test_replaced_last_node_equals_a_built_graph_bit_for_bit(context, first, query):
+    got = replace_last_node(build_graph(context + (first,)), query)
+    want = build_graph(context + (query,))
+    assert got.sensors == want.sensors
+    for field in ("dist", "src", "dst", "edge_east", "edge_north"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+    got_wiring, want_wiring = GraphWiring(got), GraphWiring(want)
+    for name in ("lap_scaled", "loop_adj", "norm_direct", "norm_inverse"):
+        assert (getattr(got_wiring, name).data.tobytes()
+                == getattr(want_wiring, name).data.tobytes()), name
+    # the query node's wind triples, built on its 2C edges alone
+    n = len(context) + 1
+    for wind in (WindRecord("t", 7.5, 33.0), WindRecord("t", 0.0, 270.0)):
+        rows = convection_edge_features(got, wind, last_node_edges(n))
+        whole = convection_edge_features(want, wind)[None]
+        assert rows.tobytes() == split_edges(whole, n)[1].tobytes()
+
+
+def test_a_query_on_a_context_sensor_gets_the_floor_and_a_zero_edge_vector():
+    context = tuple(random_sensors(3, seed=4))
+    graph = replace_last_node(build_graph(context + (sensor(9, 36.1, -119.9),)),
+                              replace(context[1], sensor_id="q"))
+    assert graph.dist[1, 3] == graph.dist[3, 1] == EPS_DIST_KM
+    touching = last_node_edges(4)
+    on_it = touching[(graph.src[touching] == 1) | (graph.dst[touching] == 1)]
+    assert np.all(graph.edge_east[on_it] == 0.0) and np.all(graph.edge_north[on_it] == 0.0)
+
+
+def test_last_node_edges_run_out_of_it_then_into_it():
+    for n in (2, 3, 7):
+        graph = build_graph(random_sensors(n, seed=n))
+        edges = last_node_edges(n)
+        c = n - 1
+        assert np.array_equal(graph.src[edges], [c] * c + list(range(c)))
+        assert np.array_equal(graph.dst[edges], list(range(c)) + [c] * c)
+
+
+def test_replacing_the_last_node_runs_build_graphs_checks():
+    context = tuple(random_sensors(3, seed=5))
+    graph = build_graph(context + (sensor(9, 36.1, -119.9),))
+    with pytest.raises(ValidationError, match="duplicate sensor ids"):
+        replace_last_node(graph, replace(context[0], latitude=36.2))
+    with pytest.raises(ValidationError, match="latitude"):
+        replace_last_node(graph, sensor(9, 90.5, -119.9))
+    with pytest.raises(ValidationError, match="longitude"):
+        replace_last_node(graph, sensor(10, 36.0, -180.5))
+    # the replaced node's own id may come back
+    assert replace_last_node(graph, sensor(9, 36.2, -119.8)).sensors[-1].sensor_id == "s9"

@@ -3,9 +3,11 @@
 perfbench/ is frozen: it wraps physair names for its traced runs and
 calls physair functions in fixed shapes. A change under src/ that breaks
 one of them would otherwise show only when the benchmark runs. These
-checks read perfbench's own files, install no wrapper and change nothing.
+checks read perfbench's own files and change none of them; they install
+no perfbench wrapper, only monkeypatched counters of their own.
 """
 
+import functools
 import inspect
 import types
 from pathlib import Path
@@ -14,11 +16,14 @@ import numpy as np
 import pytest
 
 import physair
-from physair import geo, model
+from physair import cli, geo, model
 from physair.autodiff import save_params
+from physair.data import load_dataset
+from physair.evaluation import benchmark_runners, density_experiment, evaluate_models
 from physair.geo import SensorMeta, build_graph
 from physair.model import GraphWiring, ModelConfig, PhysicsGnn
-from physair.training import Normalizer, SensorSplit, load_trained
+from physair.training import (Normalizer, SensorSplit, TrainConfig, load_trained, make_split,
+                              train_ensemble)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -95,3 +100,46 @@ def test_load_trained_returns_the_four_parts(tmp_path):
     loaded, normalizer, got_split, extra = load_trained(path)
     assert isinstance(loaded, PhysicsGnn) and normalizer == Normalizer(1.0, 2.0)
     assert got_split.to_dict() == split.to_dict() and extra["train_config"] == {"seed": 0}
+
+
+def test_every_interpolate_and_evaluate_wrapper_fires(tracer, tmp_path, monkeypatch, capsys):
+    # a tiny version of both workloads: every name that WRAPS says must fire
+    # on interpolate or evaluate is counted where the tracer would wrap it,
+    # so a refactor that bypasses one fails here, not only in a traced run
+    rows = [(owner, attr) for owner, attr, _, _, must in tracer.WRAPS
+            if tracer.INTERPOLATE in must or tracer.EVALUATE in must]
+    fired = dict.fromkeys(rows, 0)
+
+    def counted(key, real):
+        @functools.wraps(real)
+        def spy(*args, **kwargs):
+            fired[key] += 1
+            return real(*args, **kwargs)
+        return spy
+
+    for owner, attr in rows:
+        target = tracer._resolve(owner)
+        monkeypatch.setattr(target, attr, counted((owner, attr), getattr(target, attr)))
+
+    data, runs = tmp_path / "data", tmp_path / "runs"
+    assert cli.main(["synth", "--out", str(data), "--hours", "8", "--n-sensors", "8",
+                     "--height", "12", "--width", "12", "--seed", "3"]) == 0
+    capsys.readouterr()
+    dataset = load_dataset(data)
+    split = make_split(dataset.sensor_ids(), seed=0)
+    train_ensemble(dataset, split, ModelConfig(preset=None, n_layers=2, hidden_dim=4),
+                   TrainConfig(batch_size=8, max_epochs=1, eval_batch=8), runs, seeds=(0, 1))
+    lat = sorted(s.latitude for s in dataset.sensors)
+    lon = sorted(s.longitude for s in dataset.sensors)
+    assert cli.main(["interpolate", "--dataset", str(data), "--models", str(runs),
+                     f"--grid-lat={lat[1]!r}:{lat[-2]!r}:2", f"--grid-lon={lon[1]!r}:{lon[-2]!r}:2",
+                     "--hours", "0"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 4
+
+    models = [load_trained(runs / f"seed{k}" / "best.ckpt")[0] for k in (0, 1)]
+    normalizer = load_trained(runs / "seed0" / "best.ckpt")[1]
+    runners = benchmark_runners(dataset, split.train, models=models, normalizer=normalizer)
+    evaluate_models(dataset, split.train, split.test, runners, hours=[0, 1])
+    density_experiment(dataset, split.train, split.test, runners, fractions=(0.0, 0.4),
+                       seeds=(0,), hours=[0, 1])
+    assert [key for key, calls in fired.items() if not calls] == []

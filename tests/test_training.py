@@ -397,8 +397,31 @@ def test_load_trained_refuses_a_missing_or_misshaped_param(tmp_path, damage):
         arrays[name] = np.zeros(arrays[name].size + 1)
     bad = tmp_path / "bad.ckpt"
     save_arrays(str(bad), list(arrays.items()), extra=manifest["extra"])
-    with pytest.raises(ValidationError, match=f"param {name!r}"):
+    with pytest.raises(ValidationError, match=f"{bad}.* param {name!r}"):
         load_trained(bad)
+
+
+def test_load_trained_draws_nothing_and_allocates_no_grad(tmp_path, monkeypatch):
+    # an unfilled member: load_params gives every param the checkpoint's array
+    ds = toy_dataset(hours=8)
+    split = make_split(ds.sensor_ids(), seed=0)
+    result = train_model(ds, split, ModelConfig(preset=None, n_layers=2, hidden_dim=8),
+                         run_config(max_epochs=1), tmp_path / "run")
+    _, arrays = load_arrays(str(result.checkpoint_path))
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("load_trained drew initial values")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    model, _, _, _ = load_trained(result.checkpoint_path)
+    monkeypatch.undo()
+    assert [p.name for p in model.params()] == list(arrays)
+    for p in model.params():
+        assert p.data.tobytes() == arrays[p.name].tobytes() and p.grad is None
+    # with nothing loaded, an unfilled model has its shapes and NaN values
+    unfilled = PhysicsGnn(model.config, seed=None)
+    assert [p.data.shape for p in unfilled.params()] == [a.shape for a in arrays.values()]
+    assert all(np.isnan(p.data).all() and p.grad is None for p in unfilled.params())
 
 
 @pytest.mark.parametrize("drop", ["model_config", "normalizer", "split", "train_config.seed"])
@@ -470,7 +493,15 @@ def predictor_batch(graphs, config, bsz, rng):
     x = rng.normal(size=(bsz, graphs[0].n_nodes, config.input_dim))
     x[:, -1] = 0.0
     winds = [WindRecord("t", rng.uniform(0, 15), rng.uniform(0, 360)) for _ in range(bsz)]
-    return x, lambda graph: np.stack([convection_edge_features(graph, w) for w in winds])
+    return x, lambda graph, edges=slice(None): np.stack(
+        [convection_edge_features(graph, w, edges) for w in winds])
+
+
+def predict(models, graphs, x, conv_feats, normalizer=Normalizer(0.0, 1.0)):
+    """masked_batch_predictions at the targets of graphs that share a
+    context: the first graph whole, the others by their last sensor."""
+    return masked_batch_predictions(models, graphs[0], [g.sensors[-1] for g in graphs[1:]],
+                                    x, conv_feats, normalizer)
 
 
 def assert_predictor_matches_per_target_forward(config, n, bsz, g):
@@ -478,8 +509,7 @@ def assert_predictor_matches_per_target_forward(config, n, bsz, g):
     graphs = shared_context_graphs(n, g, seed=n * 10 + g)
     x, conv_feats = predictor_batch(graphs, config, bsz,
                                     np.random.default_rng(config.n_layers * 100 + bsz))
-    got = masked_batch_predictions(models, graphs[0].sensors[:-1], graphs, x, conv_feats,
-                                   Normalizer(0.0, 1.0))
+    got = predict(models, graphs, x, conv_feats)
     assert got.shape == (bsz, g)
     for col, graph in enumerate(graphs):
         want = sum(m.forward(x, GraphWiring(graph), conv_feats(graph), n - 1).data
@@ -502,16 +532,15 @@ def test_predictor_peak_memory_does_not_grow_with_ensemble_members():
     # members it averages; holding two at once adds ~0.5 MB to this ~1.6 MB
     config = ModelConfig(preset=None, n_layers=3, hidden_dim=16)
     graphs = shared_context_graphs(28, 9, seed=3)
-    context = graphs[0].sensors[:-1]
     x, conv_feats = predictor_batch(graphs, config, 4, np.random.default_rng(4))
     peaks = {}
     for members in (1, 2, 3):
         models = [PhysicsGnn(config, seed=s) for s in range(members)]
-        masked_batch_predictions(models, context, graphs, x, conv_feats, Normalizer(0.0, 1.0))
+        predict(models, graphs, x, conv_feats)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            masked_batch_predictions(models, context, graphs, x, conv_feats, Normalizer(0.0, 1.0))
+            predict(models, graphs, x, conv_feats)
             peaks[members] = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -531,8 +560,7 @@ def test_shared_layer0_predictor_matches_per_target_forward(aggregation, activat
 
 
 def one_target_calls(models, graphs, x, conv_feats) -> np.ndarray:
-    return np.concatenate([masked_batch_predictions(models, graph.sensors[:-1], [graph], x,
-                                                    conv_feats, Normalizer(10.0, 2.0))
+    return np.concatenate([predict(models, [graph], x, conv_feats, Normalizer(10.0, 2.0))
                            for graph in graphs], axis=1)
 
 
@@ -551,8 +579,7 @@ def test_stacked_targets_equal_one_target_calls(aggregation, window, n, n_layers
         x, conv_feats = predictor_batch(graphs, config, bsz, np.random.default_rng(bsz))
         singles = one_target_calls(models, graphs, x, conv_feats)
         for g in (1, 2, 9, 16):
-            got = masked_batch_predictions(models, graphs[0].sensors[:-1], graphs[:g], x,
-                                           conv_feats, Normalizer(10.0, 2.0))
+            got = predict(models, graphs[:g], x, conv_feats, Normalizer(10.0, 2.0))
             assert got.tobytes() == singles[:, :g].tobytes(), (bsz, g)
 
 
@@ -571,8 +598,7 @@ def test_a_row_budget_splits_the_targets_into_stacks(monkeypatch):
             return forward(x, wiring, *args, **kwargs)
 
         monkeypatch.setattr(model, "forward", spy)
-    got = masked_batch_predictions(models, graphs[0].sensors[:-1], graphs, x, conv_feats,
-                                   Normalizer(10.0, 2.0))
+    got = predict(models, graphs, x, conv_feats, Normalizer(10.0, 2.0))
     assert stacks == [4, 4, 1] * 2
     assert got.tobytes() == singles.tobytes()
 
@@ -584,14 +610,13 @@ def test_a_nine_target_call_peaks_below_nine_edge_buffers():
     # buffer (3.5 MB); 9 targets in one stack with 9 buffers held 6.3 MB
     config = ModelConfig(preset=None, n_layers=3, hidden_dim=16)
     graphs = shared_context_graphs(28, 9, seed=3)
-    context = graphs[0].sensors[:-1]
     x, conv_feats = predictor_batch(graphs, config, 4, np.random.default_rng(4))
     models = [PhysicsGnn(config, seed=0)]
-    masked_batch_predictions(models, context, graphs, x, conv_feats, Normalizer(0.0, 1.0))
+    predict(models, graphs, x, conv_feats)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        masked_batch_predictions(models, context, graphs, x, conv_feats, Normalizer(0.0, 1.0))
+        predict(models, graphs, x, conv_feats)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -654,6 +679,9 @@ def test_multi_target_evaluation_matches_one_target_at_a_time():
 
 
 def test_predictor_refuses_graphs_without_a_shared_context():
+    # the first graph is checked against the dataset's context sensors; the
+    # later targets' graphs are derived from it, so they share its context
+    # by construction, and each later sensor passes build_graph's checks
     ds = toy_dataset(hours=4)
     model = PhysicsGnn(tiny_model_config(), seed=0)
     metas = {s.sensor_id: s for s in ds.sensors}
@@ -662,20 +690,19 @@ def test_predictor_refuses_graphs_without_a_shared_context():
         return build_graph([metas[i] for i in ids])
 
     moved = replace(metas["s1"], latitude=metas["s1"].latitude + 0.01)
-    unshared = (
-        [graph("s0", "s1", "s4"), graph("s0", "s2", "s5")],
-        [graph("s0", "s1", "s4"), graph("s1", "s0", "s5")],
-        [graph("s0", "s1", "s4"), graph("s0", "s1", "s2", "s5")],
-        [graph("s0", "s1", "s4"), build_graph([metas["s0"], moved, metas["s5"]])],
-        # the first graph is checked against the dataset's context sensors too
-        [graph("s1", "s0", "s4")],
-        [build_graph([metas["s0"], moved, metas["s4"]]), graph("s0", "s1", "s5")],
-    )
-    for graphs in unshared:
-        with pytest.raises(ValidationError, match="share their context"):
-            predict_masked_node([model], Normalizer(0.0, 1.0), ("s0", "s1"), graphs, ds, None)
-    with pytest.raises(ValidationError, match="at least one graph"):
-        predict_masked_node([model], Normalizer(0.0, 1.0), ("s0", "s1"), [], ds, None)
+    for first in (graph("s0", "s2", "s4"), graph("s1", "s0", "s4"), graph("s0", "s1", "s2", "s4"),
+                  build_graph([metas["s0"], moved, metas["s4"]])):
+        with pytest.raises(ValidationError, match="must be the context sensors"):
+            predict_masked_node([model], Normalizer(0.0, 1.0), ("s0", "s1"), first,
+                                [metas["s5"]], ds, None)
+    first = graph("s0", "s1", "s4")
+    for later, match in (([metas["s1"]], "duplicate sensor ids"),
+                         ([metas["s5"], replace(metas["s5"], latitude=91.0)], "latitude")):
+        with pytest.raises(ValidationError, match=match):
+            predict_masked_node([model], Normalizer(0.0, 1.0), ("s0", "s1"), first, later,
+                                ds, None)
+    with pytest.raises(ValidationError, match="at least one target"):
+        evaluate_target_sensor([model], Normalizer(0.0, 1.0), ds, ("s0", "s1"), (), None)
 
 
 @pytest.mark.parametrize("batch", [0, -1])
@@ -685,7 +712,7 @@ def test_non_positive_inference_batch_is_refused(batch):
     model = PhysicsGnn(tiny_model_config(), seed=0)
     graph = build_graph(ds.sensors[:3])
     with pytest.raises(ValidationError, match="batch_size"):
-        predict_masked_node([model], Normalizer(0.0, 1.0), ("s0", "s1"), [graph], ds, None,
+        predict_masked_node([model], Normalizer(0.0, 1.0), ("s0", "s1"), graph, [], ds, None,
                             batch_size=batch)
     with pytest.raises(ValidationError, match="eval_batch"):
         run_config(eval_batch=batch)
