@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import contextlib
 import json
-import os
 import struct
 import threading
 
 import numpy as np
 
+from .data import atomic_open
 from .errors import ShapeError, ValidationError
 
 CHECKPOINT_SCHEMA_VERSION = 1
@@ -661,12 +661,8 @@ class Adam:
 # ---------------------------------------------------------------------------
 
 def save_arrays(path: str, named_arrays: list, extra: dict | None = None) -> None:
-    """Write (name, array) pairs to a checkpoint file atomically.
-
-    The file is staged next to its destination and moved into place with
-    os.replace, so a crash mid-write never leaves a truncated checkpoint
-    under the real name.
-    """
+    """Write (name, array) pairs to a checkpoint file atomically
+    (data.atomic_open), array by array."""
     names = [n for n, _ in named_arrays]
     if len(set(names)) != len(names):
         raise ValidationError("duplicate array names in checkpoint")
@@ -676,15 +672,11 @@ def save_arrays(path: str, named_arrays: list, extra: dict | None = None) -> Non
         "extra": extra or {},
     }
     header = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
         for _, a in named_arrays:
             fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
 
 
 def load_arrays(path: str) -> tuple:

@@ -19,6 +19,7 @@ column header must name the unit and the loader converts to km/h.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -96,13 +97,26 @@ def _hour_start(hour: int) -> datetime:
     return _EPOCH + hour * HOUR
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w"):
+    """A file handle staged next to path and moved into place on a clean exit.
+
+    The temp file is fsynced, then os.replace'd onto path, so a crash
+    mid-write never leaves a truncated file under the real name. Its name
+    carries the writer's pid, so two processes writing one path never
+    truncate or rename each other's temp file.
+    """
+    tmp = f"{path}.tmp.{os.getpid()}"
+    with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+        yield fh
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
+
+
+def _atomic_write_text(path: Path, text: str) -> None:
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 @dataclass

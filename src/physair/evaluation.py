@@ -546,10 +546,10 @@ def infer_at_location(models, normalizer: Normalizer, dataset: Dataset,
     and is predicted through the same masked-node path used for held-out
     sensors. With scalar coordinates, returns (hours,); with equal-length
     sequences of P latitudes and longitudes, returns (hours, P), each
-    column bit for bit what a scalar call at that point returns. Only the
-    first point's graph is built whole; the predictor derives every later
-    point's from it by replacing the query node. Context sensors must
-    report every hour; ``hours`` defaults to all of them.
+    column bit for bit what a scalar call at that point returns. The
+    context graph is built once; the predictor adds each point to it as
+    the query node. Context sensors must report every hour; ``hours``
+    defaults to all of them.
     """
     ids = tuple(context_ids)
     if _QUERY_ID in ids:
@@ -562,9 +562,8 @@ def infer_at_location(models, normalizer: Normalizer, dataset: Dataset,
     scalar = shape == ()
     points = [(latitude, longitude)] if scalar else list(zip(latitude, longitude))
     hours = check_hours(hours, dataset.hours)
-    first = build_graph(sensor_metas(dataset, ids) + (SensorMeta(_QUERY_ID, *points[0]),))
-    out = predict_masked_node(models, normalizer, ids, first, _QuerySensors(points[1:]),
-                              dataset, hours, batch_size=batch_size)
+    out = predict_masked_node(models, normalizer, build_graph(sensor_metas(dataset, ids)),
+                              _QuerySensors(points), dataset, hours, batch_size=batch_size)
     return out[:, 0] if scalar else out
 
 

@@ -69,17 +69,10 @@ def haversine_km(a: SensorMeta, b: SensorMeta) -> float:
 
 
 def pairwise_distances_km(lats, lons) -> np.ndarray:
-    """Full haversine distance matrix in km, exactly symmetric, zero diagonal."""
-    lat = np.radians(np.asarray(lats, dtype=float))[:, None]
-    lon = np.radians(np.asarray(lons, dtype=float))[:, None]
-    s1 = np.sin(np.abs(lat.T - lat) / 2.0)
-    s2 = np.sin(np.abs(lon.T - lon) / 2.0)
-    h = s1 * s1 + np.cos(lat) * np.cos(lat.T) * s2 * s2
-    d = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.minimum(1.0, h)))
-    out = np.triu(d, 1)
-    out = out + out.T  # mirror the upper triangle so symmetry is exact
-    np.fill_diagonal(out, 0.0)
-    return out
+    """Full haversine distance matrix in km, exactly symmetric, zero diagonal:
+    the upper triangle of cross_distances_km, mirrored."""
+    out = np.triu(cross_distances_km(lats, lons, lats, lons), 1)
+    return out + out.T
 
 
 def cross_distances_km(lats_a, lons_a, lats_b, lons_b) -> np.ndarray:
@@ -190,33 +183,38 @@ def last_node_edges(n: int) -> np.ndarray:
     return np.concatenate([np.arange(c) * c + (c - 1), c * c + np.arange(c)])
 
 
-def replace_last_node(graph: Graph, sensor: SensorMeta) -> Graph:
-    """``build_graph(graph.sensors[:-1] + (sensor,))``, from graph.
+def add_node(context: Graph, sensor: SensorMeta) -> Graph:
+    """``build_graph(context.sensors + (sensor,))``, from context.
 
-    Only the new node's distance row and column and the 2(N-1) edge
-    vectors that touch it are computed; every other entry is graph's.
-    Each entry of build_graph's arrays depends on its own pair alone, so
-    the result equals build_graph's field for field, bit for bit. The new
-    node passes build_graph's checks: coordinates in range, and an id that
-    no other node of the graph has.
+    Only the new node's distance row and column and the 2C edge vectors
+    that touch it are computed; every other entry is context's. Each entry
+    of build_graph's arrays depends on its own pair alone, so the result
+    equals build_graph's field for field, bit for bit. The new node passes
+    build_graph's checks: coordinates in range, and an id no context
+    sensor has.
     """
-    context = graph.sensors[:-1]
-    if any(s.sensor_id == sensor.sensor_id for s in context):
+    if any(s.sensor_id == sensor.sensor_id for s in context.sensors):
         raise ValidationError(f"duplicate sensor ids: {[sensor.sensor_id]}")
     sensor.validate()
-    c = len(context)
-    lats = np.array([s.latitude for s in context] + [sensor.latitude])
-    lons = np.array([s.longitude for s in context] + [sensor.longitude])
+    sensors = context.sensors + (sensor,)
+    c, n = context.n_nodes, len(sensors)
+    lats = np.array([s.latitude for s in sensors])
+    lons = np.array([s.longitude for s in sensors])
     col = np.maximum(cross_distances_km(lats[:c], lons[:c], lats[c:], lons[c:])[:, 0],
                      EPS_DIST_KM)
-    dist = graph.dist.copy()
+    dist = np.zeros((n, n))
+    dist[:c, :c] = context.dist
     dist[:c, c] = col
     dist[c, :c] = col
-    edges = last_node_edges(c + 1)
-    edge_east, edge_north = graph.edge_east.copy(), graph.edge_north.copy()
-    edge_east[edges], edge_north[edges] = _edge_vectors(lats, lons, graph.dst[edges],
-                                                        graph.src[edges])
-    return Graph(sensors=context + (sensor,), dist=dist, src=graph.src, dst=graph.dst,
+    dst, src = np.divmod(np.flatnonzero(~np.eye(n, dtype=bool)), n)
+    # context's edges keep their order; the new node's take the rest
+    new = last_node_edges(n)
+    old = np.ones(n * c, dtype=bool)
+    old[new] = False
+    edge_east, edge_north = np.empty(n * c), np.empty(n * c)
+    edge_east[old], edge_north[old] = context.edge_east, context.edge_north
+    edge_east[new], edge_north[new] = _edge_vectors(lats, lons, dst[new], src[new])
+    return Graph(sensors=sensors, dist=dist, src=src, dst=dst,
                  edge_east=edge_east, edge_north=edge_north)
 
 
@@ -248,11 +246,13 @@ def scaled_laplacian(a: np.ndarray):
     L_D = 2 L / lambda_max - I. lambda_max is the largest eigenvalue of
     the symmetric L from a dense eigensolve; the graphs here have at most
     a few dozen nodes, so that costs well under a millisecond and is exact
-    to rounding, which keeps the spectrum of L_D inside [-1, 1].
+    to rounding, which keeps the spectrum of L_D inside [-1, 1]. A must be
+    exactly symmetric, as every graph's here is: eigvalsh reads only one
+    triangle, so a nearly symmetric A would get another matrix's lambda_max.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
-    if a.shape != (n, n) or not np.allclose(a, a.T):
+    if a.shape != (n, n) or not np.array_equal(a, a.T):
         raise ValidationError("adjacency must be square and symmetric")
     if np.any(np.diag(a) != 0):
         raise ValidationError("adjacency must have a zero diagonal")

@@ -34,10 +34,12 @@ and inference alike, then finishes each layer's messages in place in
 that pre-activation buffer and sums them per node in the same op. While
 training records, the kernel keeps only a bool relu mask and releases
 the buffer, so each full layer's tape holds one edge-sized float array,
-the edge MLP's output. Graphs that share a context share its rows;
-the multi-target predictor in ``training`` computes them once for all
-of its targets and hands them to ``forward`` as an ``EdgePath``, which
-is refused while autodiff records.
+the edge MLP's output. A predictor call is a context graph of C
+sensors plus its targets, each joining it as the masked last node. The
+context graph's C(C-1) edges are in every target's graph, so the
+predictor in ``training`` runs their rows once for all of its targets
+and hands them to ``forward`` as an ``EdgePath``, which is refused
+while autodiff records.
 
 Its targets share more than rows at layer 0. There every target sees
 the same node states: the inputs are the call's, and the query node's
@@ -68,7 +70,7 @@ import numpy as np
 from .autodiff import (Mlp, Tensor, _grouped_product, add, concat, init_param, is_recording,
                        linear_pair, make_op, matmul, mul, narrow, relu, reshape, softmax, take, tsum)
 from .errors import ShapeError, ValidationError
-from .geo import Graph, build_matrices, last_node_edges
+from .geo import Graph, build_matrices
 
 PRESETS = {"S": (3, 128), "M": (4, 256), "L": (5, 512)}
 
@@ -178,21 +180,6 @@ def _incoming(rows: np.ndarray, n: int) -> np.ndarray:
     return rows * (n - 1) + np.arange(n - 1)
 
 
-def split_edges(edge_rows: np.ndarray, n: int) -> tuple:
-    """(context, query) rows of a (B, E, f) edge array on an n-node graph
-    whose last node is the query, each flattened to 2d.
-
-    Seen as (B, N, N-1, f), edge (i, j) is the j-th edge into node i.
-    The context rows are the C(C-1) edges among the first C = N-1 nodes,
-    in edge order. The query rows are the 2C edges that touch the last
-    node (geo.last_node_edges): first the edge from it into each context
-    node, then the C edges into it, in edge order.
-    """
-    bsz, c, f = edge_rows.shape[0], n - 1, edge_rows.shape[2]
-    context = edge_rows.reshape(bsz, n, c, f)[:, :c, :c - 1]
-    return context.reshape(-1, f), edge_rows[:, last_node_edges(n)].reshape(-1, f)
-
-
 @dataclass
 class SharedLayer0:
     """The part of layer 0 that every target of a predictor call shares
@@ -201,7 +188,7 @@ class SharedLayer0:
     h_d, h_c and h_l are the three modules' node_mlp outputs, hr and hs
     the message halves h_c @ w_recv and h_c @ w_send, all (B, N, d).
     partial (B, C, d) is each context node's sum over its C-1 context
-    messages, None when C = 1.
+    messages.
     """
 
     h_d: Tensor
@@ -209,20 +196,22 @@ class SharedLayer0:
     h_l: Tensor
     hr: np.ndarray
     hs: np.ndarray
-    partial: np.ndarray | None
+    partial: np.ndarray
 
 
 @dataclass
 class EdgePath:
-    """The edge side of an inference forward whose masked node is the
-    last one, computed ahead of it: PhysicsGnn.share_context gives the
-    first two fields, PhysicsGnn.edge_path on the query rows the rest.
+    """The edge side of an inference forward on a context graph plus one
+    query node, its last and masked, computed ahead of it:
+    PhysicsGnn.share_context on the context graph's edges gives layer0
+    and context, PhysicsGnn.edge_path on the query rows the rest.
 
     context[k-1] and query[k], for each layer k < L-1, hold the message
-    pre-activations e_k @ (w_recv + w_send) on the context (k >= 1) and
-    the query rows of split_edges. query_last holds the edge features
-    that enter the last layer on the query rows. Graphs that share a
-    context share layer0 and context.
+    pre-activations e_k @ (w_recv + w_send) on the context graph's
+    C(C-1) edges (k >= 1) and on the 2C query rows, the edges that touch
+    the query node (geo.last_node_edges). query_last holds the edge
+    features that enter the last layer on the query rows. Every target
+    of one context shares layer0 and context.
 
     layer0 is layer 0's shared part (None when L = 1, where layer 0 is
     the readout). With it, layer 0 reads no context row and allocates no
@@ -298,23 +287,18 @@ def _finish_graph(out: np.ndarray, hr: np.ndarray, hs: np.ndarray, b: np.ndarray
                   out.reshape(bsz, n - 1, n, dim), src_rows.transpose(0, 1, 3, 2), b)
 
 
-def _sum_incoming(partial: np.ndarray | None, query: np.ndarray) -> np.ndarray:
+def _sum_incoming(partial: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Each node's summed incoming messages, (..., B, N, d), from a context's
     per-node partial sums (B, C, d) and any number of targets' finished
-    query-edge messages (..., B, 2C, d), ordered as in split_edges.
+    query-edge messages (..., B, 2C, d), ordered as geo.last_node_edges.
 
     Equal bit for bit to summing the whole (B, N, N-1, d) message buffer
     over its third axis: numpy adds those rows one at a time, and each
-    context node's query edge is its last. With C = 1 there is no
-    partial, and the one query row goes through the same one-row
-    reduction as in the full sum.
+    context node's query edge is its last.
     """
     c = query.shape[-2] // 2
     m = np.empty(query.shape[:-2] + (c + 1, query.shape[-1]))
-    if partial is None:
-        m[..., :c, :] = query[..., :c, None, :].sum(axis=-2)
-    else:
-        np.add(partial, query[..., :c, :], out=m[..., :c, :])
+    np.add(partial, query[..., :c, :], out=m[..., :c, :])
     m[..., c, :] = query[..., c:, :].sum(axis=-2)
     return m
 
@@ -503,8 +487,8 @@ class ConvectionModule:
 
     def share(self, h: Tensor, context: Tensor) -> tuple:
         """(hr, hs, partial) of SharedLayer0 from node_mlp's output h,
-        (B, N, d), and the message pre-activations on the C(C-1) context
-        rows of split_edges, (B * C(C-1), d).
+        (B, N, d), and the message pre-activations on the context graph's
+        C(C-1) edges, (B * C(C-1), d), in its edge order.
 
         hr and hs are computed on all N rows and then sliced, since a GEMM
         over the first C rows need not equal those rows of the N-row one.
@@ -515,8 +499,6 @@ class ConvectionModule:
         hr, hs = _message_halves(h, w)
         bsz, n, dim = h.shape
         c = n - 1
-        if c < 2:
-            return hr, hs, None
         out = context.data.reshape(bsz, c * (c - 1), dim)
         _finish_graph(out, hr[:, :c], hs[:, :c], b.data)
         return hr, hs, out.reshape(bsz, c, c - 1, dim).sum(axis=2)
@@ -667,7 +649,7 @@ class PhysicsGnn:
 
     def edge_path(self, feats) -> tuple:
         """The edge side of layers 0..L-2 over wind triples (..., 3): a
-        batch's (B, E, 3), or a flat (R, 3) table of split_edges rows.
+        batch's (B, E, 3), or a flat (R, 3) table of edge rows.
 
         Returns (pre, e): pre[k] is layer k's _message_pre(e_k, w), and e
         the edge features that enter the last layer (the triples when
@@ -683,8 +665,9 @@ class PhysicsGnn:
 
     def share_context(self, x, context_feats) -> tuple:
         """(layer0, context) of an EdgePath, shared by every target of a
-        predictor call: x its (B, N, window+1) node inputs, context_feats
-        the flat (R, 3) context rows of split_edges.
+        predictor call: x its (B, N, window+1) node inputs, N = C + 1, and
+        context_feats the wind triples of the context graph's C(C-1)
+        edges, (B, C(C-1), 3) or flattened to (B * C(C-1), 3).
 
         context holds layers 1..L-2's message pre-activations on those
         rows; layer 0's are finished, summed and dropped by GnnLayer.share.

@@ -48,9 +48,9 @@ from .autodiff import (
 )
 from .data import Dataset, _atomic_write_text
 from .errors import ValidationError
-from .geo import (Graph, WindRecord, build_graph, convection_edge_features, last_node_edges,
-                  replace_last_node)
-from .model import EdgePath, GraphWiring, ModelConfig, PhysicsGnn, split_edges
+from .geo import (Graph, WindRecord, add_node, build_graph, convection_edge_features,
+                  last_node_edges)
+from .model import EdgePath, GraphWiring, ModelConfig, PhysicsGnn
 
 logger = logging.getLogger(__name__)
 
@@ -327,7 +327,7 @@ _STACK_ROWS = 256
 
 def _member_predictions(model, x: np.ndarray, context_rows, stacks) -> np.ndarray:
     """One member's normalized predictions at each target, (B, G), from the
-    context rows of split_edges and each stack's (wiring, query rows).
+    context graph's wind triples and each stack's (wiring, query rows).
 
     A function of its own so that one member's shared context is freed
     when it returns, before the next member calls share_context: with the
@@ -342,89 +342,80 @@ def _member_predictions(model, x: np.ndarray, context_rows, stacks) -> np.ndarra
         .data.reshape(-1, bsz) for wiring, query in stacks]).T
 
 
-def masked_batch_predictions(models, first: Graph, others, x: np.ndarray, conv_feats,
+def masked_batch_predictions(models, context: Graph, targets, x: np.ndarray, conv_feats,
                              normalizer: Normalizer) -> np.ndarray:
-    """Ensemble-mean predictions at G = 1 + len(others) targets, (B, G), raw units.
+    """Ensemble-mean predictions at G = len(targets) targets, (B, G), raw units.
 
-    first: the graph of the C = N-1 context sensors plus the first
-    target, masked, as its last node; others: the other targets' sensors,
-    read by index; x: the targets' common (B, N, F) node inputs;
-    conv_feats: a function from a graph and its edge positions (an index
-    array, or slice(None) for all) to those edges' (B, E, 3) wind triples.
-    Target g's graph is first with its last node replaced by others[g-1]
-    (geo.replace_last_node), which builds only the query node's distances
-    and edge vectors, and only its 2C query rows of wind triples are built.
-    Each member runs the C(C-1) context edges and layer 0's shared part
-    once (PhysicsGnn.share_context), then one forward per stack of
-    targets, without a tape. A stack's graphs, wirings and wind triples
-    are built while it runs, the first stack's once for all members, so a
-    call holds two stacks' at most however many targets it has. Its one
-    caller is predict_masked_node.
+    context: the graph of the C context sensors; targets: the targets'
+    sensors, read by index; x: the targets' common (B, N, F) node inputs,
+    N = C + 1; conv_feats: a function from a graph and its edge positions
+    (an index array, or slice(None) for all) to those edges' (B, E, 3)
+    wind triples. Target g's graph is context with targets[g] added as its
+    masked last node (geo.add_node), and only its 2C query rows of wind
+    triples are built. Each member runs the C(C-1) context edges and layer
+    0's shared part once (PhysicsGnn.share_context), then one forward per
+    stack of targets, without a tape. A stack's graphs, wirings and wind
+    triples are built while it runs, the first stack's once for all
+    members, so a call holds two stacks' at most however many targets it
+    has. Its one caller is predict_masked_node.
     """
     bsz, n = x.shape[:2]
     size = max(1, _STACK_ROWS // (bsz * n))
-    count = 1 + len(others)
-    context_rows, first_query = split_edges(conv_feats(first, slice(None)), n)
+    context_rows = conv_feats(context, slice(None)).reshape(-1, 3)
     query_edges = last_node_edges(n)
 
-    def target(i):
-        if i == 0:
-            return first, first_query
-        graph = replace_last_node(first, others[i - 1])
-        return graph, conv_feats(graph, query_edges).reshape(-1, 3)
-
     def stack(lo):
-        built = [target(i) for i in range(lo, min(lo + size, count))]
-        wiring = GraphWiring.stack([GraphWiring(graph) for graph, _ in built], bsz)
-        return wiring, np.concatenate([query for _, query in built])
+        graphs = [add_node(context, targets[i]) for i in range(lo, min(lo + size, len(targets)))]
+        wiring = GraphWiring.stack([GraphWiring(graph) for graph in graphs], bsz)
+        return wiring, np.concatenate([conv_feats(graph, query_edges).reshape(-1, 3)
+                                       for graph in graphs])
 
     first_stack = stack(0)
-    preds = np.zeros((bsz, count))
+    preds = np.zeros((bsz, len(targets)))
     with no_record():
         for model in models:
-            later = (stack(lo) for lo in range(size, count, size))
+            later = (stack(lo) for lo in range(size, len(targets), size))
             preds += _member_predictions(model, x, context_rows,
                                          itertools.chain([first_stack], later))
     return normalizer.denormalize(preds / len(models))
 
 
-def predict_masked_node(models, normalizer: Normalizer, context_ids, first: Graph, others,
+def predict_masked_node(models, normalizer: Normalizer, context: Graph, targets,
                         dataset: Dataset, hours, batch_size: int = 64) -> np.ndarray:
-    """Ensemble-mean prediction at G = 1 + len(others) masked targets,
+    """Ensemble-mean prediction at G = len(targets) masked targets,
     (hours, G), raw units.
 
-    first is the graph of the context, the dataset's sensors context_ids
-    in that order, plus the first target as its last node; the caller
-    builds it. others holds the other targets' SensorMeta, read by index a
-    stack at a time, so it may make each when read; their graphs are
-    derived from first (see masked_batch_predictions), so they share its
-    context by construction, and only first is checked against
-    context_ids. The context must report every hour; each masked node's
-    inputs are zero. The input window is the members' config.window,
+    context is the graph of the context sensors, which must be the
+    dataset's and report every hour. targets holds the targets' SensorMeta,
+    read by index a stack at a time, so it may make each when read; each
+    joins context as its masked last node (see masked_batch_predictions),
+    with inputs zero. The input window is the members' config.window,
     which every member must share. Node inputs are built once per hour
     chunk. Predictions depend on batch_size, not G.
     """
     if batch_size < 1:
         raise ValidationError(f"batch_size must be >= 1, got {batch_size}")
+    if not len(targets):
+        raise ValidationError("need at least one target to predict")
     windows = sorted({model.config.window for model in models})
     if len(windows) != 1:
         raise ValidationError(
             f"an ensemble needs members that share one input window, got windows {windows}")
     window = windows[0]
     hours = check_hours(hours, dataset.hours)
-    context = complete_readings(dataset, context_ids, "context")
+    ids = [s.sensor_id for s in context.sensors]
+    if context.sensors != sensor_metas(dataset, ids):
+        raise ValidationError("the context graph's sensors must be the dataset's")
+    readings = complete_readings(dataset, ids, "context")
     values_norm = np.concatenate(
-        [normalizer.normalize(context), np.zeros((dataset.hours, 1))], axis=1)
-    if first.sensors[:-1] != sensor_metas(dataset, context_ids):
-        raise ValidationError("the first graph's first N-1 sensors must be the context "
-                              "sensors, in order")
-    preds = np.empty((len(hours), 1 + len(others)))
+        [normalizer.normalize(readings), np.zeros((dataset.hours, 1))], axis=1)
+    preds = np.empty((len(hours), len(targets)))
     for lo in range(0, len(hours), batch_size):
         chunk = hours[lo:lo + batch_size]
-        x = np.stack([build_node_inputs(values_norm, int(h), context.shape[1], window)
+        x = np.stack([build_node_inputs(values_norm, int(h), context.n_nodes, window)
                       for h in chunk])
         preds[lo:lo + len(chunk)] = masked_batch_predictions(
-            models, first, others, x,
+            models, context, targets, x,
             lambda graph, edges: hourly_conv_features(graph, dataset, chunk, edges), normalizer)
     return preds
 
@@ -441,11 +432,8 @@ def evaluate_target_sensor(models, normalizer, dataset: Dataset,
     """
     hours = check_hours(hours, dataset.hours)
     targets = (target_id,) if isinstance(target_id, str) else tuple(target_id)
-    if not targets:
-        raise ValidationError("need at least one target to predict")
-    first = graph_for_ids(dataset, tuple(context_ids) + targets[:1])
-    preds = predict_masked_node(models, normalizer, context_ids, first,
-                                sensor_metas(dataset, targets[1:]), dataset, hours,
+    preds = predict_masked_node(models, normalizer, graph_for_ids(dataset, context_ids),
+                                sensor_metas(dataset, targets), dataset, hours,
                                 batch_size=batch_size)
     truths = subset_dataset_values(dataset, targets)[hours]
     if isinstance(target_id, str):

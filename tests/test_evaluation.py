@@ -832,3 +832,15 @@ def test_summary_json_is_strict_json(tmp_path):
     assert parsed["binned_mae"]["idw"]["mae"][1] is None
     assert parsed["extra"]["hours"] == 9
     json.dumps(payload, allow_nan=False)
+
+
+def test_a_summary_leaves_another_writers_temp_file_alone(tmp_path):
+    # temp files carry the writer's pid: a second process writing the same
+    # --out must not truncate the first one's staged report or rename it away
+    out = tmp_path / "report.json"
+    foreign = tmp_path / "report.json.tmp"
+    foreign.write_text("staged by another process")
+    write_summary(out, {"hours": 9})
+    assert json.loads(out.read_text()) == {"hours": 9}
+    assert foreign.read_text() == "staged by another process"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "report.json.tmp"]

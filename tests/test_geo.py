@@ -10,6 +10,7 @@ from physair.geo import (
     EPS_DIST_KM,
     SensorMeta,
     WindRecord,
+    add_node,
     build_graph,
     build_matrices,
     convection_edge_features,
@@ -17,10 +18,9 @@ from physair.geo import (
     last_node_edges,
     local_norm_matrix,
     pairwise_distances_km,
-    replace_last_node,
     scaled_laplacian,
 )
-from physair.model import GraphWiring, split_edges
+from physair.model import GraphWiring
 
 KM_PER_DEG = 6371.0 * np.pi / 180.0  # one degree of a great circle
 
@@ -260,6 +260,15 @@ def test_laplacian_rejects_bad_adjacency():
         scaled_laplacian(np.zeros((3, 3)))  # isolated nodes
 
 
+def test_laplacian_rejects_a_nearly_symmetric_adjacency():
+    # eigvalsh reads one triangle, so an asymmetry within allclose's
+    # tolerance would silently give another matrix's lambda_max
+    a = build_graph(random_sensors(5, seed=16)).adjacency()
+    a[0, 1] += 1e-12
+    with pytest.raises(ValidationError, match="symmetric"):
+        scaled_laplacian(a)
+
+
 # ---------------------------------------------------------------------------
 # Local normalization.
 # ---------------------------------------------------------------------------
@@ -318,23 +327,22 @@ def test_build_matrices_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# A graph with its last node replaced.
+# A context graph with one node added.
 # ---------------------------------------------------------------------------
 
-def swap_cases():
-    """(context, first query, next query) triples: C = 1, 2 and 27 context
-    sensors, and a next query on a context sensor's coordinates."""
-    for c in (1, 2, 27):
-        points = random_sensors(c + 2, seed=c)
+def add_cases():
+    """(context, query) pairs: C = 2, 3 and 27 context sensors, with a
+    query at a point of its own and on a context sensor's coordinates."""
+    for c in (2, 3, 27):
+        points = random_sensors(c + 1, seed=c)
         context = tuple(points[:c])
-        yield context, replace(points[c], sensor_id="q"), replace(points[c + 1], sensor_id="q")
-        on_sensor = replace(context[-1], sensor_id="q")
-        yield context, replace(points[c], sensor_id="q"), on_sensor
+        yield context, replace(points[c], sensor_id="q")
+        yield context, replace(context[-1], sensor_id="q")
 
 
-@pytest.mark.parametrize("context, first, query", list(swap_cases()))
-def test_replaced_last_node_equals_a_built_graph_bit_for_bit(context, first, query):
-    got = replace_last_node(build_graph(context + (first,)), query)
+@pytest.mark.parametrize("context, query", list(add_cases()))
+def test_an_added_node_equals_a_built_graph_bit_for_bit(context, query):
+    got = add_node(build_graph(context), query)
     want = build_graph(context + (query,))
     assert got.sensors == want.sensors
     for field in ("dist", "src", "dst", "edge_east", "edge_north"):
@@ -344,17 +352,15 @@ def test_replaced_last_node_equals_a_built_graph_bit_for_bit(context, first, que
         assert (getattr(got_wiring, name).data.tobytes()
                 == getattr(want_wiring, name).data.tobytes()), name
     # the query node's wind triples, built on its 2C edges alone
-    n = len(context) + 1
+    edges = last_node_edges(len(context) + 1)
     for wind in (WindRecord("t", 7.5, 33.0), WindRecord("t", 0.0, 270.0)):
-        rows = convection_edge_features(got, wind, last_node_edges(n))
-        whole = convection_edge_features(want, wind)[None]
-        assert rows.tobytes() == split_edges(whole, n)[1].tobytes()
+        rows = convection_edge_features(got, wind, edges)
+        assert rows.tobytes() == convection_edge_features(want, wind)[edges].tobytes()
 
 
 def test_a_query_on_a_context_sensor_gets_the_floor_and_a_zero_edge_vector():
     context = tuple(random_sensors(3, seed=4))
-    graph = replace_last_node(build_graph(context + (sensor(9, 36.1, -119.9),)),
-                              replace(context[1], sensor_id="q"))
+    graph = add_node(build_graph(context), replace(context[1], sensor_id="q"))
     assert graph.dist[1, 3] == graph.dist[3, 1] == EPS_DIST_KM
     touching = last_node_edges(4)
     on_it = touching[(graph.src[touching] == 1) | (graph.dst[touching] == 1)]
@@ -370,14 +376,13 @@ def test_last_node_edges_run_out_of_it_then_into_it():
         assert np.array_equal(graph.dst[edges], list(range(c)) + [c] * c)
 
 
-def test_replacing_the_last_node_runs_build_graphs_checks():
-    context = tuple(random_sensors(3, seed=5))
-    graph = build_graph(context + (sensor(9, 36.1, -119.9),))
+def test_adding_a_node_runs_build_graphs_checks():
+    context = build_graph(random_sensors(3, seed=5))
     with pytest.raises(ValidationError, match="duplicate sensor ids"):
-        replace_last_node(graph, replace(context[0], latitude=36.2))
+        add_node(context, replace(context.sensors[0], latitude=36.2))
     with pytest.raises(ValidationError, match="latitude"):
-        replace_last_node(graph, sensor(9, 90.5, -119.9))
+        add_node(context, sensor(9, 90.5, -119.9))
     with pytest.raises(ValidationError, match="longitude"):
-        replace_last_node(graph, sensor(10, 36.0, -180.5))
-    # the replaced node's own id may come back
-    assert replace_last_node(graph, sensor(9, 36.2, -119.8)).sensors[-1].sensor_id == "s9"
+        add_node(context, sensor(10, 36.0, -180.5))
+    assert add_node(context, sensor(9, 36.2, -119.8)).sensors == context.sensors + (
+        sensor(9, 36.2, -119.8),)

@@ -13,7 +13,8 @@ import pytest
 
 from physair.autodiff import Mlp, Tensor, finite_diff_grad, mse, mul, no_record, reshape, tsum
 from physair.errors import ShapeError, ValidationError
-from physair.geo import Graph, SensorMeta, WindRecord, build_graph, build_matrices, convection_edge_features
+from physair.geo import (Graph, SensorMeta, WindRecord, build_graph, build_matrices,
+                         convection_edge_features, last_node_edges)
 from physair.model import (
     PRESETS,
     ConvectionModule,
@@ -25,7 +26,6 @@ from physair.model import (
     ModelConfig,
     PhysicsGnn,
     _sum_incoming,
-    split_edges,
 )
 
 
@@ -850,12 +850,21 @@ def test_no_record_forward_leaves_no_tape():
     assert len(tape_nodes(recorded)) > 1
 
 
-def edge_path_for(model, w, x, feats):
-    """The EdgePath of a whole-graph edge table, split as the predictor splits it."""
-    context, query = split_edges(feats, w.n_nodes)
+def edge_path_for(model, w, x, winds):
+    """The EdgePath of w's graph as the predictor builds it: its first N-1
+    sensors' graph for the context rows, then the last node's 2C rows."""
+    context = build_graph(w.graph.sensors[:-1])
+    context_rows = np.stack([convection_edge_features(context, wind) for wind in winds])
+    query_rows = np.concatenate([convection_edge_features(w.graph, wind, last_node_edges(w.n_nodes))
+                                 for wind in winds])
     with no_record():
-        shared = model.share_context(x, context)
-    return EdgePath(*shared, *model.edge_path(query))
+        shared = model.share_context(x, context_rows)
+    return EdgePath(*shared, *model.edge_path(query_rows))
+
+
+def winds_for(b):
+    """The winds of batch_for's samples."""
+    return [WindRecord("t", 5.0 + i, 40.0 * i) for i in range(b)]
 
 
 @pytest.mark.parametrize("n_layers", [1, 2, 3])
@@ -866,7 +875,7 @@ def test_precomputed_edge_path_matches_the_forward(n_layers):
     x, feats = batch_for(w, 3, cfg, seed=101)
     want = model.forward(x, w, feats, 5).data
     with no_record():
-        got = model.forward(x, w, None, 5, edges=edge_path_for(model, w, x, feats)).data
+        got = model.forward(x, w, None, 5, edges=edge_path_for(model, w, x, winds_for(3))).data
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -876,28 +885,28 @@ def test_precomputed_pre_activations_refused_while_recording():
     w = wiring_for(5, seed=110)
     x, feats = batch_for(w, 2, cfg, seed=111)
     with pytest.raises(ValidationError, match="no_record"):
-        model.forward(x, w, None, 4, edges=edge_path_for(model, w, x, feats))
+        model.forward(x, w, None, 4, edges=edge_path_for(model, w, x, winds_for(2)))
     with no_record():
         for masked_pos in (None, 0):
             with pytest.raises(ValidationError, match="masked_pos"):
-                model.forward(x, w, None, masked_pos, edges=edge_path_for(model, w, x, feats))
+                model.forward(x, w, None, masked_pos, edges=edge_path_for(model, w, x, winds_for(2)))
 
 
-@pytest.mark.parametrize("bsz,n,dim", [(64, 28, 128), (4, 28, 128), (1, 8, 128), (64, 10, 8), (3, 2, 8)])
-def test_shared_partial_sums_keep_the_full_reduction_order(bsz, n, dim):
+@pytest.mark.parametrize("bsz,c,dim", [(64, 28, 128), (4, 28, 128), (1, 8, 128), (64, 10, 8), (3, 2, 8)])
+def test_shared_partial_sums_keep_the_full_reduction_order(bsz, c, dim):
     # the predictor sums each context node's C-1 context messages once per
     # call and adds its query message per target; that equals the full
     # per-destination sum bit for bit only while numpy reduces that axis
     # one row at a time (numpy only: no BLAS call here)
-    rng = np.random.default_rng([bsz, n, dim])
-    msgs = rng.standard_normal((bsz, n * (n - 1), dim)) * 10.0 ** rng.integers(-12, 13, (bsz, n * (n - 1), dim))
+    n = c + 1
+    rng = np.random.default_rng([bsz, c, dim])
+    msgs = rng.standard_normal((bsz, n * c, dim)) * 10.0 ** rng.integers(-12, 13, (bsz, n * c, dim))
     msgs[rng.random(msgs.shape) < 0.1] = -0.0
     msgs[..., 0] = -0.0
-    full = msgs.reshape(bsz, n, n - 1, dim).sum(axis=2)
-    c = n - 1
-    context, query = split_edges(msgs, n)
-    partial = context.reshape(bsz, c, c - 1, dim).sum(axis=2) if c > 1 else None
-    got = _sum_incoming(partial, query.reshape(bsz, 2 * c, dim))
+    full = msgs.reshape(bsz, n, c, dim).sum(axis=2)
+    # the context graph's edges are the first C-1 into each context node
+    partial = msgs.reshape(bsz, n, c, dim)[:, :c, :c - 1].sum(axis=2)
+    got = _sum_incoming(partial, msgs[:, last_node_edges(n)])
     assert got[:, :c].tobytes() == np.ascontiguousarray(full[:, :c]).tobytes()
     assert got[:, c].tobytes() == np.ascontiguousarray(full[:, c]).tobytes()
 

@@ -10,6 +10,7 @@ import pytest
 from physair import training
 from physair.data import Dataset
 from physair.errors import ValidationError
+from physair.evaluation import infer_at_location
 from dataclasses import replace
 
 from physair.geo import SensorMeta, WindRecord, build_graph, convection_edge_features
@@ -479,51 +480,50 @@ def test_train_ensemble_per_seed_dirs_and_parallel_equivalence(tmp_path):
 # The multi-target predictor.
 # ---------------------------------------------------------------------------
 
-def shared_context_graphs(n, g, seed):
-    """g graphs of n nodes: the same n-1 context sensors plus one query each."""
+def shared_context(c, g, seed):
+    """(context graph, targets): c context sensors and g target sensors."""
     rng = np.random.default_rng(seed)
-    points = 36.0 + 0.3 * rng.random((n - 1 + g, 2))
+    points = 36.0 + 0.3 * rng.random((c + g, 2))
     metas = [SensorMeta(f"s{i}", lat, lon - 156.0) for i, (lat, lon) in enumerate(points)]
-    return [build_graph(metas[:n - 1] + [metas[n - 1 + k]]) for k in range(g)]
+    return build_graph(metas[:c]), metas[c:]
 
 
-def predictor_batch(graphs, config, bsz, rng):
-    """(x, conv_feats) for masked_batch_predictions: random node inputs, the
-    masked last node zeroed, and one random wind per sample."""
-    x = rng.normal(size=(bsz, graphs[0].n_nodes, config.input_dim))
+def predictor_batch(context, config, bsz, rng):
+    """(x, conv_feats) for masked_batch_predictions: random node inputs on
+    the context and a query node, masked and zeroed, and one random wind
+    per sample."""
+    x = rng.normal(size=(bsz, context.n_nodes + 1, config.input_dim))
     x[:, -1] = 0.0
     winds = [WindRecord("t", rng.uniform(0, 15), rng.uniform(0, 360)) for _ in range(bsz)]
     return x, lambda graph, edges=slice(None): np.stack(
         [convection_edge_features(graph, w, edges) for w in winds])
 
 
-def predict(models, graphs, x, conv_feats, normalizer=Normalizer(0.0, 1.0)):
-    """masked_batch_predictions at the targets of graphs that share a
-    context: the first graph whole, the others by their last sensor."""
-    return masked_batch_predictions(models, graphs[0], [g.sensors[-1] for g in graphs[1:]],
-                                    x, conv_feats, normalizer)
+def predict(models, context, targets, x, conv_feats, normalizer=Normalizer(0.0, 1.0)):
+    return masked_batch_predictions(models, context, targets, x, conv_feats, normalizer)
 
 
-def assert_predictor_matches_per_target_forward(config, n, bsz, g):
-    models = [PhysicsGnn(config, seed=s) for s in (n, n + 1)]
-    graphs = shared_context_graphs(n, g, seed=n * 10 + g)
-    x, conv_feats = predictor_batch(graphs, config, bsz,
+def assert_predictor_matches_per_target_forward(config, c, bsz, g):
+    models = [PhysicsGnn(config, seed=s) for s in (c, c + 1)]
+    context, targets = shared_context(c, g, seed=c * 10 + g)
+    x, conv_feats = predictor_batch(context, config, bsz,
                                     np.random.default_rng(config.n_layers * 100 + bsz))
-    got = predict(models, graphs, x, conv_feats)
+    got = predict(models, context, targets, x, conv_feats)
     assert got.shape == (bsz, g)
-    for col, graph in enumerate(graphs):
-        want = sum(m.forward(x, GraphWiring(graph), conv_feats(graph), n - 1).data
+    for col, target in enumerate(targets):
+        graph = build_graph(context.sensors + (target,))
+        want = sum(m.forward(x, GraphWiring(graph), conv_feats(graph), c).data
                    for m in models) / len(models)
         assert np.max(np.abs(got[:, col] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("n", [2, 3, 7, 28])
+@pytest.mark.parametrize("c", [2, 3, 7, 28])
 @pytest.mark.parametrize("n_layers", [1, 2, 3])
 @pytest.mark.parametrize("bsz", [1, 4])
 @pytest.mark.parametrize("g", [1, 2, 9])
-def test_multi_target_predictor_matches_per_target_forward(n, n_layers, bsz, g):
+def test_multi_target_predictor_matches_per_target_forward(c, n_layers, bsz, g):
     config = ModelConfig(preset=None, n_layers=n_layers, hidden_dim=8)
-    assert_predictor_matches_per_target_forward(config, n, bsz, g)
+    assert_predictor_matches_per_target_forward(config, c, bsz, g)
 
 
 def test_predictor_peak_memory_does_not_grow_with_ensemble_members():
@@ -531,16 +531,16 @@ def test_predictor_peak_memory_does_not_grow_with_ensemble_members():
     # its own, so a call peaks at one member's working set however many
     # members it averages; holding two at once adds ~0.5 MB to this ~1.6 MB
     config = ModelConfig(preset=None, n_layers=3, hidden_dim=16)
-    graphs = shared_context_graphs(28, 9, seed=3)
-    x, conv_feats = predictor_batch(graphs, config, 4, np.random.default_rng(4))
+    context, targets = shared_context(27, 9, seed=3)
+    x, conv_feats = predictor_batch(context, config, 4, np.random.default_rng(4))
     peaks = {}
     for members in (1, 2, 3):
         models = [PhysicsGnn(config, seed=s) for s in range(members)]
-        predict(models, graphs, x, conv_feats)
+        predict(models, context, targets, x, conv_feats)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            predict(models, graphs, x, conv_feats)
+            predict(models, context, targets, x, conv_feats)
             peaks[members] = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -549,46 +549,46 @@ def test_predictor_peak_memory_does_not_grow_with_ensemble_members():
 
 @pytest.mark.parametrize("aggregation", ["sum", "mean"])
 @pytest.mark.parametrize("activation", ["relu"])
-@pytest.mark.parametrize("n", [2, 3, 7, 28])
+@pytest.mark.parametrize("c", [2, 3, 7, 28])
 @pytest.mark.parametrize("n_layers", [2, 3])
 @pytest.mark.parametrize("bsz", [1, 4])
-def test_shared_layer0_predictor_matches_per_target_forward(aggregation, activation, n,
+def test_shared_layer0_predictor_matches_per_target_forward(aggregation, activation, c,
                                                             n_layers, bsz):
     config = ModelConfig.from_dict(dict(preset=None, n_layers=n_layers, hidden_dim=8,
                                         aggregation=aggregation, activation=activation))
-    assert_predictor_matches_per_target_forward(config, n, bsz, 9)
+    assert_predictor_matches_per_target_forward(config, c, bsz, 9)
 
 
-def one_target_calls(models, graphs, x, conv_feats) -> np.ndarray:
-    return np.concatenate([predict(models, [graph], x, conv_feats, Normalizer(10.0, 2.0))
-                           for graph in graphs], axis=1)
+def one_target_calls(models, context, targets, x, conv_feats) -> np.ndarray:
+    return np.concatenate([predict(models, context, [target], x, conv_feats,
+                                   Normalizer(10.0, 2.0)) for target in targets], axis=1)
 
 
 @pytest.mark.parametrize("aggregation", ["sum", "mean"])
 @pytest.mark.parametrize("window", [1, 3])
-@pytest.mark.parametrize("n", [2, 3, 7, 28])
+@pytest.mark.parametrize("c", [2, 3, 7, 28])
 @pytest.mark.parametrize("n_layers", [1, 2, 3])
-def test_stacked_targets_equal_one_target_calls(aggregation, window, n, n_layers):
+def test_stacked_targets_equal_one_target_calls(aggregation, window, c, n_layers):
     # a stack's forward gives each target the bits of its own forward, so
     # a prediction depends on neither G nor the other targets of its call
     config = ModelConfig(preset=None, n_layers=n_layers, hidden_dim=8,
                          aggregation=aggregation, window=window)
-    models = [PhysicsGnn(config, seed=s) for s in (n, n + 1)]
-    graphs = shared_context_graphs(n, 16, seed=n * 10 + window)
+    models = [PhysicsGnn(config, seed=s) for s in (c, c + 1)]
+    context, targets = shared_context(c, 16, seed=c * 10 + window)
     for bsz in (1, 3, 4):
-        x, conv_feats = predictor_batch(graphs, config, bsz, np.random.default_rng(bsz))
-        singles = one_target_calls(models, graphs, x, conv_feats)
+        x, conv_feats = predictor_batch(context, config, bsz, np.random.default_rng(bsz))
+        singles = one_target_calls(models, context, targets, x, conv_feats)
         for g in (1, 2, 9, 16):
-            got = predict(models, graphs[:g], x, conv_feats, Normalizer(10.0, 2.0))
+            got = predict(models, context, targets[:g], x, conv_feats, Normalizer(10.0, 2.0))
             assert got.tobytes() == singles[:, :g].tobytes(), (bsz, g)
 
 
 def test_a_row_budget_splits_the_targets_into_stacks(monkeypatch):
     config = ModelConfig(preset=None, n_layers=3, hidden_dim=8)
     models = [PhysicsGnn(config, seed=s) for s in (0, 1)]
-    graphs = shared_context_graphs(7, 9, seed=5)
-    x, conv_feats = predictor_batch(graphs, config, 3, np.random.default_rng(5))
-    singles = one_target_calls(models, graphs, x, conv_feats)
+    context, targets = shared_context(6, 9, seed=5)
+    x, conv_feats = predictor_batch(context, config, 3, np.random.default_rng(5))
+    singles = one_target_calls(models, context, targets, x, conv_feats)
     # 3 samples of 7 nodes: 84 rows hold 4 targets, so 9 split 4, 4, 1
     monkeypatch.setattr(training, "_STACK_ROWS", 84)
     stacks = []
@@ -598,7 +598,7 @@ def test_a_row_budget_splits_the_targets_into_stacks(monkeypatch):
             return forward(x, wiring, *args, **kwargs)
 
         monkeypatch.setattr(model, "forward", spy)
-    got = predict(models, graphs, x, conv_feats, Normalizer(10.0, 2.0))
+    got = predict(models, context, targets, x, conv_feats, Normalizer(10.0, 2.0))
     assert stacks == [4, 4, 1] * 2
     assert got.tobytes() == singles.tobytes()
 
@@ -609,14 +609,14 @@ def test_a_nine_target_call_peaks_below_nine_edge_buffers():
     # buffer, so the call peaks near 1.6 MB, below a 9-fold layer-1 edge
     # buffer (3.5 MB); 9 targets in one stack with 9 buffers held 6.3 MB
     config = ModelConfig(preset=None, n_layers=3, hidden_dim=16)
-    graphs = shared_context_graphs(28, 9, seed=3)
-    x, conv_feats = predictor_batch(graphs, config, 4, np.random.default_rng(4))
+    context, targets = shared_context(27, 9, seed=3)
+    x, conv_feats = predictor_batch(context, config, 4, np.random.default_rng(4))
     models = [PhysicsGnn(config, seed=0)]
-    predict(models, graphs, x, conv_feats)
+    predict(models, context, targets, x, conv_feats)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        predict(models, graphs, x, conv_feats)
+        predict(models, context, targets, x, conv_feats)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -679,30 +679,35 @@ def test_multi_target_evaluation_matches_one_target_at_a_time():
 
 
 def test_predictor_refuses_graphs_without_a_shared_context():
-    # the first graph is checked against the dataset's context sensors; the
-    # later targets' graphs are derived from it, so they share its context
-    # by construction, and each later sensor passes build_graph's checks
+    # the context graph must be of the dataset's own sensors, and each
+    # target passes build_graph's checks as it joins it
     ds = toy_dataset(hours=4)
     model = PhysicsGnn(tiny_model_config(), seed=0)
     metas = {s.sensor_id: s for s in ds.sensors}
-
-    def graph(*ids):
-        return build_graph([metas[i] for i in ids])
-
     moved = replace(metas["s1"], latitude=metas["s1"].latitude + 0.01)
-    for first in (graph("s0", "s2", "s4"), graph("s1", "s0", "s4"), graph("s0", "s1", "s2", "s4"),
-                  build_graph([metas["s0"], moved, metas["s4"]])):
-        with pytest.raises(ValidationError, match="must be the context sensors"):
-            predict_masked_node([model], Normalizer(0.0, 1.0), ("s0", "s1"), first,
-                                [metas["s5"]], ds, None)
-    first = graph("s0", "s1", "s4")
-    for later, match in (([metas["s1"]], "duplicate sensor ids"),
-                         ([metas["s5"], replace(metas["s5"], latitude=91.0)], "latitude")):
+    for context, match in ((build_graph([metas["s0"], moved]), "must be the dataset's"),
+                           (build_graph([metas["s0"], replace(moved, sensor_id="x")]),
+                            "unknown sensor ids")):
         with pytest.raises(ValidationError, match=match):
-            predict_masked_node([model], Normalizer(0.0, 1.0), ("s0", "s1"), first, later,
-                                ds, None)
+            predict_masked_node([model], Normalizer(0.0, 1.0), context, [metas["s5"]], ds, None)
+    context = build_graph([metas["s0"], metas["s1"]])
+    for targets, match in (([metas["s1"]], "duplicate sensor ids"),
+                           ([metas["s5"], replace(metas["s5"], latitude=91.0)], "latitude"),
+                           ([], "at least one target")):
+        with pytest.raises(ValidationError, match=match):
+            predict_masked_node([model], Normalizer(0.0, 1.0), context, targets, ds, None)
     with pytest.raises(ValidationError, match="at least one target"):
         evaluate_target_sensor([model], Normalizer(0.0, 1.0), ds, ("s0", "s1"), (), None)
+
+
+def test_a_one_sensor_context_is_refused():
+    # a context graph has at least 2 sensors, as the baselines' contexts do
+    ds = toy_dataset(hours=4)
+    model = PhysicsGnn(tiny_model_config(), seed=0)
+    with pytest.raises(ValidationError, match="at least 2 sensors"):
+        evaluate_target_sensor([model], Normalizer(0.0, 1.0), ds, ("s0",), ("s1",), None)
+    with pytest.raises(ValidationError, match="at least 2 sensors"):
+        infer_at_location([model], Normalizer(0.0, 1.0), ds, ("s0",), 32.71, -117.11)
 
 
 @pytest.mark.parametrize("batch", [0, -1])
@@ -710,9 +715,8 @@ def test_non_positive_inference_batch_is_refused(batch):
     # -1 once returned the untouched np.empty buffer as predictions
     ds = toy_dataset(hours=4)
     model = PhysicsGnn(tiny_model_config(), seed=0)
-    graph = build_graph(ds.sensors[:3])
     with pytest.raises(ValidationError, match="batch_size"):
-        predict_masked_node([model], Normalizer(0.0, 1.0), ("s0", "s1"), graph, [], ds, None,
-                            batch_size=batch)
+        predict_masked_node([model], Normalizer(0.0, 1.0), build_graph(ds.sensors[:2]),
+                            ds.sensors[2:3], ds, None, batch_size=batch)
     with pytest.raises(ValidationError, match="eval_batch"):
         run_config(eval_batch=batch)
