@@ -31,7 +31,6 @@ from .evaluation import (
     BinnedMae,
     DensityExperiment,
     EvalRun,
-    GnnInterpolator,
     MetricReport,
     benchmark_runners,
     binned_mae,
@@ -47,7 +46,6 @@ from .evaluation import (
 from .geo import (
     Graph,
     SensorMeta,
-    WindRecord,
     build_graph,
     convection_edge_features,
     haversine_km,
@@ -80,7 +78,6 @@ __all__ = [
     "DensityExperiment",
     "EvalRun",
     "GaussianProcess",
-    "GnnInterpolator",
     "Graph",
     "Idw",
     "MeanFill",
@@ -99,7 +96,6 @@ __all__ = [
     "TrainConfig",
     "TrainingDiverged",
     "ValidationError",
-    "WindRecord",
     "__version__",
     "benchmark_runners",
     "binned_mae",

@@ -269,12 +269,18 @@ def _require(options: dict, *keys: str) -> None:
 
 
 def _check_counts(options: dict) -> None:
-    """Refuse a worker count or inference batch below 1 before any file is read."""
+    """Refuse a worker count, inference batch or GP selection stride below
+    1, or a non-positive IDW power, before any file is read."""
     if options.get("workers", 1) < 1:
         raise ValidationError("workers must be at least 1")
     if options["eval_batch"] < 1:
         raise ValidationError(f"eval_batch, the batch_size of every inference forward, "
                               f"must be at least 1, got {options['eval_batch']}")
+    if options.get("gp_selection_stride", 1) < 1:
+        raise ValidationError(f"gp_selection_stride must be at least 1, "
+                              f"got {options['gp_selection_stride']}")
+    if not options.get("idw_power", 1.0) > 0:
+        raise ValidationError(f"idw_power must be positive, got {options['idw_power']}")
 
 
 def _load_dataset_arg(options: dict) -> Dataset:
@@ -349,8 +355,6 @@ def cmd_train(args) -> int:
     options = resolve_options(args, _TRAIN_SCHEMA)
     _require(options, "dataset", "out")
     _check_counts(options)
-    dataset = _load_dataset_arg(options)
-    split = make_split(dataset.sensor_ids(), seed=options["split_seed"])
     model_config = ModelConfig(preset=options["preset"],
                                window=options["window"],
                                local_norm=options["local_norm"],
@@ -361,6 +365,8 @@ def cmd_train(args) -> int:
         val_every=options["val_every"],
         val_hour_stride=options["val_hour_stride"],
         eval_batch=options["eval_batch"])
+    dataset = _load_dataset_arg(options)
+    split = make_split(dataset.sensor_ids(), seed=options["split_seed"])
     out = Path(options["out"])
     write_resolved_config(out, options)
     results = train_ensemble(dataset, split, model_config, train_config, out,

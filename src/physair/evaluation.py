@@ -25,10 +25,10 @@ import numpy as np
 
 from .baselines import GaussianProcess, Idw, MeanFill, OrdinaryKriging, \
     select_gp_hyperparameters
-from .data import _EPOCH, Dataset, _atomic_write_text
+from .data import Dataset, _atomic_write_text
 from .errors import ValidationError
-from .estimators import BaseEstimator, check_coords, check_values
-from .geo import SensorMeta, WindRecord, build_graph
+from .estimators import BaseEstimator
+from .geo import SensorMeta, build_graph
 from .training import Normalizer, check_hours, evaluate_target_sensor, \
     predict_masked_node, sensor_metas, subset_dataset_values
 
@@ -311,11 +311,13 @@ def benchmark_runners(dataset: Dataset, context_ids, models=None,
     Pass ``gp_params`` to skip the search, and ``models`` plus
     ``normalizer`` to add the trained ensemble to the lineup.
     """
+    if not (float(gp_selection_stride).is_integer() and gp_selection_stride >= 1):
+        raise ValidationError(
+            f"gp_selection_stride must be a whole number >= 1, got {gp_selection_stride}")
     if gp_params is None:
         rows = subset_dataset_values(dataset, context_ids)
-        stride = max(1, int(gp_selection_stride))
         gp_params = select_gp_hyperparameters(
-            _coords_for(dataset, context_ids), rows[::stride])
+            _coords_for(dataset, context_ids), rows[::int(gp_selection_stride)])
         logger.info("selected gp hyperparameters: %s", gp_params)
     runners = {
         "mean_fill": estimator_runner(MeanFill),
@@ -565,53 +567,6 @@ def infer_at_location(models, normalizer: Normalizer, dataset: Dataset,
     out = predict_masked_node(models, normalizer, build_graph(sensor_metas(dataset, ids)),
                               _QuerySensors(points), dataset, hours, batch_size=batch_size)
     return out[:, 0] if scalar else out
-
-
-class GnnInterpolator(BaseEstimator):
-    """Single-hour estimator facade over a trained model ensemble.
-
-    fit() keeps the context sensors' coordinates, their readings for one
-    hour and that hour's wind as a one-hour Dataset; predict() runs
-    infer_at_location on it, so its query points go through the same
-    path as any other; an empty query gives an empty result. Only
-    window-1 models qualify: a single-hour snapshot has no history to
-    fill a longer input window with.
-    """
-
-    def __init__(self, models=None, normalizer=None, wind=None):
-        self.models = models
-        self.normalizer = normalizer
-        self.wind = wind
-
-    def fit(self, coords, values):
-        if not self.models:
-            raise ValidationError("no trained models supplied")
-        if any(m.config.window != 1 for m in self.models):
-            raise ValidationError("single-hour interpolation requires "
-                                  "window-1 models")
-        if self.normalizer is None or not isinstance(self.wind, WindRecord):
-            raise ValidationError("need the training normalizer and a "
-                                  "WindRecord for the hour")
-        coords = check_coords(coords)
-        values = check_values(values, n=coords.shape[0])
-        if coords.shape[0] < 2:
-            raise ValidationError("need at least 2 context sensors")
-        # not validate()d: that refuses the negative readings fit accepts
-        self.context_ = Dataset(
-            sensors=tuple(SensorMeta(f"c{i:03d}", lat, lon)
-                          for i, (lat, lon) in enumerate(coords)),
-            start=_EPOCH, pm25=values[None],
-            wind=np.array([[self.wind.speed_kmh, self.wind.direction_deg]]))
-        return self
-
-    def predict(self, coords) -> np.ndarray:
-        self._check_fitted("context_")
-        query = check_coords(coords, "query coords")
-        if not len(query):
-            return np.empty(0)
-        return infer_at_location(self.models, self.normalizer, self.context_,
-                                 self.context_.sensor_ids(), query[:, 0], query[:, 1],
-                                 hours=[0])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -38,20 +38,6 @@ class SensorMeta:
             raise ValidationError(f"sensor {self.sensor_id!r}: longitude {self.longitude} outside [-180, 180]")
 
 
-@dataclass(frozen=True)
-class WindRecord:
-    """Hourly wind: speed in km/h and the meteorological from-direction."""
-
-    timestamp: str
-    speed_kmh: float
-    direction_deg: float
-
-    def __post_init__(self):
-        if self.speed_kmh < 0:
-            raise ValidationError(f"wind at {self.timestamp}: speed {self.speed_kmh} < 0")
-        object.__setattr__(self, "direction_deg", float(self.direction_deg) % 360.0)
-
-
 def haversine_km(a: SensorMeta, b: SensorMeta) -> float:
     """Great-circle distance between two sensors, in kilometres.
 
@@ -218,24 +204,31 @@ def add_node(context: Graph, sensor: SensorMeta) -> Graph:
                  edge_east=edge_east, edge_north=edge_north)
 
 
-def convection_edge_features(graph: Graph, wind: WindRecord, edges=slice(None)) -> np.ndarray:
-    """Per-edge (w_v, w_A, dist) for one wind record, shape (E, 3), or
-    only on the edge positions ``edges`` (an index array), in their order.
+def convection_edge_features(graph: Graph, wind, edges=slice(None)) -> np.ndarray:
+    """Per-edge (w_v, w_A, dist) for each row of ``wind``, shape (H, E, 3),
+    or only on the edge positions ``edges`` (an index array), in their order.
 
-    w_v is the city-level wind speed copied to every edge. w_A is the
-    cosine of the angle between the wind's blowing-toward vector and the
-    bearing of the edge, so wind blowing straight from j toward i gives
-    w_A = +1 on edge j->i and, exactly, -1 on the reverse edge. Each row
-    depends on its own edge alone.
+    wind is (H, 2), one row per hour as in Dataset.wind: the city-level
+    speed in km/h (finite, >= 0) and the meteorological from-direction in
+    degrees (finite, taken mod 360). w_v is the speed copied to every edge.
+    w_A is the cosine of the angle between the wind's blowing-toward
+    vector and the bearing of the edge, so wind blowing straight from j
+    toward i gives w_A = +1 on edge j->i and, exactly, -1 on the reverse
+    edge. Each row depends on its own hour and edge alone.
     """
-    toward = np.radians((wind.direction_deg + 180.0) % 360.0)
+    wind = np.asarray(wind, dtype=float)
+    if wind.ndim != 2 or wind.shape[1] != 2:
+        raise ValidationError(f"wind must be (hours, 2), got shape {wind.shape}")
+    if not (np.isfinite(wind).all() and (wind[:, 0] >= 0).all()):
+        raise ValidationError("wind must be finite, with every speed >= 0")
+    toward = np.radians((wind[:, 1] % 360.0 + 180.0) % 360.0)[:, None]
     # compass angle: 0 = north, 90 = east
     u_east, u_north = np.sin(toward), np.cos(toward)
-    w_a = np.clip(u_east * graph.edge_east[edges] + u_north * graph.edge_north[edges], -1.0, 1.0)
-    out = np.empty((len(w_a), 3))
-    out[:, 0] = wind.speed_kmh
-    out[:, 1] = w_a
-    out[:, 2] = graph.dist[graph.src[edges], graph.dst[edges]]
+    out = np.empty((len(wind),) + graph.src[edges].shape + (3,))
+    out[..., 0] = wind[:, :1]
+    out[..., 1] = np.clip(u_east * graph.edge_east[edges] + u_north * graph.edge_north[edges],
+                          -1.0, 1.0)
+    out[..., 2] = graph.dist[graph.src[edges], graph.dst[edges]]
     return out
 
 

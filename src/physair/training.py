@@ -28,6 +28,7 @@ import dataclasses
 import itertools
 import json
 import logging
+import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -48,8 +49,7 @@ from .autodiff import (
 )
 from .data import Dataset, _atomic_write_text
 from .errors import ValidationError
-from .geo import (Graph, WindRecord, add_node, build_graph, convection_edge_features,
-                  last_node_edges)
+from .geo import Graph, add_node, build_graph, convection_edge_features, last_node_edges
 from .model import EdgePath, GraphWiring, ModelConfig, PhysicsGnn
 
 logger = logging.getLogger(__name__)
@@ -310,14 +310,9 @@ def check_hours(hours, n_hours: int) -> np.ndarray:
 
 def hourly_conv_features(graph: Graph, dataset: Dataset, hours,
                          edges=slice(None)) -> np.ndarray:
-    """Stack per-edge wind triples for the given hours, (len, E, 3), or
-    only on the edge positions ``edges`` (see convection_edge_features)."""
-    out = np.empty((len(hours),) + graph.src[edges].shape + (3,))
-    for row, hour in enumerate(hours):
-        speed, direction = dataset.wind[hour]
-        rec = WindRecord(str(hour), float(speed), float(direction))
-        out[row] = convection_edge_features(graph, rec, edges)
-    return out
+    """Per-edge wind triples for the given hours, (len, E, 3), or only on
+    the edge positions ``edges`` (see convection_edge_features)."""
+    return convection_edge_features(graph, np.take(dataset.wind, hours, axis=0), edges)
 
 
 # Node rows per forward: the predictor runs its targets in stacks of
@@ -474,6 +469,14 @@ class TrainConfig:
             raise ValidationError("batch_size, eval_batch and max_epochs must be >= 1")
         if self.patience < 1 or self.val_every < 1 or self.val_hour_stride < 1:
             raise ValidationError("patience and validation strides must be >= 1")
+        # a large finite lr stays legal: it is how a diverging run is made
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValidationError(f"lr must be finite and > 0, got {self.lr}")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ValidationError(
+                f"beta1 and beta2 must be in [0, 1), got {self.beta1} and {self.beta2}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValidationError(f"eps must be finite and > 0, got {self.eps}")
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)

@@ -402,12 +402,14 @@ def test_evaluate_no_density(synth_dir, train_dir, tmp_path):
     assert "density" not in json.loads((out / "report.json").read_text())
 
 
-def test_evaluate_parallel_matches_serial(synth_dir, train_dir, tmp_path):
+@pytest.mark.parametrize("density", ["--density", "--no-density"])
+def test_evaluate_parallel_matches_serial(synth_dir, train_dir, tmp_path, density):
+    # with the sweep, the pooled runner also runs every removal's context
     serial, parallel = tmp_path / "w1", tmp_path / "w2"
     for out, workers in ((serial, "1"), (parallel, "2")):
         rc = main(["evaluate", "--dataset", str(synth_dir),
                    "--models", str(train_dir), "--out", str(out),
-                   "--workers", workers, "--no-density"])
+                   "--workers", workers, density])
         assert rc == 0
     a = json.loads((serial / "report.json").read_text())
     b = json.loads((parallel / "report.json").read_text())
@@ -483,6 +485,35 @@ def test_bad_eval_batch_is_refused_before_any_work(synth_dir, train_dir, tmp_pat
                "--eval-batch", "0"])
     assert rc == 2
     assert "eval_batch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--gp-selection-stride", "0"),
+                                         ("--gp-selection-stride", "-3"),
+                                         ("--idw-power", "0"), ("--idw-power", "-1"),
+                                         ("--idw-power", "nan")])
+def test_bad_baseline_settings_are_refused_before_any_work(synth_dir, train_dir, tmp_path,
+                                                           monkeypatch, capsys, flag, value):
+    # a stride of -3 once ran the gp search on every hour, and an idw power
+    # of 0 was refused only after the whole search
+    def no_search(*args, **kwargs):
+        raise AssertionError(f"the gp search ran before {flag} was checked")
+
+    monkeypatch.setattr(evaluation, "select_gp_hyperparameters", no_search)
+    rc = main(["evaluate", "--dataset", str(synth_dir), "--models", str(train_dir),
+               "--out", str(tmp_path / "e"), f"{flag}={value}"])
+    assert rc == 2
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lr", ["0", "-0.01", "nan", "inf"])
+def test_bad_learning_rate_exits_2_before_any_work(tmp_path, capsys, lr):
+    # lr 0 once wrote an untrained checkpoint, and -0.01 one with a val
+    # mse of 4e15, each with exit 0; the dataset path is never read
+    rc = main(["train", "--dataset", str(tmp_path / "missing"),
+               "--out", str(tmp_path / "t"), f"--lr={lr}"])
+    assert rc == 2
+    assert "lr must be" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
 
 
 def test_interpolate_grid(synth_dir, train_dir, tmp_path, capsys):

@@ -15,7 +15,6 @@ from physair.data import Dataset
 from physair.errors import ValidationError
 from physair.evaluation import (
     BinnedMae,
-    GnnInterpolator,
     MetricReport,
     SH_BIN_EDGES,
     benchmark_runners,
@@ -38,7 +37,7 @@ from physair.evaluation import (
     summary_json,
     write_summary,
 )
-from physair.geo import SensorMeta, WindRecord
+from physair.geo import SensorMeta
 from physair.model import GraphWiring, ModelConfig, PhysicsGnn
 from physair.training import (
     Normalizer,
@@ -473,6 +472,18 @@ def test_benchmark_runners_lineup():
                                      "noise": 0.1})
 
 
+@pytest.mark.parametrize("stride", [0, -3, 2.5, float("nan"), float("inf")])
+def test_benchmark_runners_refuse_a_gp_selection_stride_below_1(stride, monkeypatch):
+    # -3 once ran the search on every hour
+    def no_search(*args, **kwargs):
+        raise AssertionError("the gp search ran with a bad stride")
+
+    monkeypatch.setattr("physair.evaluation.select_gp_hyperparameters", no_search)
+    with pytest.raises(ValidationError, match="gp_selection_stride"):
+        benchmark_runners(toy_dataset(hours=8, n=6), ("s0", "s1", "s2", "s3"),
+                          gp_selection_stride=stride)
+
+
 def window_models(dataset, windows):
     models = [PhysicsGnn(ModelConfig(preset=None, n_layers=2, hidden_dim=8, window=w),
                          seed=k) for k, w in enumerate(windows)]
@@ -727,66 +738,27 @@ def test_infer_at_location_requires_complete_context():
         infer_at_location(models, norm, ds, ("s0", "s1", "s2"), 32.71, -117.11)
 
 
-def test_interpolator_estimator_matches_the_masked_protocol():
+def test_a_one_hour_dataset_predicts_as_its_hour_does():
+    # one hour's snapshot, as a library caller predicts at it: a Dataset of
+    # that hour's readings and wind, asked for its hour 0
     ds = toy_dataset(hours=7, n=6)
     models, norm = tiny_models(ds)
     context = ("s0", "s1", "s2", "s3", "s4")
     hour = 3
-    est = GnnInterpolator(models=models, normalizer=norm, wind=WindRecord("", *ds.wind[hour]))
-    coords = np.array([[s.latitude, s.longitude]
-                       for s in ds.sensors if s.sensor_id in context])
-    values = subset_dataset_values(ds, context)[hour]
+    snapshot = Dataset(sensors=ds.sensors, start=T0, pm25=ds.pm25[hour:hour + 1],
+                       wind=ds.wind[hour:hour + 1])
     target = ds.sensors[5]
-    pred = est.fit(coords, values).predict([[target.latitude, target.longitude]])
+    pred = infer_at_location(models, norm, snapshot, context, target.latitude,
+                             target.longitude, hours=[0])
     direct, _ = evaluate_target_sensor(models, norm, ds, context, "s5", [hour])
-    assert pred[0] == direct[0]
+    assert pred.tobytes() == direct.tobytes()
 
 
 def test_every_estimator_predicts_an_empty_query_as_empty():
     ds = toy_dataset(hours=4, n=5)
-    models, norm = tiny_models(ds)
     coords = np.array([[s.latitude, s.longitude] for s in ds.sensors])
-    for est in (MeanFill(), Idw(), OrdinaryKriging(), GaussianProcess(),
-                GnnInterpolator(models=models, normalizer=norm,
-                                wind=WindRecord("", *ds.wind[1]))):
+    for est in (MeanFill(), Idw(), OrdinaryKriging(), GaussianProcess()):
         assert est.fit(coords, ds.pm25[1]).predict(np.empty((0, 2))).shape == (0,)
-
-
-def test_interpolator_predicts_in_groups_of_points(monkeypatch):
-    ds = toy_dataset(hours=4, n=6)
-    models = [PhysicsGnn(ModelConfig(preset=None, n_layers=2, hidden_dim=8), seed=s)
-              for s in (0, 1)]
-    norm = Normalizer.from_values(ds.pm25)
-    est = GnnInterpolator(models=models, normalizer=norm, wind=WindRecord("", *ds.wind[2]))
-    est.fit([[s.latitude, s.longitude] for s in ds.sensors[:4]], ds.pm25[2, :4])
-    rng = np.random.default_rng(5)
-    query = np.column_stack([32.70 + 0.02 * rng.uniform(size=5),
-                             -117.12 + 0.02 * rng.uniform(size=5)])
-    singles = [est.predict(query[p:p + 1]) for p in range(5)]
-    # one hour on 5-node graphs: 10 rows hold 2 points
-    monkeypatch.setattr(training, "_STACK_ROWS", 10)
-    stacks = stacked_targets(monkeypatch, models)
-    grouped = est.predict(query)
-    assert stacks == [2, 2, 1] * 2
-    assert grouped.tobytes() == np.concatenate(singles).tobytes()
-
-
-def test_interpolator_validates_its_ingredients():
-    ds = toy_dataset(hours=4, n=4)
-    models, norm = tiny_models(ds)
-    coords = [[32.7, -117.1], [32.71, -117.12]]
-    with pytest.raises(ValidationError, match="models"):
-        GnnInterpolator(normalizer=norm, wind=WindRecord("", *ds.wind[0])).fit(coords, [1.0, 2.0])
-    with pytest.raises(ValidationError, match="WindRecord"):
-        GnnInterpolator(models=models, normalizer=norm).fit(coords, [1.0, 2.0])
-    wide = [PhysicsGnn(ModelConfig(preset=None, n_layers=1, hidden_dim=8,
-                                   window=3), seed=0)]
-    with pytest.raises(ValidationError, match="window"):
-        GnnInterpolator(models=wide, normalizer=norm,
-                        wind=WindRecord("", *ds.wind[0])).fit(coords, [1.0, 2.0])
-    est = GnnInterpolator(models=models, normalizer=norm, wind=WindRecord("", *ds.wind[0]))
-    with pytest.raises(ValidationError, match="fitted"):
-        est.predict(coords)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from physair.errors import ValidationError
 from physair.geo import (
     EPS_DIST_KM,
     SensorMeta,
-    WindRecord,
     add_node,
     build_graph,
     build_matrices,
@@ -151,34 +150,38 @@ def edge_index(g, j, i):
     return int(k)
 
 
+def one_hour(g, speed, direction, edges=slice(None)):
+    """The (E, 3) triples of one hour's wind."""
+    return convection_edge_features(g, [[speed, direction]], edges)[0]
+
+
 def test_wind_aligned_with_edge():
     g = east_west_pair()
     # wind from the west (270 deg) blows toward the east, i.e. from node 0 to node 1
-    feats = convection_edge_features(g, WindRecord("2020-01-01T00:00", 10.0, 270.0))
+    feats = one_hour(g, 10.0, 270.0)
     assert abs(feats[edge_index(g, 0, 1), 1] - 1.0) < 1e-12
     assert abs(feats[edge_index(g, 1, 0), 1] + 1.0) < 1e-12
 
 
 def test_wind_perpendicular_to_edge():
     g = east_west_pair()
-    feats = convection_edge_features(g, WindRecord("2020-01-01T00:00", 10.0, 180.0))
+    feats = one_hour(g, 10.0, 180.0)
     assert abs(feats[edge_index(g, 0, 1), 1]) < 1e-12
     assert abs(feats[edge_index(g, 1, 0), 1]) < 1e-12
 
 
 def test_wind_speed_and_distance_columns():
     g = east_west_pair()
-    feats = convection_edge_features(g, WindRecord("2020-01-01T00:00", 7.5, 45.0))
-    assert feats.shape == (2, 3)
-    assert np.all(feats[:, 0] == 7.5)
-    assert np.allclose(feats[:, 2], g.edge_dist())
+    feats = convection_edge_features(g, [[7.5, 45.0], [2.0, 45.0]])
+    assert feats.shape == (2, 2, 3)
+    assert np.all(feats[0, :, 0] == 7.5) and np.all(feats[1, :, 0] == 2.0)
+    assert np.all(feats[:, :, 2] == g.edge_dist())
 
 
 def test_alignment_antisymmetric_exactly():
     g = build_graph(random_sensors(6, seed=4))
     for direction in (0.0, 37.0, 113.0, 250.5, 359.9):
-        feats = convection_edge_features(g, WindRecord("t", 5.0, direction))
-        w_a = feats[:, 1]
+        w_a = one_hour(g, 5.0, direction)[:, 1]
         for k in range(g.n_edges):
             rev = edge_index(g, int(g.dst[k]), int(g.src[k]))
             assert w_a[rev] == -w_a[k]
@@ -187,22 +190,62 @@ def test_alignment_antisymmetric_exactly():
 def test_alignment_bounded():
     g = build_graph(random_sensors(8, seed=5))
     rng = np.random.default_rng(6)
-    for _ in range(25):
-        feats = convection_edge_features(g, WindRecord("t", 3.0, rng.uniform(0, 360)))
-        assert np.all(feats[:, 1] >= -1.0) and np.all(feats[:, 1] <= 1.0)
+    feats = convection_edge_features(g, np.column_stack([np.full(25, 3.0),
+                                                         rng.uniform(0, 360, 25)]))
+    assert np.all(feats[..., 1] >= -1.0) and np.all(feats[..., 1] <= 1.0)
 
 
-def test_wind_record_normalizes_direction():
-    assert WindRecord("t", 1.0, 450.0).direction_deg == 90.0
-    assert WindRecord("t", 1.0, -90.0).direction_deg == 270.0
-    with pytest.raises(ValidationError):
-        WindRecord("t", -1.0, 0.0)
+def scalar_row(g, speed, direction, edges):
+    """One hour's triples with the direction reduced as a Python float,
+    mod 360 before the half turn, then the angle arithmetic on scalars."""
+    toward = np.radians((float(direction) % 360.0 + 180.0) % 360.0)
+    u_east, u_north = np.sin(toward), np.cos(toward)
+    w_a = np.clip(u_east * g.edge_east[edges] + u_north * g.edge_north[edges], -1.0, 1.0)
+    return np.column_stack([np.full(len(w_a), float(speed)), w_a,
+                            g.dist[g.src[edges], g.dst[edges]]])
+
+
+@pytest.mark.parametrize("edges", ["all", "last_node"])
+def test_each_hour_of_a_wind_array_equals_its_one_row_call(edges):
+    g = build_graph(random_sensors(28, seed=8))
+    edges = slice(None) if edges == "all" else last_node_edges(28)
+    rng = np.random.default_rng(9)
+    # directions inside and outside [0, 360), with the wrap points themselves
+    directions = np.concatenate([[0.0, 360.0, -360.0, 720.0 - 1e-9, -720.0, 180.0, -0.0],
+                                 rng.uniform(-720.0, 720.0, 293)])
+    wind = np.column_stack([rng.uniform(0.0, 30.0, len(directions)), directions])
+    wind[0, 0] = 0.0
+    feats = convection_edge_features(g, wind, edges)
+    assert feats.shape == (len(wind), len(g.src[edges]), 3)
+    for h, (speed, direction) in enumerate(wind):
+        row = feats[h].tobytes()
+        assert row == convection_edge_features(g, wind[h:h + 1], edges)[0].tobytes()
+        assert row == scalar_row(g, speed, direction, edges).tobytes()
+
+
+def test_wind_direction_is_taken_mod_360():
+    g = build_graph(random_sensors(5, seed=7))
+    for direction, reduced in ((450.0, 90.0), (-90.0, 270.0), (360.0, 0.0), (-720.0, 0.0)):
+        assert one_hour(g, 1.0, direction).tobytes() == one_hour(g, 1.0, reduced).tobytes()
+
+
+@pytest.mark.parametrize("wind", [[[-1.0, 0.0]], [[np.nan, 0.0]], [[np.inf, 0.0]],
+                                  [[1.0, np.nan]], [[1.0, -np.inf]],
+                                  [[1.0, 0.0], [-1e-300, 0.0]]])
+def test_negative_or_non_finite_wind_is_refused(wind):
+    with pytest.raises(ValidationError, match="wind"):
+        convection_edge_features(east_west_pair(), wind)
+
+
+@pytest.mark.parametrize("wind", [[1.0, 0.0], [[1.0, 0.0, 0.0]], np.zeros((1, 1, 2))])
+def test_wind_must_be_hours_by_two(wind):
+    with pytest.raises(ValidationError, match=r"\(hours, 2\)"):
+        convection_edge_features(east_west_pair(), wind)
 
 
 def test_coincident_pair_has_zero_alignment():
     g = build_graph([sensor(0, 36.0, -120.0), sensor(1, 36.0, -120.0)])
-    feats = convection_edge_features(g, WindRecord("t", 10.0, 123.0))
-    assert np.all(feats[:, 1] == 0.0)
+    assert np.all(one_hour(g, 10.0, 123.0)[:, 1] == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +396,9 @@ def test_an_added_node_equals_a_built_graph_bit_for_bit(context, query):
                 == getattr(want_wiring, name).data.tobytes()), name
     # the query node's wind triples, built on its 2C edges alone
     edges = last_node_edges(len(context) + 1)
-    for wind in (WindRecord("t", 7.5, 33.0), WindRecord("t", 0.0, 270.0)):
-        rows = convection_edge_features(got, wind, edges)
-        assert rows.tobytes() == convection_edge_features(want, wind)[edges].tobytes()
+    wind = [[7.5, 33.0], [0.0, 270.0]]
+    rows = convection_edge_features(got, wind, edges)
+    assert rows.tobytes() == convection_edge_features(want, wind)[:, edges].tobytes()
 
 
 def test_a_query_on_a_context_sensor_gets_the_floor_and_a_zero_edge_vector():

@@ -13,7 +13,7 @@ import pytest
 
 from physair.autodiff import Mlp, Tensor, finite_diff_grad, mse, mul, no_record, reshape, tsum
 from physair.errors import ShapeError, ValidationError
-from physair.geo import (Graph, SensorMeta, WindRecord, build_graph, build_matrices,
+from physair.geo import (Graph, SensorMeta, build_graph, build_matrices,
                          convection_edge_features, last_node_edges)
 from physair.model import (
     PRESETS,
@@ -470,14 +470,15 @@ def tiny_config(**kw):
     return ModelConfig.from_dict(base)
 
 
+def winds_for(b):
+    """The winds of batch_for's samples, (b, 2)."""
+    return np.column_stack([5.0 + np.arange(b), 40.0 * np.arange(b)])
+
+
 def batch_for(wiring, b, cfg, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(b, wiring.n_nodes, cfg.input_dim))
-    feats = np.stack([
-        convection_edge_features(wiring.graph, WindRecord("t", 5.0 + i, 40.0 * i))
-        for i in range(b)
-    ])
-    return x, feats
+    return x, convection_edge_features(wiring.graph, winds_for(b))
 
 
 def test_model_output_shape_and_node_count_freedom():
@@ -544,13 +545,13 @@ def test_permutation_equivariance():
     sensors = random_sensors(6, seed=30)
     rng = np.random.default_rng(31)
     perm = rng.permutation(6)
-    wind = WindRecord("t", 8.0, 211.0)
+    wind = [[8.0, 211.0]] * 2
 
     w1 = GraphWiring(build_graph(sensors))
     w2 = GraphWiring(build_graph([sensors[p] for p in perm]))
     x = rng.normal(size=(2, 6, cfg.input_dim))
-    f1 = np.stack([convection_edge_features(w1.graph, wind)] * 2)
-    f2 = np.stack([convection_edge_features(w2.graph, wind)] * 2)
+    f1 = convection_edge_features(w1.graph, wind)
+    f2 = convection_edge_features(w2.graph, wind)
 
     out1 = model.forward(x, w1, f1).data
     out2 = model.forward(x[:, perm, :], w2, f2).data
@@ -854,17 +855,11 @@ def edge_path_for(model, w, x, winds):
     """The EdgePath of w's graph as the predictor builds it: its first N-1
     sensors' graph for the context rows, then the last node's 2C rows."""
     context = build_graph(w.graph.sensors[:-1])
-    context_rows = np.stack([convection_edge_features(context, wind) for wind in winds])
-    query_rows = np.concatenate([convection_edge_features(w.graph, wind, last_node_edges(w.n_nodes))
-                                 for wind in winds])
+    context_rows = convection_edge_features(context, winds)
+    query_rows = convection_edge_features(w.graph, winds, last_node_edges(w.n_nodes)).reshape(-1, 3)
     with no_record():
         shared = model.share_context(x, context_rows)
     return EdgePath(*shared, *model.edge_path(query_rows))
-
-
-def winds_for(b):
-    """The winds of batch_for's samples."""
-    return [WindRecord("t", 5.0 + i, 40.0 * i) for i in range(b)]
 
 
 @pytest.mark.parametrize("n_layers", [1, 2, 3])

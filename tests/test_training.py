@@ -13,7 +13,7 @@ from physair.errors import ValidationError
 from physair.evaluation import infer_at_location
 from dataclasses import replace
 
-from physair.geo import SensorMeta, WindRecord, build_graph, convection_edge_features
+from physair.geo import SensorMeta, build_graph, convection_edge_features
 from physair.autodiff import load_arrays, load_params
 from physair.model import GraphWiring, ModelConfig, PhysicsGnn
 from physair.training import (
@@ -322,6 +322,21 @@ def test_divergence_aborts_with_diagnostic(tmp_path):
                     tmp_path / "run")
 
 
+@pytest.mark.parametrize("name, value", [
+    ("lr", 0.0), ("lr", -0.01), ("lr", float("nan")), ("lr", float("inf")),
+    ("beta1", 1.0), ("beta1", -0.1), ("beta1", float("nan")), ("beta2", 1.0),
+    ("beta2", -1e-3), ("eps", 0.0), ("eps", -1e-8), ("eps", float("nan"))])
+def test_optimizer_settings_are_checked(name, value):
+    # lr 0 once trained nothing and -0.01 climbed to a val mse of 4e15,
+    # both without an error
+    with pytest.raises(ValidationError, match=name):
+        run_config(**{name: value})
+
+
+def test_edge_optimizer_settings_stay_legal():
+    run_config(lr=1e150, beta1=0.0, beta2=0.0, eps=1e-300)
+
+
 def test_missing_train_hours_are_a_data_error(tmp_path):
     ds = toy_dataset(hours=8)
     ds.pm25[3, 0] = np.nan
@@ -494,9 +509,8 @@ def predictor_batch(context, config, bsz, rng):
     per sample."""
     x = rng.normal(size=(bsz, context.n_nodes + 1, config.input_dim))
     x[:, -1] = 0.0
-    winds = [WindRecord("t", rng.uniform(0, 15), rng.uniform(0, 360)) for _ in range(bsz)]
-    return x, lambda graph, edges=slice(None): np.stack(
-        [convection_edge_features(graph, w, edges) for w in winds])
+    winds = [[rng.uniform(0, 15), rng.uniform(0, 360)] for _ in range(bsz)]
+    return x, lambda graph, edges=slice(None): convection_edge_features(graph, winds, edges)
 
 
 def predict(models, context, targets, x, conv_feats, normalizer=Normalizer(0.0, 1.0)):
