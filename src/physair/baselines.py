@@ -1,26 +1,30 @@
 """Classical spatial interpolators used as reference models.
 
-Four deterministic baselines, all operating on a single hour of context
-sensor readings: a global mean fill, inverse distance weighting,
-ordinary kriging with a linear variogram, and a Gaussian process with
-an exponential kernel (the Matern family at nu = 1/2) and a constant
-mean. Distances are great-circle kilometres throughout, matching the
-rest of the toolkit.
+Four deterministic baselines: a global mean fill, inverse distance
+weighting, ordinary kriging with a linear variogram, and a Gaussian
+process with an exponential kernel (the Matern family at nu = 1/2) and
+a constant mean. Distances are great-circle kilometres throughout,
+matching the rest of the toolkit.
 
 Each interpolator is an estimator: construct with hyperparameters,
-``fit(coords, values)`` on the hour's context sensors, then
-``predict(targets)`` at query coordinates. Fitting is cheap (these are
-closed-form solves), so per-hour refitting is the intended usage. The
-one exception is GP hyperparameter selection, which is a grid search
-over the whole training period done once via
+``fit(coords, values)`` on context sensors, then ``predict(targets)`` at
+query coordinates. ``values`` is one hour's readings, or an (hours,
+sensors) matrix for a run of hours in which the same sensors report;
+``predict`` then returns (hours, targets), and a one-hour fit is that
+matrix's one-row case. Fitting is cheap (these are closed-form solves),
+so an evaluation fits once per such mask run, in pieces of at most 64
+hours. The one exception is GP hyperparameter selection, which is a
+grid search over the whole training period done once via
 :func:`select_gp_hyperparameters`.
 
-Refitting one estimator is cheaper still: a fit or predict reuses the
-previous call's coordinate-only work (distances, IDW weights, variogram
-bins, the GP covariance and its Cholesky factor, cross kernels) while
-the coordinates and the hyperparameters that work depends on are
-unchanged. The reuse is exact: every step that reads the values runs as
-on a fresh estimator, so predictions are bit-identical.
+A fit builds its coordinate-only work (distances, IDW weights,
+variogram bins, the GP covariance and its Cholesky factor, cross
+kernels) once for all its hours. The steps that read the values run
+over the hour axis and give each hour the bits a one-hour fit gives it:
+values are taken C-ordered, so a row's reductions sum as a 1-d array's
+do; linear systems go through stacked ``np.linalg.solve``, one solve per
+hour; products go through ``np.matmul``, one BLAS call per hour. The
+variogram's line fit runs per hour.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .estimators import BaseEstimator, check_coords, check_values
+from .estimators import BaseEstimator, check_coords, check_param, check_values
 from .geo import EPS_DIST_KM, cross_distances_km, pairwise_distances_km
 
 logger = logging.getLogger(__name__)
@@ -45,22 +49,32 @@ GP_LENGTHSCALES_KM = (1.0, 2.0, 5.0, 10.0, 20.0)
 GP_NOISE_FACTORS = (0.0, 0.01, 0.1, 1.0)
 
 
+def finite_mask_runs(finite: np.ndarray) -> list:
+    """Slices of consecutive rows with one mask, in row order, over a
+    (rows, sensors) boolean array."""
+    if not len(finite):
+        return []
+    cuts = (np.flatnonzero((finite[1:] != finite[:-1]).any(axis=1)) + 1).tolist()
+    return [slice(a, b) for a, b in zip([0] + cuts, cuts + [len(finite)])]
+
+
 class MeanFill(BaseEstimator):
     """Predict the arithmetic mean of all context values everywhere."""
 
     def __init__(self):
+        self.values_ = None
         self.mean_ = None
 
     def fit(self, coords, values) -> "MeanFill":
         coords = check_coords(coords)
-        values = check_values(values, n=coords.shape[0])
-        self.mean_ = float(values.mean())
+        self.values_ = check_values(values, n=coords.shape[0])
+        self.mean_ = self._rows().mean(axis=1)
         return self
 
     def predict(self, coords) -> np.ndarray:
         self._check_fitted("mean_")
         coords = check_coords(coords)
-        return np.full(coords.shape[0], self.mean_)
+        return self._per_fit(np.repeat(self.mean_[:, None], coords.shape[0], axis=1))
 
 
 class Idw(BaseEstimator):
@@ -78,8 +92,8 @@ class Idw(BaseEstimator):
         self.values_ = None
 
     def fit(self, coords, values) -> "Idw":
-        if not self.power > 0:
-            raise ValidationError(f"power must be positive, got {self.power}")
+        check_param(self.power, "power", positive=True)
+        check_param(self.eps_dist, "eps_dist")
         self.coords_ = check_coords(coords)
         self.values_ = check_values(values, n=self.coords_.shape[0])
         return self
@@ -87,24 +101,17 @@ class Idw(BaseEstimator):
     def predict(self, coords) -> np.ndarray:
         self._check_fitted("coords_", "values_")
         targets = check_coords(coords, name="targets")
-        inv, row_sums, at_sensor, nearest = self._reuse(
-            "weights", (targets, self.coords_, self.power, self.eps_dist),
-            lambda: self._weights(targets))
-        pred = (inv @ self.values_) / row_sums
-        if at_sensor.any():
-            pred[at_sensor] = self.values_[nearest]
-        return pred
-
-    def _weights(self, targets: np.ndarray) -> tuple:
-        """Inverse weights, their row sums, and each exact row's nearest sensor."""
         dist = cross_distances_km(targets[:, 0], targets[:, 1],
                                   self.coords_[:, 0], self.coords_[:, 1])
         # Guard the power against the zero-distance rows that the
         # exactness rule will overwrite anyway.
-        safe = np.maximum(dist, self.eps_dist)
-        inv = safe ** (-self.power)
+        inv = np.maximum(dist, self.eps_dist) ** (-self.power)
+        values = self._rows()
+        pred = np.matmul(inv, values[:, :, None])[..., 0] / inv.sum(axis=1)
         at_sensor = dist.min(axis=1) <= self.eps_dist
-        return inv, inv.sum(axis=1), at_sensor, dist[at_sensor].argmin(axis=1)
+        if at_sensor.any():
+            pred[:, at_sensor] = values[:, dist[at_sensor].argmin(axis=1)]
+        return self._per_fit(pred)
 
 
 @dataclass(frozen=True)
@@ -114,6 +121,8 @@ class KrigingSystem:
     ``matrix`` is the (n+1, n+1) augmented semivariance matrix with the
     Lagrange row; ``weights`` holds one weight row per target and each
     row sums to 1; ``multipliers`` are the per-target Lagrange values.
+    From a fit to an (hours, sensors) matrix, every field has a leading
+    hour axis.
     """
 
     slope: float
@@ -132,15 +141,17 @@ def fit_linear_variogram(dist: np.ndarray, values: np.ndarray,
     through the (bin centre, mean semivariance) points. Slope and
     nugget are both clamped to be non-negative.
     """
-    return _fit_binned_variogram(_variogram_bins(dist, n_bins), values)
+    slope, nugget = _fit_binned_variogram(_variogram_bins(dist, n_bins),
+                                          check_values(values).reshape(1, -1))
+    return float(slope[0]), float(nugget[0])
 
 
 def _variogram_bins(dist: np.ndarray, n_bins: int) -> tuple:
     """The half of :func:`fit_linear_variogram` that reads only distances.
 
     Returns the pair indices ``(iu, ju)`` in ``triu_indices`` order, the
-    non-empty bins' centres and each one's member mask over the pairs.
-    Centres and masks are None when no pair has a positive distance.
+    non-empty bins' centres and each one's member indices into the pairs.
+    Centres and members are None when no pair has a positive distance.
     """
     iu, ju = np.triu_indices(dist.shape[0], k=1)
     h = dist[iu, ju]
@@ -152,44 +163,50 @@ def _variogram_bins(dist: np.ndarray, n_bins: int) -> tuple:
     centers = []
     members = []
     for b in range(n_bins):
-        sel = idx == b
-        if sel.any():
+        sel = np.flatnonzero(idx == b)
+        if sel.size:
             centers.append((b + 0.5) * width)
             members.append(sel)
     return iu, ju, np.asarray(centers), members
 
 
-def _fit_binned_variogram(bins: tuple, values: np.ndarray) -> tuple[float, float]:
-    """The half of :func:`fit_linear_variogram` that reads the values."""
+def _fit_binned_variogram(bins: tuple, values: np.ndarray) -> tuple:
+    """The half of :func:`fit_linear_variogram` that reads the values:
+    each hour's (slope, nugget) from its (hours, n) C-ordered rows, as
+    two (hours,) arrays."""
     iu, ju, centers, members = bins
-    gamma = 0.5 * (values[iu] - values[ju]) ** 2
+    hours = values.shape[0]
+    # take, not a fancy index, keeps the pair and bin gathers C-ordered
+    gamma = 0.5 * (values.take(iu, axis=1) - values.take(ju, axis=1)) ** 2
     if centers is None:
-        return 0.0, float(gamma.mean()) if gamma.size else 0.0
+        return np.zeros(hours), gamma.mean(axis=1) if gamma.size else np.zeros(hours)
     # each bin's mean as np.mean computes it (sum, then divide by the
-    # count), without the Python wrapper that cost most of a refit
-    means = [np.add.reduce(g) / g.size for g in (gamma[sel] for sel in members)]
+    # count), over each hour's C-ordered row
+    means = np.column_stack([np.add.reduce(gamma.take(sel, axis=1), axis=1) / sel.size
+                             for sel in members])
     if len(centers) < 2:
-        return 0.0, max(0.0, float(means[0])) if means else 0.0
-    slope, nugget = np.polyfit(centers, np.asarray(means), 1)
-    return max(0.0, float(slope)), max(0.0, float(nugget))
+        return np.zeros(hours), _clamp(means[:, 0])
+    fits = np.array([np.polyfit(centers, row, 1) for row in means])
+    return _clamp(fits[:, 0]), _clamp(fits[:, 1])
 
 
-def _distances(coords: np.ndarray) -> tuple:
-    """(pairwise distances, whether two points coincide: a zero off the diagonal)."""
-    dist = pairwise_distances_km(coords[:, 0], coords[:, 1])
-    return dist, np.count_nonzero(dist == 0) > len(coords)
+def _clamp(x: np.ndarray) -> np.ndarray:
+    """max(0.0, x) elementwise, as Python's max takes it: -0.0 and NaN give 0.0."""
+    return np.where(x > 0.0, x, 0.0)
 
 
 class OrdinaryKriging(BaseEstimator):
     """Ordinary kriging with a linear variogram.
 
-    The variogram is fit from the context data at ``fit`` time unless
-    ``slope``/``nugget`` are given explicitly. Prediction solves the
-    augmented system with the unbiasedness constraint (weights sum to
-    one); a singular system falls back to inverse distance weighting
-    with a logged warning. Two coinciding sensors (equal rows for any
-    variogram) or a zero slope and nugget make it exactly singular, and
-    solve refuses it before LU, which may meet no zero pivot.
+    The variogram is fit per hour from the context data at ``fit`` time
+    unless ``slope``/``nugget`` are given explicitly; ``slope_`` and
+    ``nugget_`` hold one entry per fitted hour. Prediction solves each
+    hour's augmented system with the unbiasedness constraint (weights sum
+    to one); an hour whose system is singular falls back to inverse
+    distance weighting with a logged warning. Two coinciding sensors
+    (equal rows for any variogram) or a zero slope and nugget make it
+    exactly singular, and solve refuses it before LU, which may meet no
+    zero pivot.
     """
 
     def __init__(self, slope: float | None = None,
@@ -205,62 +222,95 @@ class OrdinaryKriging(BaseEstimator):
         self.singular_ = None
 
     def _gamma(self, h: np.ndarray) -> np.ndarray:
+        """Each hour's semivariance at distances ``h``: (hours, *h.shape)."""
         # gamma(0) is 0 by definition; the nugget applies only to h > 0.
-        return np.where(h > 0.0, self.nugget_ + self.slope_ * h, 0.0)
+        at = (slice(None),) + (None,) * h.ndim
+        return np.where(h > 0.0, self.nugget_[at] + self.slope_[at] * h, 0.0)
 
     def fit(self, coords, values) -> "OrdinaryKriging":
+        if not (isinstance(self.n_bins, (int, np.integer)) and self.n_bins >= 1):
+            raise ValidationError(f"n_bins must be a whole number >= 1, got {self.n_bins!r}")
+        slope = None if self.slope is None else check_param(self.slope, "slope")
+        nugget = None if self.nugget is None else check_param(self.nugget, "nugget")
         self.coords_ = check_coords(coords)
         self.values_ = check_values(values, n=self.coords_.shape[0])
         n = self.coords_.shape[0]
         if n < 2:
             raise ValidationError(f"kriging needs at least 2 sensors, got {n}")
-        dist, coincide = self._reuse("dist", (self.coords_,), lambda: _distances(self.coords_))
-        if self.slope is not None or self.nugget is not None:
-            self.slope_ = float(self.slope if self.slope is not None else 0.0)
-            self.nugget_ = float(self.nugget if self.nugget is not None else 0.0)
-            if self.slope_ < 0 or self.nugget_ < 0:
-                raise ValidationError("variogram slope and nugget must be >= 0")
+        dist = pairwise_distances_km(self.coords_[:, 0], self.coords_[:, 1])
+        rows = self._rows()
+        if slope is not None or nugget is not None:
+            self.slope_ = np.full(len(rows), 0.0 if slope is None else slope)
+            self.nugget_ = np.full(len(rows), 0.0 if nugget is None else nugget)
         else:
-            bins = self._reuse("bins", (self.coords_, self.n_bins),
-                               lambda: _variogram_bins(dist, self.n_bins))
-            self.slope_, self.nugget_ = _fit_binned_variogram(bins, self.values_)
-        matrix = np.ones((n + 1, n + 1))
-        matrix[:n, :n] = self._gamma(dist)
-        matrix[n, n] = 0.0
+            self.slope_, self.nugget_ = _fit_binned_variogram(
+                _variogram_bins(dist, self.n_bins), rows)
+        matrix = np.ones((len(rows), n + 1, n + 1))
+        matrix[:, :n, :n] = self._gamma(dist)
+        matrix[:, n, n] = 0.0
         self.matrix_ = matrix
-        self.singular_ = coincide or self.slope_ == self.nugget_ == 0.0
+        # two coinciding points leave a zero off the diagonal
+        coincide = np.count_nonzero(dist == 0) > n
+        self.singular_ = coincide | ((self.slope_ == 0.0) & (self.nugget_ == 0.0))
         return self
+
+    def _solutions(self, targets: np.ndarray) -> tuple:
+        """Each hour's (n+1, targets) solution, NaN where its system is
+        singular, and which hours are."""
+        n = self.coords_.shape[0]
+        cross = cross_distances_km(self.coords_[:, 0], self.coords_[:, 1],
+                                   targets[:, 0], targets[:, 1])
+        solution = np.full((len(self.matrix_), n + 1, targets.shape[0]), np.nan)
+        ok = ~self.singular_
+        if ok.any():
+            rhs = np.ones((np.count_nonzero(ok), n + 1, targets.shape[0]))
+            rhs[:, :n] = self._gamma(cross)[ok]
+            try:
+                solution[ok] = np.linalg.solve(self.matrix_[ok], rhs)
+            except np.linalg.LinAlgError:
+                # some hour's LU met a zero pivot: solve hour by hour to find it
+                for h, b in zip(np.flatnonzero(ok), rhs):
+                    try:
+                        solution[h] = np.linalg.solve(self.matrix_[h], b)
+                    except np.linalg.LinAlgError:
+                        pass
+        return solution, ~np.isfinite(solution).all(axis=(1, 2))
 
     def solve(self, coords) -> KrigingSystem:
         """Solve for kriging weights at the given targets."""
         self._check_fitted("matrix_")
         targets = check_coords(coords, name="targets")
-        if self.singular_:
-            raise np.linalg.LinAlgError("singular: coinciding sensors or a zero variogram")
+        solution, singular = self._solutions(targets)
+        if singular.any():
+            raise np.linalg.LinAlgError(
+                "singular: coinciding sensors, a zero variogram or non-finite weights")
         n = self.coords_.shape[0]
-        cross = self._reuse("cross", (self.coords_, targets), lambda: cross_distances_km(
-            self.coords_[:, 0], self.coords_[:, 1], targets[:, 0], targets[:, 1]))
-        rhs = np.ones((n + 1, targets.shape[0]))
-        rhs[:n] = self._gamma(cross)
-        solution = np.linalg.solve(self.matrix_, rhs)
-        if not np.isfinite(solution).all():
-            raise np.linalg.LinAlgError("kriging solve produced non-finite weights")
-        return KrigingSystem(slope=self.slope_, nugget=self.nugget_,
-                             matrix=self.matrix_, weights=solution[:n].T,
-                             multipliers=solution[n])
+        return KrigingSystem(slope=self._per_fit(self.slope_),
+                             nugget=self._per_fit(self.nugget_),
+                             matrix=self._per_fit(self.matrix_),
+                             weights=self._per_fit(solution[:, :n].transpose(0, 2, 1)),
+                             multipliers=self._per_fit(solution[:, n]))
 
     def predict(self, coords) -> np.ndarray:
         self._check_fitted("matrix_")
-        try:
-            system = self.solve(coords)
-        except np.linalg.LinAlgError:
-            logger.warning(
-                "singular kriging system (n=%d, slope=%g, nugget=%g); "
-                "falling back to inverse distance weighting",
-                self.coords_.shape[0], self.slope_, self.nugget_)
-            fallback = Idw().fit(self.coords_, self.values_)
-            return fallback.predict(coords)
-        return system.weights @ self.values_
+        targets = check_coords(coords, name="targets")
+        solution, singular = self._solutions(targets)
+        n = self.coords_.shape[0]
+        values = self._rows()
+        pred = np.matmul(solution[:, :n].transpose(0, 2, 1), values[:, :, None])[..., 0]
+        if singular.any():
+            for h in np.flatnonzero(singular):
+                logger.warning(
+                    "singular kriging system (n=%d, slope=%g, nugget=%g); "
+                    "falling back to inverse distance weighting",
+                    n, self.slope_[h], self.nugget_[h])
+            pred[singular] = Idw().fit(self.coords_, values[singular]).predict(targets)
+        return self._per_fit(pred)
+
+
+def _quad(resid: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Each row's -0.5 * resid @ alpha, one dot product per row."""
+    return np.matmul((-0.5 * resid)[:, None, :], alpha[:, :, None])[:, 0, 0]
 
 
 class GaussianProcess(BaseEstimator):
@@ -268,9 +318,10 @@ class GaussianProcess(BaseEstimator):
 
     k(r) = variance * exp(-r / lengthscale) over great-circle distance,
     observation noise ``noise`` on the diagonal, and the constant mean
-    taken as the arithmetic mean of the fitted values. ``fit`` performs
-    the Cholesky factorization; a factorization failure after jitter
-    means the covariance is numerically indefinite and is raised as-is.
+    taken per hour as the arithmetic mean of that hour's fitted values.
+    ``fit`` performs the Cholesky factorization; a factorization failure
+    after jitter means the covariance is numerically indefinite and is
+    raised as-is.
     """
 
     def __init__(self, variance: float = 1.0, lengthscale: float = 5.0,
@@ -289,46 +340,36 @@ class GaussianProcess(BaseEstimator):
         return self.variance * np.exp(-dist / self.lengthscale)
 
     def fit(self, coords, values) -> "GaussianProcess":
-        if not self.variance > 0:
-            raise ValidationError(f"variance must be positive, got {self.variance}")
-        if not self.lengthscale > 0:
-            raise ValidationError(
-                f"lengthscale must be positive, got {self.lengthscale}")
-        if self.noise < 0:
-            raise ValidationError(f"noise must be >= 0, got {self.noise}")
+        check_param(self.variance, "variance", positive=True)
+        check_param(self.lengthscale, "lengthscale", positive=True)
+        check_param(self.noise, "noise")
+        check_param(self.jitter, "jitter")
         self.coords_ = check_coords(coords)
         self.values_ = check_values(values, n=self.coords_.shape[0])
-        cov, self.log_det_ = self._reuse(
-            "cov", (self.coords_, self.variance, self.lengthscale, self.noise, self.jitter),
-            self._covariance)
-        self.mean_ = float(self.values_.mean())
-        resid = self.values_ - self.mean_
-        self.alpha_ = np.linalg.solve(cov, resid)
-        return self
-
-    def _covariance(self) -> tuple:
-        """The fitted coordinates' covariance and its Cholesky log-determinant."""
         dist = pairwise_distances_km(self.coords_[:, 0], self.coords_[:, 1])
         cov = self._kernel(dist) + (self.noise + self.jitter) * np.eye(dist.shape[0])
-        chol = np.linalg.cholesky(cov)
-        return cov, float(2.0 * np.log(np.diag(chol)).sum())
+        self.log_det_ = float(2.0 * np.log(np.diag(np.linalg.cholesky(cov))).sum())
+        rows = self._rows()
+        self.mean_ = rows.mean(axis=1)
+        self.alpha_ = np.linalg.solve(cov, (rows - self.mean_[:, None])[:, :, None])[..., 0]
+        return self
 
     def predict(self, coords) -> np.ndarray:
         self._check_fitted("alpha_")
         targets = check_coords(coords, name="targets")
-        kernel = self._reuse(
-            "cross", (targets, self.coords_, self.variance, self.lengthscale),
-            lambda: self._kernel(cross_distances_km(
-                targets[:, 0], targets[:, 1], self.coords_[:, 0], self.coords_[:, 1])))
-        return self.mean_ + kernel @ self.alpha_
+        kernel = self._kernel(cross_distances_km(
+            targets[:, 0], targets[:, 1], self.coords_[:, 0], self.coords_[:, 1]))
+        return self._per_fit(
+            self.mean_[:, None] + np.matmul(kernel, self.alpha_[:, :, None])[..., 0])
 
-    def log_marginal_likelihood(self) -> float:
-        """Log marginal likelihood of the fitted values under the prior."""
+    def log_marginal_likelihood(self):
+        """Log marginal likelihood of the fitted values under the prior:
+        a float, or one per hour from a fit to an (hours, sensors) matrix."""
         self._check_fitted("alpha_")
-        n = self.values_.shape[0]
-        resid = self.values_ - self.mean_
-        return float(-0.5 * resid @ self.alpha_ - 0.5 * self.log_det_
-                     - 0.5 * n * np.log(2.0 * np.pi))
+        rows = self._rows()
+        n = rows.shape[1]
+        quad = _quad(rows - self.mean_[:, None], self.alpha_)
+        return self._per_fit(quad - 0.5 * self.log_det_ - 0.5 * n * np.log(2.0 * np.pi))
 
 
 def select_gp_hyperparameters(coords, value_rows,
@@ -362,8 +403,9 @@ def _gp_grid_scores(coords, value_rows, variance_factors, lengthscales,
 
     A grid point whose covariance fails to factor on some hour scores
     ``-inf``. Consecutive usable hours with one finite mask share each
-    grid point's masked covariance and Cholesky factor; every hour still
-    runs its own solve and adds its term to the score in hour order.
+    grid point's masked covariance and Cholesky factor and solve for all
+    their hours in one stacked call; every hour still adds its own term
+    to the score, in hour order.
     """
     coords = check_coords(coords)
     rows = np.asarray(value_rows, dtype=float)
@@ -377,14 +419,14 @@ def _gp_grid_scores(coords, value_rows, variance_factors, lengthscales,
     if var <= 0.0:
         var = 1.0  # constant data; any scale works, keep the grid sane
     dist = pairwise_distances_km(coords[:, 0], coords[:, 1])
-    runs = []  # (finite mask, the residuals of its consecutive hours)
-    for mask, row in zip(np.isfinite(rows), rows):
-        if mask.sum() < 2:
-            continue
-        v = row[mask]
-        if not (runs and runs[-1][0].tobytes() == mask.tobytes()):
-            runs.append((mask, []))
-        runs[-1][1].append(v - v.mean())
+    finite = np.isfinite(rows)
+    usable = finite.sum(axis=1) >= 2
+    rows, finite = rows[usable], finite[usable]
+    runs = []  # (finite mask, the residuals of its consecutive hours, C-ordered)
+    for run in finite_mask_runs(finite):
+        mask = finite[run.start]
+        v = np.ascontiguousarray(rows[run][:, mask])
+        runs.append((mask, v - v.mean(axis=1, keepdims=True)))
     if not runs:
         raise ValidationError("no usable hours in value_rows: none holds two finite readings")
 
@@ -395,8 +437,8 @@ def _gp_grid_scores(coords, value_rows, variance_factors, lengthscales,
             for nf in noise_factors:
                 noise = nf * var
                 score = 0.0
-                for mask, resids in runs:
-                    n = resids[0].shape[0]
+                for mask, resid in runs:
+                    n = resid.shape[1]
                     cov = kernel[np.ix_(mask, mask)] + \
                         (noise + GP_JITTER) * np.eye(n)
                     try:
@@ -405,11 +447,11 @@ def _gp_grid_scores(coords, value_rows, variance_factors, lengthscales,
                         score = -np.inf
                         break
                     half_log_det = np.log(np.diag(chol)).sum()
-                    for resid in resids:
-                        alpha = np.linalg.solve(cov, resid)
-                        score += (-0.5 * resid @ alpha
-                                  - half_log_det
-                                  - 0.5 * n * np.log(2.0 * np.pi))
+                    alpha = np.linalg.solve(cov, resid[:, :, None])[..., 0]
+                    terms = (_quad(resid, alpha) - half_log_det
+                             - 0.5 * n * np.log(2.0 * np.pi))
+                    for term in terms.tolist():
+                        score += term
                 scores.append(({"variance": vf * var, "lengthscale": ls,
                                 "noise": noise}, score))
     return scores

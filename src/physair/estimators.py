@@ -3,7 +3,9 @@
 The interpolators in this package follow the familiar fit/predict
 convention: hyperparameters are constructor arguments, ``fit`` learns
 state from data and stores it on attributes ending in an underscore,
-``predict`` maps new coordinates to values. ``get_params`` and
+``predict`` maps new coordinates to values. ``fit`` takes one hour's
+values or an (hours, sensors) matrix of hours that share the sensors;
+``predict`` then returns one row per hour. ``get_params`` and
 ``set_params`` round-trip the constructor arguments so estimators can
 be cloned and configured generically. No sklearn dependency; the
 convention is small enough to carry locally.
@@ -12,7 +14,7 @@ convention is small enough to carry locally.
 from __future__ import annotations
 
 import inspect
-from typing import Callable
+import math
 
 import numpy as np
 
@@ -48,27 +50,14 @@ class BaseEstimator:
                 raise ValidationError(
                     f"{type(self).__name__} is not fitted; call fit() first")
 
-    def _reuse(self, slot: str, key: tuple, compute: Callable[[], object]):
-        """Return ``compute()``, or the value the last call on ``slot`` stored.
+    def _rows(self) -> np.ndarray:
+        """The fitted values as (hours, sensors) rows; a one-hour fit is one row."""
+        return self.values_.reshape(-1, self.values_.shape[-1])
 
-        The stored value is reused only when ``key`` equals that call's key
-        exactly: arrays by dtype, shape and bytes, other parts by type and
-        ``repr`` (so ``-0.0`` and ``0.0`` differ). The key is kept as one
-        bytes copy (the parts' description, which fixes each array's length,
-        a NUL, then the arrays' bytes), so mutating a key array in place
-        makes the next call recompute. One value is kept per slot.
-        """
-        parts = [(k.dtype.str, k.shape) if isinstance(k, np.ndarray) else (type(k), k)
-                 for k in key]
-        frozen = b"\0".join([repr(parts).encode()]
-                            + [k.tobytes() for k in key if isinstance(k, np.ndarray)])
-        store = vars(self).setdefault("_reused", {})
-        hit = store.get(slot)
-        if hit is not None and hit[0] == frozen:
-            return hit[1]
-        value = compute()
-        store[slot] = (frozen, value)
-        return value
+    def _per_fit(self, out):
+        """A result with a leading hour axis, shaped as the fit was: one hour's
+        fit drops that axis."""
+        return out if self.values_.ndim == 2 else out[0]
 
 
 def check_coords(coords, name: str = "coords") -> np.ndarray:
@@ -85,15 +74,31 @@ def check_coords(coords, name: str = "coords") -> np.ndarray:
     return arr
 
 
+def check_param(value, name: str, positive: bool = False) -> float:
+    """Validate a finite hyperparameter, >= 0 or, when ``positive``, > 0."""
+    try:
+        v = float(value)
+    except (TypeError, ValueError):
+        v = math.nan
+    if not (math.isfinite(v) and (v > 0.0 if positive else v >= 0.0)):
+        raise ValidationError(
+            f"{name} must be finite and {'> 0' if positive else '>= 0'}, got {value!r}")
+    return v
+
+
 def check_values(values, n: int | None = None, name: str = "values") -> np.ndarray:
-    """Validate a 1-d array of finite observations."""
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ShapeError(f"{name} must be 1-d, got shape {arr.shape}")
+    """Validate finite observations: one hour's (n,) or an (hours, n) matrix.
+
+    The result is C-ordered, so each hour's row sums in the order a 1-d
+    array of its values does.
+    """
+    arr = np.ascontiguousarray(values, dtype=float)
+    if arr.ndim not in (1, 2):
+        raise ShapeError(f"{name} must be 1-d or (hours, sensors), got shape {arr.shape}")
     if arr.size == 0:
         raise ValidationError(f"{name} is empty; need at least one observation")
-    if n is not None and arr.shape[0] != n:
-        raise ShapeError(f"{name} has {arr.shape[0]} entries, expected {n}")
+    if n is not None and arr.shape[-1] != n:
+        raise ShapeError(f"{name} has {arr.shape[-1]} entries per hour, expected {n}")
     if not np.isfinite(arr).all():
         raise ValidationError(f"{name} contains non-finite entries")
     return arr

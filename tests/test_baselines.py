@@ -349,6 +349,59 @@ def test_gp_rejects_bad_hyperparameters():
         GaussianProcess(noise=-0.1).fit([[0, 0]], [1.0])
 
 
+BAD_HYPERPARAMETERS = [
+    # each of these once fit and gave numbers: the IDW fallback's values
+    # under the kriging name, or NaN
+    (OrdinaryKriging, {"n_bins": 0}, "n_bins"),
+    (OrdinaryKriging, {"n_bins": -3}, "n_bins"),
+    (OrdinaryKriging, {"n_bins": 2.5}, "n_bins"),
+    (OrdinaryKriging, {"slope": np.nan}, "slope"),
+    (OrdinaryKriging, {"slope": np.inf}, "slope"),
+    (OrdinaryKriging, {"slope": -1.0}, "slope"),
+    (OrdinaryKriging, {"nugget": np.nan}, "nugget"),
+    (OrdinaryKriging, {"nugget": np.inf}, "nugget"),
+    (OrdinaryKriging, {"nugget": -0.5}, "nugget"),
+    (Idw, {"eps_dist": -1.0}, "eps_dist"),
+    (Idw, {"eps_dist": np.nan}, "eps_dist"),
+    (Idw, {"eps_dist": np.inf}, "eps_dist"),
+    (Idw, {"power": np.inf}, "power"),
+    (Idw, {"power": np.nan}, "power"),
+    (Idw, {"power": -1.0}, "power"),
+    (GaussianProcess, {"noise": np.nan}, "noise"),
+    (GaussianProcess, {"noise": np.inf}, "noise"),
+    (GaussianProcess, {"jitter": np.nan}, "jitter"),
+    (GaussianProcess, {"jitter": np.inf}, "jitter"),
+    (GaussianProcess, {"jitter": -1e-8}, "jitter"),
+    (GaussianProcess, {"variance": np.inf}, "variance"),
+    (GaussianProcess, {"variance": np.nan}, "variance"),
+    (GaussianProcess, {"lengthscale": np.inf}, "lengthscale"),
+    (GaussianProcess, {"lengthscale": np.nan}, "lengthscale"),
+]
+
+
+@pytest.mark.parametrize("make, params, name", BAD_HYPERPARAMETERS,
+                         ids=[f"{m.__name__}-{k}={v}" for m, p, _ in BAD_HYPERPARAMETERS
+                              for k, v in p.items()])
+def test_bad_hyperparameters_fail_at_fit(make, params, name):
+    rng = np.random.default_rng(32)
+    with pytest.raises(ValidationError, match=name):
+        make(**params).fit(random_coords(rng, 5), rng.uniform(5, 40, 5))
+
+
+@pytest.mark.parametrize("make, params", [
+    (OrdinaryKriging, {"n_bins": 1}),
+    (OrdinaryKriging, {"n_bins": np.int64(3)}),
+    (OrdinaryKriging, {"slope": 0.0, "nugget": 1.0}),
+    (Idw, {"eps_dist": 0.0}),
+    (GaussianProcess, {"noise": 0.0, "jitter": 0.0}),
+])
+def test_edge_hyperparameters_still_fit(make, params):
+    rng = np.random.default_rng(33)
+    coords = random_coords(rng, 6)
+    pred = make(**params).fit(coords[:5], rng.uniform(5, 40, 5)).predict(coords[5:])
+    assert np.isfinite(pred).all()
+
+
 def test_gp_predict_before_fit_raises():
     with pytest.raises(ValidationError):
         GaussianProcess().predict([[0, 0]])
@@ -433,7 +486,8 @@ def test_all_baselines_deterministic_predictions():
 
 
 # ---------------------------------------------------------------------------
-# Refitting one estimator reuses coordinate-only work exactly.
+# Refitting one estimator, and fitting many hours at once, match a fresh
+# estimator per hour exactly.
 # ---------------------------------------------------------------------------
 
 def refit_gp():
@@ -557,3 +611,20 @@ def test_gp_grid_scores_match_the_per_hour_loop_bit_for_bit(grid):
         assert sum(s == -np.inf for _, s in got) == 4
     best = max(want, key=lambda ps: ps[1])[0]  # first maximum in grid order
     assert select_gp_hyperparameters(coords, rows, *grid) == best
+
+
+def test_gp_grid_scores_match_the_per_hour_loop_at_realistic_size():
+    # 20 sensors in Fortran order, as subset_dataset_values gathers them: a
+    # row sum over that layout runs down the columns, which differs from a
+    # 1-d sum from 8 entries up
+    rng = np.random.default_rng(65)
+    coords = random_coords(rng, 20)
+    rows = np.asfortranarray(rng.uniform(5, 40, (16, 20)))
+    # the mask changes and changes back
+    rows[[3, 4, 5, 11], 2] = np.nan
+    rows[[8, 9, 11], 13] = np.nan
+    grid = (GP_VARIANCE_FACTORS, GP_LENGTHSCALES_KM, GP_NOISE_FACTORS)
+    got = _gp_grid_scores(coords, rows, *grid)
+    want = per_hour_grid_scores(coords, rows, *grid)
+    assert np.array([s for _, s in got]).tobytes() == \
+        np.array([s for _, s in want]).tobytes()

@@ -345,6 +345,64 @@ def test_estimator_runner_refit_matches_a_fresh_estimator_per_hour(name):
     assert got.tobytes() == want.tobytes()
 
 
+def gappy_network(hours=16, n=24, seed=5):
+    """A 20-sensor context and 4 targets. The finite context mask changes
+    and changes back: s1 is silent at hours 3-5 and 11, s13 at 8-9 and
+    11."""
+    ds = toy_dataset(hours=hours, n=n, seed=seed)
+    ds.pm25[[3, 4, 5, 11], 1] = np.nan
+    ds.pm25[[8, 9, 11], 13] = np.nan
+    context = tuple(f"s{j}" for j in range(20))
+    targets = tuple(f"s{j}" for j in range(20, n))
+    return ds, context, targets
+
+
+@pytest.mark.parametrize("name", sorted(ALL_BASELINES))
+def test_estimator_runner_matches_a_fresh_estimator_per_hour_at_realistic_size(name):
+    # The runner reads the context as subset_dataset_values gathers it, in
+    # Fortran order. A row sum over that layout runs down the columns,
+    # which differs from a 1-d sum from 8 entries up, so the fit must take
+    # its rows C-ordered.
+    ds, context, targets = gappy_network()
+    assert not subset_dataset_values(ds, context).flags.c_contiguous
+    hours = np.arange(ds.hours)
+    factory = ALL_BASELINES[name]
+    got = estimator_runner(factory)(ds, context, targets, hours)
+    want = fresh_estimator_loop(factory, ds, context, targets, hours)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_estimator_runner_fits_once_per_mask_run():
+    ds, context, targets = gappy_network()
+    fits = []
+
+    class CountedIdw(Idw):
+        def fit(self, coords, values):
+            fits.append(np.shape(values))
+            return super().fit(coords, values)
+
+    estimator_runner(CountedIdw)(ds, context, targets, np.arange(ds.hours))
+    # hours 0-2, 3-5 (no s1), 6-7, 8-9 (no s13), 10, 11 (neither), 12-15
+    assert fits == [(3, 20), (3, 19), (2, 20), (2, 19), (1, 20), (1, 18), (4, 20)]
+
+
+def test_estimator_runner_fits_a_long_run_in_bounded_pieces():
+    ds, context, targets = gappy_network(hours=150)
+    fits = []
+
+    class CountedKriging(OrdinaryKriging):
+        def fit(self, coords, values):
+            fits.append(np.shape(values))
+            return super().fit(coords, values)
+
+    hours = np.arange(ds.hours)
+    got = estimator_runner(CountedKriging)(ds, context, targets, hours)
+    # hours 12-149 are one run of 138 hours: two 64-hour pieces and 10
+    assert fits[6:] == [(64, 20), (64, 20), (10, 20)]
+    want = fresh_estimator_loop(OrdinaryKriging, ds, context, targets, hours)
+    assert got.tobytes() == want.tobytes()
+
+
 def coincident_pair_dataset():
     """s0 and s1 coincide, so every hour both report has a singular
     kriging system; s1 is missing at hours 2, 5 and 6."""
@@ -376,6 +434,33 @@ def test_refit_kriging_warns_once_per_singular_hour(caplog):
     assert len(fallbacks) == singular
     want = fresh_estimator_loop(OrdinaryKriging, ds, context, targets, hours)
     assert got.tobytes() == want.tobytes()
+
+
+def test_kriging_runner_falls_back_only_on_the_singular_hours_of_a_run(caplog, monkeypatch):
+    # Hour 6 reads one value at every context sensor, a zero variogram, in
+    # the run of hours 6-7; hour 14's LU meets a zero pivot, in the run of
+    # hours 12-15, so the run's stacked solve fails and it solves hour by hour.
+    ds, context, targets = gappy_network()
+    ds.pm25[6, :20] = 17.0
+    coords = np.array([[s.latitude, s.longitude] for s in ds.sensors[:20]])
+    pivotless = OrdinaryKriging().fit(coords, ds.pm25[14, :20]).matrix_[0].tobytes()
+    real_solve = np.linalg.solve
+
+    def solve(a, b):
+        if any(m.tobytes() == pivotless for m in np.reshape(a, (-1,) + a.shape[-2:])):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    hours = np.arange(ds.hours)
+    with caplog.at_level(logging.WARNING, logger="physair.baselines"):
+        got = estimator_runner(OrdinaryKriging)(ds, context, targets, hours)
+    assert len([r for r in caplog.records if "falling back" in r.getMessage()]) == 2
+    assert got.tobytes() == fresh_estimator_loop(
+        OrdinaryKriging, ds, context, targets, hours).tobytes()
+    idw = fresh_estimator_loop(Idw, ds, context, targets, hours)
+    assert (got[[6, 14]] == idw[[6, 14]]).all()
+    assert not (got[[7, 12, 13, 15]] == idw[[7, 12, 13, 15]]).any()
 
 
 def test_coincident_sensors_take_the_idw_fallback_at_a_zero_slope(caplog):
