@@ -53,6 +53,7 @@ from .data import (
     _atomic_write_text,
 )
 from .errors import ShapeError, ValidationError
+from .estimators import check_param
 from .evaluation import (
     SH_BIN_EDGES,
     benchmark_runners,
@@ -193,8 +194,6 @@ _TRAIN_SCHEMA = {
     "out": (str, None, None),
     "preset": (_one_of("S", "M", "L"), "S", None),
     "window": (int, 1, None),
-    "local_norm": (_one_of("direct", "inverse"), "inverse", None),
-    "aggregation": (_one_of("sum", "mean"), "sum", None),
     "seeds": (parse_seeds, (0, 1, 2, 3, 4), "e.g. 0,1,2,3,4"),
     "split_seed": (int, 0, None),
     "workers": (int, 1, None),
@@ -270,7 +269,7 @@ def _require(options: dict, *keys: str) -> None:
 
 def _check_counts(options: dict) -> None:
     """Refuse a worker count, inference batch or GP selection stride below
-    1, or a non-positive IDW power, before any file is read."""
+    1, or an IDW power that is not finite and > 0, before any file is read."""
     if options.get("workers", 1) < 1:
         raise ValidationError("workers must be at least 1")
     if options["eval_batch"] < 1:
@@ -279,8 +278,7 @@ def _check_counts(options: dict) -> None:
     if options.get("gp_selection_stride", 1) < 1:
         raise ValidationError(f"gp_selection_stride must be at least 1, "
                               f"got {options['gp_selection_stride']}")
-    if not options.get("idw_power", 1.0) > 0:
-        raise ValidationError(f"idw_power must be positive, got {options['idw_power']}")
+    check_param(options.get("idw_power", 1.0), "idw_power", positive=True)
 
 
 def _load_dataset_arg(options: dict) -> Dataset:
@@ -355,10 +353,7 @@ def cmd_train(args) -> int:
     options = resolve_options(args, _TRAIN_SCHEMA)
     _require(options, "dataset", "out")
     _check_counts(options)
-    model_config = ModelConfig(preset=options["preset"],
-                               window=options["window"],
-                               local_norm=options["local_norm"],
-                               aggregation=options["aggregation"])
+    model_config = ModelConfig(preset=options["preset"], window=options["window"])
     train_config = TrainConfig(
         batch_size=options["batch_size"], lr=options["lr"],
         max_epochs=options["max_epochs"], patience=options["patience"],

@@ -5,15 +5,13 @@ convention: hyperparameters are constructor arguments, ``fit`` learns
 state from data and stores it on attributes ending in an underscore,
 ``predict`` maps new coordinates to values. ``fit`` takes one hour's
 values or an (hours, sensors) matrix of hours that share the sensors;
-``predict`` then returns one row per hour. ``get_params`` and
-``set_params`` round-trip the constructor arguments so estimators can
-be cloned and configured generically. No sklearn dependency; the
-convention is small enough to carry locally.
+``predict`` then returns one row per hour. ``fit`` checks the
+hyperparameters, so one set after construction is checked as well. No
+sklearn dependency; the convention is small enough to carry locally.
 """
 
 from __future__ import annotations
 
-import inspect
 import math
 
 import numpy as np
@@ -23,26 +21,6 @@ from .errors import ShapeError, ValidationError
 
 class BaseEstimator:
     """Minimal fit/predict estimator contract."""
-
-    @classmethod
-    def _param_names(cls) -> list[str]:
-        sig = inspect.signature(cls.__init__)
-        names = [p.name for p in sig.parameters.values()
-                 if p.name != "self" and p.kind != p.VAR_KEYWORD]
-        return sorted(names)
-
-    def get_params(self) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
-
-    def set_params(self, **params) -> "BaseEstimator":
-        valid = self._param_names()
-        for key, value in params.items():
-            if key not in valid:
-                raise ValidationError(
-                    f"unknown parameter {key!r} for {type(self).__name__}; "
-                    f"valid parameters are {valid}")
-            setattr(self, key, value)
-        return self
 
     def _check_fitted(self, *attrs: str) -> None:
         for attr in attrs:

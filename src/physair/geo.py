@@ -265,8 +265,8 @@ def local_norm_matrix(graph: Graph) -> np.ndarray:
     """The diagonal of the local normalization M, per node: 1 plus the
     inverse distances on the edges into it.
 
-    Entries are always >= 1, so M scales features up; its inverse is what
-    actually shrinks them (see the model module for which one is applied).
+    Entries are always >= 1, so M would scale features up; the model's
+    local module divides by it, which shrinks them.
     """
     m = np.ones(graph.n_nodes)
     np.add.at(m, graph.dst, graph.diffusion_edge_features())

@@ -7,7 +7,7 @@ features and blends them per node:
     x_D = l * relu(L_D . node_mlp(x) . W)              graph diffusion
     x_C = update(concat(m, node_mlp(x) + m))           wind-driven transport,
           with m_i the sum of edge messages into i
-    x_L = norm(relu((I + A) . node_mlp(x) . W_c))      local-source response
+    x_L = M^-1 relu((I + A) . node_mlp(x) . W_c)       local-source response
     x'  = w_D x_D + w_C x_C + w_L x_L,  (w_D, w_C, w_L) = softmax(fusion(x_D|x_C|x_L))
 
 The model never sees node count at construction time: every parameter acts
@@ -74,26 +74,22 @@ from .geo import Graph, build_matrices
 
 PRESETS = {"S": (3, 128), "M": (4, 256), "L": (5, 512)}
 
-LOCAL_NORMS = ("inverse", "direct")
-AGGREGATIONS = ("sum", "mean")
+# The one design every checkpoint records: the local module divides by its
+# normalization, convection sums its messages, and every module applies ReLU.
+FIXED_DESIGN = {"local_norm": "inverse", "aggregation": "sum", "activation": "relu"}
 
 
 @dataclass
 class ModelConfig:
     """Architecture knobs. A preset fixes (n_layers, hidden_dim) exactly.
 
-    local_norm picks which side of the local module's normalization matrix
-    is applied: "inverse" divides features by the degree-like diagonal
-    (the default; it actually shrinks them), "direct" multiplies by it.
-    Every physics module applies ReLU; checkpoints record it as "activation".
+    The rest of the design is fixed; checkpoints record it as FIXED_DESIGN.
     """
 
     preset: str | None = "S"
     n_layers: int | None = None
     hidden_dim: int | None = None
     window: int = 1
-    local_norm: str = "inverse"
-    aggregation: str = "sum"
 
     def __post_init__(self):
         if self.preset is not None:
@@ -111,10 +107,6 @@ class ModelConfig:
             raise ValidationError(f"bad architecture: {self.n_layers} layers, dim {self.hidden_dim}")
         if self.window < 1:
             raise ValidationError(f"window must be >= 1 hour, got {self.window}")
-        if self.local_norm not in LOCAL_NORMS:
-            raise ValidationError(f"local_norm must be one of {LOCAL_NORMS}, got {self.local_norm!r}")
-        if self.aggregation not in AGGREGATIONS:
-            raise ValidationError(f"aggregation must be one of {AGGREGATIONS}, got {self.aggregation!r}")
 
     @property
     def input_dim(self) -> int:
@@ -123,22 +115,21 @@ class ModelConfig:
 
     def to_dict(self) -> dict:
         return {"preset": self.preset, "n_layers": self.n_layers, "hidden_dim": self.hidden_dim,
-                "window": self.window, "local_norm": self.local_norm,
-                "aggregation": self.aggregation, "activation": "relu"}
+                "window": self.window, **FIXED_DESIGN}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        if d.get("activation", "relu") != "relu":
-            raise ValidationError(f"activation must be 'relu', got {d['activation']!r}")
-        return cls(**{k: d[k] for k in ("preset", "n_layers", "hidden_dim", "window",
-                                        "local_norm", "aggregation") if k in d})
+        for key, value in FIXED_DESIGN.items():
+            if d.get(key, value) != value:
+                raise ValidationError(f"{key} must be {value!r}, got {d[key]!r}")
+        return cls(**{k: d[k] for k in ("preset", "n_layers", "hidden_dim", "window") if k in d})
 
 
 class GraphWiring:
     """Constant per-graph arrays in the form the model consumes.
 
     Holds the scaled Laplacian and self-loop adjacency as constant tensors,
-    the diagonal of the local normalization (both orientations), and the
+    the inverse of the local normalization's diagonal, and the
     edge order: edges are grouped by destination, so (B, E, d) edge
     messages reshape to (B, N, N-1, d) by destination node. Everything
     here is read-only once built.
@@ -155,7 +146,6 @@ class GraphWiring:
         self.dst = graph.dst
         self.lap_scaled = Tensor(matrices.lap_scaled)
         self.loop_adj = Tensor(np.eye(n) + matrices.a)
-        self.norm_direct = Tensor(matrices.m[:, None])
         self.norm_inverse = Tensor((1.0 / matrices.m)[:, None])
 
     @staticmethod
@@ -166,7 +156,7 @@ class GraphWiring:
             return wirings[0]  # its matrices broadcast over the samples
         out = copy.copy(wirings[0])
         out.groups = len(wirings)
-        for name in ("lap_scaled", "loop_adj", "norm_direct", "norm_inverse"):
+        for name in ("lap_scaled", "loop_adj", "norm_inverse"):
             setattr(out, name, Tensor(np.repeat([getattr(w, name).data for w in wirings], bsz, axis=0)))
         return out
 
@@ -314,8 +304,8 @@ def _finish_messages(h: Tensor, pre: Tensor, w: Tensor, b: Tensor,
     ones. Values agree to rounding, and the gradient is checked against
     the finite-difference oracle like every other fused op.
 
-    One op finishes the messages and aggregates them (the fused
-    message-aggregation of Zhang et al., MLSys 2022). The messages are
+    One op finishes the messages and sums them per node (Zhang et al.,
+    MLSys 2022, fuse the two the same way). The messages are
     written into pre's buffer and summed per destination with the same
     numpy reduction as a separate sum over the (N, N-1) edge axis, so the
     bits are those of finishing and then summing. pre must be a buffer no
@@ -433,10 +423,8 @@ class ConvectionModule:
     message_pre) of every layer ahead of the node side (nodes).
     """
 
-    def __init__(self, dim: int, edge_in_dim: int, rng: np.random.Generator | None, name: str,
-                 aggregation: str = "sum"):
+    def __init__(self, dim: int, edge_in_dim: int, rng: np.random.Generator | None, name: str):
         self.dim = dim
-        self.aggregation = aggregation
         self.node_mlp = Mlp(dim, dim, rng, f"{name}.node_mlp", "relu")
         self.edge_mlp = Mlp(edge_in_dim, dim, rng, f"{name}.edge_mlp", "relu")
         self.message_mlp = Mlp(2 * dim, dim, rng, f"{name}.message_mlp", "relu")
@@ -522,8 +510,6 @@ class ConvectionModule:
     def update(self, h: Tensor, m: Tensor, wiring: GraphWiring) -> Tensor:
         """x_C from node_mlp's output h and the summed messages m into the
         same nodes of wiring's graph, or of the targets it stacks."""
-        if self.aggregation == "mean":
-            m = mul(m, Tensor(1.0 / (wiring.n_nodes - 1)))
         uw, ub, _ = self.update_mlp.layers[0]
         return linear_pair(m, add(h, m),
                            narrow(uw, 0, self.dim, axis=0),
@@ -536,15 +522,13 @@ class ConvectionModule:
 
 
 class LocalModule:
-    """x_L = norm((I + A) . node_mlp(x) . W_c): one self-loop graph convolution.
+    """x_L = M^-1 relu((I + A) . node_mlp(x) . W_c): one self-loop graph convolution.
 
-    norm is the diagonal M (or its inverse) built from 1/dist edge
-    features; which orientation applies is the model config's call.
+    M is the diagonal built from 1/dist edge features; dividing by it
+    shrinks each node's response.
     """
 
-    def __init__(self, dim: int, rng: np.random.Generator | None, name: str,
-                 local_norm: str = "inverse"):
-        self.local_norm = local_norm
+    def __init__(self, dim: int, rng: np.random.Generator | None, name: str):
         self.node_mlp = Mlp(dim, dim, rng, f"{name}.node_mlp", "relu")
         self.conv_weight = init_param(rng, f"{name}.conv_weight", (dim, dim), 1.0 / np.sqrt(dim))
 
@@ -554,8 +538,7 @@ class LocalModule:
     def propagate(self, h: Tensor, wiring: GraphWiring) -> Tensor:
         """x_L from node_mlp's output h."""
         f = relu(matmul(matmul(wiring.loop_adj, h), self.conv_weight))
-        norm = wiring.norm_inverse if self.local_norm == "inverse" else wiring.norm_direct
-        return mul(norm, f)
+        return mul(wiring.norm_inverse, f)
 
     def params(self):
         return self.node_mlp.params() + [self.conv_weight]
@@ -584,12 +567,10 @@ class FusionHead:
 class GnnLayer:
     """One stacked layer: the three physics modules plus their fusion head."""
 
-    def __init__(self, dim: int, edge_in_dim: int, rng: np.random.Generator | None, name: str,
-                 local_norm: str, aggregation: str):
+    def __init__(self, dim: int, edge_in_dim: int, rng: np.random.Generator | None, name: str):
         self.diffusion = DiffusionModule(dim, rng, f"{name}.diffusion")
-        self.convection = ConvectionModule(dim, edge_in_dim, rng, f"{name}.convection",
-                                           aggregation=aggregation)
-        self.local = LocalModule(dim, rng, f"{name}.local", local_norm=local_norm)
+        self.convection = ConvectionModule(dim, edge_in_dim, rng, f"{name}.convection")
+        self.local = LocalModule(dim, rng, f"{name}.local")
         self.fusion = FusionHead(dim, rng, f"{name}.fusion")
 
     def __call__(self, x: Tensor, pre: Tensor, wiring: GraphWiring, rows=None) -> tuple:
@@ -643,8 +624,7 @@ class PhysicsGnn:
         self.layers = []
         for k in range(config.n_layers):
             edge_in = 3 if k == 0 else d
-            self.layers.append(GnnLayer(d, edge_in, rng, f"layer{k}", config.local_norm,
-                                        config.aggregation))
+            self.layers.append(GnnLayer(d, edge_in, rng, f"layer{k}"))
         self.output_head = Mlp(d, 1, rng, "output_head")
 
     def edge_path(self, feats) -> tuple:

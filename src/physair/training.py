@@ -721,6 +721,8 @@ def train_ensemble(dataset: Dataset, split: SensorSplit,
     the core count.
     """
     seeds = tuple(int(s) for s in seeds)
+    if not seeds:
+        raise ValidationError("need at least one ensemble seed")
     if len(set(seeds)) != len(seeds):
         raise ValidationError(f"duplicate ensemble seeds: {seeds}")
     out_root = Path(out_root)

@@ -18,6 +18,7 @@ from physair.cli import build_parser, main, parse_seeds, read_config_file, resol
 from physair.data import load_dataset
 from physair.errors import ValidationError
 from physair.evaluation import infer_at_location
+from physair.model import FIXED_DESIGN
 from physair.training import load_trained
 
 
@@ -130,8 +131,6 @@ def test_no_resume_overrides_the_config_file(tmp_path):
 
 @pytest.mark.parametrize("command, key, allowed", [
     ("train", "preset", "{S,M,L}"),
-    ("train", "local_norm", "{direct,inverse}"),
-    ("train", "aggregation", "{sum,mean}"),
     ("interpolate", "context", "{train,all}"),
 ])
 def test_choice_options_list_and_check_their_values(command, key, allowed,
@@ -334,6 +333,29 @@ def test_train_outputs(train_dir):
     assert len(split.train) + len(split.val) + len(split.test) == 10
 
 
+def test_train_resolved_config_reproduces_run(tmp_path, train_dir):
+    # the README's promise: --config <out>/resolved.cfg repeats the run
+    rerun = tmp_path / "rerun"
+    assert main(["train", "--config", str(train_dir / "resolved.cfg"),
+                 "--out", str(rerun)]) == 0
+    for seed in (0, 1):
+        for name in ("best.ckpt", "state.json"):
+            assert (rerun / f"seed{seed}" / name).read_bytes() == \
+                (train_dir / f"seed{seed}" / name).read_bytes(), (seed, name)
+
+
+def test_train_config_holding_a_retired_key_exits_2_naming_it(tmp_path, train_dir, capsys):
+    # a resolved.cfg written while local_norm and aggregation were options
+    # holds both lines; the README says to delete them
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text((train_dir / "resolved.cfg").read_text()
+                   + "local_norm = inverse\naggregation = sum\n")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 2
+    err = capsys.readouterr().err
+    assert "unknown config keys" in err and "aggregation, local_norm" in err
+    assert not (tmp_path / "t").exists()
+
+
 def test_train_seeds_differ(train_dir):
     a = (train_dir / "seed0" / "best.ckpt").read_bytes()
     b = (train_dir / "seed1" / "best.ckpt").read_bytes()
@@ -490,7 +512,7 @@ def test_bad_eval_batch_is_refused_before_any_work(synth_dir, train_dir, tmp_pat
 @pytest.mark.parametrize("flag, value", [("--gp-selection-stride", "0"),
                                          ("--gp-selection-stride", "-3"),
                                          ("--idw-power", "0"), ("--idw-power", "-1"),
-                                         ("--idw-power", "nan")])
+                                         ("--idw-power", "nan"), ("--idw-power", "inf")])
 def test_bad_baseline_settings_are_refused_before_any_work(synth_dir, train_dir, tmp_path,
                                                            monkeypatch, capsys, flag, value):
     # a stride of -3 once ran the gp search on every hour, and an idw power
@@ -591,19 +613,25 @@ def test_optimizer_state_as_models_exits_2_naming_the_file(synth_dir, train_dir,
     assert "Traceback" not in err
 
 
-def test_checkpoint_naming_another_activation_exits_2(synth_dir, train_dir, tmp_path, capsys):
+@pytest.mark.parametrize("key, other", [("activation", "identity"), ("local_norm", "direct"),
+                                        ("aggregation", "mean")])
+def test_checkpoint_naming_another_design_exits_2(synth_dir, train_dir, tmp_path, capsys,
+                                                  key, other):
+    # every checkpoint records the one design, relu, inverse and sum; one
+    # that names another was trained by some other model
     manifest, arrays = load_arrays(str(train_dir / "seed0" / "best.ckpt"))
-    assert manifest["extra"]["model_config"]["activation"] == "relu"
+    assert manifest["extra"]["model_config"][key] == FIXED_DESIGN[key]
     extra = json.loads(json.dumps(manifest["extra"]))
-    extra["model_config"]["activation"] = "identity"
-    ckpt = tmp_path / "identity.ckpt"
+    extra["model_config"][key] = other
+    ckpt = tmp_path / f"{other}.ckpt"
     save_arrays(str(ckpt), list(arrays.items()), extra=extra)
     for argv in (_point_query(synth_dir, ckpt),
                  ["evaluate", "--dataset", str(synth_dir), "--models", str(ckpt),
                   "--out", str(tmp_path / "eval")]):
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert str(ckpt) in err and "'identity'" in err
+        assert str(ckpt) in err and f"{key} must be" in err and f"'{other}'" in err
+    assert not (tmp_path / "eval").exists()
 
 
 @pytest.mark.parametrize("damage", ["missing", "misshaped"])

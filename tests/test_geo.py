@@ -391,7 +391,7 @@ def test_an_added_node_equals_a_built_graph_bit_for_bit(context, query):
     for field in ("dist", "src", "dst", "edge_east", "edge_north"):
         assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
     got_wiring, want_wiring = GraphWiring(got), GraphWiring(want)
-    for name in ("lap_scaled", "loop_adj", "norm_direct", "norm_inverse"):
+    for name in ("lap_scaled", "loop_adj", "norm_inverse"):
         assert (getattr(got_wiring, name).data.tobytes()
                 == getattr(want_wiring, name).data.tobytes()), name
     # the query node's wind triples, built on its 2C edges alone

@@ -16,6 +16,7 @@ from physair.errors import ShapeError, ValidationError
 from physair.geo import (Graph, SensorMeta, build_graph, build_matrices,
                          convection_edge_features, last_node_edges)
 from physair.model import (
+    FIXED_DESIGN,
     PRESETS,
     ConvectionModule,
     DiffusionModule,
@@ -84,27 +85,29 @@ def test_config_rejects_conflicts_and_gaps():
         ModelConfig(preset="XL")
     with pytest.raises(ValidationError):
         ModelConfig(preset="S", window=0)
-    with pytest.raises(ValidationError):
-        ModelConfig(preset="S", local_norm="both")
 
 
 def test_config_roundtrip():
-    cfg = ModelConfig(preset=None, n_layers=2, hidden_dim=16, window=3,
-                      local_norm="direct", aggregation="mean")
+    cfg = ModelConfig(preset=None, n_layers=2, hidden_dim=16, window=3)
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
     assert cfg.input_dim == 4
 
 
-def test_config_records_relu_and_refuses_another_activation():
-    # every physics module applies relu; a checkpoint that names another
-    # activation was trained by some other model
+def test_config_records_the_one_design_and_refuses_another():
+    # the local module divides by M, convection sums its messages and every
+    # physics module applies relu; a checkpoint that names another local
+    # norm, aggregation or activation was trained by some other model
     cfg = ModelConfig(preset="S")
-    assert cfg.to_dict()["activation"] == "relu"
+    assert cfg.to_dict() == {"preset": "S", "n_layers": 3, "hidden_dim": 128, "window": 1,
+                             "local_norm": "inverse", "aggregation": "sum",
+                             "activation": "relu"}
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
-    with pytest.raises(ValidationError, match="'identity'"):
-        ModelConfig.from_dict({**cfg.to_dict(), "activation": "identity"})
-    with pytest.raises(TypeError):
-        ModelConfig(preset="S", activation="relu")
+    for key, other in (("activation", "identity"), ("local_norm", "direct"),
+                       ("aggregation", "mean")):
+        with pytest.raises(ValidationError, match=f"{key} must be .*'{other}'"):
+            ModelConfig.from_dict({**cfg.to_dict(), key: other})
+        with pytest.raises(TypeError):
+            ModelConfig(preset="S", **{key: FIXED_DESIGN[key]})
 
 
 # ---------------------------------------------------------------------------
@@ -185,17 +188,14 @@ def reference_convection(mod, x, efeat):
             j, i = int(mod._src[k]), int(mod._dst[k])
             phi = apply_mlp(mod.message_mlp, np.concatenate([h[i] + ef[k], h[j] + ef[k]]))
             m[i] += phi
-        if mod.aggregation == "mean":
-            m = m / (n - 1)
         for i in range(n):
             out[s, i] = apply_mlp(mod.update_mlp, np.concatenate([m[i], h[i] + m[i]]))
     return out
 
 
-@pytest.mark.parametrize("aggregation", ["sum", "mean"])
-def test_convection_matches_straight_line_reference(aggregation):
+def test_convection_matches_straight_line_reference():
     w = wiring_for(5, seed=4)
-    mod = ConvectionModule(6, 3, np.random.default_rng(5), "conv", aggregation=aggregation)
+    mod = ConvectionModule(6, 3, np.random.default_rng(5), "conv")
     mod._src, mod._dst = w.src, w.dst  # expose wiring to the reference
     rng = np.random.default_rng(6)
     x = rng.normal(size=(3, 5, 6))
@@ -387,23 +387,10 @@ def test_local_constant_field_equal_degrees():
     assert np.max(np.abs(out - out[0])) < 1e-12
 
 
-def test_local_direct_vs_inverse_scaling():
-    # all distances 1 km: M = diag(3,3,3) exactly
-    g = manual_graph(3, dist_km=1.0)
-    w = GraphWiring(g)
-    rng = np.random.default_rng(14)
-    direct = LocalModule(4, np.random.default_rng(15), "loc", local_norm="direct")
-    inverse = LocalModule(4, np.random.default_rng(15), "loc", local_norm="inverse")
-    x = rng.normal(size=(2, 3, 4))
-    f = np.stack([reference_local(direct, x[s], w) for s in range(2)])
-    assert np.allclose(direct(Tensor(x), w).data, 3.0 * f, atol=1e-12)
-    assert np.allclose(inverse(Tensor(x), w).data, f / 3.0, atol=1e-12)
-
-
 def test_local_inverse_halves_for_m_equals_two():
     g = manual_graph(2, dist_km=1.0)  # M = diag(2, 2)
     w = GraphWiring(g)
-    mod = LocalModule(3, np.random.default_rng(16), "loc", local_norm="inverse")
+    mod = LocalModule(3, np.random.default_rng(16), "loc")
     x = np.random.default_rng(17).normal(size=(1, 2, 3))
     f = reference_local(mod, x[0], w)
     assert np.allclose(mod(Tensor(x), w).data[0], f / 2.0, atol=1e-12)
@@ -464,7 +451,7 @@ def test_fusion_weights_positive_normalized_shift_invariant():
 # ---------------------------------------------------------------------------
 
 def tiny_config(**kw):
-    """Read as a checkpoint's model_config, whose "activation" is checked."""
+    """Read as a checkpoint's model_config, whose fixed design is checked."""
     base = dict(preset=None, n_layers=2, hidden_dim=8, window=1)
     base.update(kw)
     return ModelConfig.from_dict(base)
@@ -615,10 +602,8 @@ def test_full_model_gradients_match_finite_differences():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("n", [2, 3, 7, 28])
-@pytest.mark.parametrize("aggregation", ["sum", "mean"])
-@pytest.mark.parametrize("activation", ["relu"])
-def test_readout_matches_full_forward_masked_rows(n, aggregation, activation):
-    cfg = tiny_config(aggregation=aggregation, activation=activation)
+def test_readout_matches_full_forward_masked_rows(n):
+    cfg = tiny_config()
     model = PhysicsGnn(cfg, seed=n)
     w = wiring_for(n, seed=n)
     x, feats = batch_for(w, 4, cfg, seed=n)
@@ -674,9 +659,8 @@ def tape_buffers(out):
     return list(found.values())
 
 
-@pytest.mark.parametrize("activation", ["relu"])
-def test_recorded_forward_keeps_a_bool_mask_and_no_float_message_buffer(activation):
-    cfg = tiny_config(n_layers=3, activation=activation)
+def test_recorded_forward_keeps_a_bool_mask_and_no_float_message_buffer():
+    cfg = tiny_config(n_layers=3)
     model = PhysicsGnn(cfg, seed=2)
     w = wiring_for(6, seed=2)
     x, feats = batch_for(w, 2, cfg)
@@ -735,11 +719,10 @@ def train_step_loss(model, n=6, bsz=3, seed=80):
     return mse(model.forward(x, w, feats, masked), Tensor(target)), w
 
 
-@pytest.mark.parametrize("activation", ["relu"])
-def test_consumed_backward_equals_the_retained_one_and_frees_the_tape(activation):
+def test_consumed_backward_equals_the_retained_one_and_frees_the_tape():
     grads = {}
     for consume in (False, True):
-        model = PhysicsGnn(tiny_config(n_layers=3, activation=activation), seed=8)
+        model = PhysicsGnn(tiny_config(n_layers=3), seed=8)
         loss, w = train_step_loss(model)
         edge = next(t for t in tape_nodes(loss)
                     if t._parents and t.ndim == 3 and t.shape[1] == w.n_edges)
@@ -791,12 +774,11 @@ def test_consumed_backward_peaks_under_an_edge_array_above_the_forward():
     assert peak <= edge_bytes, (peak, edge_bytes)
 
 
-@pytest.mark.parametrize("activation", ["relu"])
-def test_nan_at_any_context_node_reaches_the_masked_prediction(activation):
+def test_nan_at_any_context_node_reaches_the_masked_prediction():
     # every layer before the last mixes all nodes (dense L_D and I + A,
     # one message from every node), so one bad reading anywhere poisons
     # the masked node's prediction instead of being silently dropped
-    cfg = tiny_config(activation=activation)
+    cfg = tiny_config()
     model = PhysicsGnn(cfg, seed=7)
     n, masked = 6, 2
     w = wiring_for(n, seed=70)

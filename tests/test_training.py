@@ -293,7 +293,10 @@ def test_checkpoint_carries_a_dataset_fingerprint(tmp_path):
 def test_resume_refuses_other_data_or_config(tmp_path, change):
     ds = toy_dataset(hours=12)
     split = make_split(ds.sensor_ids(), seed=0)
-    model_config = tiny_model_config()
+    # preset S and its explicit sizes build the same params, so only the
+    # recorded model_config tells those two runs apart
+    model_config = (ModelConfig(preset=None, n_layers=3, hidden_dim=128) if change == "model"
+                    else tiny_model_config())
     train_model(ds, split, model_config, run_config(max_epochs=1), tmp_path / "run")
     config = run_config(max_epochs=2)
     if change == "readings":
@@ -303,7 +306,7 @@ def test_resume_refuses_other_data_or_config(tmp_path, change):
     elif change == "split":
         split = make_split(ds.sensor_ids(), seed=1)
     else:
-        model_config = ModelConfig(preset=None, n_layers=1, hidden_dim=8, aggregation="mean")
+        model_config = ModelConfig(preset="S")
     expected = {"readings": "dataset fingerprint", "lr": "train_config.lr",
                 "split": "split", "model": "model_config"}[change]
     with pytest.raises(ValidationError, match=expected):
@@ -458,6 +461,24 @@ def test_load_trained_names_the_file_and_what_it_lacks(tmp_path, drop):
         load_trained(bad)
 
 
+@pytest.mark.parametrize("key, other", [("activation", "identity"), ("local_norm", "direct"),
+                                        ("aggregation", "mean")])
+def test_load_trained_refuses_another_design_naming_the_file(tmp_path, key, other):
+    from physair.autodiff import save_arrays
+
+    ds = toy_dataset(hours=8)
+    split = make_split(ds.sensor_ids(), seed=0)
+    result = train_model(ds, split, tiny_model_config(),
+                         run_config(max_epochs=1), tmp_path / "run")
+    manifest, arrays = load_arrays(str(result.checkpoint_path))
+    extra = json.loads(json.dumps(manifest["extra"]))
+    extra["model_config"][key] = other
+    bad = tmp_path / "bad.ckpt"
+    save_arrays(str(bad), list(arrays.items()), extra=extra)
+    with pytest.raises(ValidationError, match=f"{bad}: {key} must be .*'{other}'"):
+        load_trained(bad)
+
+
 def test_validation_mse_finite_and_reproducible(tmp_path):
     ds = toy_dataset(hours=12)
     split = make_split(ds.sensor_ids(), seed=0)
@@ -489,6 +510,18 @@ def test_train_ensemble_per_seed_dirs_and_parallel_equivalence(tmp_path):
     assert (tmp_path / "par" / "seed0" / "best.ckpt").read_bytes() == a
     assert (tmp_path / "par" / "seed1" / "best.ckpt").read_bytes() == b
     assert [r.checkpoint_path.parent.name for r in par] == ["seed0", "seed1"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_train_ensemble_refuses_no_seeds(tmp_path, workers):
+    # no seeds once returned [] with one worker and raised the pool's bare
+    # ValueError with two
+    ds = toy_dataset(hours=12)
+    with pytest.raises(ValidationError, match="at least one ensemble seed"):
+        training.train_ensemble(ds, make_split(ds.sensor_ids(), seed=0), tiny_model_config(),
+                                run_config(max_epochs=1), tmp_path / "run", seeds=(),
+                                workers=workers)
+    assert not (tmp_path / "run").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -561,15 +594,11 @@ def test_predictor_peak_memory_does_not_grow_with_ensemble_members():
     assert max(peaks[2], peaks[3]) <= 1.02 * peaks[1], peaks
 
 
-@pytest.mark.parametrize("aggregation", ["sum", "mean"])
-@pytest.mark.parametrize("activation", ["relu"])
 @pytest.mark.parametrize("c", [2, 3, 7, 28])
 @pytest.mark.parametrize("n_layers", [2, 3])
 @pytest.mark.parametrize("bsz", [1, 4])
-def test_shared_layer0_predictor_matches_per_target_forward(aggregation, activation, c,
-                                                            n_layers, bsz):
-    config = ModelConfig.from_dict(dict(preset=None, n_layers=n_layers, hidden_dim=8,
-                                        aggregation=aggregation, activation=activation))
+def test_shared_layer0_predictor_matches_per_target_forward(c, n_layers, bsz):
+    config = ModelConfig(preset=None, n_layers=n_layers, hidden_dim=8)
     assert_predictor_matches_per_target_forward(config, c, bsz, 9)
 
 
@@ -578,15 +607,13 @@ def one_target_calls(models, context, targets, x, conv_feats) -> np.ndarray:
                                    Normalizer(10.0, 2.0)) for target in targets], axis=1)
 
 
-@pytest.mark.parametrize("aggregation", ["sum", "mean"])
 @pytest.mark.parametrize("window", [1, 3])
 @pytest.mark.parametrize("c", [2, 3, 7, 28])
 @pytest.mark.parametrize("n_layers", [1, 2, 3])
-def test_stacked_targets_equal_one_target_calls(aggregation, window, c, n_layers):
+def test_stacked_targets_equal_one_target_calls(window, c, n_layers):
     # a stack's forward gives each target the bits of its own forward, so
     # a prediction depends on neither G nor the other targets of its call
-    config = ModelConfig(preset=None, n_layers=n_layers, hidden_dim=8,
-                         aggregation=aggregation, window=window)
+    config = ModelConfig(preset=None, n_layers=n_layers, hidden_dim=8, window=window)
     models = [PhysicsGnn(config, seed=s) for s in (c, c + 1)]
     context, targets = shared_context(c, 16, seed=c * 10 + window)
     for bsz in (1, 3, 4):
