@@ -193,7 +193,11 @@ def reference_convection(mod, x, efeat):
     return out
 
 
-def test_convection_matches_straight_line_reference():
+@pytest.mark.parametrize("aggregation", ["sum"])
+def test_convection_matches_straight_line_reference(aggregation):
+    # convection sums its messages; "sum" is the only aggregation a
+    # checkpoint may record
+    assert ModelConfig.from_dict({"aggregation": aggregation}).to_dict()["aggregation"] == "sum"
     w = wiring_for(5, seed=4)
     mod = ConvectionModule(6, 3, np.random.default_rng(5), "conv")
     mod._src, mod._dst = w.src, w.dst  # expose wiring to the reference
@@ -602,8 +606,10 @@ def test_full_model_gradients_match_finite_differences():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("n", [2, 3, 7, 28])
-def test_readout_matches_full_forward_masked_rows(n):
-    cfg = tiny_config()
+@pytest.mark.parametrize("aggregation", ["sum"])
+@pytest.mark.parametrize("activation", ["relu"])
+def test_readout_matches_full_forward_masked_rows(n, aggregation, activation):
+    cfg = tiny_config(aggregation=aggregation, activation=activation)
     model = PhysicsGnn(cfg, seed=n)
     w = wiring_for(n, seed=n)
     x, feats = batch_for(w, 4, cfg, seed=n)
@@ -659,8 +665,9 @@ def tape_buffers(out):
     return list(found.values())
 
 
-def test_recorded_forward_keeps_a_bool_mask_and_no_float_message_buffer():
-    cfg = tiny_config(n_layers=3)
+@pytest.mark.parametrize("activation", ["relu"])
+def test_recorded_forward_keeps_a_bool_mask_and_no_float_message_buffer(activation):
+    cfg = tiny_config(n_layers=3, activation=activation)
     model = PhysicsGnn(cfg, seed=2)
     w = wiring_for(6, seed=2)
     x, feats = batch_for(w, 2, cfg)
@@ -719,10 +726,11 @@ def train_step_loss(model, n=6, bsz=3, seed=80):
     return mse(model.forward(x, w, feats, masked), Tensor(target)), w
 
 
-def test_consumed_backward_equals_the_retained_one_and_frees_the_tape():
+@pytest.mark.parametrize("activation", ["relu"])
+def test_consumed_backward_equals_the_retained_one_and_frees_the_tape(activation):
     grads = {}
     for consume in (False, True):
-        model = PhysicsGnn(tiny_config(n_layers=3), seed=8)
+        model = PhysicsGnn(tiny_config(n_layers=3, activation=activation), seed=8)
         loss, w = train_step_loss(model)
         edge = next(t for t in tape_nodes(loss)
                     if t._parents and t.ndim == 3 and t.shape[1] == w.n_edges)
@@ -774,11 +782,12 @@ def test_consumed_backward_peaks_under_an_edge_array_above_the_forward():
     assert peak <= edge_bytes, (peak, edge_bytes)
 
 
-def test_nan_at_any_context_node_reaches_the_masked_prediction():
+@pytest.mark.parametrize("activation", ["relu"])
+def test_nan_at_any_context_node_reaches_the_masked_prediction(activation):
     # every layer before the last mixes all nodes (dense L_D and I + A,
     # one message from every node), so one bad reading anywhere poisons
     # the masked node's prediction instead of being silently dropped
-    cfg = tiny_config()
+    cfg = tiny_config(activation=activation)
     model = PhysicsGnn(cfg, seed=7)
     n, masked = 6, 2
     w = wiring_for(n, seed=70)

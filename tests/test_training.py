@@ -594,11 +594,15 @@ def test_predictor_peak_memory_does_not_grow_with_ensemble_members():
     assert max(peaks[2], peaks[3]) <= 1.02 * peaks[1], peaks
 
 
+@pytest.mark.parametrize("aggregation", ["sum"])
+@pytest.mark.parametrize("activation", ["relu"])
 @pytest.mark.parametrize("c", [2, 3, 7, 28])
 @pytest.mark.parametrize("n_layers", [2, 3])
 @pytest.mark.parametrize("bsz", [1, 4])
-def test_shared_layer0_predictor_matches_per_target_forward(c, n_layers, bsz):
-    config = ModelConfig(preset=None, n_layers=n_layers, hidden_dim=8)
+def test_shared_layer0_predictor_matches_per_target_forward(aggregation, activation, c,
+                                                            n_layers, bsz):
+    config = ModelConfig.from_dict(dict(preset=None, n_layers=n_layers, hidden_dim=8,
+                                        aggregation=aggregation, activation=activation))
     assert_predictor_matches_per_target_forward(config, c, bsz, 9)
 
 
@@ -607,13 +611,15 @@ def one_target_calls(models, context, targets, x, conv_feats) -> np.ndarray:
                                    Normalizer(10.0, 2.0)) for target in targets], axis=1)
 
 
+@pytest.mark.parametrize("aggregation", ["sum"])
 @pytest.mark.parametrize("window", [1, 3])
 @pytest.mark.parametrize("c", [2, 3, 7, 28])
 @pytest.mark.parametrize("n_layers", [1, 2, 3])
-def test_stacked_targets_equal_one_target_calls(window, c, n_layers):
+def test_stacked_targets_equal_one_target_calls(aggregation, window, c, n_layers):
     # a stack's forward gives each target the bits of its own forward, so
     # a prediction depends on neither G nor the other targets of its call
-    config = ModelConfig(preset=None, n_layers=n_layers, hidden_dim=8, window=window)
+    config = ModelConfig.from_dict(dict(preset=None, n_layers=n_layers, hidden_dim=8,
+                                        aggregation=aggregation, window=window))
     models = [PhysicsGnn(config, seed=s) for s in (c, c + 1)]
     context, targets = shared_context(c, 16, seed=c * 10 + window)
     for bsz in (1, 3, 4):
