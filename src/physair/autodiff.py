@@ -602,38 +602,40 @@ class Mlp:
         return list(self.layers[0][:2])
 
 
+# Adam's decay rates and denominator floor: the standard values, not
+# settings. Checkpoints record them in their train_config.
+ADAM_FIXED = {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
+
+
 class Adam:
-    """Adam with bias correction, the standard recurrence.
+    """Adam with bias correction, the standard recurrence, at ADAM_FIXED.
 
     Holds one (m, v) pair per trainable param; step() reads .grad and
     updates .data in place. Updates are deterministic functions of
     (params, grads, state).
     """
 
-    def __init__(self, params, lr: float = 1e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, lr: float = 1e-4):
         self.params = list(params)
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
+        beta1, beta2, eps = ADAM_FIXED["beta1"], ADAM_FIXED["beta2"], ADAM_FIXED["eps"]
         self.t += 1
-        correct1 = 1.0 - self.beta1 ** self.t
-        correct2 = 1.0 - self.beta2 ** self.t
+        correct1 = 1.0 - beta1 ** self.t
+        correct2 = 1.0 - beta2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * (g * g)
             m_hat = m / correct1
             v_hat = v / correct2
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + eps)
 
     def state_arrays(self) -> dict:
         """Optimizer state as plain arrays, for checkpointing."""

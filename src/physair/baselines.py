@@ -40,7 +40,8 @@ from .geo import EPS_DIST_KM, cross_distances_km, pairwise_distances_km
 
 logger = logging.getLogger(__name__)
 
-GP_JITTER = 1e-8
+GP_JITTER = 1e-8  # added to the GP covariance diagonal, on top of the noise
+VARIOGRAM_BINS = 10  # equal-width distance bins of the kriging variogram fit
 
 # Hyperparameter grid for the GP, relative to the variance of the
 # training values (lengthscales are absolute, in km).
@@ -81,19 +82,17 @@ class Idw(BaseEstimator):
     """Inverse distance weighting.
 
     Weights are normalized inverse great-circle distances raised to
-    ``power`` (default 1). A target closer than ``eps_dist`` km to some
-    context sensor returns that sensor's value exactly, nearest first.
+    ``power`` (default 1). A target within EPS_DIST_KM of some context
+    sensor returns that sensor's value exactly, nearest first.
     """
 
-    def __init__(self, power: float = 1.0, eps_dist: float = EPS_DIST_KM):
+    def __init__(self, power: float = 1.0):
         self.power = power
-        self.eps_dist = eps_dist
         self.coords_ = None
         self.values_ = None
 
     def fit(self, coords, values) -> "Idw":
         check_param(self.power, "power", positive=True)
-        check_param(self.eps_dist, "eps_dist")
         self.coords_ = check_coords(coords)
         self.values_ = check_values(values, n=self.coords_.shape[0])
         return self
@@ -105,10 +104,10 @@ class Idw(BaseEstimator):
                                   self.coords_[:, 0], self.coords_[:, 1])
         # Guard the power against the zero-distance rows that the
         # exactness rule will overwrite anyway.
-        inv = np.maximum(dist, self.eps_dist) ** (-self.power)
+        inv = np.maximum(dist, EPS_DIST_KM) ** (-self.power)
         values = self._rows()
         pred = np.matmul(inv, values[:, :, None])[..., 0] / inv.sum(axis=1)
-        at_sensor = dist.min(axis=1) <= self.eps_dist
+        at_sensor = dist.min(axis=1) <= EPS_DIST_KM
         if at_sensor.any():
             pred[:, at_sensor] = values[:, dist[at_sensor].argmin(axis=1)]
         return self._per_fit(pred)
@@ -132,21 +131,20 @@ class KrigingSystem:
     multipliers: np.ndarray
 
 
-def fit_linear_variogram(dist: np.ndarray, values: np.ndarray,
-                         n_bins: int = 10) -> tuple[float, float]:
+def fit_linear_variogram(dist: np.ndarray, values: np.ndarray) -> tuple[float, float]:
     """Least-squares linear variogram gamma(h) = nugget + slope * h.
 
     Empirical semivariances 0.5 * (v_i - v_j)^2 for every pair are
-    grouped into ``n_bins`` equal-width distance bins; a line is fit
+    grouped into VARIOGRAM_BINS equal-width distance bins; a line is fit
     through the (bin centre, mean semivariance) points. Slope and
     nugget are both clamped to be non-negative.
     """
-    slope, nugget = _fit_binned_variogram(_variogram_bins(dist, n_bins),
+    slope, nugget = _fit_binned_variogram(_variogram_bins(dist),
                                           check_values(values).reshape(1, -1))
     return float(slope[0]), float(nugget[0])
 
 
-def _variogram_bins(dist: np.ndarray, n_bins: int) -> tuple:
+def _variogram_bins(dist: np.ndarray) -> tuple:
     """The half of :func:`fit_linear_variogram` that reads only distances.
 
     Returns the pair indices ``(iu, ju)`` in ``triu_indices`` order, the
@@ -158,11 +156,11 @@ def _variogram_bins(dist: np.ndarray, n_bins: int) -> tuple:
     h_max = h.max(initial=0.0)
     if h.size == 0 or h_max <= 0.0:
         return iu, ju, None, None
-    width = h_max / n_bins
-    idx = np.minimum((h / width).astype(int), n_bins - 1)
+    width = h_max / VARIOGRAM_BINS
+    idx = np.minimum((h / width).astype(int), VARIOGRAM_BINS - 1)
     centers = []
     members = []
-    for b in range(n_bins):
+    for b in range(VARIOGRAM_BINS):
         sel = np.flatnonzero(idx == b)
         if sel.size:
             centers.append((b + 0.5) * width)
@@ -209,11 +207,9 @@ class OrdinaryKriging(BaseEstimator):
     zero pivot.
     """
 
-    def __init__(self, slope: float | None = None,
-                 nugget: float | None = None, n_bins: int = 10):
+    def __init__(self, slope: float | None = None, nugget: float | None = None):
         self.slope = slope
         self.nugget = nugget
-        self.n_bins = n_bins
         self.coords_ = None
         self.values_ = None
         self.slope_ = None
@@ -228,8 +224,6 @@ class OrdinaryKriging(BaseEstimator):
         return np.where(h > 0.0, self.nugget_[at] + self.slope_[at] * h, 0.0)
 
     def fit(self, coords, values) -> "OrdinaryKriging":
-        if not (isinstance(self.n_bins, (int, np.integer)) and self.n_bins >= 1):
-            raise ValidationError(f"n_bins must be a whole number >= 1, got {self.n_bins!r}")
         slope = None if self.slope is None else check_param(self.slope, "slope")
         nugget = None if self.nugget is None else check_param(self.nugget, "nugget")
         self.coords_ = check_coords(coords)
@@ -243,8 +237,7 @@ class OrdinaryKriging(BaseEstimator):
             self.slope_ = np.full(len(rows), 0.0 if slope is None else slope)
             self.nugget_ = np.full(len(rows), 0.0 if nugget is None else nugget)
         else:
-            self.slope_, self.nugget_ = _fit_binned_variogram(
-                _variogram_bins(dist, self.n_bins), rows)
+            self.slope_, self.nugget_ = _fit_binned_variogram(_variogram_bins(dist), rows)
         matrix = np.ones((len(rows), n + 1, n + 1))
         matrix[:, :n, :n] = self._gamma(dist)
         matrix[:, n, n] = 0.0
@@ -320,16 +313,15 @@ class GaussianProcess(BaseEstimator):
     observation noise ``noise`` on the diagonal, and the constant mean
     taken per hour as the arithmetic mean of that hour's fitted values.
     ``fit`` performs the Cholesky factorization; a factorization failure
-    after jitter means the covariance is numerically indefinite and is
+    after GP_JITTER means the covariance is numerically indefinite and is
     raised as-is.
     """
 
     def __init__(self, variance: float = 1.0, lengthscale: float = 5.0,
-                 noise: float = 0.0, jitter: float = GP_JITTER):
+                 noise: float = 0.0):
         self.variance = variance
         self.lengthscale = lengthscale
         self.noise = noise
-        self.jitter = jitter
         self.coords_ = None
         self.values_ = None
         self.mean_ = None
@@ -343,11 +335,10 @@ class GaussianProcess(BaseEstimator):
         check_param(self.variance, "variance", positive=True)
         check_param(self.lengthscale, "lengthscale", positive=True)
         check_param(self.noise, "noise")
-        check_param(self.jitter, "jitter")
         self.coords_ = check_coords(coords)
         self.values_ = check_values(values, n=self.coords_.shape[0])
         dist = pairwise_distances_km(self.coords_[:, 0], self.coords_[:, 1])
-        cov = self._kernel(dist) + (self.noise + self.jitter) * np.eye(dist.shape[0])
+        cov = self._kernel(dist) + (self.noise + GP_JITTER) * np.eye(dist.shape[0])
         self.log_det_ = float(2.0 * np.log(np.diag(np.linalg.cholesky(cov))).sum())
         rows = self._rows()
         self.mean_ = rows.mean(axis=1)

@@ -135,6 +135,12 @@ class Dataset:
         if self.provenance not in ("real", "synthetic"):
             raise ValidationError(f"unknown provenance {self.provenance!r}")
         n = len(self.sensors)
+        if n == 0:
+            raise ValidationError("dataset has no sensors")
+        ids = self.sensor_ids()
+        if len(set(ids)) != n:
+            dupes = sorted({i for i in ids if ids.count(i) > 1})
+            raise ValidationError(f"duplicate sensor ids: {', '.join(dupes)}")
         if self.pm25.ndim != 2 or self.pm25.shape[1] != n:
             raise ShapeError(
                 f"pm25 must be (hours, {n}), got {self.pm25.shape}")
@@ -341,8 +347,11 @@ def gap_filter(dataset: Dataset, max_gap_hours: int = 1):
     Surviving sensors get their isolated missing hours filled by linear
     interpolation of the adjacent hours (the average of the two
     neighbors; at the series boundary the single neighbor is used).
-    Returns ``(filtered_dataset, dropped_ids, filled_count)``.
+    Returns ``(filtered_dataset, dropped_ids, filled_count)``. Dropping
+    every sensor raises.
     """
+    if max_gap_hours < 0:
+        raise ValidationError(f"max_gap_hours must be >= 0, got {max_gap_hours}")
     keep = []
     dropped = []
     for j, sensor in enumerate(dataset.sensors):
@@ -350,6 +359,9 @@ def gap_filter(dataset: Dataset, max_gap_hours: int = 1):
             keep.append(j)
         else:
             dropped.append(sensor.sensor_id)
+    if not keep:
+        raise ValidationError(f"gap filter dropped all {len(dropped)} sensors "
+                              f"(max_gap_hours={max_gap_hours})")
     if dropped:
         logger.info("gap filter dropped %d of %d sensors: %s",
                     len(dropped), len(dataset.sensors), ", ".join(dropped))

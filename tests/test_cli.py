@@ -275,6 +275,44 @@ def test_ingest_missing_wind_exits_2(tmp_path, capsys):
     assert "wind.csv" in capsys.readouterr().err
 
 
+def test_ingest_that_keeps_no_sensor_exits_2_writing_nothing(tmp_path, capsys):
+    # every sensor reports only at hours 0 and 5; this once exited 0 with
+    # "ingested 0 sensors" and wrote a directory load_dataset refused
+    raw = tmp_path / "raw"
+    _write_raw(raw)
+    (raw / "pm25.csv").write_text("sensor_id,timestamp,value\n" + "".join(
+        f"s{j},2024-03-01T0{hour}:00:00Z,{j}\n" for j in range(1, 5) for hour in (0, 5)))
+    rc = main(["ingest", "--raw", str(raw), "--out", str(tmp_path / "c")])
+    assert rc == 2
+    assert "gap filter dropped all 4 sensors" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
+def test_ingest_negative_max_gap_exits_2_writing_nothing(tmp_path, capsys):
+    # -1 once dropped every sensor without a word
+    raw = tmp_path / "raw"
+    _write_raw(raw)
+    rc = main(["ingest", "--raw", str(raw), "--out", str(tmp_path / "c"),
+               "--max-gap-hours=-1"])
+    assert rc == 2
+    assert "max_gap_hours must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
+def test_train_on_three_sensors_exits_2_before_writing(tmp_path, capsys):
+    # a 3-sensor split once left one train sensor, and train only failed
+    # at the graph, after it had written resolved.cfg and seed0/
+    raw = tmp_path / "raw"
+    _write_raw(raw)
+    assert main(["ingest", "--raw", str(raw), "--out", str(tmp_path / "c")]) == 0
+    assert len(load_dataset(tmp_path / "c").sensors) == 3
+    rc = main(["train", "--dataset", str(tmp_path / "c"), "--out", str(tmp_path / "t"),
+               "--seeds", "0", "--max-epochs", "1"])
+    assert rc == 2
+    assert "need at least 4 sensors to split, got 3" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
+
+
 def _break_line(path, line, text):
     lines = path.read_text().splitlines()
     lines[line - 1] = text

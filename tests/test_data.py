@@ -383,6 +383,15 @@ def test_gap_filter_drops_two_consecutive_missing():
     assert filled == 0
 
 
+@pytest.mark.parametrize("max_gap_hours, match", [
+    (-1, "max_gap_hours must be >= 0"), (0, "dropped all 2 sensors")])
+def test_gap_filter_refuses_a_negative_gap_and_dropping_every_sensor(max_gap_hours, match):
+    # -1 once dropped every sensor without a word
+    ds = make_dataset([[4.0, 1.0], [np.nan, 2.0], [5.0, np.nan]])
+    with pytest.raises(ValidationError, match=match):
+        gap_filter(ds, max_gap_hours=max_gap_hours)
+
+
 def test_gap_filter_boundary_hour_uses_single_neighbor():
     ds = make_dataset([[np.nan], [8.0], [6.0], [np.nan]])
     out, dropped, filled = gap_filter(ds)
@@ -441,6 +450,19 @@ def test_dataset_rejects_mismatched_wind_length():
 def test_dataset_rejects_negative_pm25():
     with pytest.raises(ValidationError):
         make_dataset([[-1.0], [2.0]])
+
+
+@pytest.mark.parametrize("sensors, match", [
+    ((SensorMeta("s0", 32.7, -117.1), SensorMeta("s0", 32.71, -117.11)),
+     "duplicate sensor ids: s0"),
+    ((), "no sensors")])
+def test_export_refuses_duplicate_ids_and_an_empty_panel(tmp_path, sensors, match):
+    # either panel was once exported to a directory that load_dataset refused
+    ds = Dataset(sensors=sensors, start=T0, pm25=np.ones((3, len(sensors))),
+                 wind=np.column_stack([np.full(3, 5.0), np.full(3, 270.0)]))
+    with pytest.raises(ValidationError, match=match):
+        export_dataset(ds, tmp_path / "d")
+    assert not (tmp_path / "d").exists()
 
 
 @pytest.mark.parametrize("edit, message", [

@@ -289,8 +289,10 @@ def test_checkpoint_carries_a_dataset_fingerprint(tmp_path):
         assert other.fingerprint() != stored
 
 
-@pytest.mark.parametrize("change", ["readings", "lr", "split", "model"])
+@pytest.mark.parametrize("change", ["readings", "lr", "beta1", "split", "model"])
 def test_resume_refuses_other_data_or_config(tmp_path, change):
+    from physair.autodiff import save_arrays
+
     ds = toy_dataset(hours=12)
     split = make_split(ds.sensor_ids(), seed=0)
     # preset S and its explicit sizes build the same params, so only the
@@ -303,12 +305,19 @@ def test_resume_refuses_other_data_or_config(tmp_path, change):
         ds = replace(ds, pm25=ds.pm25 * 1.01)
     elif change == "lr":
         config = run_config(max_epochs=2, lr=5e-4)
+    elif change == "beta1":
+        # Adam's values are fixed, so only a checkpoint can name another
+        last = tmp_path / "run" / "last.ckpt"
+        manifest, arrays = load_arrays(str(last))
+        manifest["extra"]["train_config"]["beta1"] = 0.5
+        save_arrays(str(last), list(arrays.items()), extra=manifest["extra"])
     elif change == "split":
         split = make_split(ds.sensor_ids(), seed=1)
     else:
         model_config = ModelConfig(preset="S")
     expected = {"readings": "dataset fingerprint", "lr": "train_config.lr",
-                "split": "split", "model": "model_config"}[change]
+                "beta1": "train_config.beta1", "split": "split",
+                "model": "model_config"}[change]
     with pytest.raises(ValidationError, match=expected):
         train_model(ds, split, model_config, config, tmp_path / "run", resume=True)
 
@@ -326,9 +335,7 @@ def test_divergence_aborts_with_diagnostic(tmp_path):
 
 
 @pytest.mark.parametrize("name, value", [
-    ("lr", 0.0), ("lr", -0.01), ("lr", float("nan")), ("lr", float("inf")),
-    ("beta1", 1.0), ("beta1", -0.1), ("beta1", float("nan")), ("beta2", 1.0),
-    ("beta2", -1e-3), ("eps", 0.0), ("eps", -1e-8), ("eps", float("nan"))])
+    ("lr", 0.0), ("lr", -0.01), ("lr", float("nan")), ("lr", float("inf"))])
 def test_optimizer_settings_are_checked(name, value):
     # lr 0 once trained nothing and -0.01 climbed to a val mse of 4e15,
     # both without an error
@@ -337,7 +344,14 @@ def test_optimizer_settings_are_checked(name, value):
 
 
 def test_edge_optimizer_settings_stay_legal():
-    run_config(lr=1e150, beta1=0.0, beta2=0.0, eps=1e-300)
+    run_config(lr=1e150)
+
+
+def test_train_config_records_the_fixed_adam_values():
+    assert {k: TrainConfig().to_dict()[k] for k in ("beta1", "beta2", "eps")} == \
+        {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
+    with pytest.raises(TypeError):
+        TrainConfig(beta1=0.5)
 
 
 def test_missing_train_hours_are_a_data_error(tmp_path):
