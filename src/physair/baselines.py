@@ -8,13 +8,15 @@ matching the rest of the toolkit.
 
 Each interpolator is an estimator: construct with hyperparameters,
 ``fit(coords, values)`` on context sensors, then ``predict(targets)`` at
-query coordinates. ``values`` is one hour's readings, or an (hours,
-sensors) matrix for a run of hours in which the same sensors report;
-``predict`` then returns (hours, targets), and a one-hour fit is that
-matrix's one-row case. Fitting is cheap (these are closed-form solves),
-so an evaluation fits once per such mask run, in pieces of at most 64
-hours. The one exception is GP hyperparameter selection, which is a
-grid search over the whole training period done once via
+query coordinates. ``values`` is an (hours, sensors) matrix for a run of
+hours in which the same sensors report, one hour being its one-row
+case; ``predict`` returns (hours, targets). The settable
+hyperparameters are IDW's ``power`` and the GP's ``variance``,
+``lengthscale`` and ``noise``; kriging fits its variogram per hour.
+Fitting is cheap (these are closed-form solves), so an evaluation fits
+once per such mask run, in pieces of at most 64 hours. The one
+exception is GP hyperparameter selection, which is a grid search over
+the whole training period done once via
 :func:`select_gp_hyperparameters`.
 
 A fit builds its coordinate-only work (distances, IDW weights,
@@ -30,7 +32,6 @@ variogram's line fit runs per hour.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,13 +70,13 @@ class MeanFill(BaseEstimator):
     def fit(self, coords, values) -> "MeanFill":
         coords = check_coords(coords)
         self.values_ = check_values(values, n=coords.shape[0])
-        self.mean_ = self._rows().mean(axis=1)
+        self.mean_ = self.values_.mean(axis=1)
         return self
 
     def predict(self, coords) -> np.ndarray:
         self._check_fitted("mean_")
         coords = check_coords(coords)
-        return self._per_fit(np.repeat(self.mean_[:, None], coords.shape[0], axis=1))
+        return np.repeat(self.mean_[:, None], coords.shape[0], axis=1)
 
 
 class Idw(BaseEstimator):
@@ -105,47 +106,15 @@ class Idw(BaseEstimator):
         # Guard the power against the zero-distance rows that the
         # exactness rule will overwrite anyway.
         inv = np.maximum(dist, EPS_DIST_KM) ** (-self.power)
-        values = self._rows()
-        pred = np.matmul(inv, values[:, :, None])[..., 0] / inv.sum(axis=1)
+        pred = np.matmul(inv, self.values_[:, :, None])[..., 0] / inv.sum(axis=1)
         at_sensor = dist.min(axis=1) <= EPS_DIST_KM
         if at_sensor.any():
-            pred[:, at_sensor] = values[:, dist[at_sensor].argmin(axis=1)]
-        return self._per_fit(pred)
-
-
-@dataclass(frozen=True)
-class KrigingSystem:
-    """One solved ordinary kriging system.
-
-    ``matrix`` is the (n+1, n+1) augmented semivariance matrix with the
-    Lagrange row; ``weights`` holds one weight row per target and each
-    row sums to 1; ``multipliers`` are the per-target Lagrange values.
-    From a fit to an (hours, sensors) matrix, every field has a leading
-    hour axis.
-    """
-
-    slope: float
-    nugget: float
-    matrix: np.ndarray
-    weights: np.ndarray
-    multipliers: np.ndarray
-
-
-def fit_linear_variogram(dist: np.ndarray, values: np.ndarray) -> tuple[float, float]:
-    """Least-squares linear variogram gamma(h) = nugget + slope * h.
-
-    Empirical semivariances 0.5 * (v_i - v_j)^2 for every pair are
-    grouped into VARIOGRAM_BINS equal-width distance bins; a line is fit
-    through the (bin centre, mean semivariance) points. Slope and
-    nugget are both clamped to be non-negative.
-    """
-    slope, nugget = _fit_binned_variogram(_variogram_bins(dist),
-                                          check_values(values).reshape(1, -1))
-    return float(slope[0]), float(nugget[0])
+            pred[:, at_sensor] = self.values_[:, dist[at_sensor].argmin(axis=1)]
+        return pred
 
 
 def _variogram_bins(dist: np.ndarray) -> tuple:
-    """The half of :func:`fit_linear_variogram` that reads only distances.
+    """The half of the variogram fit that reads only distances.
 
     Returns the pair indices ``(iu, ju)`` in ``triu_indices`` order, the
     non-empty bins' centres and each one's member indices into the pairs.
@@ -169,9 +138,14 @@ def _variogram_bins(dist: np.ndarray) -> tuple:
 
 
 def _fit_binned_variogram(bins: tuple, values: np.ndarray) -> tuple:
-    """The half of :func:`fit_linear_variogram` that reads the values:
-    each hour's (slope, nugget) from its (hours, n) C-ordered rows, as
-    two (hours,) arrays."""
+    """Each hour's least-squares linear variogram gamma(h) = nugget +
+    slope * h, from its (hours, n) C-ordered rows, as two (hours,) arrays.
+
+    Empirical semivariances 0.5 * (v_i - v_j)^2 for every pair are
+    grouped into the distance bins of :func:`_variogram_bins`; a line is
+    fit through the (bin centre, mean semivariance) points. Slope and
+    nugget are both clamped to be non-negative.
+    """
     iu, ju, centers, members = bins
     hours = values.shape[0]
     # take, not a fancy index, keeps the pair and bin gathers C-ordered
@@ -196,20 +170,17 @@ def _clamp(x: np.ndarray) -> np.ndarray:
 class OrdinaryKriging(BaseEstimator):
     """Ordinary kriging with a linear variogram.
 
-    The variogram is fit per hour from the context data at ``fit`` time
-    unless ``slope``/``nugget`` are given explicitly; ``slope_`` and
-    ``nugget_`` hold one entry per fitted hour. Prediction solves each
-    hour's augmented system with the unbiasedness constraint (weights sum
-    to one); an hour whose system is singular falls back to inverse
-    distance weighting with a logged warning. Two coinciding sensors
-    (equal rows for any variogram) or a zero slope and nugget make it
-    exactly singular, and solve refuses it before LU, which may meet no
-    zero pivot.
+    The variogram is fit per hour from the context data at ``fit`` time;
+    ``slope_`` and ``nugget_`` hold one entry per fitted hour. Prediction
+    solves each hour's augmented system with the unbiasedness constraint
+    (weights sum to one); an hour whose system is singular falls back to
+    inverse distance weighting with a logged warning. Two coinciding
+    sensors (equal rows for any variogram) or a zero slope and nugget
+    make it exactly singular, and it is refused before LU, which may
+    meet no zero pivot.
     """
 
-    def __init__(self, slope: float | None = None, nugget: float | None = None):
-        self.slope = slope
-        self.nugget = nugget
+    def __init__(self):
         self.coords_ = None
         self.values_ = None
         self.slope_ = None
@@ -224,21 +195,14 @@ class OrdinaryKriging(BaseEstimator):
         return np.where(h > 0.0, self.nugget_[at] + self.slope_[at] * h, 0.0)
 
     def fit(self, coords, values) -> "OrdinaryKriging":
-        slope = None if self.slope is None else check_param(self.slope, "slope")
-        nugget = None if self.nugget is None else check_param(self.nugget, "nugget")
         self.coords_ = check_coords(coords)
         self.values_ = check_values(values, n=self.coords_.shape[0])
         n = self.coords_.shape[0]
         if n < 2:
             raise ValidationError(f"kriging needs at least 2 sensors, got {n}")
         dist = pairwise_distances_km(self.coords_[:, 0], self.coords_[:, 1])
-        rows = self._rows()
-        if slope is not None or nugget is not None:
-            self.slope_ = np.full(len(rows), 0.0 if slope is None else slope)
-            self.nugget_ = np.full(len(rows), 0.0 if nugget is None else nugget)
-        else:
-            self.slope_, self.nugget_ = _fit_binned_variogram(_variogram_bins(dist), rows)
-        matrix = np.ones((len(rows), n + 1, n + 1))
+        self.slope_, self.nugget_ = _fit_binned_variogram(_variogram_bins(dist), self.values_)
+        matrix = np.ones((len(self.values_), n + 1, n + 1))
         matrix[:, :n, :n] = self._gamma(dist)
         matrix[:, n, n] = 0.0
         self.matrix_ = matrix
@@ -269,27 +233,12 @@ class OrdinaryKriging(BaseEstimator):
                         pass
         return solution, ~np.isfinite(solution).all(axis=(1, 2))
 
-    def solve(self, coords) -> KrigingSystem:
-        """Solve for kriging weights at the given targets."""
-        self._check_fitted("matrix_")
-        targets = check_coords(coords, name="targets")
-        solution, singular = self._solutions(targets)
-        if singular.any():
-            raise np.linalg.LinAlgError(
-                "singular: coinciding sensors, a zero variogram or non-finite weights")
-        n = self.coords_.shape[0]
-        return KrigingSystem(slope=self._per_fit(self.slope_),
-                             nugget=self._per_fit(self.nugget_),
-                             matrix=self._per_fit(self.matrix_),
-                             weights=self._per_fit(solution[:, :n].transpose(0, 2, 1)),
-                             multipliers=self._per_fit(solution[:, n]))
-
     def predict(self, coords) -> np.ndarray:
         self._check_fitted("matrix_")
         targets = check_coords(coords, name="targets")
         solution, singular = self._solutions(targets)
         n = self.coords_.shape[0]
-        values = self._rows()
+        values = self.values_
         pred = np.matmul(solution[:, :n].transpose(0, 2, 1), values[:, :, None])[..., 0]
         if singular.any():
             for h in np.flatnonzero(singular):
@@ -298,7 +247,7 @@ class OrdinaryKriging(BaseEstimator):
                     "falling back to inverse distance weighting",
                     n, self.slope_[h], self.nugget_[h])
             pred[singular] = Idw().fit(self.coords_, values[singular]).predict(targets)
-        return self._per_fit(pred)
+        return pred
 
 
 def _quad(resid: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -340,9 +289,9 @@ class GaussianProcess(BaseEstimator):
         dist = pairwise_distances_km(self.coords_[:, 0], self.coords_[:, 1])
         cov = self._kernel(dist) + (self.noise + GP_JITTER) * np.eye(dist.shape[0])
         self.log_det_ = float(2.0 * np.log(np.diag(np.linalg.cholesky(cov))).sum())
-        rows = self._rows()
-        self.mean_ = rows.mean(axis=1)
-        self.alpha_ = np.linalg.solve(cov, (rows - self.mean_[:, None])[:, :, None])[..., 0]
+        self.mean_ = self.values_.mean(axis=1)
+        self.alpha_ = np.linalg.solve(
+            cov, (self.values_ - self.mean_[:, None])[:, :, None])[..., 0]
         return self
 
     def predict(self, coords) -> np.ndarray:
@@ -350,17 +299,14 @@ class GaussianProcess(BaseEstimator):
         targets = check_coords(coords, name="targets")
         kernel = self._kernel(cross_distances_km(
             targets[:, 0], targets[:, 1], self.coords_[:, 0], self.coords_[:, 1]))
-        return self._per_fit(
-            self.mean_[:, None] + np.matmul(kernel, self.alpha_[:, :, None])[..., 0])
+        return self.mean_[:, None] + np.matmul(kernel, self.alpha_[:, :, None])[..., 0]
 
-    def log_marginal_likelihood(self):
-        """Log marginal likelihood of the fitted values under the prior:
-        a float, or one per hour from a fit to an (hours, sensors) matrix."""
+    def log_marginal_likelihood(self) -> np.ndarray:
+        """Each fitted hour's log marginal likelihood under the prior."""
         self._check_fitted("alpha_")
-        rows = self._rows()
-        n = rows.shape[1]
-        quad = _quad(rows - self.mean_[:, None], self.alpha_)
-        return self._per_fit(quad - 0.5 * self.log_det_ - 0.5 * n * np.log(2.0 * np.pi))
+        n = self.values_.shape[1]
+        quad = _quad(self.values_ - self.mean_[:, None], self.alpha_)
+        return quad - 0.5 * self.log_det_ - 0.5 * n * np.log(2.0 * np.pi)
 
 
 def select_gp_hyperparameters(coords, value_rows,

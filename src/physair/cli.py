@@ -20,8 +20,8 @@ a boolean also takes ``--no-<key>``, so a flag can undo a file's
 ``resume = true``.
 
 Commands that produce an output directory write ``resolved.cfg`` into
-it with every knob expanded, so any run can be repeated with just
-``--config <out>/resolved.cfg``.
+it with every knob that has a value expanded, so any run can be
+repeated with just ``--config <out>/resolved.cfg``.
 
 Exit codes: 0 success, 2 anything wrong with the user's request or
 data, 1 an internal failure worth a bug report.
@@ -123,10 +123,13 @@ def _cfg_text(value) -> str:
 
 
 def write_resolved_config(out_dir, options: dict) -> Path:
+    """Write ``resolved.cfg``: one line per option, unset (None) ones left
+    out, since no coercer reads the text ``None`` back."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "resolved.cfg"
-    lines = [f"{key} = {_cfg_text(options[key])}" for key in sorted(options)]
+    lines = [f"{key} = {_cfg_text(options[key])}" for key in sorted(options)
+             if options[key] is not None]
     _atomic_write_text(path, "\n".join(lines) + "\n")
     return path
 

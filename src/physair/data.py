@@ -155,6 +155,8 @@ class Dataset:
             raise ValidationError("wind contains non-finite entries")
         if np.any(self.wind[:, 0] < 0):
             raise ValidationError("wind speed must be >= 0")
+        if np.isinf(self.pm25).any():
+            raise ValidationError("pm25 contains infinite values; NaN marks a missing reading")
         finite = self.pm25[np.isfinite(self.pm25)]
         if finite.size and finite.min() < 0:
             raise ValidationError("pm25 values must be >= 0")

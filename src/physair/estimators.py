@@ -3,9 +3,9 @@
 The interpolators in this package follow the familiar fit/predict
 convention: hyperparameters are constructor arguments, ``fit`` learns
 state from data and stores it on attributes ending in an underscore,
-``predict`` maps new coordinates to values. ``fit`` takes one hour's
-values or an (hours, sensors) matrix of hours that share the sensors;
-``predict`` then returns one row per hour. ``fit`` checks the
+``predict`` maps new coordinates to values. ``fit`` takes an (hours,
+sensors) matrix of hours that share the sensors, one hour being its
+one-row case; ``predict`` returns one row per hour. ``fit`` checks the
 hyperparameters, so one set after construction is checked as well. No
 sklearn dependency; the convention is small enough to carry locally.
 """
@@ -27,15 +27,6 @@ class BaseEstimator:
             if getattr(self, attr, None) is None:
                 raise ValidationError(
                     f"{type(self).__name__} is not fitted; call fit() first")
-
-    def _rows(self) -> np.ndarray:
-        """The fitted values as (hours, sensors) rows; a one-hour fit is one row."""
-        return self.values_.reshape(-1, self.values_.shape[-1])
-
-    def _per_fit(self, out):
-        """A result with a leading hour axis, shaped as the fit was: one hour's
-        fit drops that axis."""
-        return out if self.values_.ndim == 2 else out[0]
 
 
 def check_coords(coords, name: str = "coords") -> np.ndarray:
@@ -64,19 +55,19 @@ def check_param(value, name: str, positive: bool = False) -> float:
     return v
 
 
-def check_values(values, n: int | None = None, name: str = "values") -> np.ndarray:
-    """Validate finite observations: one hour's (n,) or an (hours, n) matrix.
+def check_values(values, n: int, name: str = "values") -> np.ndarray:
+    """Validate an (hours, n) matrix of finite observations.
 
     The result is C-ordered, so each hour's row sums in the order a 1-d
     array of its values does.
     """
     arr = np.ascontiguousarray(values, dtype=float)
-    if arr.ndim not in (1, 2):
-        raise ShapeError(f"{name} must be 1-d or (hours, sensors), got shape {arr.shape}")
+    if arr.ndim != 2:
+        raise ShapeError(f"{name} must be (hours, sensors), got shape {arr.shape}")
     if arr.size == 0:
         raise ValidationError(f"{name} is empty; need at least one observation")
-    if n is not None and arr.shape[-1] != n:
-        raise ShapeError(f"{name} has {arr.shape[-1]} entries per hour, expected {n}")
+    if arr.shape[1] != n:
+        raise ShapeError(f"{name} has {arr.shape[1]} entries per hour, expected {n}")
     if not np.isfinite(arr).all():
         raise ValidationError(f"{name} contains non-finite entries")
     return arr

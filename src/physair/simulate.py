@@ -72,6 +72,10 @@ class SynthSpec:
     start: str = DEFAULT_START
 
     def validate(self) -> "SynthSpec":
+        for name in ("cell_km", "diffusion_km2h", "decay_per_h", "noise_sd",
+                     "background", "origin_lat", "origin_lon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.height < 3 or self.width < 3:
             raise ValidationError("grid must be at least 3x3")
         if self.hours < 1:
@@ -92,8 +96,8 @@ class SynthSpec:
         for s in self.sources:
             if not (0 <= s.row < self.height and 0 <= s.col < self.width):
                 raise ValidationError(f"source cell {(s.row, s.col)} outside grid")
-            if s.rate < 0:
-                raise ValidationError("source rate must be >= 0")
+            if not (math.isfinite(s.rate) and s.rate >= 0):
+                raise ValidationError(f"source rate must be finite and >= 0, got {s.rate!r}")
         for (r, c) in self.sensor_cells:
             if not (0 <= r < self.height and 0 <= c < self.width):
                 raise ValidationError(f"sensor cell {(r, c)} outside grid")

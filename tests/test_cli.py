@@ -210,6 +210,16 @@ def test_synth_bad_grid_exits_2(tmp_path, capsys):
     assert "too small" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("noise_sd", ["nan", "inf"])
+def test_synth_non_finite_noise_exits_2_writing_nothing(tmp_path, capsys, noise_sd):
+    # nan simulated a noiseless panel; inf wrote zeros for infinite readings
+    out = tmp_path / "d"
+    rc = main(["synth", "--out", str(out), "--hours", "24", "--noise-sd", noise_sd])
+    assert rc == 2
+    assert "noise_sd must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # ingest
 # ---------------------------------------------------------------------------
@@ -593,6 +603,22 @@ def test_interpolate_grid(synth_dir, train_dir, tmp_path, capsys):
         assert hour == "5"
         assert np.isfinite(float(value))
     assert (out / "predictions.csv").read_text() == text
+
+
+@pytest.mark.parametrize("query", [
+    ["--grid-lat", "36.70:36.72:2", "--grid-lon=-119.81:-119.79:2", "--hours", "5"],
+    ["--lat", "36.71", "--lon", "-119.8"],
+], ids=["grid", "point-every-hour"])
+def test_interpolate_resolved_config_reproduces_run(synth_dir, train_dir, tmp_path, query):
+    # the other mode's keys, and --hours when left out, are unset: their
+    # lines once read "None", which no coercer takes back
+    out, replay = tmp_path / "run", tmp_path / "replay"
+    assert main(["interpolate", "--dataset", str(synth_dir), "--models", str(train_dir),
+                 "--out", str(out)] + query) == 0
+    assert "None" not in (out / "resolved.cfg").read_text()
+    assert main(["interpolate", "--config", str(out / "resolved.cfg"),
+                 "--out", str(replay)]) == 0
+    assert (replay / "predictions.csv").read_bytes() == (out / "predictions.csv").read_bytes()
 
 
 def test_negative_sweep_parses_with_or_without_equals(synth_dir, train_dir, tmp_path):

@@ -452,6 +452,14 @@ def test_dataset_rejects_negative_pm25():
         make_dataset([[-1.0], [2.0]])
 
 
+@pytest.mark.parametrize("reading", [np.inf, -np.inf])
+def test_dataset_rejects_an_infinite_reading(reading):
+    # NaN marks a missing reading; an infinite one was once exported as 0.0
+    make_dataset([[np.nan, 3.0], [2.0, 4.0]])
+    with pytest.raises(ValidationError, match="infinite"):
+        make_dataset([[1.0, 3.0], [reading, 4.0]])
+
+
 @pytest.mark.parametrize("sensors, match", [
     ((SensorMeta("s0", 32.7, -117.1), SensorMeta("s0", 32.71, -117.11)),
      "duplicate sensor ids: s0"),

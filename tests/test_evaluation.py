@@ -319,7 +319,7 @@ def fresh_estimator_loop(factory, ds, context, targets, hours):
     out = np.empty((len(hours), len(targets)))
     for row, hour in enumerate(hours):
         ok = np.isfinite(ctx[hour])
-        out[row] = factory().fit(ctx_coords[ok], ctx[hour, ok]).predict(tgt_coords)
+        out[row] = factory().fit(ctx_coords[ok], ctx[hour, ok][None]).predict(tgt_coords)[0]
     return out
 
 
@@ -426,10 +426,8 @@ def test_refit_kriging_warns_once_per_singular_hour(caplog):
     singular = 0
     for hour in hours:
         ok = np.isfinite(ctx[hour])
-        try:
-            OrdinaryKriging().fit(coords[:4][ok], ctx[hour, ok]).solve(coords[4:])
-        except np.linalg.LinAlgError:
-            singular += 1
+        est = OrdinaryKriging().fit(coords[:4][ok], ctx[hour, ok][None])
+        singular += int(est._solutions(coords[4:])[1][0])
     assert 0 < singular < len(hours)
     assert len(fallbacks) == singular
     want = fresh_estimator_loop(OrdinaryKriging, ds, context, targets, hours)
@@ -443,7 +441,7 @@ def test_kriging_runner_falls_back_only_on_the_singular_hours_of_a_run(caplog, m
     ds, context, targets = gappy_network()
     ds.pm25[6, :20] = 17.0
     coords = np.array([[s.latitude, s.longitude] for s in ds.sensors[:20]])
-    pivotless = OrdinaryKriging().fit(coords, ds.pm25[14, :20]).matrix_[0].tobytes()
+    pivotless = OrdinaryKriging().fit(coords, ds.pm25[14:15, :20]).matrix_[0].tobytes()
     real_solve = np.linalg.solve
 
     def solve(a, b):
@@ -467,15 +465,15 @@ def test_coincident_sensors_take_the_idw_fallback_at_a_zero_slope(caplog):
     # LU meets no zero pivot here: it returned -2.4e16 from weights of
     # +-6.2e15, with no warning
     ds = coincident_pair_dataset()
-    ctx = subset_dataset_values(ds, ("s0", "s1", "s2", "s3"))[4]
+    ctx = subset_dataset_values(ds, ("s0", "s1", "s2", "s3"))[4:5]
     coords = np.array([[s.latitude, s.longitude] for s in ds.sensors])
     kriging = OrdinaryKriging().fit(coords[:4], ctx)
-    assert kriging.slope_ == 0.0 and kriging.nugget_ > 0.0
+    assert kriging.slope_[0] == 0.0 and kriging.nugget_[0] > 0.0
     with caplog.at_level(logging.WARNING, logger="physair.baselines"):
         got = kriging.predict(coords[4:])
     assert len([r for r in caplog.records if "falling back" in r.getMessage()]) == 1
     assert got.tobytes() == Idw().fit(coords[:4], ctx).predict(coords[4:]).tobytes()
-    assert abs(got[0] - 21.51) < 0.01
+    assert abs(got[0, 0] - 21.51) < 0.01
 
 
 def test_evaluate_models_rejects_context_target_overlap():
@@ -843,7 +841,7 @@ def test_every_estimator_predicts_an_empty_query_as_empty():
     ds = toy_dataset(hours=4, n=5)
     coords = np.array([[s.latitude, s.longitude] for s in ds.sensors])
     for est in (MeanFill(), Idw(), OrdinaryKriging(), GaussianProcess()):
-        assert est.fit(coords, ds.pm25[1]).predict(np.empty((0, 2))).shape == (0,)
+        assert est.fit(coords, ds.pm25[1:2]).predict(np.empty((0, 2))).shape == (1, 0)
 
 
 # ---------------------------------------------------------------------------

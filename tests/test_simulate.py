@@ -174,6 +174,21 @@ def test_synth_spec_validation_errors():
         SynthSpec(hours=2, wind=calm_wind(3)).validate()
 
 
+@pytest.mark.parametrize("overrides", [
+    {"noise_sd": np.nan}, {"noise_sd": np.inf}, {"background": np.nan},
+    {"diffusion_km2h": np.inf}, {"decay_per_h": np.nan}, {"cell_km": np.inf},
+    {"origin_lat": np.nan},
+    {"sources": (PointSource(row=16, col=16, rate=np.inf),)},
+    {"sources": (PointSource(row=16, col=16, rate=np.nan),)},
+], ids=["noise_sd=nan", "noise_sd=inf", "background=nan", "diffusion_km2h=inf",
+        "decay_per_h=nan", "cell_km=inf", "origin_lat=nan", "rate=inf", "rate=nan"])
+def test_synth_spec_refuses_non_finite_settings(overrides):
+    # a NaN passes every < check: noise_sd=nan simulated a noiseless panel
+    name = "rate" if "sources" in overrides else next(iter(overrides))
+    with pytest.raises(ValidationError, match=name):
+        pulse_spec(2, **overrides)
+
+
 def test_sinusoidal_wind_schedule_shape_and_range():
     wind = sinusoidal_wind(72)
     assert wind.shape == (72, 2)
