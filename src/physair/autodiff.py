@@ -371,7 +371,7 @@ def _grouped_product(x2: np.ndarray, w: np.ndarray, groups: int) -> np.ndarray:
     return np.matmul(x2.reshape(groups, -1, x2.shape[1]), w).reshape(-1, w.shape[1])
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None,
+def linear(x: Tensor, w: Tensor, b: Tensor,
            activation: str = "identity", groups: int = 1) -> Tensor:
     """act(x @ w + b) as one graph node.
 
@@ -389,13 +389,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None,
     if activation not in ("relu", "identity"):
         raise ValidationError(f"unknown activation {activation!r}")
     k, n = w.shape
-    if b is not None and b.shape != (n,):
+    if b.shape != (n,):
         raise ShapeError(f"linear bias must be ({n},), got {b.shape}")
 
     x2 = x.data.reshape(-1, k)
     out2 = _grouped_product(x2, w.data, groups)
-    if b is not None:
-        np.add(out2, b.data, out=out2)
+    np.add(out2, b.data, out=out2)
     if activation == "relu":
         np.maximum(out2, 0.0, out=out2)
 
@@ -406,17 +405,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None,
             g2 = g2 * (out2 > 0)
         gx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
         gw = x2.T @ g2 if w.requires_grad else None
-        if b is None:
-            return gx, gw
         gb = g2.sum(axis=0) if b.requires_grad else None
         return gx, gw, gb
 
-    parents = (x, w) if b is None else (x, w, b)
-    return _make(out2.reshape(*x.shape[:-1], n), parents, vjp)
+    return _make(out2.reshape(*x.shape[:-1], n), (x, w, b), vjp)
 
 
 def linear_pair(a: Tensor, c: Tensor, wa: Tensor, wc: Tensor,
-                b: Tensor | None = None, groups: int = 1) -> Tensor:
+                b: Tensor, groups: int = 1) -> Tensor:
     """relu(a @ wa + c @ wc + b): a two-operand affine layer in one node.
 
     Equivalent to concatenating a and c and multiplying by the stacked
@@ -433,15 +429,14 @@ def linear_pair(a: Tensor, c: Tensor, wa: Tensor, wc: Tensor,
     if wa.shape[1] != wc.shape[1]:
         raise ShapeError(f"linear_pair outputs disagree: {wa.shape} vs {wc.shape}")
     n = wa.shape[1]
-    if b is not None and b.shape != (n,):
+    if b.shape != (n,):
         raise ShapeError(f"linear_pair bias must be ({n},), got {b.shape}")
 
     a2 = a.data.reshape(-1, wa.shape[0])
     c2 = c.data.reshape(-1, wc.shape[0])
     out2 = _grouped_product(a2, wa.data, groups)
     np.add(out2, _grouped_product(c2, wc.data, groups), out=out2)
-    if b is not None:
-        np.add(out2, b.data, out=out2)
+    np.add(out2, b.data, out=out2)
     np.maximum(out2, 0.0, out=out2)
 
     def vjp(g):
@@ -451,13 +446,10 @@ def linear_pair(a: Tensor, c: Tensor, wa: Tensor, wc: Tensor,
         gc = (g2 @ wc.data.T).reshape(c.shape) if c.requires_grad else None
         gwa = a2.T @ g2 if wa.requires_grad else None
         gwc = c2.T @ g2 if wc.requires_grad else None
-        if b is None:
-            return ga, gc, gwa, gwc
         gb = g2.sum(axis=0) if b.requires_grad else None
         return ga, gc, gwa, gwc, gb
 
-    parents = (a, c, wa, wc) if b is None else (a, c, wa, wc, b)
-    return _make(out2.reshape(*a.shape[:-1], n), parents, vjp)
+    return _make(out2.reshape(*a.shape[:-1], n), (a, c, wa, wc, b), vjp)
 
 
 def relu(x: Tensor) -> Tensor:

@@ -6,18 +6,18 @@ process with an exponential kernel (the Matern family at nu = 1/2) and
 a constant mean. Distances are great-circle kilometres throughout,
 matching the rest of the toolkit.
 
-Each interpolator is an estimator: construct with hyperparameters,
-``fit(coords, values)`` on context sensors, then ``predict(targets)`` at
-query coordinates. ``values`` is an (hours, sensors) matrix for a run of
-hours in which the same sensors report, one hour being its one-row
-case; ``predict`` returns (hours, targets). The settable
-hyperparameters are IDW's ``power`` and the GP's ``variance``,
-``lengthscale`` and ``noise``; kriging fits its variogram per hour.
-Fitting is cheap (these are closed-form solves), so an evaluation fits
-once per such mask run, in pieces of at most 64 hours. The one
-exception is GP hyperparameter selection, which is a grid search over
-the whole training period done once via
-:func:`select_gp_hyperparameters`.
+Each interpolator is an estimator: construct it (the GP with its
+hyperparameters), ``fit(coords, values)`` on context sensors, then
+``predict(targets)`` at query coordinates. ``values`` is an (hours,
+sensors) matrix for a run of hours in which the same sensors report,
+one hour being its one-row case; ``predict`` returns (hours, targets).
+The settable hyperparameters are the GP's ``variance``,
+``lengthscale`` and ``noise``; IDW's power is IDW_POWER and kriging
+fits its variogram per hour. Fitting is cheap (these are closed-form solves), so an evaluation
+fits once per such mask run, in pieces of at most 64 hours. The one
+exception is GP hyperparameter selection, a search of the fixed grid
+GP_VARIANCE_FACTORS x GP_LENGTHSCALES_KM x GP_NOISE_FACTORS over the
+training period, done once via :func:`select_gp_hyperparameters`.
 
 A fit builds its coordinate-only work (distances, IDW weights,
 variogram bins, the GP covariance and its Cholesky factor, cross
@@ -41,6 +41,7 @@ from .geo import EPS_DIST_KM, cross_distances_km, pairwise_distances_km
 
 logger = logging.getLogger(__name__)
 
+IDW_POWER = 1.0  # inverse distance weights are distance ** -IDW_POWER
 GP_JITTER = 1e-8  # added to the GP covariance diagonal, on top of the noise
 VARIOGRAM_BINS = 10  # equal-width distance bins of the kriging variogram fit
 
@@ -83,17 +84,15 @@ class Idw(BaseEstimator):
     """Inverse distance weighting.
 
     Weights are normalized inverse great-circle distances raised to
-    ``power`` (default 1). A target within EPS_DIST_KM of some context
-    sensor returns that sensor's value exactly, nearest first.
+    IDW_POWER. A target within EPS_DIST_KM of some context sensor
+    returns that sensor's value exactly, nearest first.
     """
 
-    def __init__(self, power: float = 1.0):
-        self.power = power
+    def __init__(self):
         self.coords_ = None
         self.values_ = None
 
     def fit(self, coords, values) -> "Idw":
-        check_param(self.power, "power", positive=True)
         self.coords_ = check_coords(coords)
         self.values_ = check_values(values, n=self.coords_.shape[0])
         return self
@@ -105,7 +104,7 @@ class Idw(BaseEstimator):
                                   self.coords_[:, 0], self.coords_[:, 1])
         # Guard the power against the zero-distance rows that the
         # exactness rule will overwrite anyway.
-        inv = np.maximum(dist, EPS_DIST_KM) ** (-self.power)
+        inv = np.maximum(dist, EPS_DIST_KM) ** (-IDW_POWER)
         pred = np.matmul(inv, self.values_[:, :, None])[..., 0] / inv.sum(axis=1)
         at_sensor = dist.min(axis=1) <= EPS_DIST_KM
         if at_sensor.any():
@@ -309,23 +308,21 @@ class GaussianProcess(BaseEstimator):
         return quad - 0.5 * self.log_det_ - 0.5 * n * np.log(2.0 * np.pi)
 
 
-def select_gp_hyperparameters(coords, value_rows,
-                              variance_factors=GP_VARIANCE_FACTORS,
-                              lengthscales=GP_LENGTHSCALES_KM,
-                              noise_factors=GP_NOISE_FACTORS) -> dict:
+def select_gp_hyperparameters(coords, value_rows) -> dict:
     """Grid-search GP hyperparameters on a stack of training hours.
 
     ``value_rows`` is a (t, n) array of sensor readings, one row per
     hour, NaN where a sensor has no reading that hour. Variance and
-    noise candidates are the grid factors times the pooled variance of
-    the finite values; lengthscales are absolute km. The combination
-    maximizing the summed per-hour log marginal likelihood wins, first
-    in grid order on ties. Returns kwargs for :class:`GaussianProcess`.
+    noise candidates are GP_VARIANCE_FACTORS and GP_NOISE_FACTORS times
+    the pooled variance of the finite values; lengthscales are
+    GP_LENGTHSCALES_KM. The combination maximizing the summed per-hour
+    log marginal likelihood wins, first in grid order on ties. Returns
+    kwargs for :class:`GaussianProcess`.
     """
     best = None
     best_score = -np.inf
-    for params, score in _gp_grid_scores(coords, value_rows, variance_factors,
-                                         lengthscales, noise_factors):
+    for params, score in _gp_grid_scores(coords, value_rows, GP_VARIANCE_FACTORS,
+                                         GP_LENGTHSCALES_KM, GP_NOISE_FACTORS):
         if score > best_score:
             best_score = score
             best = params

@@ -21,7 +21,9 @@ a boolean also takes ``--no-<key>``, so a flag can undo a file's
 
 Commands that produce an output directory write ``resolved.cfg`` into
 it with every knob that has a value expanded, so any run can be
-repeated with just ``--config <out>/resolved.cfg``.
+repeated with just ``--config <out>/resolved.cfg``. Path knobs
+(``dataset``, ``models``, ``raw``, ``out``) are made absolute as they
+are resolved, so the file replays from any working directory.
 
 Exit codes: 0 success, 2 anything wrong with the user's request or
 data, 1 an internal failure worth a bug report.
@@ -53,7 +55,6 @@ from .data import (
     _atomic_write_text,
 )
 from .errors import ShapeError, ValidationError
-from .estimators import check_param
 from .evaluation import (
     SH_BIN_EDGES,
     benchmark_runners,
@@ -160,6 +161,12 @@ def _to_bool(raw) -> bool:
     raise ValidationError(f"expected a boolean, got {raw!r}")
 
 
+def _path(raw) -> str:
+    """A path made absolute, so that ``resolved.cfg`` replays from any
+    working directory; an empty one stays empty for _require to refuse."""
+    return os.path.abspath(raw) if raw else raw
+
+
 def _one_of(*allowed):
     """A coercer that accepts exactly the given strings; --help lists them."""
     def choice(raw):
@@ -174,16 +181,16 @@ def _one_of(*allowed):
 # adds --key (underscores become dashes) from it; boolean keys take
 # --key/--no-key. Flags resolved by argparse take precedence.
 
-_DATASET = (str, None, f"canonical dataset dir (default ${DATA_DIR_ENV})")
+_DATASET = (_path, None, f"canonical dataset dir (default ${DATA_DIR_ENV})")
 
 _INGEST_SCHEMA = {
-    "raw": (str, None, "directory with sensors.csv, pm25.csv, wind.csv"),
-    "out": (str, None, "canonical dataset output directory"),
+    "raw": (_path, None, "directory with sensors.csv, pm25.csv, wind.csv"),
+    "out": (_path, None, "canonical dataset output directory"),
     "max_gap_hours": (int, 1, "longest missing run a sensor may have (default 1)"),
 }
 
 _SYNTH_SCHEMA = {
-    "out": (str, None, None),
+    "out": (_path, None, None),
     "hours": (int, 2928, None),
     "seed": (int, 0, None),
     "n_sensors": (int, 40, None),
@@ -194,7 +201,7 @@ _SYNTH_SCHEMA = {
 
 _TRAIN_SCHEMA = {
     "dataset": _DATASET,
-    "out": (str, None, None),
+    "out": (_path, None, None),
     "preset": (_one_of("S", "M", "L"), "S", None),
     "window": (int, 1, None),
     "seeds": (parse_seeds, (0, 1, 2, 3, 4), "e.g. 0,1,2,3,4"),
@@ -212,19 +219,17 @@ _TRAIN_SCHEMA = {
 
 _EVALUATE_SCHEMA = {
     "dataset": _DATASET,
-    "models": (str, None, "training output dir or one .ckpt file"),
-    "out": (str, None, None),
-    "idw_power": (float, 1.0, None),
+    "models": (_path, None, "training output dir or one .ckpt file"),
+    "out": (_path, None, None),
     "workers": (int, 1, None),
     "density": (_to_bool, True, "run the sensor-removal sweep (default) or skip it"),
-    "gp_selection_stride": (int, 4, None),
     "eval_batch": (int, 64, None),
 }
 
 _INTERPOLATE_SCHEMA = {
     "dataset": _DATASET,
-    "models": (str, None, None),
-    "out": (str, None, "also write predictions.csv here"),
+    "models": (_path, None, None),
+    "out": (_path, None, "also write predictions.csv here"),
     "lat": (float, None, None),
     "lon": (float, None, None),
     "hours": (str, None, "H or LO:HI (half-open); default all hours"),
@@ -255,7 +260,7 @@ def resolve_options(args, schema: dict) -> dict:
             except ValueError as exc:
                 raise ValidationError(f"config key {key!r}: {exc}") from None
         elif key == "dataset" and os.environ.get(DATA_DIR_ENV):
-            out[key] = os.environ[DATA_DIR_ENV]
+            out[key] = coerce(os.environ[DATA_DIR_ENV])
         else:
             out[key] = default
     return out
@@ -271,17 +276,12 @@ def _require(options: dict, *keys: str) -> None:
 
 
 def _check_counts(options: dict) -> None:
-    """Refuse a worker count, inference batch or GP selection stride below
-    1, or an IDW power that is not finite and > 0, before any file is read."""
+    """Refuse a worker count or inference batch below 1 before any file is read."""
     if options.get("workers", 1) < 1:
         raise ValidationError("workers must be at least 1")
     if options["eval_batch"] < 1:
         raise ValidationError(f"eval_batch, the batch_size of every inference forward, "
                               f"must be at least 1, got {options['eval_batch']}")
-    if options.get("gp_selection_stride", 1) < 1:
-        raise ValidationError(f"gp_selection_stride must be at least 1, "
-                              f"got {options['gp_selection_stride']}")
-    check_param(options.get("idw_power", 1.0), "idw_power", positive=True)
 
 
 def _load_dataset_arg(options: dict) -> Dataset:
@@ -460,8 +460,6 @@ def cmd_evaluate(args) -> int:
     paths, models, normalizer, split = _load_ensemble(options["models"])
     runners = benchmark_runners(
         dataset, split.train, models=models, normalizer=normalizer,
-        idw_power=options["idw_power"],
-        gp_selection_stride=options["gp_selection_stride"],
         batch_size=options["eval_batch"])
     pool = None
     try:

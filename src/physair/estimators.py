@@ -1,8 +1,9 @@
 """Estimator base class and array validation helpers.
 
 The interpolators in this package follow the familiar fit/predict
-convention: hyperparameters are constructor arguments, ``fit`` learns
-state from data and stores it on attributes ending in an underscore,
+convention: hyperparameters, where an estimator has any (only the
+Gaussian process does), are constructor arguments, ``fit`` learns state
+from data and stores it on attributes ending in an underscore,
 ``predict`` maps new coordinates to values. ``fit`` takes an (hours,
 sensors) matrix of hours that share the sensors, one hour being its
 one-row case; ``predict`` returns one row per hour. ``fit`` checks the

@@ -40,6 +40,12 @@ logger = logging.getLogger(__name__)
 # own edges.
 SH_BIN_EDGES = tuple(float(v) for v in list(range(0, 201, 20)) + [400, 600, 800])
 
+# The "high-SH" subset of a report: hours at or above this quantile of SH.
+HIGH_SH_QUANTILE = 0.75
+
+# GP hyperparameters are searched on every GP_SELECTION_STRIDE-th hour.
+GP_SELECTION_STRIDE = 4
+
 # Removal schedule for the sensor-density experiment.
 DENSITY_FRACTIONS = (0.0, 0.2, 0.4, 0.6, 0.8)
 DENSITY_SEED_COUNT = 5
@@ -143,13 +149,13 @@ def sh_series(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def high_sh_hours(sh: np.ndarray, quantile: float = 0.75) -> np.ndarray:
-    """Boolean mask of the hours at or above the given SH quantile."""
+def high_sh_hours(sh: np.ndarray) -> np.ndarray:
+    """Boolean mask of the hours at or above the HIGH_SH_QUANTILE of SH."""
     sh = np.asarray(sh, dtype=float)
     finite = sh[np.isfinite(sh)]
     if finite.size == 0:
         raise ValidationError("no finite heterogeneity values")
-    cut = float(np.quantile(finite, quantile))
+    cut = float(np.quantile(finite, HIGH_SH_QUANTILE))
     mask = np.zeros(sh.shape, dtype=bool)
     mask[np.isfinite(sh)] = sh[np.isfinite(sh)] >= cut
     return mask
@@ -312,28 +318,24 @@ def _gnn_run(models, normalizer, batch_size, dataset, context_ids, target_ids, h
 
 def benchmark_runners(dataset: Dataset, context_ids, models=None,
                       normalizer: Normalizer | None = None,
-                      idw_power: float = 1.0, gp_params: dict | None = None,
-                      gp_selection_stride: int = 4, batch_size: int = 64) -> dict:
+                      batch_size: int = 64) -> dict:
     """Assemble the standard model lineup for an evaluation run.
 
-    GP hyperparameters are grid-searched once on the context sensors'
-    readings (every ``gp_selection_stride``-th hour) and then frozen,
-    including across density-experiment removals; retuning on a thinned
-    network would conflate hyperparameter drift with density effects.
-    Pass ``gp_params`` to skip the search, and ``models`` plus
-    ``normalizer`` to add the trained ensemble to the lineup.
+    mean_fill, IDW and kriging take no settings. GP hyperparameters are
+    grid-searched once by :func:`select_gp_hyperparameters` on the
+    context sensors' readings at every GP_SELECTION_STRIDE-th hour and
+    then frozen, including across density-experiment removals; retuning
+    on a thinned network would conflate hyperparameter drift with density
+    effects. Pass ``models`` plus ``normalizer`` to add the trained
+    ensemble to the lineup.
     """
-    if not (float(gp_selection_stride).is_integer() and gp_selection_stride >= 1):
-        raise ValidationError(
-            f"gp_selection_stride must be a whole number >= 1, got {gp_selection_stride}")
-    if gp_params is None:
-        rows = subset_dataset_values(dataset, context_ids)
-        gp_params = select_gp_hyperparameters(
-            _coords_for(dataset, context_ids), rows[::int(gp_selection_stride)])
-        logger.info("selected gp hyperparameters: %s", gp_params)
+    rows = subset_dataset_values(dataset, context_ids)
+    gp_params = select_gp_hyperparameters(_coords_for(dataset, context_ids),
+                                          rows[::GP_SELECTION_STRIDE])
+    logger.info("selected gp hyperparameters: %s", gp_params)
     runners = {
         "mean_fill": estimator_runner(MeanFill),
-        "idw": estimator_runner(lambda: Idw(power=idw_power)),
+        "idw": estimator_runner(Idw),
         "kriging": estimator_runner(OrdinaryKriging),
         "gp": estimator_runner(lambda: GaussianProcess(**gp_params)),
     }

@@ -103,7 +103,8 @@ def test_relu_keeps_nan_like_linear():
     out = relu(row).data
     assert np.isnan(out[0, 0]) and out[0, 1] == 1.0
     # nan * 0 poisons the whole row of the fused form; both keep the NaN
-    assert np.isnan(linear(row, Tensor(np.eye(2)), activation="relu").data[0, 0])
+    assert np.isnan(linear(row, Tensor(np.eye(2)), Tensor(np.zeros(2)),
+                           activation="relu").data[0, 0])
 
 
 def test_no_record_builds_no_tape_and_restores_the_flag():
@@ -112,13 +113,13 @@ def test_no_record_builds_no_tape_and_restores_the_flag():
     assert is_recording()
     with no_record():
         assert not is_recording()
-        out = relu(linear(x, w, activation="relu"))
+        out = relu(linear(x, w, Tensor(np.zeros(2)), activation="relu"))
         with no_record():
             pass
         assert not is_recording()
     assert is_recording()
     assert not out.requires_grad and out._parents == () and out._vjp is None
-    recorded = linear(x, w)
+    recorded = linear(x, w, Tensor(np.zeros(2)))
     assert recorded.requires_grad and recorded._vjp is not None
 
     with pytest.raises(RuntimeError, match="body"):
@@ -229,7 +230,7 @@ def test_linear_matches_unfused_composition():
     assert np.array_equal(linear(x, w, b, activation="relu").data,
                           relu(add(matmul(x, w), b)).data)
     assert np.array_equal(linear(x, w, b).data, add(matmul(x, w), b).data)
-    assert np.array_equal(linear(x, w, activation="relu").data,
+    assert np.array_equal(linear(x, w, Tensor(np.zeros(3)), activation="relu").data,
                           relu(matmul(x, w)).data)
 
 
@@ -242,7 +243,8 @@ def test_grad_linear_each_input():
     check_grad(lambda t: mse(linear(t, w, b, activation="relu"), Tensor(np.ones((3, 2)))), x0)
     check_grad(lambda t: mse(linear(x, t, b, activation="relu"), Tensor(np.ones((3, 2)))), w0)
     check_grad(lambda t: mse(linear(x, w, t, activation="relu"), Tensor(np.ones((3, 2)))), b0)
-    check_grad(lambda t: mse(linear(t, w, activation="identity"), Tensor(np.ones((3, 2)))), x0)
+    check_grad(lambda t: mse(linear(t, w, Tensor(np.zeros(2)), activation="identity"),
+                             Tensor(np.ones((3, 2)))), x0)
 
 
 def test_linear_pair_matches_stacked_weight():
@@ -284,18 +286,20 @@ def test_grad_linear_pair_each_input():
 def test_linear_rejects_bad_shapes():
     x = Tensor(np.zeros((3, 4)))
     w = Tensor(np.zeros((5, 2)))
+    b = Tensor(np.zeros(2))
     with pytest.raises(ShapeError):
-        linear(x, w)
+        linear(x, w, b)
     with pytest.raises(ShapeError):
         linear(Tensor(np.zeros((3, 5))), w, Tensor(np.zeros(3)))
     with pytest.raises(ShapeError):
-        linear(x, Tensor(np.zeros((4, 2, 1))))
+        linear(x, Tensor(np.zeros((4, 2, 1))), b)
     with pytest.raises(ValidationError):
-        linear(Tensor(np.zeros((3, 5))), w, activation="tanh")
+        linear(Tensor(np.zeros((3, 5))), w, b, activation="tanh")
     with pytest.raises(ShapeError):
-        linear_pair(x, x, Tensor(np.zeros((4, 2))), Tensor(np.zeros((4, 3))))
+        linear_pair(x, x, Tensor(np.zeros((4, 2))), Tensor(np.zeros((4, 3))), b)
     with pytest.raises(ShapeError):
-        linear_pair(x, Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 2))), Tensor(np.zeros((4, 2))))
+        linear_pair(x, Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 2))),
+                    Tensor(np.zeros((4, 2))), b)
 
 
 def test_grad_softmax():

@@ -99,7 +99,8 @@ def _resolve(argv):
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
 def test_flag_and_config_line_resolve_alike(command, tmp_path, monkeypatch):
     monkeypatch.delenv(cli.DATA_DIR_ENV, raising=False)
-    samples = {int: "7", float: "0.25", str: "some/where", parse_seeds: "3,5"}
+    samples = {int: "7", float: "0.25", str: "some/where", cli._path: "some/where",
+               parse_seeds: "3,5"}
     schema = cli._COMMANDS[command][1]
     defaults = _resolve([command])
     for key, (coerce, default, _) in schema.items():
@@ -561,18 +562,28 @@ def test_bad_eval_batch_is_refused_before_any_work(synth_dir, train_dir, tmp_pat
                                          ("--gp-selection-stride", "-3"),
                                          ("--idw-power", "0"), ("--idw-power", "-1"),
                                          ("--idw-power", "nan"), ("--idw-power", "inf")])
-def test_bad_baseline_settings_are_refused_before_any_work(synth_dir, train_dir, tmp_path,
-                                                           monkeypatch, capsys, flag, value):
-    # a stride of -3 once ran the gp search on every hour, and an idw power
-    # of 0 was refused only after the whole search
+def test_bad_baseline_settings_are_refused_before_any_work(synth_dir, train_dir, eval_dir,
+                                                           tmp_path, monkeypatch, capsys,
+                                                           flag, value):
+    # the idw power and the gp selection stride are constants: an evaluate
+    # resolved.cfg written while they were options names both keys, and
+    # either one, whatever its value, is refused before the gp search runs
     def no_search(*args, **kwargs):
-        raise AssertionError(f"the gp search ran before {flag} was checked")
+        raise AssertionError(f"the gp search ran before {flag} was refused")
 
     monkeypatch.setattr(evaluation, "select_gp_hyperparameters", no_search)
-    rc = main(["evaluate", "--dataset", str(synth_dir), "--models", str(train_dir),
-               "--out", str(tmp_path / "e"), f"{flag}={value}"])
-    assert rc == 2
-    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    key = flag[2:].replace("-", "_")
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text((eval_dir / "resolved.cfg").read_text() + f"{key} = {value}\n")
+    assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "e")]) == 2
+    err = capsys.readouterr().err
+    assert "unknown config keys" in err and key in err
+    assert not (tmp_path / "e").exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--dataset", str(synth_dir), "--models", str(train_dir),
+              "--out", str(tmp_path / "e"), f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("lr", ["0", "-0.01", "nan", "inf"])
@@ -619,6 +630,32 @@ def test_interpolate_resolved_config_reproduces_run(synth_dir, train_dir, tmp_pa
     assert main(["interpolate", "--config", str(out / "resolved.cfg"),
                  "--out", str(replay)]) == 0
     assert (replay / "predictions.csv").read_bytes() == (out / "predictions.csv").read_bytes()
+
+
+def test_resolved_config_replays_from_another_directory(synth_dir, train_dir, tmp_path,
+                                                       monkeypatch):
+    # paths given relative to the run's directory are recorded absolute;
+    # they were once recorded as given, and a replay started elsewhere
+    # exited 2 with "dataset path does not exist"
+    monkeypatch.chdir(tmp_path)
+    data, models = os.path.relpath(synth_dir), os.path.relpath(train_dir)
+    runs = {"interpolate": ("grid", ["--grid-lat", "36.70:36.72:2",
+                                     "--grid-lon=-119.81:-119.79:2", "--hours", "0:2"],
+                            ["predictions.csv"]),
+            "evaluate": ("eval", ["--no-density"], ["report.txt", "report.json"])}
+    for command, (out, argv, _) in runs.items():
+        assert main([command, "--dataset", data, "--models", models, "--out", out] + argv) == 0
+        resolved = read_config_file(tmp_path / out / "resolved.cfg")
+        assert all(os.path.isabs(resolved[key]) for key in ("dataset", "models", "out"))
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    for command, (out, _, outputs) in runs.items():
+        assert main([command, "--config", str(tmp_path / out / "resolved.cfg"),
+                     "--out", "replay-" + out]) == 0
+        for name in outputs:
+            assert (elsewhere / f"replay-{out}" / name).read_bytes() == \
+                (tmp_path / out / name).read_bytes(), (command, name)
 
 
 def test_negative_sweep_parses_with_or_without_equals(synth_dir, train_dir, tmp_path):

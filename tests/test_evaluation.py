@@ -9,11 +9,14 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from physair import training
-from physair.baselines import GaussianProcess, Idw, MeanFill, OrdinaryKriging
+from physair import evaluation, training
+from physair.baselines import GaussianProcess, Idw, MeanFill, OrdinaryKriging, \
+    select_gp_hyperparameters
 from physair.data import Dataset
 from physair.errors import ValidationError
 from physair.evaluation import (
+    GP_SELECTION_STRIDE,
+    HIGH_SH_QUANTILE,
     BinnedMae,
     MetricReport,
     SH_BIN_EDGES,
@@ -180,7 +183,7 @@ def test_sh_series_is_rowwise_and_nan_lenient():
 
 def test_high_sh_hours_selects_the_upper_quantile():
     sh = np.array([1.0, 2.0, 3.0, 4.0, np.nan])
-    mask = high_sh_hours(sh, quantile=0.75)
+    mask = high_sh_hours(sh)
     # quantile of the finite values [1..4] at 0.75 is 3.25
     assert mask.tolist() == [False, False, False, True, False]
 
@@ -521,10 +524,10 @@ def test_hour_mask_restricts_the_sample_set():
     ds = toy_dataset(hours=10, n=5)
     run = evaluate_models(ds, ("s0", "s1", "s2"), ("s3", "s4"),
                           {"mean_fill": estimator_runner(MeanFill)})
-    mask = high_sh_hours(run.sh, quantile=0.5)
+    mask = high_sh_hours(run.sh)
     preds, obs, sh = run.flat("mean_fill", hour_mask=mask)
     assert obs.size == 2 * int(mask.sum())
-    assert sh.min() >= np.quantile(run.sh, 0.5)
+    assert sh.min() >= np.quantile(run.sh, HIGH_SH_QUANTILE)
 
 
 def test_gnn_runner_agrees_with_direct_target_evaluation():
@@ -539,32 +542,36 @@ def test_gnn_runner_agrees_with_direct_target_evaluation():
 
 def test_benchmark_runners_lineup():
     ds = toy_dataset(hours=8, n=6)
-    lineup = benchmark_runners(ds, ("s0", "s1", "s2", "s3"),
-                               gp_params={"variance": 1.0, "lengthscale": 5.0,
-                                          "noise": 0.1})
+    lineup = benchmark_runners(ds, ("s0", "s1", "s2", "s3"))
     assert list(lineup) == ["mean_fill", "idw", "kriging", "gp"]
     models, norm = tiny_models(ds)
     lineup = benchmark_runners(ds, ("s0", "s1", "s2", "s3"), models=models,
-                               normalizer=norm,
-                               gp_params={"variance": 1.0, "lengthscale": 5.0,
-                                          "noise": 0.1})
+                               normalizer=norm)
     assert "gnn" in lineup
     with pytest.raises(ValidationError, match="normalizer"):
-        benchmark_runners(ds, ("s0", "s1"), models=models,
-                          gp_params={"variance": 1.0, "lengthscale": 5.0,
-                                     "noise": 0.1})
+        benchmark_runners(ds, ("s0", "s1"), models=models)
 
 
-@pytest.mark.parametrize("stride", [0, -3, 2.5, float("nan"), float("inf")])
-def test_benchmark_runners_refuse_a_gp_selection_stride_below_1(stride, monkeypatch):
-    # -3 once ran the search on every hour
-    def no_search(*args, **kwargs):
-        raise AssertionError("the gp search ran with a bad stride")
+def test_benchmark_runners_fix_idw_and_the_gp_search(monkeypatch):
+    ds = toy_dataset(hours=24, n=6)
+    context, targets, hours = ("s0", "s1", "s2", "s3"), ("s4", "s5"), np.arange(24)
+    searched = []
 
-    monkeypatch.setattr("physair.evaluation.select_gp_hyperparameters", no_search)
-    with pytest.raises(ValidationError, match="gp_selection_stride"):
-        benchmark_runners(toy_dataset(hours=8, n=6), ("s0", "s1", "s2", "s3"),
-                          gp_selection_stride=stride)
+    def spy(coords, value_rows):
+        searched.append(value_rows)
+        return select_gp_hyperparameters(coords, value_rows)
+
+    monkeypatch.setattr(evaluation, "select_gp_hyperparameters", spy)
+    lineup = benchmark_runners(ds, context)
+    rows = subset_dataset_values(ds, context)
+    assert len(searched) == 1 and np.array_equal(searched[0], rows[::GP_SELECTION_STRIDE])
+    coords = np.array([[s.latitude, s.longitude] for s in ds.sensors[:4]])
+    targets_at = np.array([[s.latitude, s.longitude] for s in ds.sensors[4:]])
+    gp = GaussianProcess(**select_gp_hyperparameters(coords, rows[::GP_SELECTION_STRIDE]))
+    assert lineup["gp"](ds, context, targets, hours).tobytes() == \
+        gp.fit(coords, rows).predict(targets_at).tobytes()
+    assert lineup["idw"](ds, context, targets, hours).tobytes() == \
+        estimator_runner(Idw)(ds, context, targets, hours).tobytes()
 
 
 def window_models(dataset, windows):
@@ -592,9 +599,7 @@ def test_inference_reads_the_input_window_from_the_ensemble():
     context, targets, hours = ("s0", "s1", "s2", "s3"), ("s4", "s5"), np.arange(8)
     want = np.column_stack([per_target_forward(models, norm, ds, context, t, hours)
                             for t in targets])
-    runner = benchmark_runners(ds, context, models=models, normalizer=norm,
-                               gp_params={"variance": 1.0, "lengthscale": 5.0,
-                                          "noise": 0.1})["gnn"]
+    runner = benchmark_runners(ds, context, models=models, normalizer=norm)["gnn"]
     points = [s for s in ds.sensors if s.sensor_id in targets]
     for got in (runner(ds, context, targets, hours),
                 evaluate_target_sensor(models, norm, ds, context, targets, hours)[0],
