@@ -64,7 +64,6 @@ from .training import (
     TrainConfig,
     TrainingDiverged,
     evaluate_target_sensor,
-    leakage_scan,
     load_trained,
     make_split,
     train_ensemble,
@@ -105,7 +104,6 @@ __all__ = [
     "density_experiment",
     "evaluate_models",
     "evaluate_target_sensor",
-    "leakage_scan",
     "export_dataset",
     "finite_diff_grad",
     "gap_filter",

@@ -8,14 +8,16 @@ is scored on recovering that sensor's true value. Validation and test
 sensors never appear in any training input; they are attached to the
 train graph one at a time, masked, only when being evaluated.
 
-One path per half of the protocol: ``train_model`` batches the
-``iter_masked_samples`` stream that ``leakage_scan`` checks, and every
-prediction at a masked node, a held-out sensor or an arbitrary
-coordinate, goes through ``predict_masked_node``. It predicts G targets
-that share one context at once: per hour chunk and member, the
-context's edge path and its first-layer messages run once for all of
-them, each stack of them runs one forward, and every forward runs
-inside ``autodiff.no_record()``, so inference keeps no tape.
+One path per half of the protocol. ``train_model`` cuts each batch
+from ``epoch_sample_plan`` and one matrix, the train sensors' readings,
+so no held-out reading can reach a training input: that matrix holds
+none. Every prediction at a masked node, a held-out sensor or an
+arbitrary coordinate, goes through ``predict_masked_node``. It
+predicts G targets that share one context at once: per hour chunk and
+member, the context's edge path and its first-layer messages run once
+for all of them, each stack of them runs one forward, and every
+forward runs inside ``autodiff.no_record()``, so inference keeps no
+tape.
 
 Inputs are standardized by the train-set mean/std. The flag channel is
 left raw, and predictions are mapped back to concentration units before
@@ -30,7 +32,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -149,17 +151,6 @@ class Normalizer:
 # Masked samples.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MaskedSample:
-    """One training or evaluation instance, fully materialized."""
-
-    hour: int
-    masked_id: str
-    node_ids: tuple
-    inputs: np.ndarray      # (n_nodes, window + 1)
-    truth: float
-
-
 def epoch_sample_plan(n_hours: int, n_train: int, seed: int, epoch: int):
     """(hours, masked train positions) for one epoch, deterministically.
 
@@ -189,73 +180,6 @@ def build_node_inputs(values_norm: np.ndarray, hour: int, masked_pos: int,
     out[:, window] = 1.0
     out[masked_pos, :] = 0.0
     return out
-
-
-def iter_masked_samples(dataset: Dataset, split: SensorSplit, epoch: int,
-                        seed: int, window: int = 1):
-    """Yield the epoch's training samples as inspectable records."""
-    values = complete_readings(dataset, split.train, "train")
-    values_norm = Normalizer.from_values(values).normalize(values)
-    hours, masked = epoch_sample_plan(dataset.hours, len(split.train), seed, epoch)
-    for hour, pos in zip(hours, masked):
-        yield MaskedSample(
-            hour=int(hour),
-            masked_id=split.train[pos],
-            node_ids=split.train,
-            inputs=build_node_inputs(values_norm, int(hour), int(pos), window),
-            truth=float(values[hour, pos]),
-        )
-
-
-def leakage_scan(dataset: Dataset, split: SensorSplit, epochs,
-                 seed: int = 0, window: int = 1) -> dict:
-    """Prove no held-out reading can reach a training input.
-
-    Two independent checks run over every requested epoch (an int means
-    epochs 1..n, matching the training loop's numbering):
-
-    1. structural: each sample's node set must be exactly the train ids,
-       disjoint from the val and test ids, with the masked node drawn
-       from the train set;
-    2. numerical: the same sample stream is rebuilt from a copy of the
-       dataset whose val and test readings are all replaced with garbage,
-       and every input array and truth must come back bit-identical.
-
-    Returns a small summary dict; raises ValidationError on the first
-    violation found.
-    """
-    if isinstance(epochs, int):
-        epochs = range(1, epochs + 1)
-    held_out = set(split.val) | set(split.test)
-    if held_out & set(split.train):
-        raise ValidationError("split integrity: train overlaps val/test")
-
-    ids = dataset.sensor_ids()
-    poisoned_cols = [i for i, s in enumerate(ids) if s in held_out]
-    poisoned = np.array(dataset.pm25, copy=True)
-    poisoned[:, poisoned_cols] = 1e9
-    decoy = replace(dataset, pm25=poisoned)
-
-    train_set = set(split.train)
-    samples = 0
-    for epoch in epochs:
-        stream = iter_masked_samples(dataset, split, epoch, seed, window)
-        decoy_stream = iter_masked_samples(decoy, split, epoch, seed, window)
-        for sample, shadow in zip(stream, decoy_stream):
-            if set(sample.node_ids) != train_set or sample.masked_id not in train_set:
-                raise ValidationError(
-                    f"epoch {epoch} hour {sample.hour}: sample nodes stray "
-                    f"outside the train set")
-            if set(sample.node_ids) & held_out:
-                raise ValidationError(
-                    f"epoch {epoch} hour {sample.hour}: held-out sensor in node set")
-            if (sample.inputs.tobytes() != shadow.inputs.tobytes()
-                    or sample.truth != shadow.truth):
-                raise ValidationError(
-                    f"epoch {epoch} hour {sample.hour}: training input changed "
-                    f"when held-out readings were poisoned")
-            samples += 1
-    return {"epochs": len(epochs), "samples": samples, "clean": True}
 
 
 # ---------------------------------------------------------------------------
@@ -503,9 +427,6 @@ class TrainState:
 class TrainResult:
     checkpoint_path: Path
     state: TrainState
-    normalizer: Normalizer
-    split: SensorSplit
-    model_config: ModelConfig
     wall_seconds: float
 
 
@@ -562,21 +483,27 @@ def train_model(dataset: Dataset, split: SensorSplit,
     validation epoch), ``last.ckpt`` + ``last.optim`` + ``state.json``
     (for resuming), all written atomically. Each epoch's history record
     holds its train and validation MSE and grad_norm, the largest global
-    gradient norm over its steps, taken before the optimizer step.
+    gradient norm over its steps, taken before the optimizer step. A
+    split whose val sensors have no reading at any validation hour raises
+    ValidationError before anything is written.
     """
     started = time.monotonic()
+    split.validate(dataset.sensor_ids())
+    values = complete_readings(dataset, split.train, "train")
+    normalizer = Normalizer.from_values(values)
+    values_norm = normalizer.normalize(values)
+    val_hours = np.arange(0, dataset.hours, train_config.val_hour_stride)
+    if not np.isfinite(subset_dataset_values(dataset, split.val)[val_hours]).any():
+        raise ValidationError(
+            f"val sensors {', '.join(split.val)} have no reading at any validation hour "
+            f"(val_hour_stride {train_config.val_hour_stride})")
+
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     best_path, last_path = out / "best.ckpt", out / "last.ckpt"
     optim_path, state_path = out / "last.optim", out / "state.json"
-
-    split.validate(dataset.sensor_ids())
-    normalizer = Normalizer.from_values(
-        complete_readings(dataset, split.train, "train"))
-
     graph = graph_for_ids(dataset, split.train)
     wiring = GraphWiring(graph)
-    val_hours = np.arange(0, dataset.hours, train_config.val_hour_stride)
 
     model = PhysicsGnn(model_config, seed=train_config.seed)
     params = model.params()
@@ -598,16 +525,16 @@ def train_model(dataset: Dataset, split: SensorSplit,
 
     while state.epoch < train_config.max_epochs:
         epoch = state.epoch + 1
-        samples = list(iter_masked_samples(dataset, split, epoch,
-                                           train_config.seed, model_config.window))
+        hours, masked = epoch_sample_plan(dataset.hours, len(split.train),
+                                          train_config.seed, epoch)
         epoch_sq_err = 0.0
         grad_norms = []
-        for lo in range(0, len(samples), train_config.batch_size):
-            batch = samples[lo:lo + train_config.batch_size]
-            bh = np.array([s.hour for s in batch])
-            bm = np.array([s.node_ids.index(s.masked_id) for s in batch])
-            x = np.stack([s.inputs for s in batch])
-            truth = np.array([s.truth for s in batch])
+        for lo in range(0, len(hours), train_config.batch_size):
+            bh = hours[lo:lo + train_config.batch_size]
+            bm = masked[lo:lo + train_config.batch_size]
+            x = np.stack([build_node_inputs(values_norm, int(h), int(m), model_config.window)
+                          for h, m in zip(bh, bm)])
+            truth = values[bh, bm]
             conv = hourly_conv_features(graph, dataset, bh)
 
             pred = add(mul(model.forward(x, wiring, conv, bm), std_t), mean_t)
@@ -624,9 +551,9 @@ def train_model(dataset: Dataset, split: SensorSplit,
             loss.backward(consume=True)
             grad_norms.append(_global_grad_norm(params))
             opt.step()
-            epoch_sq_err += float(loss.data) * len(batch)
+            epoch_sq_err += float(loss.data) * len(bh)
 
-        train_loss = epoch_sq_err / len(samples)
+        train_loss = epoch_sq_err / len(hours)
         # np.max keeps a NaN; keys in state.json's sorted order, so a
         # resumed history dumps the same
         record = {"epoch": epoch, "grad_norm": float(np.max(grad_norms)),
@@ -667,8 +594,6 @@ def train_model(dataset: Dataset, split: SensorSplit,
         save_params(str(best_path), params,
                     extra={**extra, "epoch": state.epoch, "val_mse": None})
     return TrainResult(checkpoint_path=best_path, state=state,
-                       normalizer=normalizer, split=split,
-                       model_config=model_config,
                        wall_seconds=time.monotonic() - started)
 
 

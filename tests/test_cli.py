@@ -8,6 +8,7 @@ and the files left behind.
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,11 +16,11 @@ import pytest
 from physair import cli, evaluation
 from physair.autodiff import load_arrays, save_arrays
 from physair.cli import build_parser, main, parse_seeds, read_config_file, resolve_options
-from physair.data import load_dataset
+from physair.data import export_dataset, load_dataset
 from physair.errors import ValidationError
 from physair.evaluation import infer_at_location
 from physair.model import FIXED_DESIGN
-from physair.training import load_trained
+from physair.training import load_trained, make_split
 
 
 @pytest.fixture(scope="module")
@@ -322,6 +323,22 @@ def test_train_on_three_sensors_exits_2_before_writing(tmp_path, capsys):
     assert rc == 2
     assert "need at least 4 sensors to split, got 3" in capsys.readouterr().err
     assert not (tmp_path / "t").exists()
+
+
+def test_train_without_validation_readings_exits_2_before_any_checkpoint(synth_dir, tmp_path,
+                                                                         capsys):
+    dataset = load_dataset(synth_dir)
+    val = make_split(dataset.sensor_ids(), seed=0).val
+    pm25 = dataset.pm25.copy()
+    pm25[:, [dataset.sensor_ids().index(s) for s in val]] = np.nan
+    export_dataset(replace(dataset, pm25=pm25), tmp_path / "data")
+    rc = main(["train", "--dataset", str(tmp_path / "data"), "--out", str(tmp_path / "t"),
+               "--seeds", "0", "--max-epochs", "1", "--val-hour-stride", "3"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert (f"val sensors {', '.join(val)} have no reading at any validation hour "
+            f"(val_hour_stride 3)") in err and "Traceback" not in err
+    assert not list((tmp_path / "t").rglob("*.ckpt"))
 
 
 def _break_line(path, line, text):

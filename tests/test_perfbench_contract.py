@@ -102,12 +102,14 @@ def test_load_trained_returns_the_four_parts(tmp_path):
     assert got_split.to_dict() == split.to_dict() and extra["train_config"] == {"seed": 0}
 
 
-def test_every_interpolate_and_evaluate_wrapper_fires(tracer, tmp_path, monkeypatch, capsys):
-    # a tiny version of both workloads: every name that WRAPS says must fire
-    # on interpolate or evaluate is counted where the tracer would wrap it,
-    # so a refactor that bypasses one fails here, not only in a traced run
+def test_every_train_interpolate_and_evaluate_wrapper_fires(tracer, tmp_path, monkeypatch,
+                                                            capsys):
+    # a tiny version of the three workloads: every name that WRAPS says must
+    # fire on train, interpolate or evaluate is counted where the tracer would
+    # wrap it, so a refactor that bypasses one fails here, not only in a
+    # traced run
     rows = [(owner, attr) for owner, attr, _, _, must in tracer.WRAPS
-            if tracer.INTERPOLATE in must or tracer.EVALUATE in must]
+            if tracer.TRAIN in must or tracer.INTERPOLATE in must or tracer.EVALUATE in must]
     fired = dict.fromkeys(rows, 0)
 
     def counted(key, real):

@@ -17,7 +17,6 @@ from physair.geo import SensorMeta, build_graph, convection_edge_features
 from physair.autodiff import load_arrays, load_params
 from physair.model import GraphWiring, ModelConfig, PhysicsGnn
 from physair.training import (
-    MaskedSample,
     Normalizer,
     SensorSplit,
     TrainConfig,
@@ -25,8 +24,6 @@ from physair.training import (
     build_node_inputs,
     epoch_sample_plan,
     evaluate_target_sensor,
-    iter_masked_samples,
-    leakage_scan,
     load_trained,
     make_split,
     masked_batch_predictions,
@@ -115,42 +112,24 @@ def test_plan_changes_between_epochs_but_not_between_runs():
 
 
 def test_masked_sample_inputs_zeroed_with_flag_zero():
-    ds = toy_dataset()
-    split = make_split(ds.sensor_ids(), seed=0)
-    for sample in iter_masked_samples(ds, split, epoch=1, seed=0):
-        pos = sample.node_ids.index(sample.masked_id)
-        np.testing.assert_array_equal(sample.inputs[pos], 0.0)
-        flags = np.delete(sample.inputs[:, -1], pos)
-        np.testing.assert_array_equal(flags, 1.0)
-        assert sample.truth == ds.pm25[sample.hour,
-                                       ds.sensor_ids().index(sample.masked_id)]
+    values = np.random.default_rng(0).normal(size=(24, 4))
+    hours, masked = epoch_sample_plan(24, 4, seed=0, epoch=1)
+    for hour, pos in zip(hours, masked):
+        x = build_node_inputs(values, int(hour), int(pos), window=2)
+        np.testing.assert_array_equal(x[pos], 0.0)
+        np.testing.assert_array_equal(np.delete(x[:, -1], pos), 1.0)
+        np.testing.assert_array_equal(np.delete(x[:, 1], pos), np.delete(values[hour], pos))
 
 
-def test_no_test_sensor_ever_enters_training_inputs():
-    ds = toy_dataset(hours=16)
-    split = make_split(ds.sensor_ids(), seed=0)
-    forbidden = set(split.test) | set(split.val)
-    for epoch in (1, 2, 3):
-        for sample in iter_masked_samples(ds, split, epoch=epoch, seed=0):
-            assert not (set(sample.node_ids) & forbidden)
-            assert sample.masked_id in split.train
-
-
-def test_leakage_scan_clean_on_proper_split():
-    ds = toy_dataset(hours=16)
-    split = make_split(ds.sensor_ids(), seed=0)
-    summary = leakage_scan(ds, split, epochs=3, seed=0)
-    assert summary == {"epochs": 3, "samples": 48, "clean": True}
-
-
-def test_leakage_scan_rejects_overlapping_split():
+def test_train_model_rejects_overlapping_split(tmp_path):
     ds = toy_dataset(hours=8)
     ids = ds.sensor_ids()
     # construct the broken split directly; validate() would refuse it
     bad = SensorSplit(train=tuple(ids[:3]), val=(ids[3],),
                       test=(ids[2], ids[4]), seed=0)
-    with pytest.raises(ValidationError, match="integrity"):
-        leakage_scan(ds, bad, epochs=1)
+    with pytest.raises(ValidationError, match="overlap"):
+        train_model(ds, bad, tiny_model_config(), run_config(max_epochs=1), tmp_path / "run")
+    assert not (tmp_path / "run").exists()
 
 
 def test_window_lookback_clamps_at_series_start():
@@ -237,27 +216,56 @@ def test_saved_best_is_minimum_of_recorded_vals(tmp_path):
 
 
 def test_training_loop_never_reads_held_out_sensors(tmp_path):
-    # leakage_scan checks the sample stream; this checks the loop that
-    # consumes it, through the checkpoints it writes
+    # a held-out reading that reached a training input would move the
+    # weights; poisoned validation readings move only the validation
+    # scores, so with them only last.ckpt and last.optim must match
     ds = toy_dataset(hours=24)
     split = make_split(ds.sensor_ids(), seed=0)
-    poisoned = ds.pm25.copy()
-    poisoned[:, [ds.sensor_ids().index(s) for s in split.test]] = 1e9
-    decoy = Dataset(sensors=ds.sensors, start=ds.start, pm25=poisoned,
-                    wind=ds.wind).validate()
     config = run_config(max_epochs=2)
     train_model(ds, split, tiny_model_config(), config, tmp_path / "clean")
-    train_model(decoy, split, tiny_model_config(), config, tmp_path / "decoy")
-    for name in ("best.ckpt", "last.ckpt"):
-        # everything but the dataset fingerprint, which covers the poisoned
-        # readings on purpose, matches bit for bit
-        clean_manifest, clean = load_arrays(str(tmp_path / "clean" / name))
-        decoy_manifest, poisoned_run = load_arrays(str(tmp_path / "decoy" / name))
-        prints = [m["extra"]["dataset"].pop("fingerprint")
-                  for m in (clean_manifest, decoy_manifest)]
-        assert prints == [ds.fingerprint(), decoy.fingerprint()]
-        assert clean_manifest == decoy_manifest
-        assert all(clean[k].tobytes() == poisoned_run[k].tobytes() for k in clean)
+    for poisoned_ids, same in ((split.test, ("best.ckpt", "last.ckpt", "last.optim")),
+                               (split.val + split.test, ("last.ckpt", "last.optim"))):
+        poisoned = ds.pm25.copy()
+        poisoned[:, [ds.sensor_ids().index(s) for s in poisoned_ids]] = 1e9
+        decoy = replace(ds, pm25=poisoned).validate()
+        run = tmp_path / f"decoy{len(poisoned_ids)}"
+        train_model(decoy, split, tiny_model_config(), config, run)
+        for name in same:
+            # everything but the dataset fingerprint, which covers the
+            # poisoned readings on purpose, matches bit for bit
+            clean_manifest, clean = load_arrays(str(tmp_path / "clean" / name))
+            decoy_manifest, poisoned_run = load_arrays(str(run / name))
+            if name.endswith(".ckpt"):
+                prints = [m["extra"]["dataset"].pop("fingerprint")
+                          for m in (clean_manifest, decoy_manifest)]
+                assert prints == [ds.fingerprint(), decoy.fingerprint()]
+            assert clean_manifest == decoy_manifest
+            assert all(clean[k].tobytes() == poisoned_run[k].tobytes() for k in clean)
+        if split.val[0] in poisoned_ids:
+            # the poison reached validation, so the check has teeth there
+            assert json.loads((run / "state.json").read_text()) != \
+                json.loads((tmp_path / "clean" / "state.json").read_text())
+
+
+def test_a_validation_set_without_readings_is_refused_before_training(tmp_path):
+    # with every val reading NaN, a whole epoch once trained and then
+    # raised TrainingDiverged for a validation MSE over no samples
+    ds = toy_dataset(hours=24)
+    split = make_split(ds.sensor_ids(), seed=0)
+    pm25 = ds.pm25.copy()
+    pm25[:, [ds.sensor_ids().index(s) for s in split.val]] = np.nan
+    ds = replace(ds, pm25=pm25).validate()
+    with pytest.raises(ValidationError,
+                       match=f"val sensors {', '.join(split.val)} have no reading .*"
+                             r"val_hour_stride 1\)"):
+        train_model(ds, split, tiny_model_config(), run_config(max_epochs=1), tmp_path / "run")
+    assert not (tmp_path / "run").exists()
+    # a reading at an hour that a stride skips does not count
+    pm25[1, ds.sensor_ids().index(split.val[0])] = 20.0
+    with pytest.raises(ValidationError, match="val_hour_stride 2"):
+        train_model(replace(ds, pm25=pm25), split, tiny_model_config(),
+                    run_config(max_epochs=1, val_hour_stride=2), tmp_path / "run")
+    assert not (tmp_path / "run").exists()
 
 
 def test_resume_matches_uninterrupted_run(tmp_path):
