@@ -321,8 +321,7 @@ def select_gp_hyperparameters(coords, value_rows) -> dict:
     """
     best = None
     best_score = -np.inf
-    for params, score in _gp_grid_scores(coords, value_rows, GP_VARIANCE_FACTORS,
-                                         GP_LENGTHSCALES_KM, GP_NOISE_FACTORS):
+    for params, score in _gp_grid_scores(coords, value_rows):
         if score > best_score:
             best_score = score
             best = params
@@ -331,9 +330,9 @@ def select_gp_hyperparameters(coords, value_rows) -> dict:
     return best
 
 
-def _gp_grid_scores(coords, value_rows, variance_factors, lengthscales,
-                    noise_factors) -> list:
-    """Each grid point's GP kwargs and summed score, in grid order.
+def _gp_grid_scores(coords, value_rows) -> list:
+    """Each grid point's GP kwargs and summed score, in grid order, over
+    GP_VARIANCE_FACTORS x GP_LENGTHSCALES_KM x GP_NOISE_FACTORS.
 
     A grid point whose covariance fails to factor on some hour scores
     ``-inf``. Consecutive usable hours with one finite mask share each
@@ -365,10 +364,10 @@ def _gp_grid_scores(coords, value_rows, variance_factors, lengthscales,
         raise ValidationError("no usable hours in value_rows: none holds two finite readings")
 
     scores = []
-    for vf in variance_factors:
-        for ls in lengthscales:
+    for vf in GP_VARIANCE_FACTORS:
+        for ls in GP_LENGTHSCALES_KM:
             kernel = vf * var * np.exp(-dist / ls)
-            for nf in noise_factors:
+            for nf in GP_NOISE_FACTORS:
                 noise = nf * var
                 score = 0.0
                 for mask, resid in runs:

@@ -74,8 +74,10 @@ from .evaluation import (
 from .model import ModelConfig
 from .simulate import default_synth_spec, make_synthetic_dataset
 from .training import (
+    EVAL_BATCH,
     TrainConfig,
     TrainingDiverged,
+    check_training_inputs,
     load_trained,
     make_split,
     train_ensemble,
@@ -214,7 +216,6 @@ _TRAIN_SCHEMA = {
     "patience": (int, 20, None),
     "val_every": (int, 1, None),
     "val_hour_stride": (int, 1, None),
-    "eval_batch": (int, 64, None),
 }
 
 _EVALUATE_SCHEMA = {
@@ -223,7 +224,6 @@ _EVALUATE_SCHEMA = {
     "out": (_path, None, None),
     "workers": (int, 1, None),
     "density": (_to_bool, True, "run the sensor-removal sweep (default) or skip it"),
-    "eval_batch": (int, 64, None),
 }
 
 _INTERPOLATE_SCHEMA = {
@@ -236,7 +236,6 @@ _INTERPOLATE_SCHEMA = {
     "grid_lat": (str, None, "LO:HI:COUNT sweep"),
     "grid_lon": (str, None, "LO:HI:COUNT sweep"),
     "context": (_one_of("train", "all"), "train", None),
-    "eval_batch": (int, 64, None),
 }
 
 
@@ -275,13 +274,10 @@ def _require(options: dict, *keys: str) -> None:
                 f" or put it in the config file{hint}")
 
 
-def _check_counts(options: dict) -> None:
-    """Refuse a worker count or inference batch below 1 before any file is read."""
-    if options.get("workers", 1) < 1:
+def _check_workers(options: dict) -> None:
+    """Refuse a worker count below 1 before any file is read."""
+    if options["workers"] < 1:
         raise ValidationError("workers must be at least 1")
-    if options["eval_batch"] < 1:
-        raise ValidationError(f"eval_batch, the batch_size of every inference forward, "
-                              f"must be at least 1, got {options['eval_batch']}")
 
 
 def _load_dataset_arg(options: dict) -> Dataset:
@@ -355,16 +351,16 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     options = resolve_options(args, _TRAIN_SCHEMA)
     _require(options, "dataset", "out")
-    _check_counts(options)
+    _check_workers(options)
     model_config = ModelConfig(preset=options["preset"], window=options["window"])
     train_config = TrainConfig(
         batch_size=options["batch_size"], lr=options["lr"],
         max_epochs=options["max_epochs"], patience=options["patience"],
         val_every=options["val_every"],
-        val_hour_stride=options["val_hour_stride"],
-        eval_batch=options["eval_batch"])
+        val_hour_stride=options["val_hour_stride"])
     dataset = _load_dataset_arg(options)
     split = make_split(dataset.sensor_ids(), seed=options["split_seed"])
+    check_training_inputs(dataset, split, train_config)
     out = Path(options["out"])
     write_resolved_config(out, options)
     results = train_ensemble(dataset, split, model_config, train_config, out,
@@ -438,9 +434,10 @@ def _pooled_gnn_run(pool, workers, dataset, context_ids, target_ids, hours):
     return np.hstack(list(pool.map(columns, groups)))
 
 
-def _bit_facts(eval_batch: int) -> dict:
+def _bit_facts() -> dict:
     """What fixes a report's bits beside its inputs: numpy, its BLAS and
-    the BLAS thread settings (null when unset), and eval_batch."""
+    the BLAS thread settings (null when unset), and the inference hour
+    chunk, training.EVAL_BATCH."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy builds before meson have no dict mode
@@ -449,18 +446,16 @@ def _bit_facts(eval_batch: int) -> dict:
             "blas": {key: str(blas.get(key, "unknown")) for key in ("name", "version")},
             "blas_threads": {var: os.environ.get(var) for var in (
                 "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
-            "eval_batch": eval_batch}
+            "eval_batch": EVAL_BATCH}
 
 
 def cmd_evaluate(args) -> int:
     options = resolve_options(args, _EVALUATE_SCHEMA)
     _require(options, "dataset", "models", "out")
-    _check_counts(options)
+    _check_workers(options)
     dataset = _load_dataset_arg(options)
     paths, models, normalizer, split = _load_ensemble(options["models"])
-    runners = benchmark_runners(
-        dataset, split.train, models=models, normalizer=normalizer,
-        batch_size=options["eval_batch"])
+    runners = benchmark_runners(dataset, split.train, models=models, normalizer=normalizer)
     pool = None
     try:
         if options["workers"] > 1:
@@ -479,9 +474,8 @@ def cmd_evaluate(args) -> int:
             gt_binned[name] = binned_mae(
                 truths, preds, truths,
                 ground_truth_bin_edges(float(truths.max())),
-                axis="ground_truth", label=name)
-            sh_binned[name] = binned_mae(sh, preds, truths, SH_BIN_EDGES,
-                                         axis="sh", label=name)
+                axis="ground_truth")
+            sh_binned[name] = binned_mae(sh, preds, truths, SH_BIN_EDGES, axis="sh")
         sections = [format_metrics_table(reports),
                     "MAE by ground-truth bin (ug/m3):",
                     format_binned_table(gt_binned),
@@ -517,7 +511,7 @@ def cmd_evaluate(args) -> int:
                "checkpoints": [str(p) for p in paths],
                "context_sensors": list(split.train),
                "target_sensors": list(split.test)})
-    payload["facts"] = _bit_facts(options["eval_batch"])
+    payload["facts"] = _bit_facts()
     write_summary(out / "report.json", payload)
     write_resolved_config(out, options)
     print(text, end="")
@@ -566,7 +560,6 @@ def _parse_axis(raw, name: str) -> np.ndarray:
 def cmd_interpolate(args) -> int:
     options = resolve_options(args, _INTERPOLATE_SCHEMA)
     _require(options, "dataset", "models")
-    _check_counts(options)
     dataset = _load_dataset_arg(options)
     paths, models, normalizer, split = _load_ensemble(options["models"])
     if options["context"] == "train":
@@ -595,7 +588,7 @@ def cmd_interpolate(args) -> int:
         lines.append("latitude,longitude,hour,pm25")
     preds = infer_at_location(models, normalizer, dataset, context,
                               [lat for lat, _ in points], [lon for _, lon in points],
-                              hours, batch_size=options["eval_batch"])
+                              hours)
     for (lat, lon), column in zip(points, preds.T):
         for hour, value in zip(hours, column):
             lead = (f"{hour},{format_timestamp(timestamps[hour])}" if point_mode

@@ -175,7 +175,6 @@ class BinnedMae:
     """
 
     axis: str
-    label: str
     edges: tuple
     counts: tuple
     maes: tuple
@@ -191,7 +190,7 @@ def ground_truth_bin_edges(max_value: float) -> np.ndarray:
 
 
 def binned_mae(axis_values, predictions, truths, edges,
-               axis: str = "ground_truth", label: str = "") -> BinnedMae:
+               axis: str = "ground_truth") -> BinnedMae:
     """MAE of (predictions, truths) grouped by which bin the axis hits."""
     axis_v = np.asarray(axis_values, dtype=float).reshape(-1)
     preds = np.asarray(predictions, dtype=float).reshape(-1)
@@ -212,7 +211,7 @@ def binned_mae(axis_values, predictions, truths, edges,
     counts = np.bincount(which, minlength=n_bins)
     sums = np.bincount(which, weights=errors[inside], minlength=n_bins)
     maes = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-    return BinnedMae(axis=axis, label=label, edges=tuple(float(x) for x in e),
+    return BinnedMae(axis=axis, edges=tuple(float(x) for x in e),
                      counts=tuple(int(c) for c in counts),
                      maes=tuple(float(m) for m in maes),
                      dropped=int(axis_v.size - inside.sum()))
@@ -297,28 +296,27 @@ def estimator_runner(factory: Callable[[], BaseEstimator]) -> Runner:
     return run
 
 
-def gnn_runner(models, normalizer: Normalizer, batch_size: int = 64) -> Runner:
+def gnn_runner(models, normalizer: Normalizer) -> Runner:
     """Run a trained model ensemble through the masked-node protocol.
 
     Each target sensor is appended to the context graph as a masked node
-    and predicted over all requested hours in batches; the targets of one
-    call share the context's edge path per hour chunk. The returned value
-    is the ensemble-mean prediction in raw units. The runner pickles, so
-    worker processes can run it on a group of targets each.
+    and predicted over all requested hours in chunks of
+    training.EVAL_BATCH; the targets of one call share the context's edge
+    path per hour chunk. The returned value is the ensemble-mean
+    prediction in raw units. The runner pickles, so worker processes can
+    run it on a group of targets each.
     """
-    return functools.partial(_gnn_run, models, normalizer, batch_size)
+    return functools.partial(_gnn_run, models, normalizer)
 
 
-def _gnn_run(models, normalizer, batch_size, dataset, context_ids, target_ids, hours):
+def _gnn_run(models, normalizer, dataset, context_ids, target_ids, hours):
     preds, _ = evaluate_target_sensor(
-        models, normalizer, dataset, context_ids, tuple(target_ids), hours,
-        batch_size=batch_size)
+        models, normalizer, dataset, context_ids, tuple(target_ids), hours)
     return preds
 
 
 def benchmark_runners(dataset: Dataset, context_ids, models=None,
-                      normalizer: Normalizer | None = None,
-                      batch_size: int = 64) -> dict:
+                      normalizer: Normalizer | None = None) -> dict:
     """Assemble the standard model lineup for an evaluation run.
 
     mean_fill, IDW and kriging take no settings. GP hyperparameters are
@@ -342,7 +340,7 @@ def benchmark_runners(dataset: Dataset, context_ids, models=None,
     if models is not None:
         if normalizer is None:
             raise ValidationError("a model lineup needs its normalizer")
-        runners["gnn"] = gnn_runner(models, normalizer, batch_size=batch_size)
+        runners["gnn"] = gnn_runner(models, normalizer)
     return runners
 
 
@@ -554,8 +552,7 @@ class _QuerySensors:
 
 
 def infer_at_location(models, normalizer: Normalizer, dataset: Dataset,
-                      context_ids, latitude, longitude,
-                      hours=None, batch_size: int = 64) -> np.ndarray:
+                      context_ids, latitude, longitude, hours=None) -> np.ndarray:
     """Interpolate the field at arbitrary coordinates, hour by hour.
 
     A virtual node at each (latitude, longitude) joins the context graph
@@ -579,7 +576,7 @@ def infer_at_location(models, normalizer: Normalizer, dataset: Dataset,
     points = [(latitude, longitude)] if scalar else list(zip(latitude, longitude))
     hours = check_hours(hours, dataset.hours)
     out = predict_masked_node(models, normalizer, build_graph(sensor_metas(dataset, ids)),
-                              _QuerySensors(points), dataset, hours, batch_size=batch_size)
+                              _QuerySensors(points), dataset, hours)
     return out[:, 0] if scalar else out
 
 

@@ -13,11 +13,12 @@ from ``epoch_sample_plan`` and one matrix, the train sensors' readings,
 so no held-out reading can reach a training input: that matrix holds
 none. Every prediction at a masked node, a held-out sensor or an
 arbitrary coordinate, goes through ``predict_masked_node``. It
-predicts G targets that share one context at once: per hour chunk and
-member, the context's edge path and its first-layer messages run once
-for all of them, each stack of them runs one forward, and every
-forward runs inside ``autodiff.no_record()``, so inference keeps no
-tape.
+predicts G targets that share one context at once: per chunk of
+EVAL_BATCH hours and member, the context's edge path and its
+first-layer messages run once for all of them, each stack of them runs
+one forward, and every forward runs inside ``autodiff.no_record()``, so
+inference keeps no tape. No caller sets the chunk: it moves the last
+bits of a prediction, so it is a constant that checkpoints record.
 
 Inputs are standardized by the train-set mean/std. The flag channel is
 left raw, and predictions are mapped back to concentration units before
@@ -243,6 +244,12 @@ def hourly_conv_features(graph: Graph, dataset: Dataset, hours,
 # max(1, _STACK_ROWS // (B * N)) to share a forward's fixed cost.
 _STACK_ROWS = 256
 
+# Hours per inference chunk, the B of every prediction forward. A
+# prediction's last bits depend on it, so it is a constant: every
+# checkpoint records it as train_config.eval_batch and every evaluate
+# report as facts.eval_batch.
+EVAL_BATCH = 64
+
 
 def _member_predictions(model, x: np.ndarray, context_rows, stacks) -> np.ndarray:
     """One member's normalized predictions at each target, (B, G), from the
@@ -300,7 +307,7 @@ def masked_batch_predictions(models, context: Graph, targets, x: np.ndarray, con
 
 
 def predict_masked_node(models, normalizer: Normalizer, context: Graph, targets,
-                        dataset: Dataset, hours, batch_size: int = 64) -> np.ndarray:
+                        dataset: Dataset, hours) -> np.ndarray:
     """Ensemble-mean prediction at G = len(targets) masked targets,
     (hours, G), raw units.
 
@@ -309,11 +316,10 @@ def predict_masked_node(models, normalizer: Normalizer, context: Graph, targets,
     read by index a stack at a time, so it may make each when read; each
     joins context as its masked last node (see masked_batch_predictions),
     with inputs zero. The input window is the members' config.window,
-    which every member must share. Node inputs are built once per hour
-    chunk. Predictions depend on batch_size, not G.
+    which every member must share. Hours run in chunks of EVAL_BATCH, and
+    node inputs are built once per chunk. Predictions depend on how a
+    call's hours fall into chunks, not on G.
     """
-    if batch_size < 1:
-        raise ValidationError(f"batch_size must be >= 1, got {batch_size}")
     if not len(targets):
         raise ValidationError("need at least one target to predict")
     windows = sorted({model.config.window for model in models})
@@ -329,8 +335,8 @@ def predict_masked_node(models, normalizer: Normalizer, context: Graph, targets,
     values_norm = np.concatenate(
         [normalizer.normalize(readings), np.zeros((dataset.hours, 1))], axis=1)
     preds = np.empty((len(hours), len(targets)))
-    for lo in range(0, len(hours), batch_size):
-        chunk = hours[lo:lo + batch_size]
+    for lo in range(0, len(hours), EVAL_BATCH):
+        chunk = hours[lo:lo + EVAL_BATCH]
         x = np.stack([build_node_inputs(values_norm, int(h), context.n_nodes, window)
                       for h in chunk])
         preds[lo:lo + len(chunk)] = masked_batch_predictions(
@@ -340,8 +346,7 @@ def predict_masked_node(models, normalizer: Normalizer, context: Graph, targets,
 
 
 def evaluate_target_sensor(models, normalizer, dataset: Dataset,
-                           context_ids, target_id, hours,
-                           batch_size: int = 64):
+                           context_ids, target_id, hours):
     """Predict held-out sensors from the context graph, hour by hour.
 
     Each target joins the context graph as its masked last node. With one
@@ -352,19 +357,16 @@ def evaluate_target_sensor(models, normalizer, dataset: Dataset,
     hours = check_hours(hours, dataset.hours)
     targets = (target_id,) if isinstance(target_id, str) else tuple(target_id)
     preds = predict_masked_node(models, normalizer, graph_for_ids(dataset, context_ids),
-                                sensor_metas(dataset, targets), dataset, hours,
-                                batch_size=batch_size)
+                                sensor_metas(dataset, targets), dataset, hours)
     truths = subset_dataset_values(dataset, targets)[hours]
     if isinstance(target_id, str):
         return preds[:, 0], truths[:, 0]
     return preds, truths
 
 
-def validation_mse(models, normalizer, dataset, split, hours=None,
-                   batch_size: int = 64) -> float:
+def validation_mse(models, normalizer, dataset, split, hours=None) -> float:
     preds, truths = evaluate_target_sensor(
-        models, normalizer, dataset, split.train, split.val, hours,
-        batch_size=batch_size)
+        models, normalizer, dataset, split.train, split.val, hours)
     # transposed, the finite samples are taken, and summed, column by column
     keep = np.isfinite(truths.T)
     return float(((preds.T[keep] - truths.T[keep]) ** 2).mean())
@@ -376,7 +378,7 @@ def validation_mse(models, normalizer, dataset, split, hours=None,
 
 @dataclass
 class TrainConfig:
-    """Training knobs; Adam's betas and eps are fixed, recorded as ADAM_FIXED."""
+    """Training knobs; Adam's betas and eps and the inference hour chunk are fixed."""
 
     batch_size: int = 32
     lr: float = 1e-4
@@ -384,12 +386,11 @@ class TrainConfig:
     patience: int = 20
     val_every: int = 1          # epochs between validation passes
     val_hour_stride: int = 1    # subsample validation hours by this step
-    eval_batch: int = 64
     seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.eval_batch < 1 or self.max_epochs < 1:
-            raise ValidationError("batch_size, eval_batch and max_epochs must be >= 1")
+        if self.batch_size < 1 or self.max_epochs < 1:
+            raise ValidationError("batch_size and max_epochs must be >= 1")
         if self.patience < 1 or self.val_every < 1 or self.val_hour_stride < 1:
             raise ValidationError("patience and validation strides must be >= 1")
         # a large finite lr stays legal: it is how a diverging run is made
@@ -397,7 +398,7 @@ class TrainConfig:
             raise ValidationError(f"lr must be finite and > 0, got {self.lr}")
 
     def to_dict(self) -> dict:
-        return {**self.__dict__, **ADAM_FIXED}
+        return {**self.__dict__, "eval_batch": EVAL_BATCH, **ADAM_FIXED}
 
 
 @dataclass
@@ -474,6 +475,22 @@ def _global_grad_norm(params) -> float:
     return float(np.sqrt(sum(float(np.square(p.grad).sum()) for p in params)))
 
 
+def check_training_inputs(dataset: Dataset, split: SensorSplit,
+                          train_config: TrainConfig):
+    """(train readings, validation hours) of a run, once its inputs pass
+    the checks a run needs before it writes anything: the split covers
+    the dataset's sensors, the train sensors report every hour, and some
+    val sensor reports at some validation hour. Raises ValidationError."""
+    split.validate(dataset.sensor_ids())
+    values = complete_readings(dataset, split.train, "train")
+    val_hours = np.arange(0, dataset.hours, train_config.val_hour_stride)
+    if not np.isfinite(subset_dataset_values(dataset, split.val)[val_hours]).any():
+        raise ValidationError(
+            f"val sensors {', '.join(split.val)} have no reading at any validation hour "
+            f"(val_hour_stride {train_config.val_hour_stride})")
+    return values, val_hours
+
+
 def train_model(dataset: Dataset, split: SensorSplit,
                 model_config: ModelConfig, train_config: TrainConfig,
                 out_dir, resume: bool = False) -> TrainResult:
@@ -483,20 +500,14 @@ def train_model(dataset: Dataset, split: SensorSplit,
     validation epoch), ``last.ckpt`` + ``last.optim`` + ``state.json``
     (for resuming), all written atomically. Each epoch's history record
     holds its train and validation MSE and grad_norm, the largest global
-    gradient norm over its steps, taken before the optimizer step. A
-    split whose val sensors have no reading at any validation hour raises
-    ValidationError before anything is written.
+    gradient norm over its steps, taken before the optimizer step. Inputs
+    that fail check_training_inputs raise ValidationError before anything
+    is written.
     """
     started = time.monotonic()
-    split.validate(dataset.sensor_ids())
-    values = complete_readings(dataset, split.train, "train")
+    values, val_hours = check_training_inputs(dataset, split, train_config)
     normalizer = Normalizer.from_values(values)
     values_norm = normalizer.normalize(values)
-    val_hours = np.arange(0, dataset.hours, train_config.val_hour_stride)
-    if not np.isfinite(subset_dataset_values(dataset, split.val)[val_hours]).any():
-        raise ValidationError(
-            f"val sensors {', '.join(split.val)} have no reading at any validation hour "
-            f"(val_hour_stride {train_config.val_hour_stride})")
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -560,9 +571,7 @@ def train_model(dataset: Dataset, split: SensorSplit,
                   "train_mse": train_loss, "val_mse": None}
 
         if epoch % train_config.val_every == 0 or epoch == train_config.max_epochs:
-            val = validation_mse([model], normalizer, dataset, split,
-                                 hours=val_hours,
-                                 batch_size=train_config.eval_batch)
+            val = validation_mse([model], normalizer, dataset, split, hours=val_hours)
             if not np.isfinite(val):
                 raise TrainingDiverged(f"non-finite validation MSE at epoch {epoch}")
             record["val_mse"] = val

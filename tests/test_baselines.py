@@ -594,7 +594,11 @@ def test_gp_grid_scores_match_the_per_hour_loop_bit_for_bit(grid, monkeypatch):
     rows[[3, 4, 9], 2] = np.nan
     rows[[6, 7, 9], 4] = np.nan
     rows[10, 1:] = np.nan
-    got = _gp_grid_scores(coords, rows, *grid)
+    # the scores and the search read the module grid, so the small one stands in for it
+    for name, axis in zip(("GP_VARIANCE_FACTORS", "GP_LENGTHSCALES_KM", "GP_NOISE_FACTORS"),
+                          grid):
+        monkeypatch.setattr(baselines, name, axis)
+    got = _gp_grid_scores(coords, rows)
     want = per_hour_grid_scores(coords, rows, *grid)
     assert [p for p, _ in got] == [p for p, _ in want]
     assert np.array([s for _, s in got]).tobytes() == \
@@ -602,10 +606,6 @@ def test_gp_grid_scores_match_the_per_hour_loop_bit_for_bit(grid, monkeypatch):
     if -10.0 in grid[2]:
         assert sum(s == -np.inf for _, s in got) == 4
     best = max(want, key=lambda ps: ps[1])[0]  # first maximum in grid order
-    # the search reads the module grid, so the small one stands in for it
-    for name, axis in zip(("GP_VARIANCE_FACTORS", "GP_LENGTHSCALES_KM", "GP_NOISE_FACTORS"),
-                          grid):
-        monkeypatch.setattr(baselines, name, axis)
     assert select_gp_hyperparameters(coords, rows) == best
 
 
@@ -619,8 +619,8 @@ def test_gp_grid_scores_match_the_per_hour_loop_at_realistic_size():
     # the mask changes and changes back
     rows[[3, 4, 5, 11], 2] = np.nan
     rows[[8, 9, 11], 13] = np.nan
-    grid = (GP_VARIANCE_FACTORS, GP_LENGTHSCALES_KM, GP_NOISE_FACTORS)
-    got = _gp_grid_scores(coords, rows, *grid)
-    want = per_hour_grid_scores(coords, rows, *grid)
+    got = _gp_grid_scores(coords, rows)
+    want = per_hour_grid_scores(coords, rows, GP_VARIANCE_FACTORS, GP_LENGTHSCALES_KM,
+                                GP_NOISE_FACTORS)
     assert np.array([s for _, s in got]).tobytes() == \
         np.array([s for _, s in want]).tobytes()

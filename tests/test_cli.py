@@ -338,7 +338,24 @@ def test_train_without_validation_readings_exits_2_before_any_checkpoint(synth_d
     err = capsys.readouterr().err
     assert (f"val sensors {', '.join(val)} have no reading at any validation hour "
             f"(val_hour_stride 3)") in err and "Traceback" not in err
-    assert not list((tmp_path / "t").rglob("*.ckpt"))
+    # the check runs before cmd_train writes resolved.cfg, which it once left behind
+    assert not (tmp_path / "t").exists()
+
+
+def test_train_with_a_gap_in_a_train_sensor_exits_2_writing_nothing(synth_dir, tmp_path,
+                                                                     capsys):
+    # train_model's input checks run before cmd_train writes resolved.cfg,
+    # which a refused run once left behind
+    dataset = load_dataset(synth_dir)
+    sensor = make_split(dataset.sensor_ids(), seed=0).train[0]
+    pm25 = dataset.pm25.copy()
+    pm25[5, dataset.sensor_ids().index(sensor)] = np.nan
+    export_dataset(replace(dataset, pm25=pm25), tmp_path / "data")
+    rc = main(["train", "--dataset", str(tmp_path / "data"), "--out", str(tmp_path / "t"),
+               "--seeds", "0", "--max-epochs", "1"])
+    assert rc == 2
+    assert "train sensors have missing hours" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
 
 
 def _break_line(path, line, text):
@@ -411,14 +428,19 @@ def test_train_resolved_config_reproduces_run(tmp_path, train_dir):
 
 
 def test_train_config_holding_a_retired_key_exits_2_naming_it(tmp_path, train_dir, capsys):
-    # a resolved.cfg written while local_norm and aggregation were options
-    # holds both lines; the README says to delete them
+    # a resolved.cfg written while local_norm, aggregation and eval_batch
+    # were options holds those lines; the README says to delete them
     cfg = tmp_path / "old.cfg"
     cfg.write_text((train_dir / "resolved.cfg").read_text()
-                   + "local_norm = inverse\naggregation = sum\n")
+                   + "local_norm = inverse\naggregation = sum\neval_batch = 64\n")
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 2
     err = capsys.readouterr().err
-    assert "unknown config keys" in err and "aggregation, local_norm" in err
+    assert "unknown config keys" in err and "aggregation, eval_batch, local_norm" in err
+    assert not (tmp_path / "t").exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", str(train_dir / "resolved.cfg"),
+              "--out", str(tmp_path / "t"), "--eval-batch", "64"])
+    assert exc.value.code == 2 and "--eval-batch" in capsys.readouterr().err
     assert not (tmp_path / "t").exists()
 
 
@@ -541,50 +563,18 @@ def test_interpolate_point_matches_library(synth_dir, train_dir, capsys):
     assert lines[1].split(",")[1] == "2024-01-01T00:00:00+00:00"
 
 
-@pytest.mark.parametrize("batch", ["0", "-1"])
-def test_non_positive_eval_batch_exits_2(synth_dir, train_dir, tmp_path, batch,
-                                         capsys):
-    # -1 once printed 0.0 for every hour and exited 0
-    sensor = load_dataset(synth_dir).sensors[0]
-    rc = main(["interpolate", "--dataset", str(synth_dir),
-               "--models", str(train_dir), "--lat", repr(sensor.latitude),
-               "--lon", repr(sensor.longitude), "--hours", "0:2",
-               "--eval-batch", batch])
-    assert rc == 2
-    assert "batch_size" in capsys.readouterr().err
-    rc = main(["train", "--dataset", str(synth_dir), "--out", str(tmp_path / "t"),
-               "--seeds", "0", "--max-epochs", "1", "--eval-batch", batch])
-    assert rc == 2
-    assert "eval_batch" in capsys.readouterr().err
-
-
-def test_bad_eval_batch_is_refused_before_any_work(synth_dir, train_dir, tmp_path,
-                                                   monkeypatch, capsys):
-    def no_search(*args, **kwargs):
-        raise AssertionError("the gp search ran before --eval-batch was checked")
-
-    monkeypatch.setattr(evaluation, "select_gp_hyperparameters", no_search)
-    rc = main(["evaluate", "--dataset", str(synth_dir), "--models", str(train_dir),
-               "--out", str(tmp_path / "e"), "--eval-batch", "0"])
-    assert rc == 2
-    assert "eval_batch" in capsys.readouterr().err
-    rc = main(["interpolate", "--dataset", str(tmp_path / "missing"),
-               "--models", str(train_dir), "--lat", "36.7", "--lon", "-119.8",
-               "--eval-batch", "0"])
-    assert rc == 2
-    assert "eval_batch" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("flag, value", [("--gp-selection-stride", "0"),
                                          ("--gp-selection-stride", "-3"),
                                          ("--idw-power", "0"), ("--idw-power", "-1"),
-                                         ("--idw-power", "nan"), ("--idw-power", "inf")])
+                                         ("--idw-power", "nan"), ("--idw-power", "inf"),
+                                         ("--eval-batch", "64"), ("--eval-batch", "0")])
 def test_bad_baseline_settings_are_refused_before_any_work(synth_dir, train_dir, eval_dir,
                                                            tmp_path, monkeypatch, capsys,
                                                            flag, value):
-    # the idw power and the gp selection stride are constants: an evaluate
-    # resolved.cfg written while they were options names both keys, and
-    # either one, whatever its value, is refused before the gp search runs
+    # the idw power, the gp selection stride and the inference hour chunk
+    # are constants: an evaluate resolved.cfg written while they were
+    # options names their keys, and each one, whatever its value, is
+    # refused before the gp search runs
     def no_search(*args, **kwargs):
         raise AssertionError(f"the gp search ran before {flag} was refused")
 
@@ -647,6 +637,21 @@ def test_interpolate_resolved_config_reproduces_run(synth_dir, train_dir, tmp_pa
     assert main(["interpolate", "--config", str(out / "resolved.cfg"),
                  "--out", str(replay)]) == 0
     assert (replay / "predictions.csv").read_bytes() == (out / "predictions.csv").read_bytes()
+
+
+def test_interpolate_config_holding_a_retired_key_exits_2_naming_it(synth_dir, train_dir,
+                                                                    tmp_path, capsys):
+    # an interpolate resolved.cfg written while eval_batch was an option
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(f"dataset = {synth_dir}\nmodels = {train_dir}\n"
+                   "lat = 36.7\nlon = -119.8\neval_batch = 64\n")
+    assert main(["interpolate", "--config", str(cfg), "--out", str(tmp_path / "p")]) == 2
+    captured = capsys.readouterr()
+    assert "unknown config keys" in captured.err and "eval_batch" in captured.err
+    assert captured.out == "" and not (tmp_path / "p").exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["interpolate", "--config", str(cfg), "--eval-batch", "64"])
+    assert exc.value.code == 2 and "--eval-batch" in capsys.readouterr().err
 
 
 def test_resolved_config_replays_from_another_directory(synth_dir, train_dir, tmp_path,

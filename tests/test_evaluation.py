@@ -683,13 +683,14 @@ def _counted(runners):
     return {name: wrap(name, r) for name, r in runners.items()}, calls
 
 
-def test_density_takes_the_main_runs_scores_for_its_context():
+def test_density_takes_the_main_runs_scores_for_its_context(monkeypatch):
     ds = toy_dataset(hours=12, n=7)
+    monkeypatch.setattr(training, "EVAL_BATCH", 5)
     context, targets = ("s0", "s1", "s2", "s3", "s4"), ("s5", "s6")
     models, norm = tiny_models(ds)
     runners = {"mean_fill": estimator_runner(MeanFill),
                "idw": estimator_runner(Idw),
-               "gnn": gnn_runner(models, norm, batch_size=5)}
+               "gnn": gnn_runner(models, norm)}
     main = evaluate_models(ds, context, targets, runners)
     kwargs = dict(fractions=(0.0, 0.4), seeds=(0, 1))
     counted, calls = _counted(runners)
@@ -770,13 +771,14 @@ def test_multi_point_inference_equals_single_point_calls(monkeypatch, points_per
     # edge vector, and a graph derived from the first point's
     lats[-1], lons[-1] = ds.sensors[2].latitude, ds.sensors[2].longitude
     hours = np.arange(0, 20)
-    singles = [infer_at_location(models, norm, ds, context, lat, lon, hours, batch_size=7)
+    monkeypatch.setattr(training, "EVAL_BATCH", 7)
+    singles = [infer_at_location(models, norm, ds, context, lat, lon, hours)
                for lat, lon in zip(lats, lons)]
     # 5-node graphs in hour chunks of 7, 7 and 6 hours: a stack of p points
     # holds at most p * 35 node rows
     monkeypatch.setattr(training, "_STACK_ROWS", points_per_stack * 35)
     stacks = stacked_targets(monkeypatch, models)
-    grid = infer_at_location(models, norm, ds, context, lats, lons, hours, batch_size=7)
+    grid = infer_at_location(models, norm, ds, context, lats, lons, hours)
     assert grid.shape == (20, 5)
     # per hour chunk and member
     assert stacks == ([2, 2, 1] if points_per_stack == 2 else [5]) * 6

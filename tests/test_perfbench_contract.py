@@ -88,6 +88,10 @@ def test_the_workload_call_shapes_bind():
     inspect.signature(physair.benchmark_runners).bind("dataset", "ids")
     inspect.signature(physair.benchmark_runners).bind(
         "dataset", "ids", models=[], normalizer=None)
+    # the configs that workloads.py builds, each in the shape it builds it
+    inspect.signature(physair.TrainConfig).bind(max_epochs=2, val_hour_stride=4, seed=0)
+    inspect.signature(physair.ModelConfig).bind(preset="S")
+    inspect.signature(physair.ModelConfig).bind(preset=None, n_layers=2, hidden_dim=8)
 
 
 def test_load_trained_returns_the_four_parts(tmp_path):
@@ -130,7 +134,7 @@ def test_every_train_interpolate_and_evaluate_wrapper_fires(tracer, tmp_path, mo
     dataset = load_dataset(data)
     split = make_split(dataset.sensor_ids(), seed=0)
     train_ensemble(dataset, split, ModelConfig(preset=None, n_layers=2, hidden_dim=4),
-                   TrainConfig(batch_size=8, max_epochs=1, eval_batch=8), runs, seeds=(0, 1))
+                   TrainConfig(batch_size=8, max_epochs=1), runs, seeds=(0, 1))
     lat = sorted(s.latitude for s in dataset.sensors)
     lon = sorted(s.longitude for s in dataset.sensors)
     assert cli.main(["interpolate", "--dataset", str(data), "--models", str(runs),

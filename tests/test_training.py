@@ -1,5 +1,6 @@
 """Split logic, the masking protocol, and the training loop."""
 
+import dataclasses
 import json
 import tracemalloc
 from datetime import datetime, timezone
@@ -157,7 +158,7 @@ def test_normalizer_roundtrip_and_degenerate_std():
 
 def run_config(**over):
     base = dict(batch_size=32, lr=1e-3, max_epochs=3, patience=20,
-                val_every=1, eval_batch=16, seed=0)
+                val_every=1, seed=0)
     base.update(over)
     return TrainConfig(**base)
 
@@ -297,7 +298,24 @@ def test_checkpoint_carries_a_dataset_fingerprint(tmp_path):
         assert other.fingerprint() != stored
 
 
-@pytest.mark.parametrize("change", ["readings", "lr", "beta1", "split", "model"])
+def test_checkpoint_records_the_fixed_train_config(tmp_path):
+    # the hour chunk and Adam's values are constants, recorded beside the
+    # seven fields, so a checkpoint names every value that fixes its bits
+    ds = toy_dataset(hours=12)
+    split = make_split(ds.sensor_ids(), seed=0)
+    assert len(dataclasses.fields(TrainConfig)) == 7
+    train_model(ds, split, tiny_model_config(), run_config(max_epochs=1), tmp_path / "run")
+    recorded = load_trained(tmp_path / "run" / "last.ckpt")[3]["train_config"]
+    assert set(recorded) == {"batch_size", "lr", "max_epochs", "patience", "val_every",
+                             "val_hour_stride", "seed", "eval_batch", "beta1", "beta2", "eps"}
+    assert recorded["eval_batch"] == training.EVAL_BATCH == 64
+    # so a checkpoint of a run at --eval-batch 64, the old option's default, resumes
+    resumed = train_model(ds, split, tiny_model_config(), run_config(max_epochs=2),
+                          tmp_path / "run", resume=True)
+    assert [r["epoch"] for r in resumed.state.history] == [1, 2]
+
+
+@pytest.mark.parametrize("change", ["readings", "lr", "beta1", "eval_batch", "split", "model"])
 def test_resume_refuses_other_data_or_config(tmp_path, change):
     from physair.autodiff import save_arrays
 
@@ -313,19 +331,20 @@ def test_resume_refuses_other_data_or_config(tmp_path, change):
         ds = replace(ds, pm25=ds.pm25 * 1.01)
     elif change == "lr":
         config = run_config(max_epochs=2, lr=5e-4)
-    elif change == "beta1":
-        # Adam's values are fixed, so only a checkpoint can name another
+    elif change in ("beta1", "eval_batch"):
+        # Adam's values and the hour chunk are fixed, so only a checkpoint
+        # can name another, as one of a run with --eval-batch 16 did
         last = tmp_path / "run" / "last.ckpt"
         manifest, arrays = load_arrays(str(last))
-        manifest["extra"]["train_config"]["beta1"] = 0.5
+        manifest["extra"]["train_config"][change] = {"beta1": 0.5, "eval_batch": 16}[change]
         save_arrays(str(last), list(arrays.items()), extra=manifest["extra"])
     elif change == "split":
         split = make_split(ds.sensor_ids(), seed=1)
     else:
         model_config = ModelConfig(preset="S")
     expected = {"readings": "dataset fingerprint", "lr": "train_config.lr",
-                "beta1": "train_config.beta1", "split": "split",
-                "model": "model_config"}[change]
+                "beta1": "train_config.beta1", "eval_batch": "train_config.eval_batch",
+                "split": "split", "model": "model_config"}[change]
     with pytest.raises(ValidationError, match=expected):
         train_model(ds, split, model_config, config, tmp_path / "run", resume=True)
 
@@ -515,8 +534,7 @@ def test_validation_mse_finite_and_reproducible(tmp_path):
 def test_train_ensemble_per_seed_dirs_and_parallel_equivalence(tmp_path):
     ds = toy_dataset(hours=12)
     split = make_split(ds.sensor_ids(), seed=0)
-    cfg = TrainConfig(batch_size=8, lr=1e-3, max_epochs=2, patience=5,
-                      eval_batch=8, seed=99)
+    cfg = TrainConfig(batch_size=8, lr=1e-3, max_epochs=2, patience=5, seed=99)
     from physair.training import train_ensemble
     seq = train_ensemble(ds, split, tiny_model_config(), cfg,
                          tmp_path / "seq", seeds=(0, 1), workers=1)
@@ -694,6 +712,7 @@ def test_a_nine_target_call_peaks_below_nine_edge_buffers():
 
 def test_shared_context_pass_runs_once_per_member_and_chunk(monkeypatch):
     ds = toy_dataset(hours=6)
+    monkeypatch.setattr(training, "EVAL_BATCH", 4)
     models = [PhysicsGnn(ModelConfig(preset=None, n_layers=2, hidden_dim=8), seed=s)
               for s in (0, 1)]
     calls = {id(m): [] for m in models}
@@ -706,14 +725,14 @@ def test_shared_context_pass_runs_once_per_member_and_chunk(monkeypatch):
 
         monkeypatch.setattr(model, "share_context", spy)
     preds, _ = evaluate_target_sensor(models, Normalizer(10.0, 2.0), ds,
-                                      ("s0", "s1", "s2"), ("s3", "s4", "s5"), None,
-                                      batch_size=4)
+                                      ("s0", "s1", "s2"), ("s3", "s4", "s5"), None)
     assert preds.shape == (6, 3)
     assert all(seen == [4, 2] for seen in calls.values())
 
 
 def test_predictor_records_no_tape(monkeypatch):
     ds = toy_dataset(hours=6)
+    monkeypatch.setattr(training, "EVAL_BATCH", 4)
     model = PhysicsGnn(tiny_model_config(), seed=0)
     seen = []
     forward = model.forward
@@ -725,24 +744,23 @@ def test_predictor_records_no_tape(monkeypatch):
 
     monkeypatch.setattr(model, "forward", spy)
     preds, _ = evaluate_target_sensor([model], Normalizer(10.0, 2.0), ds,
-                                      ("s0", "s1", "s2"), ("s3", "s4"), None, batch_size=4)
+                                      ("s0", "s1", "s2"), ("s3", "s4"), None)
     # one stack of both targets per hour chunk
     assert preds.shape == (6, 2) and len(seen) == 2
     assert all(out._vjp is None and out._parents == () for out in seen)
 
 
-def test_multi_target_evaluation_matches_one_target_at_a_time():
+def test_multi_target_evaluation_matches_one_target_at_a_time(monkeypatch):
     ds = toy_dataset(hours=9)
+    monkeypatch.setattr(training, "EVAL_BATCH", 4)
     models = [PhysicsGnn(ModelConfig(preset=None, n_layers=2, hidden_dim=8), seed=s)
               for s in (0, 1)]
     norm = Normalizer(15.0, 3.0)
     context, targets = ("s0", "s2", "s4"), ("s5", "s1", "s3")
-    preds, truths = evaluate_target_sensor(models, norm, ds, context, targets, None,
-                                           batch_size=4)
+    preds, truths = evaluate_target_sensor(models, norm, ds, context, targets, None)
     assert preds.shape == truths.shape == (9, 3)
     for col, target in enumerate(targets):
-        one, truth = evaluate_target_sensor(models, norm, ds, context, target, None,
-                                            batch_size=4)
+        one, truth = evaluate_target_sensor(models, norm, ds, context, target, None)
         assert np.array_equal(preds[:, col], one)
         assert np.array_equal(truths[:, col], truth)
 
@@ -777,15 +795,3 @@ def test_a_one_sensor_context_is_refused():
         evaluate_target_sensor([model], Normalizer(0.0, 1.0), ds, ("s0",), ("s1",), None)
     with pytest.raises(ValidationError, match="at least 2 sensors"):
         infer_at_location([model], Normalizer(0.0, 1.0), ds, ("s0",), 32.71, -117.11)
-
-
-@pytest.mark.parametrize("batch", [0, -1])
-def test_non_positive_inference_batch_is_refused(batch):
-    # -1 once returned the untouched np.empty buffer as predictions
-    ds = toy_dataset(hours=4)
-    model = PhysicsGnn(tiny_model_config(), seed=0)
-    with pytest.raises(ValidationError, match="batch_size"):
-        predict_masked_node([model], Normalizer(0.0, 1.0), build_graph(ds.sensors[:2]),
-                            ds.sensors[2:3], ds, None, batch_size=batch)
-    with pytest.raises(ValidationError, match="eval_batch"):
-        run_config(eval_batch=batch)
