@@ -26,7 +26,11 @@ over the hour axis and give each hour the bits a one-hour fit gives it:
 values are taken C-ordered, so a row's reductions sum as a 1-d array's
 do; linear systems go through stacked ``np.linalg.solve``, one solve per
 hour; products go through ``np.matmul``, one BLAS call per hour. The
-variogram's line fit runs per hour.
+variogram's line fit is ``np.polyfit``'s own arithmetic with its
+per-call work done once per fit: the scaled Vandermonde matrix and
+``rcond`` are shared, and each hour gets its own ``np.linalg.lstsq``.
+One ``lstsq`` with the hours as right-hand-side columns would not keep
+``np.polyfit``'s bits.
 """
 
 from __future__ import annotations
@@ -144,6 +148,12 @@ def _fit_binned_variogram(bins: tuple, values: np.ndarray) -> tuple:
     grouped into the distance bins of :func:`_variogram_bins`; a line is
     fit through the (bin centre, mean semivariance) points. Slope and
     nugget are both clamped to be non-negative.
+
+    Each hour's line is ``np.polyfit(centers, row, 1)`` bit for bit: the
+    Vandermonde matrix, its column scale and ``rcond`` are built once, as
+    polyfit builds them, and each hour is solved by its own
+    ``np.linalg.lstsq`` and unscaled. Solving all hours at once, as
+    right-hand-side columns of one ``lstsq``, moves the last bits.
     """
     iu, ju, centers, members = bins
     hours = values.shape[0]
@@ -157,7 +167,11 @@ def _fit_binned_variogram(bins: tuple, values: np.ndarray) -> tuple:
                              for sel in members])
     if len(centers) < 2:
         return np.zeros(hours), _clamp(means[:, 0])
-    fits = np.array([np.polyfit(centers, row, 1) for row in means])
+    lhs = np.vander(centers, 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    rcond = len(centers) * np.finfo(float).eps
+    fits = np.array([np.linalg.lstsq(lhs, row, rcond)[0] for row in means]) / scale
     return _clamp(fits[:, 0]), _clamp(fits[:, 1])
 
 

@@ -59,6 +59,7 @@ from .evaluation import (
     SH_BIN_EDGES,
     benchmark_runners,
     binned_mae,
+    density_cells,
     density_experiment,
     evaluate_models,
     format_binned_table,
@@ -455,6 +456,12 @@ def cmd_evaluate(args) -> int:
     _check_workers(options)
     dataset = _load_dataset_arg(options)
     paths, models, normalizer, split = _load_ensemble(options["models"])
+    if options["density"]:
+        try:
+            density_cells(split.train)
+        except ValidationError as exc:
+            raise ValidationError(
+                f"density sweep: {exc}; pass --no-density to skip the sweep") from None
     runners = benchmark_runners(dataset, split.train, models=models, normalizer=normalizer)
     pool = None
     try:

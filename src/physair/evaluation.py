@@ -451,6 +451,18 @@ def density_removal(context_ids, fraction: float, seed: int) -> tuple:
     return tuple(i for i in ids if i not in removed)
 
 
+def density_cells(context_ids, fractions=DENSITY_FRACTIONS,
+                  seeds=tuple(range(DENSITY_SEED_COUNT))) -> list:
+    """Every (fraction, seed) cell's surviving context, one row per
+    fraction and one entry per seed, drawn by :func:`density_removal`.
+
+    Drawing them all first refuses a network too small for some cell
+    before any model runs: the default fractions need at least 6 context
+    sensors, since removing 80% of 5 leaves 1.
+    """
+    return [[density_removal(context_ids, f, s) for s in seeds] for f in fractions]
+
+
 @dataclass
 class DensityExperiment:
     """Mean MAE per model as the context network is thinned.
@@ -494,11 +506,13 @@ def density_experiment(dataset: Dataset, context_ids, target_ids,
     surviving sets (fraction 0 in particular) are evaluated once and
     shared. ``main``, an EvalRun of the same runners on the same targets
     and hours, supplies the scores of cells whose surviving set is its
-    context, so those are not evaluated again.
+    context, so those are not evaluated again. Every cell's surviving set
+    is drawn, by :func:`density_cells`, before any runner runs.
     """
     context_ids = tuple(context_ids)
     fractions = tuple(float(f) for f in fractions)
     seeds = tuple(int(s) for s in seeds)
+    cells = density_cells(context_ids, fractions, seeds)
     per_seed = {name: np.empty((len(fractions), len(seeds)))
                 for name in runners}
     remaining_counts = []
@@ -513,8 +527,7 @@ def density_experiment(dataset: Dataset, context_ids, target_ids,
                 f"{list(main.target_ids)} and {len(main.hours)} hours")
         cache[main.context_ids] = {name: main.mae(name) for name in runners}
     for fi, fraction in enumerate(fractions):
-        for si, seed in enumerate(seeds):
-            kept = density_removal(context_ids, fraction, seed)
+        for si, kept in enumerate(cells[fi]):
             if kept not in cache:
                 run = evaluate_models(dataset, kept, target_ids, runners,
                                       hours=hours,

@@ -279,6 +279,81 @@ def test_variogram_bin_means_equal_np_mean_bit_for_bit():
                                                    max(0.0, float(nugget)))
 
 
+def polyfit_oracle(centers, means):
+    """Each hour's clamped np.polyfit(centers, row, 1), as (slopes, nuggets)."""
+    fits = np.array([np.polyfit(centers, row, 1) for row in means])
+    return baselines._clamp(fits[:, 0]), baselines._clamp(fits[:, 1])
+
+
+@pytest.mark.parametrize("hours", [1, 7, 64])
+def test_variogram_line_fit_equals_np_polyfit_bit_for_bit(hours):
+    # each bin holds one pair (sensor 0, sensor k), so its mean is that
+    # pair's semivariance 0.5 * v_k^2 with v_0 = 0
+    rng = np.random.default_rng(100 + hours)
+    for trial in range(60):
+        n_bins = int(rng.integers(2, 11))
+        width = 10.0 ** rng.uniform(-3.0, np.log10(50.0))
+        kept = np.sort(rng.choice(10, n_bins, replace=False))
+        centers = np.array([(b + 0.5) * width for b in kept])
+        low = (0.0, 1e-6)[trial % 2]
+        targets = rng.uniform(low, 10.0 ** rng.uniform(-6.0, 6.0), (hours, n_bins))
+        if trial % 3 == 0:  # every bin of an hour has the same mean
+            targets[:] = targets[:, :1]
+        if trial % 5 == 0:
+            targets[0] = (0.0, 1e6)[trial % 2]
+        values = np.zeros((hours, n_bins + 1))
+        values[:, 1:] = np.sqrt(2.0 * targets)
+        bins = (np.zeros(n_bins, dtype=int), np.arange(1, n_bins + 1), centers,
+                [np.array([k]) for k in range(n_bins)])
+        means = 0.5 * (values[:, :1] - values[:, 1:]) ** 2
+        slope, nugget = baselines._fit_binned_variogram(bins, values)
+        want_slope, want_nugget = polyfit_oracle(centers, means)
+        assert slope.tobytes() == want_slope.tobytes(), trial
+        assert nugget.tobytes() == want_nugget.tobytes(), trial
+
+
+def test_kriging_variogram_equals_np_polyfit_on_a_fortran_ordered_panel():
+    # 20 sensors in Fortran order, as subset_dataset_values gathers them
+    rng = np.random.default_rng(66)
+    n = 20
+    coords = random_coords(rng, n)
+    values = np.asfortranarray(rng.uniform(5.0, 60.0, (64, n)))
+    est = OrdinaryKriging().fit(coords, values)
+    dist = pairwise_distances_km(coords[:, 0], coords[:, 1])
+    iu, ju = np.triu_indices(n, k=1)
+    h = dist[iu, ju]
+    width = h.max() / 10
+    idx = np.minimum((h / width).astype(int), 9)
+    kept = [b for b in range(10) if (idx == b).any()]
+    means = []
+    for row in values:
+        gamma = 0.5 * (row[iu] - row[ju]) ** 2
+        means.append([np.mean(gamma[idx == b]) for b in kept])
+    slope, nugget = polyfit_oracle(np.array([(b + 0.5) * width for b in kept]),
+                                   np.array(means))
+    assert len(kept) >= 2
+    assert est.slope_.tobytes() == slope.tobytes()
+    assert est.nugget_.tobytes() == nugget.tobytes()
+
+
+def test_kriging_fit_builds_one_vandermonde_matrix_and_calls_no_polyfit(monkeypatch):
+    vander_calls = []
+    real_vander = np.vander
+
+    def counted_vander(*args, **kwargs):
+        vander_calls.append(args)
+        return real_vander(*args, **kwargs)
+
+    def no_polyfit(*args, **kwargs):
+        raise AssertionError("the variogram fit called np.polyfit")
+
+    monkeypatch.setattr(np, "vander", counted_vander)
+    monkeypatch.setattr(np, "polyfit", no_polyfit)
+    rng = np.random.default_rng(67)
+    OrdinaryKriging().fit(random_coords(rng, 12), rng.uniform(5.0, 60.0, (64, 12)))
+    assert len(vander_calls) == 1
+
+
 def test_kriging_requires_two_sensors():
     with pytest.raises(ValidationError):
         OrdinaryKriging().fit([[0.0, 0.0]], [[1.0]])

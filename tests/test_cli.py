@@ -512,6 +512,35 @@ def test_evaluate_no_density(synth_dir, train_dir, tmp_path):
     assert "density" not in json.loads((out / "report.json").read_text())
 
 
+def test_evaluate_on_a_network_too_small_for_the_density_sweep_exits_2_before_any_run(
+        tmp_path, monkeypatch, capsys):
+    # 6 sensors split 4/1/1, and removing 80% of 4 context sensors leaves 1
+    data, runs, out = tmp_path / "data6", tmp_path / "runs6", tmp_path / "eval6"
+    assert main(["synth", "--out", str(data), "--hours", "36", "--n-sensors", "6",
+                 "--height", "12", "--width", "12", "--seed", "3"]) == 0
+    assert main(["train", "--dataset", str(data), "--out", str(runs), "--seeds", "0",
+                 "--max-epochs", "1", "--batch-size", "8"]) == 0
+    # every runner, and the gp search, comes from benchmark_runners
+    calls = []
+    real_runners = cli.benchmark_runners
+
+    def recorded_runners(*args, **kwargs):
+        calls.append(args)
+        return real_runners(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "benchmark_runners", recorded_runners)
+    capsys.readouterr()
+    argv = ["evaluate", "--dataset", str(data), "--models", str(runs), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "removing 3 of 4 context sensors leaves 1" in err and "--no-density" in err
+    assert calls == []
+    assert not out.exists()
+    assert main(argv + ["--no-density"]) == 0
+    assert len(calls) == 1
+    assert (out / "report.json").is_file()
+
+
 @pytest.mark.parametrize("density", ["--density", "--no-density"])
 def test_evaluate_parallel_matches_serial(synth_dir, train_dir, tmp_path, density):
     # with the sweep, the pooled runner also runs every removal's context

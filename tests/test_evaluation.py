@@ -22,6 +22,7 @@ from physair.evaluation import (
     SH_BIN_EDGES,
     benchmark_runners,
     binned_mae,
+    density_cells,
     density_experiment,
     density_removal,
     estimator_runner,
@@ -702,6 +703,23 @@ def test_density_takes_the_main_runs_scores_for_its_context(monkeypatch):
         assert calls[name] == alone_calls[name] - 1, name
         assert reused.per_seed_mae[name].tobytes() == alone.per_seed_mae[name].tobytes()
     assert reused.remaining == alone.remaining
+
+
+def test_density_refuses_a_too_small_network_before_any_runner_runs():
+    # the 0.2 cells keep 4 of 5 sensors, but the 0.8 cells would keep 1
+    ds = toy_dataset(hours=12, n=7)
+    context = ("s0", "s1", "s2", "s3", "s4")
+    counted, calls = _counted({"mean_fill": estimator_runner(MeanFill)})
+    with pytest.raises(ValidationError, match="removing 4 of 5 context sensors leaves 1"):
+        density_experiment(ds, context, ("s5", "s6"), counted, fractions=(0.2, 0.8),
+                           seeds=(0, 1))
+    assert calls == {"mean_fill": 0}
+    # six sensors are the fewest the default fractions accept
+    six = tuple("abcdef")
+    assert [len(kept) for row in density_cells(six) for kept in row] == \
+        [6] * 5 + [5] * 5 + [4] * 5 + [3] * 5 + [2] * 5
+    with pytest.raises(ValidationError, match="leaves 1"):
+        density_cells(six[:5])
 
 
 def test_density_refuses_a_main_run_of_another_experiment():
