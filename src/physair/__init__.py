@@ -41,7 +41,6 @@ from .evaluation import (
     mae_ratio,
     metrics,
     sh_series,
-    spatial_heterogeneity,
 )
 from .geo import (
     Graph,
@@ -123,7 +122,6 @@ __all__ = [
     "select_gp_hyperparameters",
     "sh_series",
     "sinusoidal_wind",
-    "spatial_heterogeneity",
     "train_ensemble",
     "train_model",
 ]

@@ -304,15 +304,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _broadcast_check(a, b, "sub")
-    return _make(
-        a.data - b.data,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
-    )
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product with numpy broadcasting."""
     _broadcast_check(a, b, "mul")
@@ -536,17 +527,17 @@ def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(x.data.sum(axis=axis, keepdims=keepdims), (x,), vjp)
 
 
-def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    n = x.size if axis is None else x.shape[axis]
-    return mul(tsum(x, axis=axis, keepdims=keepdims), Tensor(1.0 / n))
-
-
 def mse(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean squared error over all elements."""
+    """Mean squared error over all elements.
+
+    pred + target * -1 rounds as pred - target, since negation is exact,
+    and the mean is the sum times 1/n.
+    """
     if pred.shape != target.shape:
         raise ShapeError(f"mse: prediction {pred.shape} vs target {target.shape}")
-    d = sub(pred, target)
-    return tmean(mul(d, d))
+    d = add(pred, mul(target, Tensor(-1.0)))
+    sq = mul(d, d)
+    return mul(tsum(sq), Tensor(1.0 / sq.size))
 
 
 def finite_diff_grad(f, x, h: float = 1e-5) -> Tensor:

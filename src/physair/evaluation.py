@@ -118,26 +118,13 @@ def metrics(predictions, truths, model: str = "", label: str = "") -> MetricRepo
 # Spatial heterogeneity.
 # ---------------------------------------------------------------------------
 
-def spatial_heterogeneity(values) -> float:
-    """Unbiased variance (divisor N-1) of one hour's sensor readings.
-
-    Non-finite entries are dropped first; fewer than two finite
-    readings is an error, since a variance over one point says nothing.
-    """
-    v = np.asarray(values, dtype=float).reshape(-1)
-    v = v[np.isfinite(v)]
-    if v.size < 2:
-        raise ValidationError(
-            f"spatial heterogeneity needs at least 2 readings, got {v.size}")
-    return float(np.var(v, ddof=1))
-
-
 def sh_series(values: np.ndarray) -> np.ndarray:
     """Per-hour spatial heterogeneity for a (hours, sensors) value grid.
 
-    The lenient batch form of :func:`spatial_heterogeneity`: hours with
-    fewer than two finite readings come back as NaN instead of raising,
-    so a gappy real-data grid can still be profiled.
+    An hour's SH is the unbiased variance (divisor N-1) of its finite
+    readings. Hours with fewer than two come back as NaN, since a
+    variance over one point says nothing, so a gappy real-data grid can
+    still be profiled.
     """
     grid = np.asarray(values, dtype=float)
     if grid.ndim != 2:
@@ -451,16 +438,17 @@ def density_removal(context_ids, fraction: float, seed: int) -> tuple:
     return tuple(i for i in ids if i not in removed)
 
 
-def density_cells(context_ids, fractions=DENSITY_FRACTIONS,
-                  seeds=tuple(range(DENSITY_SEED_COUNT))) -> list:
-    """Every (fraction, seed) cell's surviving context, one row per
-    fraction and one entry per seed, drawn by :func:`density_removal`.
+def density_cells(context_ids) -> list:
+    """Every (fraction, seed) cell's surviving context, drawn by
+    :func:`density_removal`: one row per DENSITY_FRACTIONS entry and one
+    entry per seed in range(DENSITY_SEED_COUNT).
 
     Drawing them all first refuses a network too small for some cell
-    before any model runs: the default fractions need at least 6 context
+    before any model runs: the fractions need at least 6 context
     sensors, since removing 80% of 5 leaves 1.
     """
-    return [[density_removal(context_ids, f, s) for s in seeds] for f in fractions]
+    return [[density_removal(context_ids, f, s) for s in range(DENSITY_SEED_COUNT)]
+            for f in DENSITY_FRACTIONS]
 
 
 @dataclass
@@ -495,12 +483,11 @@ class DensityExperiment:
 
 def density_experiment(dataset: Dataset, context_ids, target_ids,
                        runners: Mapping[str, Runner],
-                       fractions=DENSITY_FRACTIONS,
-                       seeds=tuple(range(DENSITY_SEED_COUNT)),
                        hours=None, main: EvalRun | None = None) -> DensityExperiment:
     """Re-evaluate every model as context sensors are randomly removed.
 
-    Each (fraction, seed) cell scores the unchanged target set with the
+    Each cell, a fraction of DENSITY_FRACTIONS and a seed of
+    range(DENSITY_SEED_COUNT), scores the unchanged target set with the
     surviving context only, through the same runners as the main run,
     so the fraction-0 rows equal the main-table MAE exactly. Identical
     surviving sets (fraction 0 in particular) are evaluated once and
@@ -510,12 +497,10 @@ def density_experiment(dataset: Dataset, context_ids, target_ids,
     is drawn, by :func:`density_cells`, before any runner runs.
     """
     context_ids = tuple(context_ids)
-    fractions = tuple(float(f) for f in fractions)
-    seeds = tuple(int(s) for s in seeds)
-    cells = density_cells(context_ids, fractions, seeds)
+    fractions, seeds = DENSITY_FRACTIONS, tuple(range(DENSITY_SEED_COUNT))
+    cells = density_cells(context_ids)
     per_seed = {name: np.empty((len(fractions), len(seeds)))
                 for name in runners}
-    remaining_counts = []
     cache = {}
     if main is not None:
         if (main.target_ids != tuple(target_ids)
@@ -526,8 +511,8 @@ def density_experiment(dataset: Dataset, context_ids, target_ids,
                 f"hours: it has runners {sorted(main.predictions)}, targets "
                 f"{list(main.target_ids)} and {len(main.hours)} hours")
         cache[main.context_ids] = {name: main.mae(name) for name in runners}
-    for fi, fraction in enumerate(fractions):
-        for si, kept in enumerate(cells[fi]):
+    for fi, (fraction, row) in enumerate(zip(fractions, cells)):
+        for si, kept in enumerate(row):
             if kept not in cache:
                 run = evaluate_models(dataset, kept, target_ids, runners,
                                       hours=hours,
@@ -535,9 +520,9 @@ def density_experiment(dataset: Dataset, context_ids, target_ids,
                 cache[kept] = {name: run.mae(name) for name in runners}
             for name, value in cache[kept].items():
                 per_seed[name][fi, si] = value
-        remaining_counts.append(len(kept))
+    # every seed of a fraction removes the same count
     return DensityExperiment(fractions=fractions, seeds=seeds,
-                             remaining=tuple(remaining_counts),
+                             remaining=tuple(len(row[0]) for row in cells),
                              per_seed_mae=per_seed)
 
 

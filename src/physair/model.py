@@ -103,8 +103,11 @@ class ModelConfig:
             self.n_layers, self.hidden_dim = layers, dim
         if self.n_layers is None or self.hidden_dim is None:
             raise ValidationError("need a preset or explicit n_layers and hidden_dim")
-        if self.n_layers < 1 or self.hidden_dim < 1:
-            raise ValidationError(f"bad architecture: {self.n_layers} layers, dim {self.hidden_dim}")
+        if self.n_layers < 2 or self.hidden_dim < 1:
+            # inference shares layer 0 across its targets (SharedLayer0), so
+            # a model's first layer is never its readout
+            raise ValidationError(f"bad architecture: {self.n_layers} layers, dim {self.hidden_dim}; "
+                                  "need at least 2 layers and dim >= 1")
         if self.window < 1:
             raise ValidationError(f"window must be >= 1 hour, got {self.window}")
 
@@ -203,16 +206,15 @@ class EdgePath:
     features that enter the last layer on the query rows. Every target
     of one context shares layer0 and context.
 
-    layer0 is layer 0's shared part (None when L = 1, where layer 0 is
-    the readout). With it, layer 0 reads no context row and allocates no
-    edge-sized buffer per target: it finishes the 2C query messages of
-    query[0] and adds them to layer0's per-node context sums, which
-    equals the full layer bit for bit (see the module docstring). The
-    query rows may hold G targets', one after another. forward reads
-    every row and layer0 as constants.
+    layer0 is layer 0's shared part. With it, layer 0 reads no context
+    row and allocates no edge-sized buffer per target: it finishes the 2C
+    query messages of query[0] and adds them to layer0's per-node context
+    sums, which equals the full layer bit for bit (see the module
+    docstring). The query rows may hold G targets', one after another.
+    forward reads every row and layer0 as constants.
     """
 
-    layer0: SharedLayer0 | None
+    layer0: SharedLayer0
     context: list
     query: list
     query_last: Tensor
@@ -632,8 +634,8 @@ class PhysicsGnn:
         batch's (B, E, 3), or a flat (R, 3) table of edge rows.
 
         Returns (pre, e): pre[k] is layer k's _message_pre(e_k, w), and e
-        the edge features that enter the last layer (the triples when
-        L = 1). Each output row depends on its input row alone.
+        the edge features that enter the last layer. Each output row
+        depends on its input row alone.
         """
         e = feats if isinstance(feats, Tensor) else Tensor(feats)
         pre = []
@@ -651,12 +653,9 @@ class PhysicsGnn:
 
         context holds layers 1..L-2's message pre-activations on those
         rows; layer 0's are finished, summed and dropped by GnnLayer.share.
-        layer0 is None when L = 1.
         """
         x = x if isinstance(x, Tensor) else Tensor(x)
         pre = self.edge_path(context_feats)[0]
-        if not pre:
-            return None, pre
         return self.layers[0].share(self.input_embed(x), pre.pop(0)), pre
 
     def forward(self, x, wiring: GraphWiring, conv_feats, masked_pos=None,
@@ -696,8 +695,7 @@ class PhysicsGnn:
         elif conv_feats is not None or np.any(np.asarray(masked_pos) != wiring.n_nodes - 1):
             raise ValidationError("a precomputed edge path replaces conv_feats and needs "
                                   f"masked_pos = {wiring.n_nodes - 1}, the last node")
-        elif (len(edges.query) != len(self.layers) - 1
-              or (edges.layer0 is None) != (len(self.layers) == 1)):
+        elif len(edges.query) != len(self.layers) - 1:
             raise ShapeError(f"edge path has {len(edges.query)} layers, "
                              f"expected {len(self.layers) - 1}")
         elif is_recording():
@@ -725,10 +723,7 @@ class PhysicsGnn:
         else:
             rows = np.tile(rows, (groups, 1))
             last = Tensor(edges.query_last.data.reshape(groups * bsz, 2 * (n - 1), -1)[:, n - 1:])
-            if edges.layer0 is None:
-                h = Tensor(np.tile(self.input_embed(x).data, (groups, 1, 1)))
-            else:
-                h, _ = self.layers[0].finish(edges.layer0, edges.query[0], wiring)
+            h, _ = self.layers[0].finish(edges.layer0, edges.query[0], wiring)
             for k, layer in enumerate(self.layers[1:-1], start=1):
                 x_c = layer.convection.stacked(h, edges, k, wiring)
                 h, _ = layer.fusion(layer.diffusion(h, wiring), x_c, layer.local(h, wiring), groups)
@@ -743,6 +738,3 @@ class PhysicsGnn:
             out.extend(layer.params())
         out.extend(self.output_head.params())
         return out
-
-    def param_count(self) -> int:
-        return sum(p.data.size for p in self.params())

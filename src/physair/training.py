@@ -534,7 +534,9 @@ def train_model(dataset: Dataset, split: SensorSplit,
 
     mean_t, std_t = Tensor(normalizer.mean), Tensor(normalizer.std)
 
-    while state.epoch < train_config.max_epochs:
+    # a resumed run that had stopped early stays stopped, as it would have
+    while (state.epoch < train_config.max_epochs
+           and state.evals_since_best < train_config.patience):
         epoch = state.epoch + 1
         hours, masked = epoch_sample_plan(dataset.hours, len(split.train),
                                           train_config.seed, epoch)
@@ -594,9 +596,8 @@ def train_model(dataset: Dataset, split: SensorSplit,
         _atomic_write_text(state_path,
                            json.dumps(state.to_dict(), indent=2, sort_keys=True) + "\n")
 
-        if state.evals_since_best >= train_config.patience:
-            logger.info("early stop at epoch %d", epoch)
-            break
+    if state.evals_since_best >= train_config.patience:
+        logger.info("early stop at epoch %d", state.epoch)
 
     if state.best_epoch < 0:
         # max_epochs finished without any validation pass recording a best

@@ -33,9 +33,7 @@ from physair.autodiff import (
     save_arrays,
     save_params,
     softmax,
-    sub,
     take,
-    tmean,
     tsum,
 )
 from physair.errors import ShapeError, ValidationError
@@ -178,6 +176,19 @@ def test_backward_sum_is_ones():
     assert np.array_equal(x.grad, np.ones(4))
 
 
+def test_mse_keeps_the_bits_of_a_numpy_mean_of_squared_differences():
+    # pred + target * -1 rounds as pred - target, since negation is exact
+    rng = np.random.default_rng(11)
+    pred = Tensor(rng.normal(size=(32,)) * 10.0 ** rng.integers(-6, 7, 32), requires_grad=True)
+    target = rng.normal(size=(32,)) * 10.0 ** rng.integers(-6, 7, 32)
+    loss = mse(pred, Tensor(target))
+    d = pred.data - target
+    assert loss.data.tobytes() == np.asarray((d * d).sum() * (1.0 / 32)).tobytes()
+    loss.backward()
+    half = np.full(32, 1.0 / 32) * d
+    assert pred.grad.tobytes() == (half + half).tobytes()
+
+
 def test_backward_mse_at_minimum_is_zero():
     x = Tensor([[0.5, -2.0], [3.0, 1.0]], requires_grad=True)
     mse(x, Tensor(x.data.copy())).backward()
@@ -191,9 +202,10 @@ def test_grad_add_broadcast():
 
 
 def test_grad_sub_and_mul_broadcast():
+    # t - other as mse builds a difference: t + other * -1
     rng = np.random.default_rng(2)
     other = Tensor(rng.normal(size=(5, 1)))
-    check_grad(lambda t: tsum(mul(sub(t, other), t)), rng.normal(size=(5, 4)))
+    check_grad(lambda t: tsum(mul(add(t, mul(other, Tensor(-1.0))), t)), rng.normal(size=(5, 4)))
 
 
 def test_grad_matmul_2d():
@@ -346,7 +358,7 @@ def test_grad_reshape_mean_axis_sum():
 
     def f(t):
         r = reshape(t, (2, 6))
-        m = tmean(r, axis=1)
+        m = mul(tsum(r, axis=1), Tensor(1.0 / 6))
         return tsum(mul(m, m))
 
     check_grad(f, rng.normal(size=(3, 4)))
@@ -459,8 +471,7 @@ def test_shared_intermediate_three_consumers_matches_finite_diff():
         h = relu(matmul(x, wt))
         deep = relu(matmul(h, wt))
         deeper = mul(h, add(deep, h))
-        return tmean(mse(concat([h, deeper], axis=-1),
-                         Tensor(np.zeros((5, 8)))))
+        return mse(concat([h, deeper], axis=-1), Tensor(np.zeros((5, 8))))
 
     loss_fn(w).backward()
     fd = finite_diff_grad(loss_fn, w)

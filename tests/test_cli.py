@@ -458,6 +458,20 @@ def test_train_resume_completed_run(synth_dir, train_dir, capsys):
     assert "seed 0: best val mse" in capsys.readouterr().out
 
 
+def test_train_resume_of_an_early_stopped_run_changes_no_file(synth_dir, tmp_path):
+    # patience 1 stops this run at epoch 2 of 4; a resume must not train on
+    argv = ["train", "--dataset", str(synth_dir), "--out", str(tmp_path / "run"),
+            "--seeds", "0", "--max-epochs", "4", "--batch-size", "8",
+            "--patience", "1", "--lr", "1e-3"]
+    assert main(argv) == 0
+    run = tmp_path / "run" / "seed0"
+    assert json.loads((run / "state.json").read_text())["epoch"] < 4
+    files = {name: (run / name).read_bytes()
+             for name in ("best.ckpt", "last.ckpt", "last.optim", "state.json")}
+    assert main(argv + ["--resume"]) == 0
+    assert {name: (run / name).read_bytes() for name in files} == files
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
@@ -567,6 +581,15 @@ def test_evaluate_without_checkpoints_exits_2(synth_dir, tmp_path, capsys):
 # interpolate
 # ---------------------------------------------------------------------------
 
+def _library_point(train_dir, ds, lat, lon, hours, context=None):
+    """infer_at_location on train_dir's ensemble, from its train sensors
+    or from the given context ids."""
+    loaded = [load_trained(p) for p in sorted(train_dir.glob("seed*/best.ckpt"))]
+    models = [model for model, _, _, _ in loaded]
+    _, normalizer, split, _ = loaded[-1]
+    return infer_at_location(models, normalizer, ds, context or split.train, lat, lon, hours)
+
+
 def test_interpolate_point_matches_library(synth_dir, train_dir, capsys):
     ds = load_dataset(synth_dir)
     lat = float(np.mean([s.latitude for s in ds.sensors]))
@@ -579,17 +602,38 @@ def test_interpolate_point_matches_library(synth_dir, train_dir, capsys):
     assert lines[0] == "hour,timestamp,pm25"
     assert len(lines) == 13
 
-    paths = sorted(train_dir.glob("seed*/best.ckpt"))
-    models, normalizer, split = [], None, None
-    for p in paths:
-        model, norm, spl, _ = load_trained(p)
-        models.append(model)
-        normalizer, split = norm, spl
-    want = infer_at_location(models, normalizer, ds, split.train,
-                             lat, lon, np.arange(12))
+    want = _library_point(train_dir, ds, lat, lon, np.arange(12))
     got = np.array([float(line.split(",")[2]) for line in lines[1:]])
     assert np.array_equal(got, want)
     assert lines[1].split(",")[1] == "2024-01-01T00:00:00+00:00"
+
+
+def test_interpolate_context_all_predicts_from_every_sensor(synth_dir, train_dir, capsys):
+    # --context all joins the query to the graph of all 10 sensors, held-out
+    # ones included; at a sensor's own coordinates too
+    ds = load_dataset(synth_dir)
+    sensor = ds.sensors[0]
+    for lat, lon in ((36.75, -119.75), (sensor.latitude, sensor.longitude)):
+        assert main(["interpolate", "--dataset", str(synth_dir), "--models", str(train_dir),
+                     "--context", "all", "--lat", repr(lat), "--lon", repr(lon),
+                     "--hours", "0:3"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        got = np.array([float(line.split(",")[2]) for line in lines[1:]])
+        want = _library_point(train_dir, ds, lat, lon, np.arange(3),
+                              context=ds.sensor_ids())
+        assert np.array_equal(got, want)
+        assert not np.array_equal(got, _library_point(train_dir, ds, lat, lon, np.arange(3)))
+
+
+def test_models_may_name_one_run_directory(synth_dir, train_dir, capsys):
+    # a run directory holding best.ckpt is that one checkpoint
+    outputs = []
+    for models in (train_dir / "seed0", train_dir / "seed0" / "best.ckpt"):
+        assert main(_point_query(synth_dir, models)) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert main(_point_query(synth_dir, train_dir)) == 0
+    assert capsys.readouterr().out != outputs[0]
 
 
 @pytest.mark.parametrize("flag, value", [("--gp-selection-stride", "0"),
@@ -783,6 +827,23 @@ def test_checkpoint_naming_another_design_exits_2(synth_dir, train_dir, tmp_path
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert str(ckpt) in err and f"{key} must be" in err and f"'{other}'" in err
+    assert not (tmp_path / "eval").exists()
+
+
+def test_checkpoint_of_a_one_layer_model_exits_2(synth_dir, train_dir, tmp_path, capsys):
+    # every model shares its first layer at inference, so none is that layer alone
+    manifest, arrays = load_arrays(str(train_dir / "seed0" / "best.ckpt"))
+    extra = json.loads(json.dumps(manifest["extra"]))
+    extra["model_config"].update(preset=None, n_layers=1)
+    ckpt = tmp_path / "one-layer.ckpt"
+    save_arrays(str(ckpt), [(name, value) for name, value in arrays.items()
+                            if not name.startswith(("layer1.", "layer2."))], extra=extra)
+    for argv in (_point_query(synth_dir, ckpt),
+                 ["evaluate", "--dataset", str(synth_dir), "--models", str(ckpt),
+                  "--out", str(tmp_path / "eval")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "at least 2 layers" in err and "Traceback" not in err
     assert not (tmp_path / "eval").exists()
 
 

@@ -37,7 +37,6 @@ from physair.evaluation import (
     mae_ratio,
     metrics,
     sh_series,
-    spatial_heterogeneity,
     summary_json,
     write_summary,
 )
@@ -67,7 +66,7 @@ def toy_dataset(hours=24, n=6, seed=0):
 
 
 def tiny_models(dataset, n_models=1):
-    config = ModelConfig(preset=None, n_layers=1, hidden_dim=8)
+    config = ModelConfig(preset=None, n_layers=2, hidden_dim=8)
     models = [PhysicsGnn(config, seed=k) for k in range(n_models)]
     normalizer = Normalizer.from_values(dataset.pm25)
     return models, normalizer
@@ -135,41 +134,39 @@ def test_report_rejects_jensen_violation():
 # Spatial heterogeneity.
 # ---------------------------------------------------------------------------
 
+def one_hour_sh(values) -> float:
+    """sh_series of a grid whose one hour holds these readings."""
+    (sh,) = sh_series(np.asarray(values, dtype=float)[None, :])
+    return float(sh)
+
+
 def test_uniform_field_has_zero_heterogeneity():
-    assert spatial_heterogeneity([3.0, 3.0, 3.0]) == 0.0
+    assert one_hour_sh([3.0, 3.0, 3.0]) == 0.0
 
 
 def test_two_point_heterogeneity_hand_value():
     # mean 1, deviations 1 and 1, divisor N-1 = 1.
-    assert spatial_heterogeneity([0.0, 2.0]) == 2.0
+    assert one_hour_sh([0.0, 2.0]) == 2.0
 
 
 def test_heterogeneity_matches_statistics_variance():
     rng = np.random.default_rng(3)
     values = rng.uniform(0, 50, 11)
-    assert spatial_heterogeneity(values) == pytest.approx(
+    assert one_hour_sh(values) == pytest.approx(
         statistics.variance(values.tolist()), rel=1e-12)
 
 
 def test_heterogeneity_is_order_invariant():
     values = np.array([4.0, 9.0, 1.0, 16.0])
-    assert spatial_heterogeneity(values) == spatial_heterogeneity(values[::-1])
+    assert one_hour_sh(values) == one_hour_sh(values[::-1])
 
 
 def test_heterogeneity_translation_and_scaling():
     rng = np.random.default_rng(5)
     values = rng.uniform(0, 80, 9)
-    base = spatial_heterogeneity(values)
-    assert spatial_heterogeneity(values + 13.7) == pytest.approx(base, abs=1e-10)
-    assert spatial_heterogeneity(values * 3.0) == pytest.approx(9.0 * base,
-                                                                rel=1e-12)
-
-
-def test_heterogeneity_needs_two_finite_readings():
-    with pytest.raises(ValidationError, match="at least 2"):
-        spatial_heterogeneity([4.0])
-    with pytest.raises(ValidationError, match="at least 2"):
-        spatial_heterogeneity([4.0, np.nan])
+    base = one_hour_sh(values)
+    assert one_hour_sh(values + 13.7) == pytest.approx(base, abs=1e-10)
+    assert one_hour_sh(values * 3.0) == pytest.approx(9.0 * base, rel=1e-12)
 
 
 def test_sh_series_is_rowwise_and_nan_lenient():
@@ -652,19 +649,25 @@ def test_density_removal_guards():
         density_removal(("a", "b", "c", "d"), 0.75, seed=0)
 
 
-def test_density_fraction_zero_reproduces_the_main_run_exactly():
+def density_schedule(monkeypatch, fractions, seed_count):
+    """Run the density sweep over these fractions and seeds 0..seed_count-1."""
+    monkeypatch.setattr(evaluation, "DENSITY_FRACTIONS", fractions)
+    monkeypatch.setattr(evaluation, "DENSITY_SEED_COUNT", seed_count)
+
+
+def test_density_fraction_zero_reproduces_the_main_run_exactly(monkeypatch):
     ds = toy_dataset(hours=12, n=7)
     context = ("s0", "s1", "s2", "s3", "s4")
     runners = {"mean_fill": estimator_runner(MeanFill),
                "idw": estimator_runner(Idw)}
     main = evaluate_models(ds, context, ("s5", "s6"), runners)
-    result = density_experiment(ds, context, ("s5", "s6"), runners,
-                                fractions=(0.0, 0.4), seeds=(0, 1))
+    density_schedule(monkeypatch, (0.0, 0.4), 2)
+    result = density_experiment(ds, context, ("s5", "s6"), runners)
+    assert (result.fractions, result.seeds) == ((0.0, 0.4), (0, 1))
     for name in runners:
         assert result.per_seed_mae[name][0, 0] == main.mae(name)
         assert result.per_seed_mae[name][0, 1] == main.mae(name)
-    rerun = density_experiment(ds, context, ("s5", "s6"), runners,
-                               fractions=(0.0, 0.4), seeds=(0, 1))
+    rerun = density_experiment(ds, context, ("s5", "s6"), runners)
     for name in runners:
         assert np.array_equal(result.per_seed_mae[name],
                               rerun.per_seed_mae[name])
@@ -693,36 +696,36 @@ def test_density_takes_the_main_runs_scores_for_its_context(monkeypatch):
                "idw": estimator_runner(Idw),
                "gnn": gnn_runner(models, norm)}
     main = evaluate_models(ds, context, targets, runners)
-    kwargs = dict(fractions=(0.0, 0.4), seeds=(0, 1))
+    density_schedule(monkeypatch, (0.0, 0.4), 2)
     counted, calls = _counted(runners)
-    alone = density_experiment(ds, context, targets, counted, **kwargs)
+    alone = density_experiment(ds, context, targets, counted)
     alone_calls = dict(calls)
     counted, calls = _counted(runners)
-    reused = density_experiment(ds, context, targets, counted, main=main, **kwargs)
+    reused = density_experiment(ds, context, targets, counted, main=main)
     for name in runners:
         assert calls[name] == alone_calls[name] - 1, name
         assert reused.per_seed_mae[name].tobytes() == alone.per_seed_mae[name].tobytes()
     assert reused.remaining == alone.remaining
 
 
-def test_density_refuses_a_too_small_network_before_any_runner_runs():
-    # the 0.2 cells keep 4 of 5 sensors, but the 0.8 cells would keep 1
-    ds = toy_dataset(hours=12, n=7)
-    context = ("s0", "s1", "s2", "s3", "s4")
-    counted, calls = _counted({"mean_fill": estimator_runner(MeanFill)})
-    with pytest.raises(ValidationError, match="removing 4 of 5 context sensors leaves 1"):
-        density_experiment(ds, context, ("s5", "s6"), counted, fractions=(0.2, 0.8),
-                           seeds=(0, 1))
-    assert calls == {"mean_fill": 0}
+def test_density_refuses_a_too_small_network_before_any_runner_runs(monkeypatch):
     # six sensors are the fewest the default fractions accept
     six = tuple("abcdef")
     assert [len(kept) for row in density_cells(six) for kept in row] == \
         [6] * 5 + [5] * 5 + [4] * 5 + [3] * 5 + [2] * 5
     with pytest.raises(ValidationError, match="leaves 1"):
         density_cells(six[:5])
+    # the 0.2 cells keep 4 of 5 sensors, but the 0.8 cells would keep 1
+    ds = toy_dataset(hours=12, n=7)
+    context = ("s0", "s1", "s2", "s3", "s4")
+    counted, calls = _counted({"mean_fill": estimator_runner(MeanFill)})
+    density_schedule(monkeypatch, (0.2, 0.8), 2)
+    with pytest.raises(ValidationError, match="removing 4 of 5 context sensors leaves 1"):
+        density_experiment(ds, context, ("s5", "s6"), counted)
+    assert calls == {"mean_fill": 0}
 
 
-def test_density_refuses_a_main_run_of_another_experiment():
+def test_density_refuses_a_main_run_of_another_experiment(monkeypatch):
     ds = toy_dataset(hours=12, n=7)
     context = ("s0", "s1", "s2", "s3", "s4")
     runners = {"mean_fill": estimator_runner(MeanFill),
@@ -731,10 +734,10 @@ def test_density_refuses_a_main_run_of_another_experiment():
     other_hours = evaluate_models(ds, context, ("s5", "s6"), runners, hours=np.arange(6))
     other_runners = evaluate_models(ds, context, ("s5", "s6"),
                                     {"mean_fill": runners["mean_fill"]})
+    density_schedule(monkeypatch, (0.0,), 1)
     for main in (other_targets, other_hours, other_runners):
         with pytest.raises(ValidationError, match="same runners on the same targets"):
-            density_experiment(ds, context, ("s5", "s6"), runners,
-                               fractions=(0.0,), seeds=(0,), main=main)
+            density_experiment(ds, context, ("s5", "s6"), runners, main=main)
 
 
 # ---------------------------------------------------------------------------
@@ -883,11 +886,11 @@ def test_metrics_table_lists_every_model():
     assert "0.9600" in text
 
 
-def test_density_table_has_one_row_per_fraction():
+def test_density_table_has_one_row_per_fraction(monkeypatch):
     ds = toy_dataset(hours=6, n=5)
+    density_schedule(monkeypatch, (0.0, 0.4), 1)
     result = density_experiment(ds, ("s0", "s1", "s2"), ("s3", "s4"),
-                                {"mean_fill": estimator_runner(MeanFill)},
-                                fractions=(0.0, 0.4), seeds=(0,))
+                                {"mean_fill": estimator_runner(MeanFill)})
     text = format_density_table(result)
     assert "0%" in text and "40%" in text and "mean_fill" in text
 

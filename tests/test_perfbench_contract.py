@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import physair
-from physair import cli, geo, model
+from physair import cli, evaluation, geo, model
 from physair.autodiff import save_params
 from physair.data import load_dataset
 from physair.evaluation import benchmark_runners, density_experiment, evaluate_models
@@ -88,6 +88,8 @@ def test_the_workload_call_shapes_bind():
     inspect.signature(physair.benchmark_runners).bind("dataset", "ids")
     inspect.signature(physair.benchmark_runners).bind(
         "dataset", "ids", models=[], normalizer=None)
+    inspect.signature(physair.density_experiment).bind(
+        "dataset", "ids", "targets", "runners", hours=[0])
     # the configs that workloads.py builds, each in the shape it builds it
     inspect.signature(physair.TrainConfig).bind(max_epochs=2, val_hour_stride=4, seed=0)
     inspect.signature(physair.ModelConfig).bind(preset="S")
@@ -146,6 +148,7 @@ def test_every_train_interpolate_and_evaluate_wrapper_fires(tracer, tmp_path, mo
     normalizer = load_trained(runs / "seed0" / "best.ckpt")[1]
     runners = benchmark_runners(dataset, split.train, models=models, normalizer=normalizer)
     evaluate_models(dataset, split.train, split.test, runners, hours=[0, 1])
-    density_experiment(dataset, split.train, split.test, runners, fractions=(0.0, 0.4),
-                       seeds=(0,), hours=[0, 1])
+    monkeypatch.setattr(evaluation, "DENSITY_FRACTIONS", (0.0, 0.4))
+    monkeypatch.setattr(evaluation, "DENSITY_SEED_COUNT", 1)
+    density_experiment(dataset, split.train, split.test, runners, hours=[0, 1])
     assert [key for key, calls in fired.items() if not calls] == []

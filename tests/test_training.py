@@ -48,7 +48,7 @@ def toy_dataset(hours=24, n=6, seed=0):
 
 
 def tiny_model_config():
-    return ModelConfig(preset=None, n_layers=1, hidden_dim=8)
+    return ModelConfig(preset=None, n_layers=2, hidden_dim=8)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +177,7 @@ def test_overfits_single_hour(tmp_path):
     ds = toy_dataset(hours=1)
     split = make_split(ds.sensor_ids(), seed=0)
     result = train_model(ds, split, tiny_model_config(),
-                         run_config(lr=3e-3, max_epochs=200, val_every=1000),
+                         run_config(lr=3e-3, max_epochs=300, val_every=1000),
                          tmp_path / "run")
     assert result.state.history[-1]["train_mse"] < 1e-2
 
@@ -282,6 +282,26 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     assert json.dumps(full.state.history) == json.dumps(resumed.state.history)
     assert (tmp_path / "full" / "last.ckpt").read_bytes() == \
         (tmp_path / "split" / "last.ckpt").read_bytes()
+
+
+RUN_FILES = ("best.ckpt", "last.ckpt", "last.optim", "state.json")
+
+
+def test_resuming_an_early_stopped_run_trains_nothing(tmp_path):
+    # patience 1 stops the run at its first validation without a new best;
+    # an uninterrupted run ends there, so a resume must leave it as it is
+    ds = toy_dataset(hours=48, n=10)
+    split = make_split(ds.sensor_ids(), seed=0)
+    config = run_config(lr=3e-2, max_epochs=10, patience=1)
+    first = train_model(ds, split, tiny_model_config(), config, tmp_path / "run")
+    assert first.state.epoch < config.max_epochs
+    assert first.state.evals_since_best == config.patience
+    files = {name: (tmp_path / "run" / name).read_bytes() for name in RUN_FILES}
+    for _ in range(2):
+        resumed = train_model(ds, split, tiny_model_config(), config, tmp_path / "run",
+                              resume=True)
+        assert resumed.state.to_dict() == first.state.to_dict()
+        assert {name: (tmp_path / "run" / name).read_bytes() for name in RUN_FILES} == files
 
 
 def test_checkpoint_carries_a_dataset_fingerprint(tmp_path):
@@ -605,11 +625,12 @@ def assert_predictor_matches_per_target_forward(config, c, bsz, g):
 
 
 @pytest.mark.parametrize("c", [2, 3, 7, 28])
-@pytest.mark.parametrize("n_layers", [1, 2, 3])
+@pytest.mark.parametrize("later_layers", [1, 2, 3])
 @pytest.mark.parametrize("bsz", [1, 4])
 @pytest.mark.parametrize("g", [1, 2, 9])
-def test_multi_target_predictor_matches_per_target_forward(c, n_layers, bsz, g):
-    config = ModelConfig(preset=None, n_layers=n_layers, hidden_dim=8)
+def test_multi_target_predictor_matches_per_target_forward(c, later_layers, bsz, g):
+    # the layers after the shared first one: the readout, and 0-2 stacked
+    config = ModelConfig(preset=None, n_layers=1 + later_layers, hidden_dim=8)
     assert_predictor_matches_per_target_forward(config, c, bsz, g)
 
 
@@ -654,11 +675,11 @@ def one_target_calls(models, context, targets, x, conv_feats) -> np.ndarray:
 @pytest.mark.parametrize("aggregation", ["sum"])
 @pytest.mark.parametrize("window", [1, 3])
 @pytest.mark.parametrize("c", [2, 3, 7, 28])
-@pytest.mark.parametrize("n_layers", [1, 2, 3])
-def test_stacked_targets_equal_one_target_calls(aggregation, window, c, n_layers):
+@pytest.mark.parametrize("later_layers", [1, 2, 3])
+def test_stacked_targets_equal_one_target_calls(aggregation, window, c, later_layers):
     # a stack's forward gives each target the bits of its own forward, so
     # a prediction depends on neither G nor the other targets of its call
-    config = ModelConfig.from_dict(dict(preset=None, n_layers=n_layers, hidden_dim=8,
+    config = ModelConfig.from_dict(dict(preset=None, n_layers=1 + later_layers, hidden_dim=8,
                                         aggregation=aggregation, window=window))
     models = [PhysicsGnn(config, seed=s) for s in (c, c + 1)]
     context, targets = shared_context(c, 16, seed=c * 10 + window)
