@@ -34,6 +34,7 @@ from .evaluation import (
     MetricReport,
     benchmark_runners,
     binned_mae,
+    build_report,
     density_experiment,
     evaluate_models,
     high_sh_hours,
@@ -98,6 +99,7 @@ __all__ = [
     "benchmark_runners",
     "binned_mae",
     "build_graph",
+    "build_report",
     "convection_edge_features",
     "default_synth_spec",
     "density_experiment",

@@ -56,26 +56,17 @@ from .data import (
 )
 from .errors import ShapeError, ValidationError
 from .evaluation import (
-    SH_BIN_EDGES,
     benchmark_runners,
-    binned_mae,
+    build_report,
     density_cells,
     density_experiment,
     evaluate_models,
-    format_binned_table,
-    format_density_table,
-    format_metrics_table,
-    ground_truth_bin_edges,
-    high_sh_hours,
     infer_at_location,
-    mae_ratio,
-    summary_json,
     write_summary,
 )
 from .model import ModelConfig
 from .simulate import default_synth_spec, make_synthetic_dataset
 from .training import (
-    EVAL_BATCH,
     TrainConfig,
     TrainingDiverged,
     check_training_inputs,
@@ -281,6 +272,16 @@ def _check_workers(options: dict) -> None:
         raise ValidationError("workers must be at least 1")
 
 
+def _check_out(options: dict) -> None:
+    """Refuse an output directory that names an existing file, or sits
+    under one, before any input is read."""
+    if options["out"]:
+        out = Path(options["out"])
+        files = [p for p in (out, *out.parents) if p.exists() and not p.is_dir()]
+        if files:
+            raise ValidationError(f"output directory {out}: {files[0]} is not a directory")
+
+
 def _load_dataset_arg(options: dict) -> Dataset:
     path = Path(options["dataset"])
     if not path.exists():
@@ -435,25 +436,11 @@ def _pooled_gnn_run(pool, workers, dataset, context_ids, target_ids, hours):
     return np.hstack(list(pool.map(columns, groups)))
 
 
-def _bit_facts() -> dict:
-    """What fixes a report's bits beside its inputs: numpy, its BLAS and
-    the BLAS thread settings (null when unset), and the inference hour
-    chunk, training.EVAL_BATCH."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):  # numpy builds before meson have no dict mode
-        blas = {}
-    return {"numpy": np.__version__,
-            "blas": {key: str(blas.get(key, "unknown")) for key in ("name", "version")},
-            "blas_threads": {var: os.environ.get(var) for var in (
-                "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
-            "eval_batch": EVAL_BATCH}
-
-
 def cmd_evaluate(args) -> int:
     options = resolve_options(args, _EVALUATE_SCHEMA)
     _require(options, "dataset", "models", "out")
     _check_workers(options)
+    _check_out(options)
     dataset = _load_dataset_arg(options)
     paths, models, normalizer, split = _load_ensemble(options["models"])
     if options["density"]:
@@ -472,53 +459,15 @@ def cmd_evaluate(args) -> int:
             runners["gnn"] = functools.partial(_pooled_gnn_run, pool, options["workers"])
         run = evaluate_models(dataset, split.train, split.test, runners,
                               label="test")
-        high = high_sh_hours(run.sh)
-        reports = run.reports() + run.reports(hour_mask=high,
-                                              label="test-high-sh")
-        gt_binned, sh_binned = {}, {}
-        for name in runners:
-            preds, truths, sh = run.flat(name)
-            gt_binned[name] = binned_mae(
-                truths, preds, truths,
-                ground_truth_bin_edges(float(truths.max())),
-                axis="ground_truth")
-            sh_binned[name] = binned_mae(sh, preds, truths, SH_BIN_EDGES, axis="sh")
-        sections = [format_metrics_table(reports),
-                    "MAE by ground-truth bin (ug/m3):",
-                    format_binned_table(gt_binned),
-                    "MAE by spatial-heterogeneity bin:",
-                    format_binned_table(sh_binned)]
-        ratios = {}
-        if "gnn" in runners:
-            ratios = {
-                "ground_truth": {n: mae_ratio(gt_binned[n], gt_binned["gnn"])
-                                 for n in runners if n != "gnn"},
-                "sh": {n: mae_ratio(sh_binned[n], sh_binned["gnn"])
-                       for n in runners if n != "gnn"},
-            }
-        density = None
-        if options["density"]:
-            density = density_experiment(dataset, split.train, split.test,
-                                         runners, main=run)
-            sections += ["Mean MAE by removed context fraction:",
-                         format_density_table(density)]
+        density = (density_experiment(dataset, split.train, split.test, runners, main=run)
+                   if options["density"] else None)
     finally:
         if pool is not None:
             pool.shutdown()
+    text, payload = build_report(run, density, checkpoints=paths)
     out = Path(options["out"])
     out.mkdir(parents=True, exist_ok=True)
-    text = "\n\n".join(sections) + "\n"
     _atomic_write_text(out / "report.txt", text)
-    payload = summary_json(
-        reports, density=density,
-        binned={f"{b.axis}:{name}": b
-                for table in (gt_binned, sh_binned)
-                for name, b in table.items()},
-        extra={"mae_ratio_vs_gnn": ratios,
-               "checkpoints": [str(p) for p in paths],
-               "context_sensors": list(split.train),
-               "target_sensors": list(split.test)})
-    payload["facts"] = _bit_facts()
     write_summary(out / "report.json", payload)
     write_resolved_config(out, options)
     print(text, end="")
@@ -567,6 +516,7 @@ def _parse_axis(raw, name: str) -> np.ndarray:
 def cmd_interpolate(args) -> int:
     options = resolve_options(args, _INTERPOLATE_SCHEMA)
     _require(options, "dataset", "models")
+    _check_out(options)
     dataset = _load_dataset_arg(options)
     paths, models, normalizer, split = _load_ensemble(options["models"])
     if options["context"] == "train":

@@ -2,8 +2,9 @@
 
 Everything downstream of a trained model lives here: the scalar metrics
 behind the result tables, per-hour spatial heterogeneity, binned error
-profiles, the sensor-density robustness experiment, and plain-text or
-JSON report rendering.
+profiles, the sensor-density robustness experiment, and the report:
+:func:`build_report` makes ``evaluate``'s text and JSON, for the CLI and
+a library caller alike.
 
 Model inference enters through small "runner" callables with one shared
 signature, so the classical baselines and the graph model go through an
@@ -18,6 +19,7 @@ import functools
 import json
 import logging
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -29,7 +31,7 @@ from .data import Dataset, _atomic_write_text
 from .errors import ValidationError
 from .estimators import BaseEstimator
 from .geo import SensorMeta, build_graph
-from .training import Normalizer, check_hours, evaluate_target_sensor, \
+from .training import EVAL_BATCH, Normalizer, check_hours, evaluate_target_sensor, \
     predict_masked_node, sensor_metas, subset_dataset_values
 
 logger = logging.getLogger(__name__)
@@ -650,22 +652,60 @@ def _json_safe(obj):
     return obj
 
 
-def summary_json(reports: Sequence[MetricReport], density=None,
-                 binned: Mapping[str, BinnedMae] | None = None,
-                 extra: dict | None = None) -> dict:
-    """Machine-readable report: metric name to value, NaN as null."""
+def _bit_facts() -> dict:
+    """What fixes a report's bits beside its inputs: numpy, its BLAS and
+    the BLAS thread settings (null when unset), and the inference hour
+    chunk, training.EVAL_BATCH."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy builds before meson have no dict mode
+        blas = {}
+    return {"numpy": np.__version__,
+            "blas": {key: str(blas.get(key, "unknown")) for key in ("name", "version")},
+            "blas_threads": {var: os.environ.get(var) for var in (
+                "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+            "eval_batch": EVAL_BATCH}
+
+
+def build_report(run: EvalRun, density: DensityExperiment | None = None,
+                 checkpoints=()) -> tuple:
+    """The evaluation report as ``(text, payload)``: ``report.txt``'s text
+    and the dict ``write_summary`` writes as ``report.json``, keyed in the
+    order metrics, density (when given), binned_mae, extra, facts. A
+    ``gnn`` runner adds every other runner's per-bin MAE ratio to it, and
+    ``checkpoints``, the ensemble's checkpoint paths, go into extra as
+    given."""
+    reports = run.reports() + run.reports(hour_mask=high_sh_hours(run.sh),
+                                          label=f"{run.label}-high-sh")
+    gt_edges = ground_truth_bin_edges(float(run.truths[run.sample_mask()].max()))
+    gt_binned, sh_binned = {}, {}
+    for name in run.predictions:
+        preds, truths, sh = run.flat(name)
+        gt_binned[name] = binned_mae(truths, preds, truths, gt_edges, axis="ground_truth")
+        sh_binned[name] = binned_mae(sh, preds, truths, SH_BIN_EDGES, axis="sh")
+    sections = [format_metrics_table(reports),
+                "MAE by ground-truth bin (ug/m3):", format_binned_table(gt_binned),
+                "MAE by spatial-heterogeneity bin:", format_binned_table(sh_binned)]
+    ratios = {}
+    if "gnn" in run.predictions:
+        ratios = {axis: {name: mae_ratio(table[name], table["gnn"])
+                         for name in run.predictions if name != "gnn"}
+                  for axis, table in (("ground_truth", gt_binned), ("sh", sh_binned))}
     payload = {"metrics": [r.to_dict() for r in reports]}
     if density is not None:
+        sections += ["Mean MAE by removed context fraction:", format_density_table(density)]
         payload["density"] = density.to_dict()
-    if binned is not None:
-        payload["binned_mae"] = {
-            name: {"axis": b.axis, "edges": list(b.edges),
-                   "counts": list(b.counts), "mae": list(b.maes),
-                   "dropped": b.dropped}
-            for name, b in binned.items()}
-    if extra:
-        payload["extra"] = extra
-    return _json_safe(payload)
+    payload["binned_mae"] = {
+        f"{b.axis}:{name}": {"axis": b.axis, "edges": list(b.edges),
+                             "counts": list(b.counts), "mae": list(b.maes),
+                             "dropped": b.dropped}
+        for table in (gt_binned, sh_binned) for name, b in table.items()}
+    payload["extra"] = {"mae_ratio_vs_gnn": ratios,
+                        "checkpoints": [str(p) for p in checkpoints],
+                        "context_sensors": list(run.context_ids),
+                        "target_sensors": list(run.target_ids)}
+    payload["facts"] = _bit_facts()
+    return "\n\n".join(sections) + "\n", _json_safe(payload)
 
 
 def write_summary(path, payload: dict) -> None:

@@ -18,7 +18,8 @@ from physair.autodiff import load_arrays, save_arrays
 from physair.cli import build_parser, main, parse_seeds, read_config_file, resolve_options
 from physair.data import export_dataset, load_dataset
 from physair.errors import ValidationError
-from physair.evaluation import infer_at_location
+from physair.evaluation import benchmark_runners, build_report, density_experiment, \
+    evaluate_models, infer_at_location, write_summary
 from physair.model import FIXED_DESIGN
 from physair.training import load_trained, make_split
 
@@ -564,9 +565,48 @@ def test_evaluate_parallel_matches_serial(synth_dir, train_dir, tmp_path, densit
                    "--models", str(train_dir), "--out", str(out),
                    "--workers", workers, density])
         assert rc == 0
-    a = json.loads((serial / "report.json").read_text())
-    b = json.loads((parallel / "report.json").read_text())
-    assert a == b
+    for name in ("report.txt", "report.json"):
+        assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
+
+
+def test_library_report_has_the_cli_report_bytes(synth_dir, train_dir, eval_dir, tmp_path):
+    # the steps evaluate takes, without the CLI
+    ds = load_dataset(synth_dir)
+    paths = sorted(train_dir.glob("seed*/best.ckpt"))
+    loaded = [load_trained(p) for p in paths]
+    _, normalizer, split, _ = loaded[0]
+    runners = benchmark_runners(ds, split.train, models=[m for m, _, _, _ in loaded],
+                                normalizer=normalizer)
+    run = evaluate_models(ds, split.train, split.test, runners)
+    density = density_experiment(ds, split.train, split.test, runners, main=run)
+    text, payload = build_report(run, density, checkpoints=paths)
+    assert list(payload) == ["metrics", "density", "binned_mae", "extra", "facts"]
+    assert text.encode() == (eval_dir / "report.txt").read_bytes()
+    write_summary(tmp_path / "report.json", payload)
+    assert (tmp_path / "report.json").read_bytes() == (eval_dir / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_evaluate_out_naming_a_file_exits_2_before_any_run(synth_dir, train_dir, tmp_path,
+                                                           monkeypatch, capsys, below):
+    # once, the gp search, the main table and the density sweep all ran
+    # before creating the output directory failed
+    calls = []
+    real_runners = cli.benchmark_runners
+
+    def recorded_runners(*args, **kwargs):
+        calls.append(args)
+        return real_runners(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "benchmark_runners", recorded_runners)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    rc = main(["evaluate", "--dataset", str(synth_dir), "--models", str(train_dir),
+               "--out", str(taken / below)])
+    assert rc == 2
+    assert str(taken) in capsys.readouterr().err
+    assert calls == []
+    assert taken.read_text() == "not a directory"
 
 
 def test_evaluate_without_checkpoints_exits_2(synth_dir, tmp_path, capsys):
@@ -694,6 +734,21 @@ def test_interpolate_grid(synth_dir, train_dir, tmp_path, capsys):
         assert hour == "5"
         assert np.isfinite(float(value))
     assert (out / "predictions.csv").read_text() == text
+
+
+def test_interpolate_out_naming_a_file_exits_2_printing_nothing(synth_dir, train_dir,
+                                                               tmp_path, capsys):
+    # once, every prediction row went to stdout before creating the output
+    # directory failed
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    rc = main(["interpolate", "--dataset", str(synth_dir), "--models", str(train_dir),
+               "--lat", "36.75", "--lon", "-119.75", "--hours", "0:2", "--out", str(taken)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(taken) in captured.err
+    assert taken.read_text() == "not a directory"
 
 
 @pytest.mark.parametrize("query", [

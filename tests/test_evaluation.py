@@ -18,10 +18,12 @@ from physair.evaluation import (
     GP_SELECTION_STRIDE,
     HIGH_SH_QUANTILE,
     BinnedMae,
+    EvalRun,
     MetricReport,
     SH_BIN_EDGES,
     benchmark_runners,
     binned_mae,
+    build_report,
     density_cells,
     density_experiment,
     density_removal,
@@ -37,7 +39,6 @@ from physair.evaluation import (
     mae_ratio,
     metrics,
     sh_series,
-    summary_json,
     write_summary,
 )
 from physair.geo import SensorMeta
@@ -905,16 +906,25 @@ def test_binned_table_requires_one_shared_binning():
 
 
 def test_summary_json_is_strict_json(tmp_path):
-    reports = [metrics([1.0, 9.0], [0.0, 10.0], model="idw", label="test")]
-    b = binned_mae([5.0], [1.0], [2.0], [0.0, 10.0, 20.0])  # second bin empty
-    payload = summary_json(reports, binned={"idw": b}, extra={"hours": 9})
+    # truths 1-35 leave the ground-truth bin [20, 30) empty, so its mae and
+    # its ratio to the gnn are NaN, which report.json writes as null
+    truths = np.array([[1.0, 12.0], [3.0, 15.0], [5.0, 35.0], [2.0, 31.0]])
+    run = EvalRun(label="test", context_ids=("s0", "s1"), target_ids=("s2", "s3"),
+                  hours=np.arange(4), truths=truths, sh=np.array([1.0, 2.0, 3.0, 4.0]),
+                  predictions={"idw": truths + 1.0, "gnn": truths - 2.0})
+    text, payload = build_report(run, checkpoints=["a.ckpt"])
+    assert "test-high-sh" in text and "removed" not in text
+    json.dumps(payload, allow_nan=False)
     out = tmp_path / "report.json"
     write_summary(out, payload)
     parsed = json.loads(out.read_text())
+    assert list(parsed) == ["metrics", "binned_mae", "extra", "facts"]
+    assert list(parsed["extra"]) == ["mae_ratio_vs_gnn", "checkpoints",
+                                     "context_sensors", "target_sensors"]
     assert parsed["metrics"][0]["mae"] == 1.0
-    assert parsed["binned_mae"]["idw"]["mae"][1] is None
-    assert parsed["extra"]["hours"] == 9
-    json.dumps(payload, allow_nan=False)
+    assert parsed["binned_mae"]["ground_truth:idw"]["mae"] == [1.0, 1.0, None, 1.0]
+    assert parsed["extra"]["mae_ratio_vs_gnn"]["ground_truth"]["idw"] == [0.5, 0.5, None, 0.5]
+    assert parsed["extra"]["checkpoints"] == ["a.ckpt"]
 
 
 def test_a_summary_leaves_another_writers_temp_file_alone(tmp_path):

@@ -655,18 +655,6 @@ def test_predictor_peak_memory_does_not_grow_with_ensemble_members():
     assert max(peaks[2], peaks[3]) <= 1.02 * peaks[1], peaks
 
 
-@pytest.mark.parametrize("aggregation", ["sum"])
-@pytest.mark.parametrize("activation", ["relu"])
-@pytest.mark.parametrize("c", [2, 3, 7, 28])
-@pytest.mark.parametrize("n_layers", [2, 3])
-@pytest.mark.parametrize("bsz", [1, 4])
-def test_shared_layer0_predictor_matches_per_target_forward(aggregation, activation, c,
-                                                            n_layers, bsz):
-    config = ModelConfig.from_dict(dict(preset=None, n_layers=n_layers, hidden_dim=8,
-                                        aggregation=aggregation, activation=activation))
-    assert_predictor_matches_per_target_forward(config, c, bsz, 9)
-
-
 def one_target_calls(models, context, targets, x, conv_feats) -> np.ndarray:
     return np.concatenate([predict(models, context, [target], x, conv_feats,
                                    Normalizer(10.0, 2.0)) for target in targets], axis=1)
