@@ -14,8 +14,9 @@ soon as the next op has read it.
 ``backward(consume=True)``, which training uses, frees the tape as the
 walk runs, and a consumed tape refuses a second backward. The default
 walk keeps the tape, so a second backward adds the same gradient again.
-Both walks add a node's second cotangent in place into one the walk owns
-(see Tensor.backward), with the bits of an out-of-place sum.
+Both walks add a node's second cotangent in place into one the walk owns,
+and linear's VJP overwrites a cotangent the walk owns with its input
+gradient (see Tensor.backward), with the bits of out-of-place arithmetic.
 
 Deliberate non-features: no views into shared storage, no in-place ops on
 tensors, no higher-order derivatives, no dtypes other than float64.
@@ -100,12 +101,21 @@ class Tensor:
         caller holds the node. Nodes the caller holds keep their data,
         but a later backward through any of them raises ValidationError.
 
-        A second cotangent for the same node is added in place into the
-        first when the walk owns one of them: an array a VJP returned that
-        shares no memory with the g it was given or with another of its
-        outputs. A view of g, or g itself as add hands it to both parents,
-        is never added into. Addition is commutative, so the bits are
-        those of a fresh prev + pg.
+        The walk owns a cotangent it may write into: the root's ones, and
+        an array a VJP returned that shares no memory with another of its
+        outputs, be it fresh or a view of a g the walk owned. A VJP gets
+        its g writeable exactly when the walk owns it, and may then
+        overwrite it and return it or views of it; any other g it gets as
+        a read-only view, so add's g, handed to both parents, is never
+        written. A second cotangent for the same node is added in place
+        into one the walk owns, else into a new array. Addition is
+        commutative, so the bits are those of a fresh prev + pg.
+
+        take's VJP returns a sparse cotangent, its rows (_Rows). The walk
+        adds them into a dense cotangent of the same node when the two
+        meet, and builds the zero-filled array they stand for only when
+        they are the node's sole cotangent; either way with the bits of
+        the zero-filled array's sum.
 
         Each node's VJP outputs are dropped once they are filed, so no
         cotangent of one node lives on through the next node's VJP unless
@@ -138,11 +148,16 @@ class Tensor:
                 if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
 
-        # id -> (cotangent, whether the walk owns it and may add into it)
+        # id -> (cotangent, whether the walk owns it and may write into it)
         cotan = {id(self): (np.ones_like(self.data), True)}
         while order:
             node = order.pop()
-            g, _ = cotan.pop(id(node), (None, False))
+            g, owned = cotan.pop(id(node), (None, False))
+            if isinstance(g, _Rows):
+                g = g.dense()
+            elif not owned and isinstance(g, np.ndarray):
+                g = g.view()
+                g.flags.writeable = False
             if node._vjp is None:
                 # leaf: accumulate persistently
                 if g is None:
@@ -156,23 +171,13 @@ class Tensor:
             grads = () if g is None else node._vjp(g)
             if consume:
                 node._parents, node._vjp = (), _consumed
-            for parent, pg, owned in zip(parents, grads, _owned(g, grads)):
+            for parent, pg, pg_owned in zip(parents, grads, _owned(grads)):
                 if pg is None or not parent.requires_grad:
                     continue
                 key = id(parent)
-                if key not in cotan:
-                    cotan[key] = (pg, owned)
-                    continue
-                prev, prev_owned = cotan[key]
-                if prev_owned:
-                    np.add(prev, pg, out=prev)
-                elif owned:
-                    cotan[key] = (np.add(prev, pg, out=pg), True)
-                else:
-                    total = prev + pg
-                    cotan[key] = (total, _writeable(total))
+                cotan[key] = (pg, pg_owned) if key not in cotan else _sum(*cotan[key], pg, pg_owned)
             # hold no cotangent of this node into the next VJP
-            grads = pg = prev = total = None
+            grads = pg = None
 
 
 def _consumed(g=None):
@@ -185,14 +190,65 @@ def _writeable(a) -> bool:
     return isinstance(a, np.ndarray) and a.flags.writeable
 
 
-def _owned(g, grads) -> list:
-    """Per VJP output: may the walk add into it? Only if it is a writeable
-    array sharing no memory with g or with another output of the VJP."""
+def _owned(grads) -> list:
+    """Per VJP output: may the walk write into it? Only if it is a writeable
+    array sharing no memory with another output of the VJP. A g the walk
+    does not own reaches the VJP read-only, and so do its views."""
     return [_writeable(pg)
-            and not np.may_share_memory(pg, g)
-            and not any(other is not None and j != i and np.may_share_memory(pg, other)
+            and not any(isinstance(other, np.ndarray) and j != i and np.may_share_memory(pg, other)
                         for j, other in enumerate(grads))
             for i, pg in enumerate(grads)]
+
+
+def _sum(a, a_owned: bool, b, b_owned: bool) -> tuple:
+    """(a + b, owned) for two cotangents of one node: added in place into
+    one the walk owns, else into a new array."""
+    if isinstance(a, _Rows):
+        a, a_owned, b, b_owned = b, b_owned, a, a_owned
+    if isinstance(a, _Rows):
+        a, a_owned = a.dense(), True
+    if isinstance(b, _Rows):
+        return b.added_to(a, a_owned), True
+    if a_owned:
+        return np.add(a, b, out=a), True
+    if b_owned:
+        return np.add(a, b, out=b), True
+    total = a + b
+    return total, _writeable(total)
+
+
+class _Rows:
+    """take's cotangent, kept sparse: values (B, K, d) at rows index of an
+    otherwise zero array of shape (B, M, d)."""
+
+    __slots__ = ("index", "values", "shape")
+
+    def __init__(self, index: tuple, values: np.ndarray, shape: tuple):
+        self.index, self.values, self.shape = index, values, shape
+
+    def dense(self) -> np.ndarray:
+        """The zero-filled array, owned by the caller."""
+        full = np.zeros(self.shape)
+        np.add.at(full, self.index, self.values)
+        return full
+
+    def added_to(self, dense: np.ndarray, owned: bool) -> np.ndarray:
+        """dense + self.dense(), bit for bit, into dense if owned.
+
+        Without a repeated row this is (dense + 0.0) + row on the rows:
+        the + 0.0 pass turns -0.0 into +0.0, as adding a zero does, and
+        0.0 + row, the zero-filled array's row, differs from row only in a
+        -0.0 entry, which either way adds as a zero onto an entry that is
+        no longer -0.0. Repeated rows sum among themselves first, in the
+        zero-filled array.
+        """
+        out = dense if owned else None
+        rows = np.sort(self.index[1], axis=1)
+        if (rows[:, 1:] == rows[:, :-1]).any():
+            return np.add(dense, self.dense(), out=out)
+        out = np.add(dense, 0.0, out=out)
+        out[self.index] += self.values
+        return out
 
 
 class Param(Tensor):
@@ -272,11 +328,12 @@ def _make(data: np.ndarray, parents: tuple, vjp) -> Tensor:
 def make_op(data: np.ndarray, parents: tuple, vjp) -> Tensor:
     """Escape hatch for building a differentiable op out of raw numpy.
 
-    vjp receives the cotangent of the output and must return one gradient
+    vjp receives the cotangent g of the output and must return one gradient
     array (or None) per parent, already reduced to that parent's shape.
-    It may return g or views of g; any other array it returns it must not
-    keep, because backward may add into an array that shares no memory
-    with g or with the VJP's other outputs.
+    g is writeable exactly when backward owns it: then the VJP may
+    overwrite it. It may return g or views of g; any other array it
+    returns it must not keep, because backward may write into an output
+    that shares no memory with its other outputs.
     Anything built this way should be checked against finite_diff_grad.
     data may be a parent's own buffer, finished in place, only if nothing
     reads that parent's data again: not its VJP, and not its caller.
@@ -355,6 +412,33 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), vjp)
 
 
+# Rows per GEMM when a VJP writes its input product over its cotangent.
+_ROW_BLOCK = 1024
+
+
+def _times(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """a @ m for a 2-d a, written over a when a is writeable and
+    C-contiguous, m square and a at least 2 blocks long; else into a new
+    array.
+
+    In place, the product runs in blocks of _ROW_BLOCK rows, the leftover
+    rows joining the last block. A GEMM of a few rows may take another
+    BLAS kernel and round otherwise (8 rows of g @ w.T at d = 128 do with
+    OpenBLAS 0.3.31), but blocks this long keep each row's bits of one
+    whole GEMM (tests/test_model.py pins it).
+    """
+    rows = a.shape[0]
+    if (rows < 2 * _ROW_BLOCK or not (a.flags.writeable and a.flags.c_contiguous)
+            or m.shape[0] != m.shape[1]):
+        return a @ m
+    lo = 0
+    while lo < rows:
+        hi = rows if rows - lo < 2 * _ROW_BLOCK else lo + _ROW_BLOCK
+        a[lo:hi] = a[lo:hi] @ m
+        lo = hi
+    return a
+
+
 def _grouped_product(x2: np.ndarray, w: np.ndarray, groups: int) -> np.ndarray:
     """x2 @ w for 2-d x2, with one BLAS call per block of rows if groups > 1 (see linear)."""
     if groups == 1:
@@ -393,10 +477,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor,
         g2 = g.reshape(-1, n)
         if activation == "relu":
             # out = max(pre, 0), so out > 0 is exactly pre > 0
-            g2 = g2 * (out2 > 0)
-        gx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
+            g2 = np.multiply(g2, out2 > 0, out=g2 if g2.flags.writeable else None)
         gw = x2.T @ g2 if w.requires_grad else None
         gb = g2.sum(axis=0) if b.requires_grad else None
+        # last, since it may overwrite g2
+        gx = _times(g2, w.data.T).reshape(x.shape) if x.requires_grad else None
         return gx, gw, gb
 
     return _make(out2.reshape(*x.shape[:-1], n), (x, w, b), vjp)
@@ -498,19 +583,14 @@ def take(x: Tensor, index) -> Tensor:
     """Per-sample row gather: (B, M, d) with an int (B, K) index -> (B, K, d).
 
     Row k of sample b is x[b, index[b, k]]. An index may repeat; the
-    backward adds the cotangents of repeated rows.
+    backward adds the cotangents of repeated rows. Its cotangent stays
+    sparse (see Tensor.backward).
     """
     index = np.asarray(index)
     if x.ndim != 3 or index.ndim != 2 or index.shape[0] != x.shape[0]:
         raise ShapeError(f"take: need (B, M, d) data and a (B, K) index, got {x.shape} and {index.shape}")
-    samples = np.arange(x.shape[0])[:, None]
-
-    def vjp(g):
-        full = np.zeros_like(x.data)
-        np.add.at(full, (samples, index), g)
-        return (full,)
-
-    return _make(x.data[samples, index], (x,), vjp)
+    rows = (np.arange(x.shape[0])[:, None], index)
+    return _make(x.data[rows], (x,), lambda g: (_Rows(rows, g, x.shape),))
 
 
 def reshape(x: Tensor, shape: tuple) -> Tensor:

@@ -296,6 +296,7 @@ def _load_dataset_arg(options: dict) -> Dataset:
 def cmd_ingest(args) -> int:
     options = resolve_options(args, _INGEST_SCHEMA)
     _require(options, "raw", "out")
+    _check_out(options)
     raw = Path(options["raw"])
     sensors = load_sensors(raw / "sensors.csv")
     series, start, report = ingest_pm25(raw / "pm25.csv")
@@ -331,6 +332,7 @@ def cmd_ingest(args) -> int:
 def cmd_synth(args) -> int:
     options = resolve_options(args, _SYNTH_SCHEMA)
     _require(options, "out")
+    _check_out(options)
     spec = default_synth_spec(
         hours=options["hours"], seed=options["seed"],
         n_sensors=options["n_sensors"], noise_sd=options["noise_sd"],
@@ -354,6 +356,7 @@ def cmd_train(args) -> int:
     options = resolve_options(args, _TRAIN_SCHEMA)
     _require(options, "dataset", "out")
     _check_workers(options)
+    _check_out(options)
     model_config = ModelConfig(preset=options["preset"], window=options["window"])
     train_config = TrainConfig(
         batch_size=options["batch_size"], lr=options["lr"],

@@ -29,15 +29,18 @@ forward's masked rows to rounding.
 Edge features go through each layer's edge MLP and meet the summed
 message weight without reading a node state, so for layers 0..L-2 both
 are functions of the edge's wind triple: ``PhysicsGnn.edge_path`` runs
-them, recorded, over any table of edge rows. One kernel, for training
-and inference alike, then finishes each layer's messages in place in
-that pre-activation buffer and sums them per node in the same op. While
+them over any table of edge rows. One kernel, for training and inference
+alike, then finishes each layer's messages in place in that
+pre-activation buffer and sums them per node in the same op. While
 training records, the kernel keeps only a bool relu mask and releases
 the buffer, so each full layer's tape holds one edge-sized float array,
-the edge MLP's output. A predictor call is a context graph of C
-sensors plus its targets, each joining it as the masked last node. The
-context graph's C(C-1) edges are in every target's graph, so the
-predictor in ``training`` runs their rows once for all of its targets
+the edge MLP's output. Training runs each layer's edge step just before
+its node step, so one layer's buffer is released before the next one's
+is allocated, and the backward writes the edge gradients over the
+cotangents it owns (autodiff.linear). A predictor call is a context
+graph of C sensors plus its targets, each joining it as the masked last
+node. The context graph's C(C-1) edges are in every target's graph, so
+the predictor in ``training`` runs their rows once for all of its targets
 and hands them to ``forward`` as an ``EdgePath``, which is refused
 while autodiff records.
 
@@ -67,8 +70,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Mlp, Tensor, _grouped_product, add, concat, init_param, is_recording,
-                       linear_pair, make_op, matmul, mul, narrow, relu, reshape, softmax, take, tsum)
+from .autodiff import (Mlp, Tensor, _grouped_product, _times, _unbroadcast, add, concat, init_param,
+                       is_recording, linear_pair, make_op, matmul, mul, narrow, relu, reshape, softmax,
+                       take, tsum)
 from .errors import ShapeError, ValidationError
 from .geo import Graph, build_matrices
 
@@ -225,7 +229,8 @@ def _message_pre(e: Tensor, w: Tensor, groups: int = 1) -> Tensor:
 
     w is the stacked message weight [w_recv; w_send]; both halves get the
     same gradient e.T @ g. The backward never reads the output, so
-    _finish_messages may overwrite it. groups as in autodiff.linear.
+    _finish_messages may overwrite it, and writes e's gradient over a g
+    it owns, as autodiff.linear does. groups as in autodiff.linear.
     """
     dim = e.shape[-1]
     w_sum = w.data[:dim] + w.data[dim:]
@@ -233,8 +238,9 @@ def _message_pre(e: Tensor, w: Tensor, groups: int = 1) -> Tensor:
 
     def vjp(g):
         g2 = g.reshape(-1, dim)
-        ge = (g2 @ w_sum.T).reshape(e.shape) if e.requires_grad else None
         gw = np.concatenate([e2.T @ g2] * 2) if w.requires_grad else None
+        # last, since it may overwrite g2
+        ge = _times(g2, w_sum.T).reshape(e.shape) if e.requires_grad else None
         return ge, gw
 
     return make_op(_grouped_product(e2, w_sum, groups).reshape(e.shape), (e, w), vjp)
@@ -363,9 +369,16 @@ def _finish_messages(h: Tensor, pre: Tensor, w: Tensor, b: Tensor,
     if sums.requires_grad:
         # recorded: the VJP reads only the mask, never the messages
         mask = msgs > 0
-        if pre._vjp is not None:
-            pre.data = np.empty(0)
+        _release(pre)
     return sums
+
+
+def _release(t: Tensor) -> None:
+    """Drop a recorded node's buffer once its consumers have read it, for
+    a node whose own VJP never reads its output (autodiff.make_op). A
+    leaf or constant keeps its data."""
+    if t._vjp is not None:
+        t.data = np.empty(0)
 
 
 def _convection_messages(h: Tensor, e: Tensor, w: Tensor, b: Tensor,
@@ -408,7 +421,10 @@ class DiffusionModule:
 
     def propagate(self, h: Tensor, wiring: GraphWiring) -> Tensor:
         """x_D from node_mlp's output h."""
-        return mul(self.scale, relu(matmul(matmul(wiring.lap_scaled, h), self.gcn_weight)))
+        pre = matmul(matmul(wiring.lap_scaled, h), self.gcn_weight)
+        f = relu(pre)
+        _release(pre)
+        return mul(self.scale, f)
 
     def params(self):
         return self.node_mlp.params() + [self.gcn_weight, self.scale]
@@ -421,8 +437,8 @@ class ConvectionModule:
     first layer, from the previous layer's e' afterwards). e' is added to
     both endpoint features before the message MLP, the messages into each
     node are aggregated, and the update MLP mixes the aggregate with the
-    node's own feature. PhysicsGnn runs the edge side (edge_mlp, then
-    message_pre) of every layer ahead of the node side (nodes).
+    node's own feature. PhysicsGnn runs a layer's edge side (edge_mlp,
+    then message_pre) just before its node side (nodes).
     """
 
     def __init__(self, dim: int, edge_in_dim: int, rng: np.random.Generator | None, name: str):
@@ -539,7 +555,9 @@ class LocalModule:
 
     def propagate(self, h: Tensor, wiring: GraphWiring) -> Tensor:
         """x_L from node_mlp's output h."""
-        f = relu(matmul(matmul(wiring.loop_adj, h), self.conv_weight))
+        pre = matmul(matmul(wiring.loop_adj, h), self.conv_weight)
+        f = relu(pre)
+        _release(pre)
         return mul(wiring.norm_inverse, f)
 
     def params(self):
@@ -556,14 +574,39 @@ class FusionHead:
         if not (x_d.shape == x_c.shape == x_l.shape):
             raise ShapeError(f"fusion inputs differ: {x_d.shape}, {x_c.shape}, {x_l.shape}")
         weights = softmax(self.mlp(concat([x_d, x_c, x_l]), groups))
-        w_d = narrow(weights, 0, 1)
-        w_c = narrow(weights, 1, 2)
-        w_l = narrow(weights, 2, 3)
-        blended = add(add(mul(w_d, x_d), mul(w_c, x_c)), mul(w_l, x_l))
-        return blended, weights
+        return _blend(weights, x_d, x_c, x_l), weights
 
     def params(self):
         return self.mlp.params()
+
+
+def _blend(weights: Tensor, x_d: Tensor, x_c: Tensor, x_l: Tensor) -> Tensor:
+    """w_D x_D + w_C x_C + w_L x_L, (w_D, w_C, w_L) the columns of weights,
+    as one op with the bits and gradients of add(add(mul, mul), mul) over
+    the narrowed columns, and none of that chain's node-sized products.
+
+    Each column's gradient + 0.0 is what the chain's three zero-filled
+    narrow cotangents sum to: the sum turns -0.0 into +0.0.
+    """
+    w = weights.data
+    parts = (x_d, x_c, x_l)
+    out = w[..., 0:1] * x_d.data
+    out += w[..., 1:2] * x_c.data
+    out += w[..., 2:3] * x_l.data
+
+    def vjp(g):
+        gw = None
+        if weights.requires_grad:
+            gw = np.empty_like(w)
+            for j, x in enumerate(parts):
+                gw[..., j:j + 1] = _unbroadcast(g * x.data, w[..., j:j + 1].shape)
+            np.add(gw, 0.0, out=gw)
+        return (gw, *(g * w[..., j:j + 1] if x.requires_grad else None
+                      for j, x in enumerate(parts)))
+
+    # weights first: the walk then visits x_l's, x_c's and x_d's subgraphs
+    # in the chain's order, so a node they share sums its cotangents alike
+    return make_op(out, (weights, *parts), vjp)
 
 
 class GnnLayer:
@@ -672,9 +715,10 @@ class PhysicsGnn:
         The layers before it run in full, since the masked node's
         prediction reads every node through them.
 
-        edge_path runs first, over every edge, and one kernel finishes
-        each layer's messages in its pre-activation buffer, in training
-        and inference alike. edges replaces conv_feats (pass None) with
+        Each layer runs its edge step (edge MLP and message_pre, over
+        every edge) just before its node step, and one kernel finishes
+        its messages in their pre-activation buffer, in training and
+        inference alike. edges replaces conv_feats (pass None) with
         the edge side computed ahead; it needs masked_pos = N-1 and
         no_record(), since its rows are constants. Its layer0 must come
         from the same x: layer 0 then finishes only the query rows.
@@ -713,13 +757,16 @@ class PhysicsGnn:
                 raise ValidationError(f"masked_pos must be node positions in [0, {n}), got {masked_pos!r}")
 
         if edges is None:
-            pre, last = self.edge_path(edge_feats)
-            if rows is not None:
-                last = take(last, _incoming(rows, n))
+            e = edge_feats
             h = self.input_embed(x)
-            # each layer's buffer is dropped with its layer when nothing records
+            # a layer's edge step just before its node step: its message
+            # buffer is released (or dropped, when nothing records) before
+            # the next layer's is allocated
             for layer in self.layers[:-1]:
-                h, _ = layer(h, pre.pop(0), wiring)
+                conv = layer.convection
+                e = conv.edge_mlp(e)
+                h, _ = layer(h, conv.message_pre(e), wiring)
+            last = e if rows is None else take(e, _incoming(rows, n))
         else:
             rows = np.tile(rows, (groups, 1))
             last = Tensor(edges.query_last.data.reshape(groups * bsz, 2 * (n - 1), -1)[:, n - 1:])

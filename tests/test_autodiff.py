@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from physair import autodiff
 from physair.autodiff import (
     Adam,
     Mlp,
@@ -561,6 +562,117 @@ def test_in_place_accumulation_never_adds_into_an_alias(name):
     assert grads[0].tobytes() == grads[1].tobytes()
     fd = finite_diff_grad(f, Tensor(x0)).data
     assert max_rel_err(grads[1], fd) < 1e-6, name
+
+
+def _signed_zero_rows(repeats):
+    """A (2, 5, 3) dense cotangent and take's rows for it, both with -0.0
+    entries, on a hit and an unhit row."""
+    rng = np.random.default_rng(7)
+    dense = rng.normal(size=(2, 5, 3))
+    dense[0, 1] = -0.0  # hit by the index
+    dense[1, 4] = -0.0  # not hit
+    dense[1, 0, 0] = -0.0
+    index = np.array([[1, 3, 0], [0, 3, 2]])
+    if repeats:
+        index[1, 2] = 0
+    values = rng.normal(size=(2, 3, 3))
+    values[0, 0, 1] = values[1, 1] = -0.0
+    return dense, autodiff._Rows((np.arange(2)[:, None], index), values, dense.shape)
+
+
+@pytest.mark.parametrize("owned", [True, False])
+@pytest.mark.parametrize("repeats", [False, True])
+def test_take_rows_meet_a_dense_cotangent_with_the_zero_filled_bits(repeats, owned):
+    dense, rows = _signed_zero_rows(repeats)
+    full = np.zeros(dense.shape)
+    np.add.at(full, rows.index, rows.values)
+    expected = dense + full  # the sum from a zero-filled array, -0.0 -> +0.0
+    assert (np.signbit(dense) & (dense == 0)).any()
+    kept = dense.copy()
+    got = rows.added_to(dense, owned)
+    assert got.tobytes() == expected.tobytes()
+    assert (got is dense) == owned
+    if not owned:
+        assert dense.tobytes() == kept.tobytes()
+    assert rows.dense().tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("dense_first", [True, False])
+@pytest.mark.parametrize("repeats", [False, True])
+def test_take_rows_reach_a_leaf_with_the_zero_filled_bits(repeats, dense_first):
+    # sparse rows alone, and meeting a dense cotangent in either order
+    dense, rows = _signed_zero_rows(repeats)
+    full = np.zeros(dense.shape)
+    np.add.at(full, rows.index, rows.values)
+    for with_dense in (False, True):
+        x = Tensor(np.ones(dense.shape), requires_grad=True)
+        picked = tsum(mul(take(x, rows.index[1]), Tensor(rows.values)))
+        terms = [picked]
+        if with_dense:
+            terms.insert(0 if dense_first else 1, tsum(mul(x, Tensor(dense))))
+        loss = terms[0] if len(terms) == 1 else add(*terms)
+        loss.backward(consume=True)
+        want = dense + full if with_dense else full
+        assert x.grad.tobytes() == want.tobytes(), with_dense
+
+
+def test_a_cotangent_add_hands_to_both_parents_reaches_each_vjp_read_only():
+    rng = np.random.default_rng(8)
+    seen, handed = [], []
+
+    def spy(t):
+        def vjp(g):
+            seen.append(g.flags.writeable)
+            return (g,)
+        return make_op(t.data.copy(), (t,), vjp)
+
+    def tap(t):
+        # hands add one cotangent the walk owns
+        def vjp(g):
+            out = g * 3.0
+            handed.append((out, out.copy()))
+            return (out,)
+        return make_op(t.data.copy(), (t,), vjp)
+
+    x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+    w, b = Tensor(rng.normal(size=(4, 4)), requires_grad=True), Tensor(rng.normal(size=4))
+    for wrap in (spy, lambda t: t):
+        seen.clear()
+        handed.clear()
+        s = add(wrap(linear(x, w, b, "relu")), wrap(linear(x, w, b)))
+        tsum(mul(tap(s), Tensor(rng.normal(size=(6, 4))))).backward(consume=True)
+        ((given, kept),) = handed
+        assert given.tobytes() == kept.tobytes()
+        assert seen == ([False, False] if wrap is spy else [])
+    # a fresh, owned cotangent reaches the VJP writeable
+    tsum(mul(spy(x), Tensor(np.ones((6, 4))))).backward()
+    assert seen[-1] is True
+
+
+@pytest.mark.parametrize("block", [2, 3, 1024])
+@pytest.mark.parametrize("activation", ["relu", "identity"])
+def test_linear_writes_its_input_gradient_over_an_owned_cotangent(monkeypatch, block, activation):
+    # a cotangent the walk owns (mul's) and one it does not (add's, shared
+    # with a constant) give the same bits, and finite differences agree
+    monkeypatch.setattr(autodiff, "_ROW_BLOCK", block)
+    rng = np.random.default_rng(9)
+    x0, w0 = rng.normal(size=(3, 3, 5)), rng.normal(size=(5, 5))
+    b, c = Tensor(rng.normal(size=5)), Tensor(rng.normal(size=(3, 3, 5)))
+
+    def owned(t):
+        return tsum(mul(linear(t, Tensor(w0), b, activation), c))
+
+    def shared(t):
+        y = add(linear(t, Tensor(w0), b, activation), Tensor(np.zeros((3, 3, 5))))
+        return tsum(mul(y, c))
+
+    grads = []
+    for f in (owned, shared):
+        x = Tensor(x0, requires_grad=True)
+        f(x).backward(consume=True)
+        grads.append(x.grad.tobytes())
+    assert grads[0] == grads[1]
+    check_grad(owned, x0)
 
 
 # ---------------------------------------------------------------------------

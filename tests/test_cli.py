@@ -609,6 +609,32 @@ def test_evaluate_out_naming_a_file_exits_2_before_any_run(synth_dir, train_dir,
     assert taken.read_text() == "not a directory"
 
 
+@pytest.mark.parametrize("below", ["", "sub"])
+@pytest.mark.parametrize("command, first_read", [
+    (["synth", "--hours", "4"], "make_synthetic_dataset"),
+    (["ingest", "--raw", "raw"], "load_sensors"),
+    (["train", "--dataset", "SYNTH", "--seeds", "0"], "load_dataset"),
+])
+def test_out_naming_a_file_exits_2_before_any_input_is_read(synth_dir, tmp_path, monkeypatch,
+                                                             capsys, command, first_read, below):
+    # once, synth simulated every hour and train loaded the dataset before
+    # creating the output directory failed with a raw [Errno 17] or [Errno 20]
+    def never(*args, **kwargs):
+        raise AssertionError(f"{first_read} ran")
+
+    monkeypatch.setattr(cli, first_read, never)
+    monkeypatch.chdir(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    command = [str(synth_dir) if arg == "SYNTH" else arg for arg in command]
+    rc = main(command + ["--out", str(taken / below)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{taken} is not a directory" in err and "Traceback" not in err
+    assert taken.read_text() == "not a directory"
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
 def test_evaluate_without_checkpoints_exits_2(synth_dir, tmp_path, capsys):
     rc = main(["evaluate", "--dataset", str(synth_dir),
                "--models", str(tmp_path / "empty"),

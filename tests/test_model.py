@@ -11,7 +11,9 @@ import weakref
 import numpy as np
 import pytest
 
-from physair.autodiff import Mlp, Tensor, finite_diff_grad, mse, mul, no_record, reshape, tsum
+from physair import autodiff
+from physair.autodiff import (Mlp, Tensor, add, finite_diff_grad, mse, mul, narrow, no_record,
+                              reshape, tsum)
 from physair.errors import ShapeError, ValidationError
 from physair.geo import (Graph, SensorMeta, build_graph, build_matrices,
                          convection_edge_features, last_node_edges)
@@ -26,6 +28,7 @@ from physair.model import (
     LocalModule,
     ModelConfig,
     PhysicsGnn,
+    _blend,
     _sum_incoming,
 )
 
@@ -786,6 +789,25 @@ def test_consumed_backward_peaks_under_an_edge_array_above_the_forward():
     assert peak <= edge_bytes, (peak, edge_bytes)
 
 
+def test_a_train_step_peaks_under_six_and_a_half_edge_arrays():
+    # forward and consumed backward together: the take rows stay sparse,
+    # linear and message_pre write their input gradients over the
+    # cotangents they own, and each layer's edge step runs just before its
+    # node step; without those this shape peaks at 7.2 edge arrays
+    cfg = tiny_config(n_layers=3, hidden_dim=32)
+    model = PhysicsGnn(cfg, seed=9)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss, w = train_step_loss(model, n=20, bsz=8)
+        loss.backward(consume=True)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    edge_bytes = 8 * w.n_edges * cfg.hidden_dim * 8
+    assert peak <= 6.5 * edge_bytes, (peak, edge_bytes)
+
+
 @pytest.mark.parametrize("activation", ["relu"])
 def test_nan_at_any_context_node_reaches_the_masked_prediction(activation):
     # every layer before the last mixes all nodes (dense L_D and I + A,
@@ -921,3 +943,42 @@ def test_stacked_products_keep_each_blocks_bits(k, width):
             if rows >= 2 and width not in (1, 3):
                 stacked = (x.reshape(-1, k) @ w).reshape(blocks, rows, width)
                 assert [stacked[g].tobytes() for g in range(blocks)] == own, (rows, blocks)
+
+
+@pytest.mark.parametrize("dim", [8, 128, 256, 512])
+@pytest.mark.parametrize("block", [64, autodiff._ROW_BLOCK])
+def test_row_blocked_in_place_product_equals_one_gemm(monkeypatch, dim, block):
+    # linear's and message_pre's VJPs write g @ w.T over g block by block,
+    # and each row must keep the bits of one whole GEMM (dims of the tiny
+    # test models and presets S, M and L), the leftover rows too
+    monkeypatch.setattr(autodiff, "_ROW_BLOCK", block)
+    for rows in (2 * block, 2 * block + 1, 3 * block - 1, 3 * block + 5):
+        rng = np.random.default_rng([dim, block, rows])
+        w = rng.standard_normal((dim, dim))
+        g = rng.standard_normal((rows, dim)) * 10.0 ** rng.integers(-8, 9, (rows, 1))
+        for m in (w, w.T):
+            whole = g @ m
+            got = autodiff._times(g.copy(), m)
+            assert got.tobytes() == whole.tobytes(), (rows, m is w)
+
+
+def test_blend_equals_the_chained_ops_bit_for_bit():
+    rng = np.random.default_rng(31)
+    logits = rng.normal(size=(3, 5, 3))
+    parts = [rng.normal(size=(3, 5, 4)) for _ in range(3)]
+    parts[0][0, 1] = 0.0  # a dead node: its weight gradient sums to -0.0
+    cot = rng.normal(size=(3, 5, 4))
+    cot[0, 1] = -np.abs(cot[0, 1])
+
+    def run(blend):
+        weights = Tensor(np.exp(logits) / np.exp(logits).sum(-1, keepdims=True), requires_grad=True)
+        xs = [Tensor(p.copy(), requires_grad=True) for p in parts]
+        out = blend(weights, *xs)
+        tsum(mul(out, Tensor(cot))).backward(consume=True)
+        return [out.data.tobytes()] + [t.grad.tobytes() for t in (weights, *xs)]
+
+    def chained(weights, x_d, x_c, x_l):
+        w_d, w_c, w_l = (narrow(weights, j, j + 1) for j in range(3))
+        return add(add(mul(w_d, x_d), mul(w_c, x_c)), mul(w_l, x_l))
+
+    assert run(_blend) == run(chained)
