@@ -11,15 +11,15 @@ Inside ``no_record()`` no op records its parents or its VJP, so an
 inference forward keeps no tape: every intermediate array is freed as
 soon as the next op has read it.
 
-``backward(consume=True)``, which training uses, frees the tape as the
-walk runs, and a consumed tape refuses a second backward. The default
-walk keeps the tape, so a second backward adds the same gradient again.
-Both walks add a node's second cotangent in place into one the walk owns,
-and linear's VJP overwrites a cotangent the walk owns with its input
-gradient (see Tensor.backward), with the bits of out-of-place arithmetic.
+backward() has one walk: it frees the tape as it runs, and a walked
+tape refuses a second backward. The walk adds a node's second cotangent
+in place into one it owns, and linear's VJP overwrites a cotangent the
+walk owns with its input gradient (see Tensor.backward), with the bits
+of out-of-place arithmetic.
 
 Deliberate non-features: no views into shared storage, no in-place ops on
-tensors, no higher-order derivatives, no dtypes other than float64.
+tensors (an op finishes its own output in place, never another op's), no
+higher-order derivatives, no dtypes other than float64.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     """A dense float64 array plus the recipe that produced it.
 
-    Tensors are value-like: operations return new tensors and, but for a
-    make_op that takes over a buffer, never mutate their inputs.
+    Tensors are value-like: operations return new tensors and never
+    mutate their inputs.
     requires_grad propagates through every op, so subgraphs that cannot
     reach a trainable leaf are not recorded at all.
     """
@@ -85,21 +85,20 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def backward(self, consume: bool = False) -> None:
+    def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into .grad of every reachable leaf.
 
         self must be a scalar. Intermediate cotangents are kept in a local
-        table and discarded, so calling backward twice on the same graph
-        adds the same gradient twice (leaves accumulate; they are only
-        cleared by zero_grad or by hand).
+        table and discarded; leaves accumulate, and only zero_grad or the
+        caller clears them.
 
-        With consume=True the walk frees the tape as it goes: it pops
-        each node off its order list, and once the node's VJP has run the
-        node drops its parents and its VJP. So an intermediate node, its
-        forward buffer and the arrays its VJP captured are freed as soon
-        as the walk has passed it and all its consumers, unless the
-        caller holds the node. Nodes the caller holds keep their data,
-        but a later backward through any of them raises ValidationError.
+        The walk frees the tape as it goes: it pops each node off its
+        order list, and once the node's VJP has run the node drops its
+        parents and its VJP. So an intermediate node, its forward buffer
+        and the arrays its VJP captured are freed as soon as the walk has
+        passed it and all its consumers, unless the caller holds the
+        node. Nodes the caller holds keep their data, but a later
+        backward through any of them raises ValidationError.
 
         The walk owns a cotangent it may write into: the root's ones, and
         an array a VJP returned that shares no memory with another of its
@@ -140,8 +139,8 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
-            if node._vjp is _consumed:
-                _consumed()
+            if node._vjp is _walked:
+                _walked()
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
@@ -169,8 +168,7 @@ class Tensor:
                 continue
             parents = node._parents
             grads = () if g is None else node._vjp(g)
-            if consume:
-                node._parents, node._vjp = (), _consumed
+            node._parents, node._vjp = (), _walked
             for parent, pg, pg_owned in zip(parents, grads, _owned(grads)):
                 if pg is None or not parent.requires_grad:
                     continue
@@ -180,10 +178,10 @@ class Tensor:
             grads = pg = None
 
 
-def _consumed(g=None):
-    """The VJP of a node whose tape backward(consume=True) has freed. The
+def _walked(g=None):
+    """The VJP of a node whose tape an earlier backward has freed. The
     walk calls it before it computes any gradient, so none is half added."""
-    raise ValidationError("backward through a tape that an earlier backward(consume=True) consumed")
+    raise ValidationError("backward through a tape that an earlier backward walked and freed")
 
 
 def _writeable(a) -> bool:
@@ -335,12 +333,8 @@ def make_op(data: np.ndarray, parents: tuple, vjp) -> Tensor:
     returns it must not keep, because backward may write into an output
     that shares no memory with its other outputs.
     Anything built this way should be checked against finite_diff_grad.
-    data may be a parent's own buffer, finished in place, only if nothing
-    reads that parent's data again: not its VJP, and not its caller.
-    An op that keeps none of such a buffer may release it while it
-    records: it sets a recorded (non-leaf) parent's data to an empty array
-    when that parent's own VJP never reads its output, so the tape stops
-    holding it. A leaf or constant parent keeps its data.
+    data must be a buffer of the op's own, which it may finish in place:
+    no op writes into another op's output.
     """
     return _make(np.asarray(data, dtype=np.float64), tuple(parents), vjp)
 

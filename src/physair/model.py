@@ -29,14 +29,14 @@ forward's masked rows to rounding.
 Edge features go through each layer's edge MLP and meet the summed
 message weight without reading a node state, so for layers 0..L-2 both
 are functions of the edge's wind triple: ``PhysicsGnn.edge_path`` runs
-them over any table of edge rows. One kernel, for training and inference
-alike, then finishes each layer's messages in place in that
-pre-activation buffer and sums them per node in the same op. While
-training records, the kernel keeps only a bool relu mask and releases
-the buffer, so each full layer's tape holds one edge-sized float array,
-the edge MLP's output. Training runs each layer's edge step just before
-its node step, so one layer's buffer is released before the next one's
-is allocated, and the backward writes the edge gradients over the
+them over any table of edge rows. A full layer's messages are one op,
+in training and inference alike (``_edge_messages``): it forms their
+edge side in a buffer of its own, finishes them there and sums them per
+node. While training records, it keeps only a bool relu mask, so each
+full layer's tape holds one edge-sized float array, the edge MLP's
+output. Training runs each layer's edge MLP just before its node step,
+so one layer's message buffer is gone before the next one's is
+allocated, and the backward writes the edge gradients over the
 cotangents it owns (autodiff.linear). A predictor call is a context
 graph of C sensors plus its targets, each joining it as the masked last
 node. The context graph's C(C-1) edges are in every target's graph, so
@@ -58,9 +58,10 @@ shared sum plus the query row is the full sum bit for bit
 (``tests/test_model.py`` pins that order). Later layers read node
 states that differ per target, and ``forward`` runs a stack of G targets
 as one batch of G·B samples. A d-wide GEMM runs once over the stack, exact
-at two or more rows per target; the GEMMs whose blocks can be narrow or
-one row make each target's own BLAS call (``autodiff.linear``). So each
-target gets the bits of a forward of its own.
+at four or more rows per target (at d = 512 a 2- or 3-row block rounds
+otherwise), so the predictor stacks no target with fewer; the GEMMs whose
+blocks can be narrow or one row make each target's own BLAS call
+(``autodiff.linear``). So each target gets the bits of a forward of its own.
 """
 
 from __future__ import annotations
@@ -228,9 +229,9 @@ def _message_pre(e: Tensor, w: Tensor, groups: int = 1) -> Tensor:
     """e @ (w_recv + w_send), the edge side of each message, in a new buffer.
 
     w is the stacked message weight [w_recv; w_send]; both halves get the
-    same gradient e.T @ g. The backward never reads the output, so
-    _finish_messages may overwrite it, and writes e's gradient over a g
-    it owns, as autodiff.linear does. groups as in autodiff.linear.
+    same gradient e.T @ g. The backward writes e's gradient over a g it
+    owns, as autodiff.linear does. groups as in autodiff.linear. Only the
+    readout and the inference edge path call it (see _edge_messages).
     """
     dim = e.shape[-1]
     w_sum = w.data[:dim] + w.data[dim:]
@@ -301,48 +302,40 @@ def _sum_incoming(partial: np.ndarray, query: np.ndarray) -> np.ndarray:
     return m
 
 
-def _finish_messages(h: Tensor, pre: Tensor, w: Tensor, b: Tensor,
-                     wiring: "GraphWiring") -> Tensor:
+def _edge_messages(h: Tensor, e: Tensor, w: Tensor, b: Tensor,
+                   wiring: "GraphWiring") -> Tensor:
     """Each node's sum over its N-1 incoming messages, (B, N, d), where a
-    message is relu(pre + h[dst] @ w_recv + h[src] @ w_send + b).
+    message is relu(e @ (w_recv + w_send) + h[dst] @ w_recv + h[src] @ w_send + b):
+    the message MLP over concat(h[dst] + e, h[src] + e), reassociated so
+    that h meets each half of w on the nodes, not on the edges. Values
+    agree to rounding, and the gradient is checked against finite_diff_grad.
 
-    With pre = _message_pre(e, w) each message is the message MLP over
-    concat(h[dst] + e, h[src] + e), reassociated: multiplying h by each
-    half of w on the nodes turns two edge-sized GEMMs into node-sized
-    ones. Values agree to rounding, and the gradient is checked against
-    the finite-difference oracle like every other fused op.
+    One op forms e's side of the messages in a buffer of its own, finishes
+    them there (_finish_graph) and sums them per node with the numpy
+    reduction of a separate sum (Zhang et al., MLSys 2022, fuse finishing
+    and aggregation the same way). While recording it keeps a bool relu
+    mask, so a layer's tape holds one edge-sized float array, e.
 
-    One op finishes the messages and sums them per node (Zhang et al.,
-    MLSys 2022, fuse the two the same way). The messages are
-    written into pre's buffer and summed per destination with the same
-    numpy reduction as a separate sum over the (N, N-1) edge axis, so the
-    bits are those of finishing and then summing. pre must be a buffer no
-    one reads afterwards: never one shared across targets. While
-    recording, the op keeps a bool relu mask and releases a non-leaf
-    pre's buffer, since the VJP of _message_pre never reads its output; a
-    leaf or constant pre keeps its data. So a layer's tape holds one
-    edge-sized float array, the edge MLP's output, not two.
-
-    The forward is _finish_graph. Seen as (N-1, N), the buffer's row r
-    holds the edges from sources r+1, ..., N-1, 0, ..., r, so every row
-    meets every source once and rows run in ascending edge order. The
-    backward broadcasts each node's cotangent to its incoming edges,
-    masked, in one pass, and sums each source's cotangents row by row in
-    that order.
+    Seen as (N-1, N), the buffer's row r holds the edges from sources r+1,
+    ..., N-1, 0, ..., r, so every row meets every source once and rows run
+    in ascending edge order. The backward masks each node's cotangent onto
+    its incoming edges in one pass and sums each source's cotangents row
+    by row in that order. It adds w's node-side and edge-side gradients
+    once and writes e's over the edge cotangent it allocated (autodiff._times).
     """
     bsz, n, dim = h.shape
     n_edges = wiring.n_edges
     if w.shape != (2 * dim, dim) or b.shape != (dim,):
         raise ShapeError(f"message weight must be ({2 * dim}, {dim}) with ({dim},) bias, "
                          f"got {w.shape} and {b.shape}")
-    if pre.shape != (bsz, n_edges, dim):
-        raise ShapeError(f"edge rows {pre.shape}, expected ({bsz}, {n_edges}, {dim})")
+    if e.shape != (bsz, n_edges, dim):
+        raise ShapeError(f"edge rows {e.shape}, expected ({bsz}, {n_edges}, {dim})")
 
-    w_recv = w.data[:dim]
-    w_send = w.data[dim:]
-    h2 = h.data.reshape(-1, dim)
-    msgs = pre.data.reshape(bsz, n, n - 1, dim)
-    _finish_graph(pre.data, *_message_halves(h, w), b.data)
+    w_recv, w_send = w.data[:dim], w.data[dim:]
+    w_sum = w_recv + w_send
+    h2, e2 = h.data.reshape(-1, dim), e.data.reshape(-1, dim)
+    msgs = (e2 @ w_sum).reshape(bsz, n, n - 1, dim)
+    _finish_graph(msgs.reshape(bsz, n_edges, dim), *_message_halves(h, w), b.data)
     mask = None
 
     def vjp(g):
@@ -354,29 +347,34 @@ def _finish_messages(h: Tensor, pre: Tensor, w: Tensor, b: Tensor,
         for r in range(1, n - 1):
             g_send[:, r + 1:] += g_rows[:, r, :n - 1 - r]
             g_send[:, :r + 1] += g_rows[:, r, n - 1 - r:]
-        gh = gw = gb = None
+        g2 = g_pre.reshape(-1, dim)
+        gh = ge = gw = gb = None
         if h.requires_grad:
             gh = (g_recv.reshape(-1, dim) @ w_recv.T
                   + g_send.reshape(-1, dim) @ w_send.T).reshape(h.shape)
         if w.requires_grad:
-            gw = np.concatenate([h2.T @ g_recv.reshape(-1, dim),
-                                 h2.T @ g_send.reshape(-1, dim)])
+            # both halves get the edge side's e.T @ g
+            shared = e2.T @ g2
+            gw = np.concatenate([h2.T @ g_recv.reshape(-1, dim) + shared,
+                                 h2.T @ g_send.reshape(-1, dim) + shared])
         if b.requires_grad:
-            gb = g_pre.reshape(-1, dim).sum(axis=0)
-        return gh, g_pre.reshape(bsz, n_edges, dim), gw, gb
+            gb = g2.sum(axis=0)
+        if e.requires_grad:
+            # last, since it overwrites g2
+            ge = _times(g2, w_sum.T).reshape(e.shape)
+        return gh, ge, gw, gb
 
-    sums = make_op(msgs.sum(axis=2), (h, pre, w, b), vjp)
+    sums = make_op(msgs.sum(axis=2), (h, e, w, b), vjp)
     if sums.requires_grad:
-        # recorded: the VJP reads only the mask, never the messages
+        # the VJP reads only the mask, never the messages
         mask = msgs > 0
-        _release(pre)
     return sums
 
 
 def _release(t: Tensor) -> None:
     """Drop a recorded node's buffer once its consumers have read it, for
-    a node whose own VJP never reads its output (autodiff.make_op). A
-    leaf or constant keeps its data."""
+    a node whose own VJP never reads its output. A leaf or constant keeps
+    its data."""
     if t._vjp is not None:
         t.data = np.empty(0)
 
@@ -387,12 +385,13 @@ def _convection_messages(h: Tensor, e: Tensor, w: Tensor, b: Tensor,
     on its incoming edges; activation, the message MLP's, must be relu."""
     if activation != "relu":
         raise ValidationError(f"messages apply relu, got activation {activation!r}")
-    return _finish_messages(h, _message_pre(e, w), w, b, wiring)
+    return _edge_messages(h, e, w, b, wiring)
 
 
 def _readout_messages(h: Tensor, pre: Tensor, w: Tensor, b: Tensor,
                       rows: np.ndarray, src: np.ndarray) -> Tensor:
-    """_finish_messages on the N-1 edges into one node per sample.
+    """The messages of _edge_messages on the N-1 edges into one node per
+    sample, unsummed.
 
     h is (B, N, d); pre is (B, N-1, d), on the incoming edges of node
     rows[b] in edge order, and src (B, N-1) their sources. Built from
@@ -437,8 +436,8 @@ class ConvectionModule:
     first layer, from the previous layer's e' afterwards). e' is added to
     both endpoint features before the message MLP, the messages into each
     node are aggregated, and the update MLP mixes the aggregate with the
-    node's own feature. PhysicsGnn runs a layer's edge side (edge_mlp,
-    then message_pre) just before its node side (nodes).
+    node's own feature. PhysicsGnn runs a layer's edge MLP just before
+    its node side (nodes).
     """
 
     def __init__(self, dim: int, edge_in_dim: int, rng: np.random.Generator | None, name: str):
@@ -455,19 +454,20 @@ class ConvectionModule:
     def __call__(self, x: Tensor, edge_feats: Tensor, wiring: GraphWiring) -> tuple:
         """(x_C, e') on every node, from the incoming edge features."""
         e = self.edge_mlp(edge_feats)
-        return self.nodes(x, self.message_pre(e), wiring), e
+        return self.nodes(x, e, wiring), e
 
-    def nodes(self, x: Tensor, pre: Tensor, wiring: GraphWiring, rows=None) -> Tensor:
-        """x_C from pre, (B, E, d), finished in place and summed per node
-        by _finish_messages; or with rows, an int (B, 1) array of node
-        positions, x_C (B, 1, d) at those nodes from pre on their N-1
-        incoming edges, (B, N-1, d) in edge order."""
+    def nodes(self, x: Tensor, e: Tensor, wiring: GraphWiring, rows=None) -> Tensor:
+        """x_C from the edge features e, (B, E, d), whose messages
+        _edge_messages finishes and sums per node; or with rows, an int
+        (B, 1) array of node positions, x_C (B, 1, d) at those nodes from e
+        on their N-1 incoming edges, (B, N-1, d) in edge order."""
         h = self.node_mlp(x)
         w, b, _ = self.message_mlp.layers[0]
         if rows is None:
-            m = _finish_messages(h, pre, w, b, wiring)
+            m = _edge_messages(h, e, w, b, wiring)
         else:
             src = wiring.src[_incoming(rows, wiring.n_nodes)]
+            pre = self.message_pre(e, wiring.groups)
             m = tsum(_readout_messages(h, pre, w, b, rows, src), axis=1, keepdims=True)
             h = take(h, rows)
         return self.update(h, m, wiring)
@@ -618,11 +618,11 @@ class GnnLayer:
         self.local = LocalModule(dim, rng, f"{name}.local")
         self.fusion = FusionHead(dim, rng, f"{name}.fusion")
 
-    def __call__(self, x: Tensor, pre: Tensor, wiring: GraphWiring, rows=None) -> tuple:
+    def __call__(self, x: Tensor, e: Tensor, wiring: GraphWiring, rows=None) -> tuple:
         """(blended, fusion weights) on every node, or with rows only at
-        those nodes; pre as in ConvectionModule.nodes."""
+        those nodes; e as in ConvectionModule.nodes."""
         x_d = self.diffusion(x, wiring)
-        x_c = self.convection.nodes(x, pre, wiring, rows)
+        x_c = self.convection.nodes(x, e, wiring, rows)
         x_l = self.local(x, wiring)
         if rows is not None:
             x_d, x_l = take(x_d, rows), take(x_l, rows)
@@ -715,11 +715,11 @@ class PhysicsGnn:
         The layers before it run in full, since the masked node's
         prediction reads every node through them.
 
-        Each layer runs its edge step (edge MLP and message_pre, over
-        every edge) just before its node step, and one kernel finishes
-        its messages in their pre-activation buffer, in training and
-        inference alike. edges replaces conv_feats (pass None) with
-        the edge side computed ahead; it needs masked_pos = N-1 and
+        Each layer runs its edge MLP, over every edge, just before its
+        node step, and one op forms, finishes and sums a full layer's
+        messages (_edge_messages), in training and inference alike.
+        edges replaces conv_feats (pass None) with the edge side
+        computed ahead; it needs masked_pos = N-1 and
         no_record(), since its rows are constants. Its layer0 must come
         from the same x: layer 0 then finishes only the query rows.
         With edges, wiring may stack G targets' wirings (GraphWiring.stack)
@@ -759,13 +759,11 @@ class PhysicsGnn:
         if edges is None:
             e = edge_feats
             h = self.input_embed(x)
-            # a layer's edge step just before its node step: its message
-            # buffer is released (or dropped, when nothing records) before
-            # the next layer's is allocated
+            # a layer's edge MLP just before its node step: the message op
+            # drops its buffer before the next layer's is allocated
             for layer in self.layers[:-1]:
-                conv = layer.convection
-                e = conv.edge_mlp(e)
-                h, _ = layer(h, conv.message_pre(e), wiring)
+                e = layer.convection.edge_mlp(e)
+                h, _ = layer(h, e, wiring)
             last = e if rows is None else take(e, _incoming(rows, n))
         else:
             rows = np.tile(rows, (groups, 1))
@@ -774,8 +772,8 @@ class PhysicsGnn:
             for k, layer in enumerate(self.layers[1:-1], start=1):
                 x_c = layer.convection.stacked(h, edges, k, wiring)
                 h, _ = layer.fusion(layer.diffusion(h, wiring), x_c, layer.local(h, wiring), groups)
-        conv = self.layers[-1].convection
-        h, _ = self.layers[-1](h, conv.message_pre(conv.edge_mlp(last, groups), groups), wiring, rows)
+        e = self.layers[-1].convection.edge_mlp(last, groups)
+        h, _ = self.layers[-1](h, e, wiring, rows)
         out = self.output_head(h, groups)
         return out if rows is None else reshape(out, (len(rows),))
 

@@ -62,7 +62,14 @@ SPLIT_RATIO = (28, 4, 9)
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the loss stops being finite."""
+    """Raised when the loss stops being finite, or an epoch's train MSE
+    exceeds DIVERGED_MSE_RATIO times the train readings' variance."""
+
+
+# A healthy epoch's train MSE stays under a thousand times the train
+# readings' variance (perfbench's runs reach 891x); blow-ups from a
+# too-large lr read 6.8e5x and more.
+DIVERGED_MSE_RATIO = 1e4
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +248,9 @@ def hourly_conv_features(graph: Graph, dataset: Dataset, hours,
 
 
 # Node rows per forward: the predictor runs its targets in stacks of
-# max(1, _STACK_ROWS // (B * N)) to share a forward's fixed cost.
+# max(1, _STACK_ROWS // (B * N)) to share a forward's fixed cost, and one
+# at a time below 4 node rows each (B * N < 4): a stacked d-wide GEMM
+# keeps each target's bits only in blocks of 4 rows or more at d = 512.
 _STACK_ROWS = 256
 
 # Hours per inference chunk, the B of every prediction forward. A
@@ -286,7 +295,7 @@ def masked_batch_predictions(models, context: Graph, targets, x: np.ndarray, con
     has. Its one caller is predict_masked_node.
     """
     bsz, n = x.shape[:2]
-    size = max(1, _STACK_ROWS // (bsz * n))
+    size = max(1, _STACK_ROWS // (bsz * n)) if bsz * n >= 4 else 1
     context_rows = conv_feats(context, slice(None)).reshape(-1, 3)
     query_edges = last_node_edges(n)
 
@@ -502,7 +511,9 @@ def train_model(dataset: Dataset, split: SensorSplit,
     holds its train and validation MSE and grad_norm, the largest global
     gradient norm over its steps, taken before the optimizer step. Inputs
     that fail check_training_inputs raise ValidationError before anything
-    is written.
+    is written, and an epoch whose train MSE exceeds DIVERGED_MSE_RATIO
+    times the train readings' variance raises TrainingDiverged before it
+    writes anything.
     """
     started = time.monotonic()
     values, val_hours = check_training_inputs(dataset, split, train_config)
@@ -561,12 +572,16 @@ def train_model(dataset: Dataset, split: SensorSplit,
                     f"leading param max-abs {norms}")
             for p in params:
                 p.zero_grad()
-            loss.backward(consume=True)
+            loss.backward()
             grad_norms.append(_global_grad_norm(params))
             opt.step()
             epoch_sq_err += float(loss.data) * len(bh)
 
         train_loss = epoch_sq_err / len(hours)
+        if train_loss > DIVERGED_MSE_RATIO * normalizer.std ** 2:
+            raise TrainingDiverged(
+                f"train MSE {train_loss:.4g} at epoch {epoch} exceeds {DIVERGED_MSE_RATIO:g} "
+                f"times the train readings' variance {normalizer.std ** 2:.4g}")
         # np.max keeps a NaN; keys in state.json's sorted order, so a
         # resumed history dumps the same
         record = {"epoch": epoch, "grad_norm": float(np.max(grad_norms)),

@@ -434,14 +434,14 @@ def test_unreachable_param_untouched():
     assert np.array_equal(idle.grad, np.zeros(3))
 
 
-def test_double_backward_accumulates_exactly_twice():
+def test_two_backwards_accumulate_exactly_twice():
+    # leaves accumulate; each backward walks a fresh forward's tape
     rng = np.random.default_rng(16)
     p = Param(rng.normal(size=(4, 3)), name="p")
     x = Tensor(rng.normal(size=(2, 4)))
-    loss = mse(matmul(x, p), Tensor(np.zeros((2, 3))))
-    loss.backward()
+    mse(matmul(x, p), Tensor(np.zeros((2, 3)))).backward()
     once = p.grad.copy()
-    loss.backward()
+    mse(matmul(x, p), Tensor(np.zeros((2, 3)))).backward()
     assert np.array_equal(p.grad, 2.0 * once)
 
 
@@ -481,7 +481,7 @@ def test_shared_intermediate_three_consumers_matches_finite_diff():
 
 
 # ---------------------------------------------------------------------------
-# The consuming walk, and cotangents added in place.
+# The walk that frees its tape, and cotangents added in place.
 # ---------------------------------------------------------------------------
 
 def test_consumed_tape_refuses_a_second_backward():
@@ -490,10 +490,10 @@ def test_consumed_tape_refuses_a_second_backward():
     x = Tensor(rng.normal(size=(2, 4)))
     pred = matmul(x, p)
     loss = mse(pred, Tensor(np.zeros((2, 3))))
-    loss.backward(consume=True)
+    loss.backward()
     once = p.grad.copy()
     for again in (loss, tsum(pred)):
-        with pytest.raises(ValidationError, match="consumed"):
+        with pytest.raises(ValidationError, match="walked and freed"):
             again.backward()
     # the refused walks added nothing
     assert np.array_equal(p.grad, once)
@@ -555,9 +555,10 @@ def _aliasing_graphs():
 def test_in_place_accumulation_never_adds_into_an_alias(name):
     f, x0 = _aliasing_graphs()[name]
     grads = []
-    for consume in (False, True):
+    for _ in range(2):
+        # each backward walks a fresh forward's tape
         x = Tensor(x0, requires_grad=True)
-        f(x).backward(consume=consume)
+        f(x).backward()
         grads.append(x.grad)
     assert grads[0].tobytes() == grads[1].tobytes()
     fd = finite_diff_grad(f, Tensor(x0)).data
@@ -611,7 +612,7 @@ def test_take_rows_reach_a_leaf_with_the_zero_filled_bits(repeats, dense_first):
         if with_dense:
             terms.insert(0 if dense_first else 1, tsum(mul(x, Tensor(dense))))
         loss = terms[0] if len(terms) == 1 else add(*terms)
-        loss.backward(consume=True)
+        loss.backward()
         want = dense + full if with_dense else full
         assert x.grad.tobytes() == want.tobytes(), with_dense
 
@@ -640,7 +641,7 @@ def test_a_cotangent_add_hands_to_both_parents_reaches_each_vjp_read_only():
         seen.clear()
         handed.clear()
         s = add(wrap(linear(x, w, b, "relu")), wrap(linear(x, w, b)))
-        tsum(mul(tap(s), Tensor(rng.normal(size=(6, 4))))).backward(consume=True)
+        tsum(mul(tap(s), Tensor(rng.normal(size=(6, 4))))).backward()
         ((given, kept),) = handed
         assert given.tobytes() == kept.tobytes()
         assert seen == ([False, False] if wrap is spy else [])
@@ -669,7 +670,7 @@ def test_linear_writes_its_input_gradient_over_an_owned_cotangent(monkeypatch, b
     grads = []
     for f in (owned, shared):
         x = Tensor(x0, requires_grad=True)
-        f(x).backward(consume=True)
+        f(x).backward()
         grads.append(x.grad.tobytes())
     assert grads[0] == grads[1]
     check_grad(owned, x0)

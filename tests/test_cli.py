@@ -326,6 +326,20 @@ def test_train_on_three_sensors_exits_2_before_writing(tmp_path, capsys):
     assert not (tmp_path / "t").exists()
 
 
+@pytest.mark.parametrize("lr", ["1e-2", "3e-2"])
+def test_a_finite_training_blow_up_exits_2_before_any_checkpoint(synth_dir, tmp_path, capsys, lr):
+    # epoch 1's train MSE reads 5.8e10 at lr 1e-2 and 1.05e17 at 3e-2,
+    # against a train readings' variance of 8.5e4: finite, so once it
+    # trained on and wrote a best.ckpt
+    rc = main(["train", "--dataset", str(synth_dir), "--out", str(tmp_path / "t"),
+               "--lr", lr, "--batch-size", "8", "--patience", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "at epoch 1 exceeds 10000 times the train readings' variance" in err
+    assert "Traceback" not in err
+    assert not list((tmp_path / "t").rglob("*.ckpt"))
+
+
 def test_train_without_validation_readings_exits_2_before_any_checkpoint(synth_dir, tmp_path,
                                                                          capsys):
     dataset = load_dataset(synth_dir)

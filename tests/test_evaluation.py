@@ -66,8 +66,8 @@ def toy_dataset(hours=24, n=6, seed=0):
     return Dataset(sensors=sensors, start=T0, pm25=pm25, wind=wind).validate()
 
 
-def tiny_models(dataset, n_models=1):
-    config = ModelConfig(preset=None, n_layers=2, hidden_dim=8)
+def tiny_models(dataset, n_models=1, hidden_dim=8):
+    config = ModelConfig(preset=None, n_layers=2, hidden_dim=hidden_dim)
     models = [PhysicsGnn(config, seed=k) for k in range(n_models)]
     normalizer = Normalizer.from_values(dataset.pm25)
     return models, normalizer
@@ -807,6 +807,27 @@ def test_multi_point_inference_equals_single_point_calls(monkeypatch, points_per
     for p, single in enumerate(singles):
         assert single.shape == (20,)
         assert grid[:, p].tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("dim", [8, 128, 256, 512])
+@pytest.mark.parametrize("n_context", [2, 3])
+@pytest.mark.parametrize("bsz", [1, 2])
+def test_multi_point_call_keeps_each_points_bits_at_every_width(bsz, n_context, dim):
+    # a stack runs its targets' node rows through one d-wide GEMM; at
+    # d = 512 a block of 3 rows (B = 1, 2 context sensors) rounds
+    # otherwise than the same rows multiplied alone, so such targets run
+    # one by one. A unit normalizer keeps a last-bit difference in the
+    # model's output from rounding away in the raw units' mean
+    ds = toy_dataset(hours=bsz, n=n_context)
+    models, _ = tiny_models(ds, hidden_dim=dim)
+    norm = Normalizer(0.0, 1.0)
+    context = tuple(s.sensor_id for s in ds.sensors)
+    rng = np.random.default_rng([bsz, n_context, dim])
+    lats = (32.70 + 0.02 * rng.uniform(size=5)).tolist()
+    lons = (-117.12 + 0.02 * rng.uniform(size=5)).tolist()
+    grid = infer_at_location(models, norm, ds, context, lats, lons)
+    for p, (lat, lon) in enumerate(zip(lats, lons)):
+        assert grid[:, p].tobytes() == infer_at_location(models, norm, ds, context, lat, lon).tobytes()
 
 
 def test_a_grid_call_peak_does_not_grow_with_its_points():

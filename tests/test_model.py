@@ -29,6 +29,8 @@ from physair.model import (
     ModelConfig,
     PhysicsGnn,
     _blend,
+    _edge_messages,
+    _message_pre,
     _sum_incoming,
 )
 
@@ -267,17 +269,18 @@ def test_convection_messages_refuse_an_activation_but_relu():
         _convection_messages(*args, wiring, "identity")
 
 
-def take_messages_oracle(h, e, w, b, graph, g):
-    """The edge-gather formulation of the message op: np.take puts node rows
-    on edges, and the source adjoint sums a (node, slot) position table.
-    Returns the forward output and the four VJP outputs for cotangent g."""
+def take_finish_oracle(h, pre, w, b, graph):
+    """The edge-gather formulation of finishing messages: np.take puts node
+    rows on edges, and the source adjoint sums a (node, slot) position
+    table. Returns the finished messages (B, E, d), from a copy of the
+    pre-activations pre, and their VJP for an edge cotangent g, which
+    returns (gh, g_pre, gw, gb) with gw the node side's alone."""
     bsz, n, dim = h.shape
     w_recv, w_send = w[:dim], w[dim:]
-    w_sum = w_recv + w_send
     h2 = h.reshape(-1, dim)
     hr = (h2 @ w_recv).reshape(bsz, n, dim)
     hs = (h2 @ w_send).reshape(bsz, n, dim)
-    out = (e.reshape(-1, dim) @ w_sum).reshape(bsz, graph.n_edges, dim)
+    out = pre.copy()
     buf = np.take(hr, graph.dst, axis=1)
     np.add(out, buf, out=out)
     np.take(hs, graph.src, axis=1, out=buf)
@@ -285,19 +288,42 @@ def take_messages_oracle(h, e, w, b, graph, g):
     np.add(out, b, out=out)
     np.maximum(out, 0.0, out=out)
 
-    g_pre = g * (out > 0)
+    def vjp(g):
+        g_pre = g * (out > 0)
+        src_positions = np.argsort(graph.src, kind="stable").reshape(n, n - 1)
+        g_recv = g_pre.reshape(bsz, n, n - 1, dim).sum(axis=2)
+        g_send = g_pre[:, src_positions, :].sum(axis=2)
+        gh = (g_recv.reshape(-1, dim) @ w_recv.T
+              + g_send.reshape(-1, dim) @ w_send.T).reshape(h.shape)
+        gw = np.concatenate([h2.T @ g_recv.reshape(-1, dim), h2.T @ g_send.reshape(-1, dim)])
+        return gh, g_pre, gw, g_pre.reshape(-1, dim).sum(axis=0)
+
+    return out, vjp
+
+
+def take_messages_oracle(h, e, w, b, graph, g):
+    """take_finish_oracle on e @ (w_recv + w_send). Returns the forward
+    output and the four VJP outputs for the edge cotangent g."""
+    dim = h.shape[2]
+    w_sum = w[:dim] + w[dim:]
+    out, vjp = take_finish_oracle(h, (e.reshape(-1, dim) @ w_sum).reshape(e.shape), w, b, graph)
+    gh, g_pre, gw, gb = vjp(g)
     g2 = g_pre.reshape(-1, dim)
-    src_positions = np.argsort(graph.src, kind="stable").reshape(n, n - 1)
-    g_recv = g_pre.reshape(bsz, n, n - 1, dim).sum(axis=2)
-    g_send = g_pre[:, src_positions, :].sum(axis=2)
-    gh = (g_recv.reshape(-1, dim) @ w_recv.T + g_send.reshape(-1, dim) @ w_send.T).reshape(h.shape)
-    ge = (g2 @ w_sum.T).reshape(e.shape)
     shared = e.reshape(-1, dim).T @ g2
-    gw = np.empty_like(w)
-    gw[:dim] = shared + h2.T @ g_recv.reshape(-1, dim)
-    gw[dim:] = shared + h2.T @ g_send.reshape(-1, dim)
-    gb = g2.sum(axis=0)
-    return out, (gh, ge, gw, gb)
+    ge = (g2 @ w_sum.T).reshape(e.shape)
+    return out, (gh, ge, gw + np.concatenate([shared, shared]), gb)
+
+
+def two_op_messages(h, e, w, b, wiring):
+    """The messages as two recorded ops: _message_pre, then an op that
+    finishes its output and sums it per node, with the gather oracle's
+    VJP. The walk adds w's two gradients, and _message_pre's VJP writes
+    e's over the edge cotangent that the finishing op's VJP allocated."""
+    pre = _message_pre(e, w)
+    out, vjp = take_finish_oracle(h.data, pre.data, w.data, b.data, wiring.graph)
+    bsz, n, dim = h.shape
+    return autodiff.make_op(out.reshape(bsz, n, n - 1, dim).sum(axis=2), (h, pre, w, b),
+                            lambda g: vjp(np.take(g, wiring.dst, axis=1)))
 
 
 @pytest.mark.parametrize("activation", ["relu"])
@@ -332,34 +358,38 @@ def test_convection_messages_bitwise_match_gather_oracle(n, activation):
         assert got.tobytes() == want.tobytes(), f"gradient wrt {name} differs"
 
 
-@pytest.mark.parametrize("kind", ["leaf", "constant", "recorded"])
-def test_finish_messages_releases_only_a_recorded_pre(kind):
-    # a recorded pre is released: its VJP never reads its output, and the
-    # messages live on only as node sums; one a caller passes keeps the
-    # finished messages
-    from physair.model import _finish_messages, _message_pre
+@pytest.mark.parametrize("dim", [8, 128])
+@pytest.mark.parametrize("n", [2, 3, 27])
+@pytest.mark.parametrize("bsz", [1, 3, 32])
+def test_edge_messages_equal_the_gather_oracle_and_two_ops_bit_for_bit(bsz, n, dim):
+    # one op forms, finishes and sums the messages; its sums and all four
+    # gradients keep the bits of the gather oracle and of the two recorded
+    # ops it replaces, on inputs that span twelve decades and hold -0.0,
+    # and at 2106 edge rows and more, where e's gradient is written over
+    # the edge cotangent in row blocks
+    wiring = wiring_for(n, seed=64 + n)
+    rng = np.random.default_rng([bsz, n, dim])
 
-    wiring = wiring_for(5, seed=62)
-    rng = np.random.default_rng(63)
-    bsz, n, dim = 2, 5, 4
-    h = Tensor(rng.normal(size=(bsz, n, dim)), requires_grad=True)
-    w = Tensor(rng.normal(size=(2 * dim, dim)), requires_grad=True)
-    b = Tensor(rng.normal(size=(dim,)), requires_grad=True)
-    rows = rng.normal(size=(bsz, wiring.n_edges, dim))
-    if kind == "recorded":
-        pre = _message_pre(Tensor(rows, requires_grad=True), w)
-    else:
-        pre = Tensor(rows, requires_grad=kind == "leaf")
-    out = _finish_messages(h, pre, w, b, wiring)
-    if kind == "recorded":
-        assert pre.data.size == 0
-    else:
-        assert pre.shape == (bsz, wiring.n_edges, dim)
-        sums = pre.data.reshape(bsz, n, n - 1, dim).sum(axis=2)
-        assert sums.tobytes() == out.data.tobytes()
-    tsum(mul(out, out)).backward()
-    assert h.grad.shape == h.shape and np.isfinite(h.grad).all()
-    assert (pre.grad is not None) == (kind == "leaf")
+    def wide(shape):
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, shape)
+        a[rng.random(shape) < 0.05] = -0.0
+        return a
+
+    arrays = [wide((bsz, n, dim)), wide((bsz, wiring.n_edges, dim)),
+              rng.standard_normal((2 * dim, dim)), rng.standard_normal(dim)]
+    arrays[2][0] = -0.0
+    g = wide((bsz, n, dim))
+    g[0, :, 0] = -0.0
+    results = []
+    for op in (_edge_messages, two_op_messages):
+        inputs = [Tensor(a, requires_grad=True) for a in arrays]
+        out = op(*inputs, wiring)
+        tsum(mul(out, Tensor(g))).backward()
+        results.append([out.data.tobytes()] + [t.grad.tobytes() for t in inputs])
+    ref_out, ref_grads = take_messages_oracle(*arrays, wiring.graph, np.take(g, wiring.dst, axis=1))
+    oracle = [ref_out.reshape(bsz, n, n - 1, dim).sum(axis=2).tobytes()]
+    assert results[0] == results[1]
+    assert results[0] == oracle + [r.tobytes() for r in ref_grads]
 
 
 def test_convection_returns_next_layer_edge_features():
@@ -680,10 +710,16 @@ def test_recorded_forward_keeps_a_bool_mask_and_no_float_message_buffer(activati
     x, feats = batch_for(w, 2, cfg)
     edge_size = 2 * w.n_edges * cfg.hidden_dim
     for masked_pos, full_layers in ((None, 3), (0, 2)):
-        held = [a for a in tape_buffers(model.forward(x, w, feats, masked_pos))
-                if a.size == edge_size]
-        # per full layer: the edge_mlp output and its message relu mask
-        assert sum(a.dtype == np.float64 for a in held) == full_layers
+        out = model.forward(x, w, feats, masked_pos)
+        held = [a for a in tape_buffers(out) if a.size == edge_size]
+        # per full layer: the edge features e its message op reads, and
+        # that op's relu mask
+        floats = {id(a) for a in held if a.dtype == np.float64}
+        messages = [t for t in tape_nodes(out) if t._vjp is not None
+                    and t._vjp.__qualname__.startswith("_edge_messages")]
+        assert len(messages) == full_layers
+        edges = [t._parents[1].data for t in messages]
+        assert floats == {id(a if a.base is None else a.base) for a in edges}
         masks = [a for a in held if a.dtype != np.float64]
         assert len(masks) == full_layers
         assert all(a.dtype == bool for a in masks)
@@ -735,38 +771,50 @@ def train_step_loss(model, n=6, bsz=3, seed=80):
 
 @pytest.mark.parametrize("activation", ["relu"])
 def test_consumed_backward_equals_the_retained_one_and_frees_the_tape(activation):
+    # backward frees every node the caller does not hold: against a fresh
+    # forward whose tape the caller retains, every node with its VJP, the
+    # gradients are the same bits and only the unheld tape is gone
     grads = {}
-    for consume in (False, True):
+    for retain in (False, True):
         model = PhysicsGnn(tiny_config(n_layers=3, activation=activation), seed=8)
         loss, w = train_step_loss(model)
+        held = [(t, t._vjp) for t in tape_nodes(loss)] if retain else []
         edge = next(t for t in tape_nodes(loss)
                     if t._parents and t.ndim == 3 and t.shape[1] == w.n_edges)
         ref = weakref.ref(edge)
         del edge
-        loss.backward(consume=consume)
-        grads[consume] = [p.grad.tobytes() for p in model.params()]
-        assert (ref() is None) == consume
+        loss.backward()
+        grads[retain] = [p.grad.tobytes() for p in model.params()]
+        assert (ref() is None) != retain
+        del held
     assert grads[True] == grads[False]
-    # the consumed loss keeps its value and nothing else
+    # the walked loss keeps its value and nothing else, and refuses a
+    # second walk
     assert np.isfinite(loss.data) and tape_nodes(loss) == [loss]
+    with pytest.raises(ValidationError, match="walked and freed"):
+        loss.backward()
 
 
 def test_consumed_backward_peaks_lower_by_at_least_an_edge_array():
+    # against a fresh forward whose tape the caller retains, every node
+    # with the arrays its VJP captured, as a walk that kept its tape would
     cfg = tiny_config(n_layers=3, hidden_dim=16)
     peaks = {}
-    for consume in (False, True):
+    for retain in (False, True):
         model = PhysicsGnn(cfg, seed=9)
         tracemalloc.start()
         try:
             loss, w = train_step_loss(model, n=8, bsz=4)
+            held = [(t, t._vjp) for t in tape_nodes(loss)] if retain else []
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            loss.backward(consume=consume)
-            peaks[consume] = tracemalloc.get_traced_memory()[1] - base
+            loss.backward()
+            peaks[retain] = tracemalloc.get_traced_memory()[1] - base
+            del held
         finally:
             tracemalloc.stop()
     edge_bytes = 4 * w.n_edges * cfg.hidden_dim * 8
-    assert peaks[True] + edge_bytes <= peaks[False], peaks
+    assert peaks[False] + edge_bytes <= peaks[True], peaks
 
 
 def test_consumed_backward_peaks_under_an_edge_array_above_the_forward():
@@ -781,7 +829,7 @@ def test_consumed_backward_peaks_under_an_edge_array_above_the_forward():
         loss, w = train_step_loss(model, n=20, bsz=8)
         after_forward = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        loss.backward(consume=True)
+        loss.backward()
         peak = tracemalloc.get_traced_memory()[1] - after_forward
     finally:
         tracemalloc.stop()
@@ -790,7 +838,7 @@ def test_consumed_backward_peaks_under_an_edge_array_above_the_forward():
 
 
 def test_a_train_step_peaks_under_six_and_a_half_edge_arrays():
-    # forward and consumed backward together: the take rows stay sparse,
+    # forward and backward together: the take rows stay sparse,
     # linear and message_pre write their input gradients over the
     # cotangents they own, and each layer's edge step runs just before its
     # node step; without those this shape peaks at 7.2 edge arrays
@@ -800,7 +848,7 @@ def test_a_train_step_peaks_under_six_and_a_half_edge_arrays():
     try:
         base = tracemalloc.get_traced_memory()[0]
         loss, w = train_step_loss(model, n=20, bsz=8)
-        loss.backward(consume=True)
+        loss.backward()
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -974,7 +1022,7 @@ def test_blend_equals_the_chained_ops_bit_for_bit():
         weights = Tensor(np.exp(logits) / np.exp(logits).sum(-1, keepdims=True), requires_grad=True)
         xs = [Tensor(p.copy(), requires_grad=True) for p in parts]
         out = blend(weights, *xs)
-        tsum(mul(out, Tensor(cot))).backward(consume=True)
+        tsum(mul(out, Tensor(cot))).backward()
         return [out.data.tobytes()] + [t.grad.tobytes() for t in (weights, *xs)]
 
     def chained(weights, x_d, x_c, x_l):
