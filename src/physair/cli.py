@@ -206,7 +206,6 @@ _TRAIN_SCHEMA = {
     "lr": (float, 1e-4, None),
     "max_epochs": (int, 500, None),
     "patience": (int, 20, None),
-    "val_every": (int, 1, None),
     "val_hour_stride": (int, 1, None),
 }
 
@@ -361,7 +360,6 @@ def cmd_train(args) -> int:
     train_config = TrainConfig(
         batch_size=options["batch_size"], lr=options["lr"],
         max_epochs=options["max_epochs"], patience=options["patience"],
-        val_every=options["val_every"],
         val_hour_stride=options["val_hour_stride"])
     dataset = _load_dataset_arg(options)
     split = make_split(dataset.sensor_ids(), seed=options["split_seed"])
@@ -453,13 +451,14 @@ def cmd_evaluate(args) -> int:
             raise ValidationError(
                 f"density sweep: {exc}; pass --no-density to skip the sweep") from None
     runners = benchmark_runners(dataset, split.train, models=models, normalizer=normalizer)
+    # every run scores the test sensors, so more workers would have no target
+    workers = min(options["workers"], len(split.test))
     pool = None
     try:
-        if options["workers"] > 1:
-            pool = ProcessPoolExecutor(max_workers=options["workers"],
-                                       initializer=_install_gnn,
+        if workers > 1:
+            pool = ProcessPoolExecutor(max_workers=workers, initializer=_install_gnn,
                                        initargs=(runners["gnn"],))
-            runners["gnn"] = functools.partial(_pooled_gnn_run, pool, options["workers"])
+            runners["gnn"] = functools.partial(_pooled_gnn_run, pool, workers)
         run = evaluate_models(dataset, split.train, split.test, runners,
                               label="test")
         density = (density_experiment(dataset, split.train, split.test, runners, main=run)

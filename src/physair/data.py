@@ -344,20 +344,23 @@ def longest_missing_run(values: np.ndarray) -> int:
 
 
 def gap_filter(dataset: Dataset, max_gap_hours: int = 1):
-    """Drop sensors with missing runs longer than ``max_gap_hours``.
+    """Drop sensors with missing runs longer than ``max_gap_hours``, or
+    with no reading at all.
 
-    Surviving sensors get their isolated missing hours filled by linear
-    interpolation of the adjacent hours (the average of the two
-    neighbors; at the series boundary the single neighbor is used).
-    Returns ``(filtered_dataset, dropped_ids, filled_count)``. Dropping
-    every sensor raises.
+    Surviving sensors get each missing run filled by linear interpolation
+    between the observed hours i0 and i1 around it,
+    ``(a*(i1-i) + b*(i-i0)) / (i1-i0)``, so an isolated hour gets the
+    average of its two neighbors; a run at either end of the series takes
+    its one observed neighbor. Returns ``(filtered_dataset, dropped_ids,
+    filled_count)``. Dropping every sensor raises.
     """
     if max_gap_hours < 0:
         raise ValidationError(f"max_gap_hours must be >= 0, got {max_gap_hours}")
     keep = []
     dropped = []
     for j, sensor in enumerate(dataset.sensors):
-        if longest_missing_run(dataset.pm25[:, j]) <= max_gap_hours:
+        col = dataset.pm25[:, j]
+        if np.isfinite(col).any() and longest_missing_run(col) <= max_gap_hours:
             keep.append(j)
         else:
             dropped.append(sensor.sensor_id)
@@ -368,18 +371,17 @@ def gap_filter(dataset: Dataset, max_gap_hours: int = 1):
         logger.info("gap filter dropped %d of %d sensors: %s",
                     len(dropped), len(dataset.sensors), ", ".join(dropped))
     pm25 = dataset.pm25[:, keep].copy()
-    t = pm25.shape[0]
     filled = 0
     for j in range(pm25.shape[1]):
         col = pm25[:, j]
+        seen = np.flatnonzero(np.isfinite(col))
         for i in np.flatnonzero(np.isnan(col)):
-            left = col[i - 1] if i > 0 else np.nan
-            right = col[i + 1] if i < t - 1 else np.nan
-            neighbors = [v for v in (left, right) if np.isfinite(v)]
-            if not neighbors:
-                raise ValidationError(
-                    "cannot fill a missing hour with no observed neighbors")
-            col[i] = sum(neighbors) / len(neighbors)
+            k = np.searchsorted(seen, i)
+            if k == 0 or k == len(seen):
+                col[i] = col[seen[min(k, len(seen) - 1)]]
+            else:
+                i0, i1 = seen[k - 1], seen[k]
+                col[i] = (col[i0] * (i1 - i) + col[i1] * (i - i0)) / (i1 - i0)
             filled += 1
     out = Dataset(sensors=tuple(dataset.sensors[j] for j in keep),
                   start=dataset.start, pm25=pm25, wind=dataset.wind,

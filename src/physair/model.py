@@ -29,12 +29,14 @@ forward's masked rows to rounding.
 Edge features go through each layer's edge MLP and meet the summed
 message weight without reading a node state, so for layers 0..L-2 both
 are functions of the edge's wind triple: ``PhysicsGnn.edge_path`` runs
-them over any table of edge rows. A full layer's messages are one op,
-in training and inference alike (``_edge_messages``): it forms their
+them over any table of edge rows. In training and in a plain forward a
+full layer's messages are one op (``_edge_messages``): it forms their
 edge side in a buffer of its own, finishes them there and sums them per
-node. While training records, it keeps only a bool relu mask, so each
-full layer's tape holds one edge-sized float array, the edge MLP's
-output. Training runs each layer's edge MLP just before its node step,
+node. A predictor forward never runs it: its layer 0 runs
+``ConvectionModule.share``/``finish`` and layers 1..L-2
+``ConvectionModule.stacked``. While training records, the op keeps only
+a bool relu mask, so each full layer's tape holds one edge-sized float
+array, the edge MLP's output. Training runs each layer's edge MLP just before its node step,
 so one layer's message buffer is gone before the next one's is
 allocated, and the backward writes the edge gradients over the
 cotangents it owns (autodiff.linear). A predictor call is a context
@@ -715,9 +717,11 @@ class PhysicsGnn:
         The layers before it run in full, since the masked node's
         prediction reads every node through them.
 
-        Each layer runs its edge MLP, over every edge, just before its
-        node step, and one op forms, finishes and sums a full layer's
-        messages (_edge_messages), in training and inference alike.
+        Without edges, each layer runs its edge MLP, over every edge, just
+        before its node step, and one op forms, finishes and sums a full
+        layer's messages (_edge_messages); with edges, layer 0 runs
+        ConvectionModule.share/finish and layers 1..L-2
+        ConvectionModule.stacked instead.
         edges replaces conv_feats (pass None) with the edge side
         computed ahead; it needs masked_pos = N-1 and
         no_record(), since its rows are constants. Its layer0 must come

@@ -387,27 +387,27 @@ def validation_mse(models, normalizer, dataset, split, hours=None) -> float:
 
 @dataclass
 class TrainConfig:
-    """Training knobs; Adam's betas and eps and the inference hour chunk are fixed."""
+    """Training knobs. Adam's betas and eps and the inference hour chunk
+    are fixed, and every epoch is validated (recorded as val_every 1)."""
 
     batch_size: int = 32
     lr: float = 1e-4
     max_epochs: int = 500
-    patience: int = 20
-    val_every: int = 1          # epochs between validation passes
+    patience: int = 20          # epochs without a new best before stopping
     val_hour_stride: int = 1    # subsample validation hours by this step
     seed: int = 0
 
     def __post_init__(self):
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ValidationError("batch_size and max_epochs must be >= 1")
-        if self.patience < 1 or self.val_every < 1 or self.val_hour_stride < 1:
-            raise ValidationError("patience and validation strides must be >= 1")
+        if self.patience < 1 or self.val_hour_stride < 1:
+            raise ValidationError("patience and val_hour_stride must be >= 1")
         # a large finite lr stays legal: it is how a diverging run is made
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValidationError(f"lr must be finite and > 0, got {self.lr}")
 
     def to_dict(self) -> dict:
-        return {**self.__dict__, "eval_batch": EVAL_BATCH, **ADAM_FIXED}
+        return {**self.__dict__, "val_every": 1, "eval_batch": EVAL_BATCH, **ADAM_FIXED}
 
 
 @dataclass
@@ -582,30 +582,25 @@ def train_model(dataset: Dataset, split: SensorSplit,
             raise TrainingDiverged(
                 f"train MSE {train_loss:.4g} at epoch {epoch} exceeds {DIVERGED_MSE_RATIO:g} "
                 f"times the train readings' variance {normalizer.std ** 2:.4g}")
-        # np.max keeps a NaN; keys in state.json's sorted order, so a
-        # resumed history dumps the same
-        record = {"epoch": epoch, "grad_norm": float(np.max(grad_norms)),
-                  "train_mse": train_loss, "val_mse": None}
-
-        if epoch % train_config.val_every == 0 or epoch == train_config.max_epochs:
-            val = validation_mse([model], normalizer, dataset, split, hours=val_hours)
-            if not np.isfinite(val):
-                raise TrainingDiverged(f"non-finite validation MSE at epoch {epoch}")
-            record["val_mse"] = val
-            if val < state.best_val_mse:
-                state.best_val_mse = val
-                state.best_epoch = epoch
-                state.evals_since_best = 0
-                save_params(str(best_path), params,
-                            extra={**extra, "epoch": epoch, "val_mse": val})
-            else:
-                state.evals_since_best += 1
-            logger.info("epoch %d train %.4f val %.4f (best %.4f @ %d)",
-                        epoch, train_loss, val, state.best_val_mse,
-                        state.best_epoch)
+        val = validation_mse([model], normalizer, dataset, split, hours=val_hours)
+        if not np.isfinite(val):
+            raise TrainingDiverged(f"non-finite validation MSE at epoch {epoch}")
+        if val < state.best_val_mse:
+            state.best_val_mse = val
+            state.best_epoch = epoch
+            state.evals_since_best = 0
+            save_params(str(best_path), params,
+                        extra={**extra, "epoch": epoch, "val_mse": val})
+        else:
+            state.evals_since_best += 1
+        logger.info("epoch %d train %.4f val %.4f (best %.4f @ %d)",
+                    epoch, train_loss, val, state.best_val_mse, state.best_epoch)
 
         state.epoch = epoch
-        state.history.append(record)
+        # np.max keeps a NaN; keys in state.json's sorted order, so a
+        # resumed history dumps the same
+        state.history.append({"epoch": epoch, "grad_norm": float(np.max(grad_norms)),
+                              "train_mse": train_loss, "val_mse": val})
         save_params(str(last_path), params, extra={**extra, "epoch": epoch})
         save_arrays(str(optim_path), list(opt.state_arrays().items()))
         _atomic_write_text(state_path,
@@ -613,11 +608,6 @@ def train_model(dataset: Dataset, split: SensorSplit,
 
     if state.evals_since_best >= train_config.patience:
         logger.info("early stop at epoch %d", state.epoch)
-
-    if state.best_epoch < 0:
-        # max_epochs finished without any validation pass recording a best
-        save_params(str(best_path), params,
-                    extra={**extra, "epoch": state.epoch, "val_mse": None})
     return TrainResult(checkpoint_path=best_path, state=state,
                        wall_seconds=time.monotonic() - started)
 

@@ -6,6 +6,7 @@ test drives ``main(argv)`` directly and inspects exit codes, stdout,
 and the files left behind.
 """
 
+import hashlib
 import json
 import os
 from dataclasses import replace
@@ -280,6 +281,29 @@ def test_ingest_happy_path(tmp_path, capsys):
     assert np.isfinite(ds.pm25).all()
 
 
+def test_ingest_of_isolated_gaps_keeps_its_bytes(tmp_path):
+    # at the default --max-gap-hours 1 an isolated hour is the average of
+    # its two neighbors, or its one neighbor at an end of the series
+    raw = tmp_path / "raw"
+    _write_raw(raw)
+    series = {"s1": [0.1, None, 0.7, 1.3, None, 2.9], "s2": [None, 3.3, 4.1, 5.0, 6.2, None],
+              "s3": [0.3, 1 / 3, None, 2 / 3, 0.2, 0.35], "s4": [7.0, 7.5, 8.25, 9.0, 9.9, 11.1]}
+    (raw / "pm25.csv").write_text("sensor_id,timestamp,value\n" + "".join(
+        f"{sid},2024-03-01T{hour:02d}:00:00Z,{value!r}\n"
+        for sid, values in series.items() for hour, value in enumerate(values)
+        if value is not None))
+    out = tmp_path / "canon"
+    assert main(["ingest", "--raw", str(raw), "--out", str(out)]) == 0
+    rows = (out / "pm25.csv").read_text().splitlines()
+    for row in ("s1,2024-03-01T01:00:00+00:00,0.39999999999999997",
+                "s1,2024-03-01T04:00:00+00:00,2.1",
+                "s2,2024-03-01T00:00:00+00:00,3.3", "s2,2024-03-01T05:00:00+00:00,6.2",
+                "s3,2024-03-01T02:00:00+00:00,0.5"):
+        assert row in rows
+    assert hashlib.sha256((out / "pm25.csv").read_bytes()).hexdigest() == \
+        "8bf1a812fee8e31daae77c116734a384d37adc43d502ed3080694009fe48c69a"
+
+
 def test_ingest_missing_wind_exits_2(tmp_path, capsys):
     raw = tmp_path / "raw"
     _write_raw(raw, with_wind=False)
@@ -459,6 +483,27 @@ def test_train_config_holding_a_retired_key_exits_2_naming_it(tmp_path, train_di
     assert not (tmp_path / "t").exists()
 
 
+def test_train_config_holding_val_every_exits_2_before_any_work(tmp_path, train_dir,
+                                                                 monkeypatch, capsys):
+    # every epoch validates, so a resolved.cfg written while --val-every
+    # was an option holds a line that must go, and the flag is gone
+    def no_work(*args, **kwargs):
+        raise AssertionError("train read its dataset")
+
+    monkeypatch.setattr(cli, "load_dataset", no_work)
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text((train_dir / "resolved.cfg").read_text() + "val_every = 1\n")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 2
+    err = capsys.readouterr().err
+    assert "unknown config keys for this command: val_every" in err
+    assert not (tmp_path / "t").exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", str(train_dir / "resolved.cfg"),
+              "--out", str(tmp_path / "t"), "--val-every", "1"])
+    assert exc.value.code == 2 and "--val-every" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
+
+
 def test_train_seeds_differ(train_dir):
     a = (train_dir / "seed0" / "best.ckpt").read_bytes()
     b = (train_dir / "seed1" / "best.ckpt").read_bytes()
@@ -581,6 +626,27 @@ def test_evaluate_parallel_matches_serial(synth_dir, train_dir, tmp_path, densit
         assert rc == 0
     for name in ("report.txt", "report.json"):
         assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
+
+
+def test_evaluate_starts_no_more_workers_than_test_sensors(synth_dir, train_dir, eval_dir,
+                                                           tmp_path, monkeypatch):
+    # every run scores the test sensors, one group of them per worker; a
+    # worker past their count once started and never had work
+    started = []
+
+    class Recording(cli.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recording)
+    n_test = len(load_trained(train_dir / "seed0" / "best.ckpt")[2].test)
+    out = tmp_path / "many"
+    assert main(["evaluate", "--dataset", str(synth_dir), "--models", str(train_dir),
+                 "--out", str(out), "--workers", str(n_test + 1)]) == 0
+    assert started == [n_test]
+    for name in ("report.txt", "report.json"):
+        assert (out / name).read_bytes() == (eval_dir / name).read_bytes(), name
 
 
 def test_library_report_has_the_cli_report_bytes(synth_dir, train_dir, eval_dir, tmp_path):

@@ -401,6 +401,29 @@ def test_gap_filter_boundary_hour_uses_single_neighbor():
     assert out.pm25[3, 0] == 6.0
 
 
+@pytest.mark.parametrize("series, filled", [
+    ([10.0, np.nan, np.nan, 40.0], [10.0, 20.0, 30.0, 40.0]),    # once 10, 10, 25, 40
+    ([np.nan, np.nan, 5.0, 7.0], [5.0, 5.0, 5.0, 7.0]),          # once raised
+    ([5.0, 7.0, np.nan, np.nan], [5.0, 7.0, 7.0, 7.0]),
+    ([2.0, np.nan, np.nan, np.nan, 4.0, np.nan], [2.0, 2.5, 3.0, 3.5, 4.0, 4.0]),
+])
+def test_gap_filter_interpolates_a_run_linearly_and_carries_an_end_run(series, filled):
+    ds = make_dataset(np.array(series)[:, None])
+    out, dropped, count = gap_filter(ds, max_gap_hours=3)
+    assert dropped == []
+    assert count == int(np.isnan(series).sum())
+    assert out.pm25[:, 0].tolist() == filled
+
+
+def test_gap_filter_drops_a_sensor_with_no_reading():
+    # a gap limit at least the series length once kept it, then raised
+    # "cannot fill a missing hour with no observed neighbors"
+    ds = make_dataset([[np.nan, 1.0], [np.nan, 2.0], [np.nan, 3.0]])
+    out, dropped, filled = gap_filter(ds, max_gap_hours=3)
+    assert dropped == ["s0"]
+    assert out.sensor_ids() == ["s1"] and filled == 0
+
+
 # ---------------------------------------------------------------------------
 # Canonical directory round-trip.
 # ---------------------------------------------------------------------------

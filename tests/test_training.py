@@ -157,8 +157,7 @@ def test_normalizer_roundtrip_and_degenerate_std():
 # ---------------------------------------------------------------------------
 
 def run_config(**over):
-    base = dict(batch_size=32, lr=1e-3, max_epochs=3, patience=20,
-                val_every=1, seed=0)
+    base = dict(batch_size=32, lr=1e-3, max_epochs=3, patience=20, seed=0)
     base.update(over)
     return TrainConfig(**base)
 
@@ -167,7 +166,7 @@ def test_training_descends(tmp_path):
     ds = toy_dataset(hours=48)
     split = make_split(ds.sensor_ids(), seed=0)
     result = train_model(ds, split, tiny_model_config(),
-                         run_config(max_epochs=50, val_every=100),
+                         run_config(max_epochs=50, patience=50),
                          tmp_path / "run")
     history = result.state.history
     assert history[49]["train_mse"] < history[0]["train_mse"]
@@ -177,7 +176,7 @@ def test_overfits_single_hour(tmp_path):
     ds = toy_dataset(hours=1)
     split = make_split(ds.sensor_ids(), seed=0)
     result = train_model(ds, split, tiny_model_config(),
-                         run_config(lr=3e-3, max_epochs=300, val_every=1000),
+                         run_config(lr=3e-3, max_epochs=300, patience=300),
                          tmp_path / "run")
     assert result.state.history[-1]["train_mse"] < 1e-2
 
@@ -207,13 +206,19 @@ def test_history_records_a_finite_positive_grad_norm_per_epoch(tmp_path):
 
 
 def test_saved_best_is_minimum_of_recorded_vals(tmp_path):
+    # every epoch validates, so every record holds a float val_mse and
+    # best.ckpt is the epoch of the lowest one
     ds = toy_dataset(hours=24)
     split = make_split(ds.sensor_ids(), seed=0)
     result = train_model(ds, split, tiny_model_config(),
                          run_config(max_epochs=6), tmp_path / "run")
-    vals = [h["val_mse"] for h in result.state.history
-            if h["val_mse"] is not None]
+    vals = [h["val_mse"] for h in result.state.history]
+    assert len(vals) == 6 and all(type(v) is float for v in vals)
     assert result.state.best_val_mse == min(vals)
+    best = 1 + vals.index(min(vals))
+    assert result.state.best_epoch == best
+    saved = load_arrays(str(result.checkpoint_path))[0]["extra"]
+    assert (saved["epoch"], saved["val_mse"]) == (best, min(vals))
 
 
 def test_training_loop_never_reads_held_out_sensors(tmp_path):
@@ -319,23 +324,26 @@ def test_checkpoint_carries_a_dataset_fingerprint(tmp_path):
 
 
 def test_checkpoint_records_the_fixed_train_config(tmp_path):
-    # the hour chunk and Adam's values are constants, recorded beside the
-    # seven fields, so a checkpoint names every value that fixes its bits
+    # every epoch validating, the hour chunk and Adam's values are
+    # constants, recorded beside the six fields, so a checkpoint names
+    # every value that fixes its bits
     ds = toy_dataset(hours=12)
     split = make_split(ds.sensor_ids(), seed=0)
-    assert len(dataclasses.fields(TrainConfig)) == 7
+    assert len(dataclasses.fields(TrainConfig)) == 6
     train_model(ds, split, tiny_model_config(), run_config(max_epochs=1), tmp_path / "run")
     recorded = load_trained(tmp_path / "run" / "last.ckpt")[3]["train_config"]
     assert set(recorded) == {"batch_size", "lr", "max_epochs", "patience", "val_every",
                              "val_hour_stride", "seed", "eval_batch", "beta1", "beta2", "eps"}
     assert recorded["eval_batch"] == training.EVAL_BATCH == 64
+    assert recorded["val_every"] == 1
     # so a checkpoint of a run at --eval-batch 64, the old option's default, resumes
     resumed = train_model(ds, split, tiny_model_config(), run_config(max_epochs=2),
                           tmp_path / "run", resume=True)
     assert [r["epoch"] for r in resumed.state.history] == [1, 2]
 
 
-@pytest.mark.parametrize("change", ["readings", "lr", "beta1", "eval_batch", "split", "model"])
+@pytest.mark.parametrize("change", ["readings", "lr", "beta1", "eval_batch", "val_every",
+                                    "split", "model"])
 def test_resume_refuses_other_data_or_config(tmp_path, change):
     from physair.autodiff import save_arrays
 
@@ -351,12 +359,14 @@ def test_resume_refuses_other_data_or_config(tmp_path, change):
         ds = replace(ds, pm25=ds.pm25 * 1.01)
     elif change == "lr":
         config = run_config(max_epochs=2, lr=5e-4)
-    elif change in ("beta1", "eval_batch"):
-        # Adam's values and the hour chunk are fixed, so only a checkpoint
-        # can name another, as one of a run with --eval-batch 16 did
+    elif change in ("beta1", "eval_batch", "val_every"):
+        # Adam's values, the hour chunk and validating every epoch are
+        # fixed, so only a checkpoint can name another, as one of a run
+        # with --eval-batch 16 or --val-every 5 did
         last = tmp_path / "run" / "last.ckpt"
         manifest, arrays = load_arrays(str(last))
-        manifest["extra"]["train_config"][change] = {"beta1": 0.5, "eval_batch": 16}[change]
+        manifest["extra"]["train_config"][change] = \
+            {"beta1": 0.5, "eval_batch": 16, "val_every": 5}[change]
         save_arrays(str(last), list(arrays.items()), extra=manifest["extra"])
     elif change == "split":
         split = make_split(ds.sensor_ids(), seed=1)
@@ -364,6 +374,7 @@ def test_resume_refuses_other_data_or_config(tmp_path, change):
         model_config = ModelConfig(preset="S")
     expected = {"readings": "dataset fingerprint", "lr": "train_config.lr",
                 "beta1": "train_config.beta1", "eval_batch": "train_config.eval_batch",
+                "val_every": "train_config.val_every",
                 "split": "split", "model": "model_config"}[change]
     with pytest.raises(ValidationError, match=expected):
         train_model(ds, split, model_config, config, tmp_path / "run", resume=True)
@@ -371,13 +382,14 @@ def test_resume_refuses_other_data_or_config(tmp_path, change):
 
 def test_divergence_aborts_with_diagnostic(tmp_path):
     # Adam moves each weight by roughly lr per step, so an absurd lr
-    # pushes the second forward pass past float64 range.
+    # pushes the second forward pass past float64 range; at batch 4 that
+    # is epoch 1's second batch, before its validation.
     ds = toy_dataset(hours=8)
     split = make_split(ds.sensor_ids(), seed=0)
     with pytest.raises(TrainingDiverged, match="non-finite loss"), \
             np.errstate(over="ignore", invalid="ignore"):
         train_model(ds, split, tiny_model_config(),
-                    run_config(lr=1e150, max_epochs=30, val_every=1000),
+                    run_config(lr=1e150, max_epochs=30, batch_size=4),
                     tmp_path / "run")
 
 
